@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .core import NEUTRAL, Signature, Symbol
 from .freeprop import LinComb, NetClass, class_of
-from .network import Edge, smoothen, validate
+from .network import Edge, InvalidNetworkError, smoothen, validate
 from .rewrite import Rule, RuleError, make_rule
 
 
@@ -289,10 +289,9 @@ def _build_term(term: Term, sig: Signature, outs: list[str], ins: list[str]) -> 
         edges[eid] = Edge(head, hindex, tail, tindex)
     try:
         net = validate(set(range(2, vid)) | {0, 1}, edges, deco)
-    except Exception as exc:
+    except InvalidNetworkError as exc:
         raise AinError("CycleInTerm", str(exc)) from None
-    smooth, _ = smoothen(net)
-    return class_of(smooth)
+    return class_of(smoothen(net))
 
 
 def parse_term(
@@ -473,9 +472,3 @@ def format_term(x: LinComb) -> str:
         pieces.append(text)
     out = " + ".join(pieces)
     return out.replace("+ - ", "- ")
-
-
-def parse_term_or_zero(text: str, sig: Signature, coarity: int, arity: int) -> LinComb:
-    if text.strip() == "0":
-        return LinComb.zero(coarity, arity)
-    return parse_term(text, sig)

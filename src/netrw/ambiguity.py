@@ -15,12 +15,20 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .core import BoolMat, Perm
+from .core import BoolMat, Perm, UnionFind
 from .freeprop import LinComb, NetClass, class_of, lc_act, lc_annex
 from .match import Embedding, complement, context_type_ok, strong_embeddings
-from .network import Edge, Network, act, canonical_code, validate
+from .network import Edge, InvalidNetworkError, Network, act, canonical_code, validate
 from .order import LT, OrderSpec, compare, rule_compatible
-from .rewrite import Rule, joinable, make_rule, normalize
+from .rewrite import (
+    BudgetExceededError,
+    Rule,
+    RuleError,
+    _lc_key,
+    joinable,
+    make_rule,
+    normalize,
+)
 
 Node = tuple[str, int, int]  # ("v"|"e", side, id)
 
@@ -52,42 +60,25 @@ class Ambiguity:
 
 
 class _GlueState:
-    """Union-find over the vertices and edges of both patterns."""
+    """A gluing of both patterns: the classes of their vertices and edges."""
 
-    def __init__(self, nets: dict[int, Network]):
+    def __init__(self, nets: dict[int, Network], uf: UnionFind | None = None):
         self.nets = nets
-        self.parent: dict[Node, Node] = {}
-        for side, net in nets.items():
-            for v in net.inner_vertices():
-                self.parent[("v", side, v)] = ("v", side, v)
-            for e in net.edges:
-                self.parent[("e", side, e)] = ("e", side, e)
+        if uf is None:
+            nodes: list[Node] = []
+            for side, net in nets.items():
+                nodes += [("v", side, v) for v in net.inner_vertices()]
+                nodes += [("e", side, e) for e in net.edges]
+            uf = UnionFind(nodes)
+        self.uf = uf
 
     def copy(self) -> "_GlueState":
-        st = _GlueState.__new__(_GlueState)
-        st.nets = self.nets
-        st.parent = dict(self.parent)
-        return st
-
-    def find(self, x: Node) -> Node:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def classes(self) -> dict[Node, set[Node]]:
-        out: dict[Node, set[Node]] = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), set()).add(x)
-        return out
+        return _GlueState(self.nets, self.uf.copy())
 
     def signature(self) -> frozenset:
-        return frozenset(
-            frozenset(c) for c in self.classes().values() if len(c) > 1
-        )
+        return frozenset(c for c in self.uf.members.values() if len(c) > 1)
 
-    def _edge_class_ok(self, members: set[Node], pending: list) -> bool:
+    def _edge_class_ok(self, members: frozenset[Node], pending: list) -> bool:
         per_side_heads: dict[int, list[Node]] = {1: [], 2: []}
         per_side_tails: dict[int, list[Node]] = {1: [], 2: []}
         heads = []
@@ -124,17 +115,19 @@ class _GlueState:
         return True
 
     def merge(self, a: Node, b: Node) -> bool:
+        """Glue a to b and close under port consistency; False when the
+        gluing is inconsistent, which leaves the state unusable."""
         pending = [(a, b)]
+        uf = self.uf
         while pending:
             x, y = pending.pop()
-            rx, ry = self.find(x), self.find(y)
+            rx, ry = uf.find(x), uf.find(y)
             if rx == ry:
                 continue
             if rx[0] != ry[0]:
                 return False
             kind = rx[0]
-            cls = self.classes()
-            merged = cls[rx] | cls[ry]
+            merged = uf.members[uf.union(rx, ry)]
             if kind == "v":
                 per_side: dict[int, set[int]] = {1: set(), 2: set()}
                 for _, side, v in merged:
@@ -144,7 +137,6 @@ class _GlueState:
                 decos = {self.nets[side].deco[v] for _, side, v in merged}
                 if len(decos) != 1:
                     return False
-                self.parent[rx] = ry
                 members = sorted(merged)
                 base = members[0]
                 _, bside, bv = base
@@ -167,10 +159,8 @@ class _GlueState:
                                 ("e", oside, onet.out_edge(ov, i)),
                             )
                         )
-            else:
-                self.parent[rx] = ry
-                if not self._edge_class_ok(merged, pending):
-                    return False
+            elif not self._edge_class_ok(merged, pending):
+                return False
         return True
 
 
@@ -181,11 +171,12 @@ def _leg_kind(net: Network, e: int) -> tuple[bool, bool]:
 
 def _possible_seeds(state: _GlueState) -> list[tuple[Node, Node]]:
     h1, h2 = state.nets[1], state.nets[2]
+    find = state.uf.find
     seeds = []
     for v1 in h1.inner_vertices():
         for v2 in h2.inner_vertices():
             if h1.deco[v1] == h2.deco[v2]:
-                if state.find(("v", 1, v1)) != state.find(("v", 2, v2)):
+                if find(("v", 1, v1)) != find(("v", 2, v2)):
                     seeds.append((("v", 1, v1), ("v", 2, v2)))
     for side, other in ((1, 2), (2, 1)):
         ns, no = state.nets[side], state.nets[other]
@@ -193,7 +184,7 @@ def _possible_seeds(state: _GlueState) -> list[tuple[Node, Node]]:
             if ends.head == 0 and ends.tail == 1:  # stray
                 for f, fe in sorted(no.edges.items()):
                     if fe.head != 0 and fe.tail != 1:
-                        if state.find(("e", side, e)) != state.find(("e", other, f)):
+                        if find(("e", side, e)) != find(("e", other, f)):
                             seeds.append((("e", side, e), ("e", other, f)))
     for side, other in ((1, 2), (2, 1)):
         ns, no = state.nets[side], state.nets[other]
@@ -203,7 +194,7 @@ def _possible_seeds(state: _GlueState) -> list[tuple[Node, Node]]:
             for f, fe in sorted(no.edges.items()):
                 if fe.tail != 1:
                     continue
-                if state.find(("e", side, e)) != state.find(("e", other, f)):
+                if find(("e", side, e)) != find(("e", other, f)):
                     seeds.append((("e", side, e), ("e", other, f)))
     return seeds
 
@@ -239,8 +230,7 @@ class _Candidate:
 
 def _build_site(state: _GlueState) -> _Candidate | None:
     """Assemble the glued network; None when cyclic or not terse enough."""
-    h1, h2 = state.nets[1], state.nets[2]
-    classes = state.classes()
+    classes = state.uf.members
 
     vclasses = sorted(
         (root for root in classes if root[0] == "v"),
@@ -312,7 +302,7 @@ def _build_site(state: _GlueState) -> _Candidate | None:
 
     try:
         site = validate(set(deco) | {0, 1}, edges, deco)
-    except Exception:
+    except InvalidNetworkError:
         return None
     chi = {
         side: {
@@ -330,7 +320,7 @@ def _build_site(state: _GlueState) -> _Candidate | None:
 def _is_montage(state: _GlueState, q1: BoolMat, q2: BoolMat) -> bool:
     """A gluing with no shared vertices and no internal-edge sharing is a
     montage iff its leg wiring is sequentially consistent."""
-    classes = state.classes()
+    classes = state.uf.members
     for root, members in classes.items():
         if root[0] == "v" and len({n[1] for n in members}) > 1:
             return False
@@ -449,10 +439,6 @@ def _leg_relabelings(site: Network, cap: int = 64) -> list[tuple[Perm, Perm]]:
     if not out:
         out.append((Perm(tuple(range(1, site.coarity + 1))), Perm(tuple(range(1, site.arity + 1)))))
     return out
-
-
-def _lc_key(x: LinComb) -> tuple:
-    return tuple((t.code, c) for t, c in x.items())
 
 
 def _ambiguity_key(
@@ -582,7 +568,7 @@ def resolve(
             amb.reduct2, amb.amb_type, rules, max_steps=max_steps, order_backed=spec is not None
         )
         difference = n1 - n2
-    except Exception:
+    except BudgetExceededError:
         difference = amb.reduct1 - amb.reduct2
     return AmbiguityResult(amb, "unresolved", difference)
 
@@ -682,10 +668,10 @@ def _orient(diff: LinComb, spec: OrderSpec, rule_id: str, current: Sequence[Rule
             rhs = LinComb.monomial(mu) - diff.scale(1 / coeff)
             try:
                 rule = make_rule(rule_id, LinComb.monomial(mu), rhs, "sharp")
-            except Exception:
+            except RuleError:
                 try:
                     rule = make_rule(rule_id, LinComb.monomial(mu), rhs, [])
-                except Exception:
+                except RuleError:
                     return None
             ok, _ = rule_compatible(rule, spec)
             if ok:

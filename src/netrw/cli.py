@@ -394,7 +394,7 @@ def main(argv=None) -> int:
     except (AinError, SignatureError, RuleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -94,8 +94,45 @@ def parse_signature(text: str) -> Signature:
     return sig
 
 
-def format_signature(sig: Signature) -> str:
-    return "".join(f"gen {s.name} {s.coarity} {s.arity}\n" for s in sig)
+# ---------------------------------------------------------------------------
+# Equivalence classes
+# ---------------------------------------------------------------------------
+
+
+class UnionFind:
+    """Disjoint sets over a fixed universe.
+
+    ``members`` maps each root to the frozenset of its class, so a class
+    is read without a pass over the universe, and :meth:`copy` shares the
+    member sets with its source.
+    """
+
+    __slots__ = ("parent", "members")
+
+    def __init__(self, items: Iterable = ()):
+        self.parent = {x: x for x in items}
+        self.members = {x: frozenset((x,)) for x in self.parent}
+
+    def copy(self) -> "UnionFind":
+        uf = UnionFind.__new__(UnionFind)
+        uf.parent = dict(self.parent)
+        uf.members = dict(self.members)
+        return uf
+
+    def find(self, x):
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, a, b):
+        """Merge the classes of a and b; return the root of the result."""
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+            self.members[rb] = self.members[rb] | self.members.pop(ra)
+        return rb
 
 
 # ---------------------------------------------------------------------------

@@ -237,9 +237,7 @@ def sym_join(a: NetClass, r: int, q: int, b: NetClass) -> NetClass:
         plus = cond.plus()
         bad = [i + 1 for i in range(plus.rows) if plus.get(i, i)]
         raise JoinUndefinedError(f"cycle through joined ports {bad}")
-    raw = _raw_sym_join(a.rep, b.rep, r, q)
-    smooth, _ = smoothen(raw)
-    return class_of(smooth)
+    return class_of(smoothen(_raw_sym_join(a.rep, b.rep, r, q)))
 
 
 def annex(a: NetClass, b: NetClass) -> NetClass:

@@ -8,7 +8,7 @@ import itertools
 from dataclasses import dataclass
 from .core import BoolMat, bm_blocks
 from .freeprop import NetClass, class_of
-from .network import Edge, Network
+from .network import Edge, Network, _components
 
 
 @dataclass(frozen=True)
@@ -70,31 +70,6 @@ def _embedding_ok(pattern: Network, subject: Network, chi: dict[int, int], psi: 
     return True
 
 
-def _pattern_components(pattern: Network) -> tuple[list[list[int]], list[int]]:
-    """Inner-vertex components (each a sorted vertex list) and stray edges."""
-    inner = pattern.inner_vertices()
-    parent = {v: v for v in inner}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    strays = []
-    for e, ends in pattern.edges.items():
-        if ends.head == 0 and ends.tail == 1:
-            strays.append(e)
-        elif ends.head != 0 and ends.tail != 1:
-            a, b = find(ends.head), find(ends.tail)
-            if a != b:
-                parent[a] = b
-    comps: dict[int, list[int]] = {}
-    for v in inner:
-        comps.setdefault(find(v), []).append(v)
-    return [sorted(c) for c in comps.values()], sorted(strays)
-
-
 def _grow_component(
     pattern: Network,
     subject: Network,
@@ -146,10 +121,10 @@ def find_embeddings(pattern: Network, subject: Network) -> list[Embedding]:
     order.  One anchor vertex per pattern component is tried against every
     equally decorated subject vertex; stray pattern edges may land on any
     subject edge."""
-    comps, strays = _pattern_components(pattern)
+    comps, strays = _components(pattern)
     per_comp: list[list[tuple[dict[int, int], dict[int, int]]]] = []
     for comp in comps:
-        anchor = comp[0]
+        anchor = min(comp)
         found = []
         for w in subject.inner_vertices():
             grown = _grow_component(pattern, subject, anchor, w)

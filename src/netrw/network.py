@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .core import NEUTRAL_NAME, Perm, Symbol, BoolMat, same
+from .core import NEUTRAL_NAME, Perm, Symbol, BoolMat, UnionFind, same
 
 
 class Edge(NamedTuple):
@@ -286,15 +286,13 @@ def evaluate(
     net: Network,
     target,
     assign: Callable[[Symbol], object] | Mapping[str, object],
-    tiebreak: str = "min",
 ):
     """Evaluate a network in a target PROP.
 
     ``assign`` maps symbols (or symbol names) to target elements of the
     right shape.  The computation slices the network below one
     topologically minimal inner vertex at a time; the result does not
-    depend on the order in which ready vertices are consumed (``tiebreak``
-    exists so tests can exercise that).
+    depend on the order in which ready vertices are consumed.
     """
     if callable(assign) and not isinstance(assign, Mapping):
         lookup = assign
@@ -329,10 +327,7 @@ def evaluate(
     ready = sorted(v for v in inner if missing[v] == 0)
     done = 0
     while ready:
-        if tiebreak == "min":
-            v = ready.pop(0)
-        else:
-            v = ready.pop()
+        v = ready.pop(0)
         ins = net.in_edges(v)
         others = [e for e in frontier if e not in set(ins)]
         arranged = others + ins
@@ -481,52 +476,19 @@ def split(
     return left, right
 
 
-def all_cuts(net: Network) -> list[tuple[set[int], set[int]]]:
-    """All (W0, W1) cuts, for small networks."""
-    inner = net.inner_vertices()
-    out = []
-    for mask in range(1 << len(inner)):
-        w1 = {v for i, v in enumerate(inner) if mask >> i & 1}
-        w0 = set(inner) - w1
-        if all(
-            not (ends.head in w1 and ends.tail in w0) for ends in net.edges.values()
-        ):
-            out.append((w0, w1))
-    return out
-
-
-def obvious_ordering(net: Network, w0: set[int], w1: set[int]) -> dict[int, int]:
-    """Some valid interface ordering for the given cut (sorted by edge id)."""
-    cut_edges = sorted(
-        e
-        for e, ends in net.edges.items()
-        if (ends.head in w0 or ends.head == 0) and (ends.tail in w1 or ends.tail == 1)
-    )
-    return {e: i for i, e in enumerate(cut_edges, 1)}
-
-
 # ---------------------------------------------------------------------------
-# Homeomorphisms and smoothening
+# Smoothening
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Homeomorphism:
-    """A pair (beta, gamma): beta maps target vertices into the source,
-    gamma maps source edges onto target edges."""
-
-    source: Network
-    target: Network
-    vertex_map: Mapping[int, int]  # target vertex -> source vertex, injective
-    edge_map: Mapping[int, int]  # source edge -> target edge, surjective
-
-
-def smoothen(net: Network, neutral_names: frozenset[str] | set[str] = frozenset({NEUTRAL_NAME})) -> tuple[Network, Homeomorphism]:
+def smoothen(net: Network) -> Network:
     """Remove all neutral-decorated vertices, joining their incident edges.
 
-    Every neutral vertex must have arity = coarity = 1.
+    Every neutral vertex must have arity = coarity = 1.  Each kept edge
+    keeps its id and its tail and takes the head of the headmost segment
+    of its neutral chain.
     """
-    drop = {v for v, s in net.deco.items() if s.name in neutral_names}
+    drop = {v for v, s in net.deco.items() if s.name == NEUTRAL_NAME}
     for v in drop:
         sym = net.deco[v]
         if sym.arity != 1 or sym.coarity != 1:
@@ -558,67 +520,7 @@ def smoothen(net: Network, neutral_names: frozenset[str] | set[str] = frozenset(
         top = net.edges[headmost(e)]
         edges[e] = Edge(top.head, top.hindex, ends.tail, ends.tindex)
     deco = {v: s for v, s in net.deco.items() if v in keep_vertices - {0, 1}}
-    smooth = Network(keep_vertices, edges, deco)
-
-    # gamma maps each source edge to the tailmost (kept) segment of its chain
-    tail_of: dict[int, int] = {}
-
-    def tailmost(e: int) -> int:
-        chain = []
-        cur = e
-        while cur not in tail_of:
-            ends = net.edges[cur]
-            if ends.tail in keep_vertices:
-                tail_of[cur] = cur
-                break
-            chain.append(cur)
-            cur = net.in_edge(ends.tail, 1)
-        result = tail_of[cur]
-        for x in chain:
-            tail_of[x] = result
-        return result
-
-    gamma = {e: tailmost(e) for e in net.edges}
-    beta = {v: v for v in keep_vertices}
-    return smooth, Homeomorphism(net, smooth, beta, gamma)
-
-
-def is_homeomorphism(hom: Homeomorphism) -> bool:
-    """Check the five homeomorphism conditions (used by tests)."""
-    src, dst = hom.source, hom.target
-    beta, gamma = dict(hom.vertex_map), dict(hom.edge_map)
-    if beta.get(0) != 0 or beta.get(1) != 1:
-        return False
-    if len(set(beta.values())) != len(beta):
-        return False
-    if set(gamma.keys()) != set(src.edges) or set(gamma.values()) != set(dst.edges):
-        return False
-    image = set(beta.values())
-    inv = {w: v for v, w in beta.items()}
-    for v in dst.inner_vertices():
-        if v not in beta or src.deco[beta[v]] != dst.deco[v]:
-            return False
-    for e, ends in src.edges.items():
-        g = gamma[e]
-        if ends.head in image:
-            gd = dst.edges[g]
-            if ends.head != beta[inv[ends.head]] or inv[ends.head] != gd.head:
-                return False
-            if ends.hindex != gd.hindex:
-                return False
-        if ends.tail in image:
-            gd = dst.edges[g]
-            if inv[ends.tail] != gd.tail or ends.tindex != gd.tindex:
-                return False
-    for v in src.vertices - image:
-        sym = src.deco[v]
-        if sym.arity != 1 or sym.coarity != 1:
-            return False
-        e_in = src.in_edge(v, 1)
-        e_out = src.out_edge(v, 1)
-        if gamma[e_in] != gamma[e_out]:
-            return False
-    return True
+    return Network(keep_vertices, edges, deco)
 
 
 # ---------------------------------------------------------------------------
@@ -626,28 +528,18 @@ def is_homeomorphism(hom: Homeomorphism) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _components(net: Network) -> tuple[list[set[int]], list[int]]:
-    """Connected components of inner vertices, plus the stray edges."""
-    parent = {v: v for v in net.inner_vertices()}
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
+def _components(net: Network) -> tuple[list[frozenset[int]], list[int]]:
+    """Connected components of inner vertices, listed by least vertex,
+    plus the stray edges in id order.  The capped leg relabelings of an
+    ambiguity site break ties between equal components in this order."""
+    uf = UnionFind(net.inner_vertices())
     strays = []
     for e, ends in net.edges.items():
         if ends.head == 0 and ends.tail == 1:
             strays.append(e)
         elif ends.head != 0 and ends.tail != 1:
-            a, b = find(ends.head), find(ends.tail)
-            if a != b:
-                parent[a] = b
-    comps: dict[int, set[int]] = {}
-    for v in net.inner_vertices():
-        comps.setdefault(find(v), set()).add(v)
-    return list(comps.values()), sorted(strays)
+            uf.union(ends.head, ends.tail)
+    return sorted(uf.members.values(), key=min), sorted(strays)
 
 
 def _component_code_from(net: Network, root: int, comp: set[int]) -> tuple:

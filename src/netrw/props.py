@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from .core import BoolMat, Perm
+from .core import BoolMat, Perm, UnionFind
 
 
 class TargetValueError(ValueError):
@@ -283,25 +283,6 @@ class ConnElem:
             raise TargetValueError("negative cycle count")
 
 
-def _merge_partition(universe: set, links: list[tuple]) -> list[set]:
-    parent = {x: x for x in universe}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in links:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    out: dict = {}
-    for x in universe:
-        out.setdefault(find(x), set()).add(x)
-    return list(out.values())
-
-
 class ConnectivityTarget:
     """Pairs (partition of legs, cyclomatic count)."""
 
@@ -318,19 +299,20 @@ class ConnectivityTarget:
             raise TargetValueError("connectivity compose shape mismatch")
         l, m, n = a.coarity, a.arity, b.arity
         # working labels: (0,i) outputs, (2,k) interface, (1,j) inputs
-        universe = (
-            {(0, i) for i in range(1, l + 1)}
-            | {(2, k) for k in range(1, m + 1)}
-            | {(1, j) for j in range(1, n + 1)}
+        uf = UnionFind(
+            [(0, i) for i in range(1, l + 1)]
+            + [(2, k) for k in range(1, m + 1)]
+            + [(1, j) for j in range(1, n + 1)]
         )
-        links = []
         for block in a.blocks:
             items = [((0, i) if s == 0 else (2, i)) for s, i in block]
-            links += [(items[0], x) for x in items[1:]]
+            for x in items[1:]:
+                uf.union(items[0], x)
         for block in b.blocks:
             items = [((2, i) if s == 0 else (1, i)) for s, i in block]
-            links += [(items[0], x) for x in items[1:]]
-        merged = _merge_partition(universe, links)
+            for x in items[1:]:
+                uf.union(items[0], x)
+        merged = uf.members.values()
         cyc = a.cyc + m + len(merged) - len(a.blocks) - len(b.blocks) + b.cyc
         outer = []
         for block in merged:

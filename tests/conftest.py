@@ -1,9 +1,12 @@
-"""Shared fixtures: signatures, random generators, and the PROP axiom suite."""
+"""Shared fixtures: signatures, random generators, the PROP axiom suite,
+and test-only oracles for cuts and smoothening."""
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Mapping
 
 import pytest
 
@@ -267,3 +270,101 @@ class FreePropTarget:
         from netrw.freeprop import phi
 
         return phi(p)
+
+
+# ---------------------------------------------------------------------------
+# Cuts
+# ---------------------------------------------------------------------------
+
+
+def all_cuts(net: Network) -> list[tuple[set[int], set[int]]]:
+    """All (W0, W1) cuts, for small networks."""
+    inner = net.inner_vertices()
+    out = []
+    for mask in range(1 << len(inner)):
+        w1 = {v for i, v in enumerate(inner) if mask >> i & 1}
+        w0 = set(inner) - w1
+        if all(
+            not (ends.head in w1 and ends.tail in w0) for ends in net.edges.values()
+        ):
+            out.append((w0, w1))
+    return out
+
+
+def obvious_ordering(net: Network, w0: set[int], w1: set[int]) -> dict[int, int]:
+    """Some valid interface ordering for the given cut (sorted by edge id)."""
+    cut_edges = sorted(
+        e
+        for e, ends in net.edges.items()
+        if (ends.head in w0 or ends.head == 0) and (ends.tail in w1 or ends.tail == 1)
+    )
+    return {e: i for i, e in enumerate(cut_edges, 1)}
+
+
+# ---------------------------------------------------------------------------
+# Homeomorphisms
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Homeomorphism:
+    """A pair (beta, gamma): beta maps target vertices into the source,
+    gamma maps source edges onto target edges."""
+
+    source: Network
+    target: Network
+    vertex_map: Mapping[int, int]  # target vertex -> source vertex, injective
+    edge_map: Mapping[int, int]  # source edge -> target edge, surjective
+
+
+def smoothing_homeomorphism(net: Network, smooth: Network) -> Homeomorphism:
+    """The homeomorphism from ``net`` onto ``smooth = smoothen(net)``: beta
+    is the identity on the kept vertices, and gamma sends each edge to the
+    tailmost segment of its neutral chain, the one whose id survives."""
+
+    def tailmost(e: int) -> int:
+        while net.edges[e].tail not in smooth.vertices:
+            e = net.in_edge(net.edges[e].tail, 1)
+        return e
+
+    gamma = {e: tailmost(e) for e in net.edges}
+    beta = {v: v for v in smooth.vertices}
+    return Homeomorphism(net, smooth, beta, gamma)
+
+
+def is_homeomorphism(hom: Homeomorphism) -> bool:
+    """Check the five homeomorphism conditions."""
+    src, dst = hom.source, hom.target
+    beta, gamma = dict(hom.vertex_map), dict(hom.edge_map)
+    if beta.get(0) != 0 or beta.get(1) != 1:
+        return False
+    if len(set(beta.values())) != len(beta):
+        return False
+    if set(gamma.keys()) != set(src.edges) or set(gamma.values()) != set(dst.edges):
+        return False
+    image = set(beta.values())
+    inv = {w: v for v, w in beta.items()}
+    for v in dst.inner_vertices():
+        if v not in beta or src.deco[beta[v]] != dst.deco[v]:
+            return False
+    for e, ends in src.edges.items():
+        g = gamma[e]
+        if ends.head in image:
+            gd = dst.edges[g]
+            if ends.head != beta[inv[ends.head]] or inv[ends.head] != gd.head:
+                return False
+            if ends.hindex != gd.hindex:
+                return False
+        if ends.tail in image:
+            gd = dst.edges[g]
+            if inv[ends.tail] != gd.tail or ends.tindex != gd.tindex:
+                return False
+    for v in src.vertices - image:
+        sym = src.deco[v]
+        if sym.arity != 1 or sym.coarity != 1:
+            return False
+        e_in = src.in_edge(v, 1)
+        e_out = src.out_edge(v, 1)
+        if gamma[e_in] != gamma[e_out]:
+            return False
+    return True

@@ -28,7 +28,7 @@ from netrw.freeprop import (
     tensor,
 )
 from netrw.match import complement, find_embeddings, strong_embeddings
-from netrw.network import Edge, all_cuts, cut, evaluate, obvious_ordering, split, validate
+from netrw.network import Edge, cut, evaluate, split, validate
 from netrw.order import LT, BaffStage, OrderSpec, compare, check_strictness, rule_compatible
 from netrw.props import (
     BAFF_NAT,
@@ -44,8 +44,10 @@ from netrw.rewrite import is_irreducible, joinable, normalize, reduce_once
 
 from conftest import (
     FreePropTarget,
+    all_cuts,
     check_prop_axioms,
     exact_shape_class,
+    obvious_ordering,
     random_class,
     random_nat_mat,
     random_network,

@@ -225,6 +225,10 @@ class TestSubcommands:
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
 
+    def test_sig_directory_exit_2(self, tmp_path, capsys):
+        code, _, err = run(capsys, "validate", "--sig", str(tmp_path), "m^a_bc")
+        assert code == 2 and err.startswith("error:") and "Traceback" not in err
+
     def test_threads_env(self, corpus, capsys, monkeypatch):
         monkeypatch.setenv("NETRW_THREADS", "zero")
         code, _, err = run(capsys, "validate", "--sig", str(corpus / "assoc.sig"), "m^a_bc")

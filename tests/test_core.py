@@ -1,4 +1,4 @@
-"""Permutations, boolean matrices, signature parsing."""
+"""Permutations, boolean matrices, signature parsing, the union-find."""
 
 import itertools
 
@@ -10,6 +10,7 @@ from netrw.core import (
     Signature,
     SignatureError,
     Symbol,
+    UnionFind,
     bm_blocks,
     bm_stack,
     cross,
@@ -17,7 +18,9 @@ from netrw.core import (
     same,
 )
 
-from conftest import random_perm
+from netrw.network import _components
+
+from conftest import random_network, random_perm
 
 
 def rand_bm(rng, rows, cols, density=0.4):
@@ -234,3 +237,48 @@ class TestSignature:
     def test_empty_name(self):
         with pytest.raises(SignatureError):
             Symbol("", 1, 1)
+
+
+class TestUnionFind:
+    def test_copy_is_independent(self):
+        uf = UnionFind(range(6))
+        uf.union(0, 1)
+        twin = uf.copy()
+        uf.union(1, 2)
+        twin.union(3, 4)
+        assert sorted(map(sorted, uf.members.values())) == [[0, 1, 2], [3], [4], [5]]
+        assert sorted(map(sorted, twin.members.values())) == [[0, 1], [2], [3, 4], [5]]
+        assert uf.find(2) == uf.find(0) and twin.find(2) != twin.find(0)
+        assert twin.find(3) == twin.find(4) and uf.find(3) != uf.find(4)
+
+    def test_members_partition_by_root(self, rng):
+        for _ in range(200):
+            n = rng.randint(1, 12)
+            uf = UnionFind(range(n))
+            for _ in range(rng.randint(0, n)):
+                uf.union(rng.randrange(n), rng.randrange(n))
+            for root, members in uf.members.items():
+                assert uf.find(root) == root
+                assert all(uf.find(x) == root for x in members)
+            assert sorted(x for c in uf.members.values() for x in c) == list(range(n))
+
+    def test_components_match_networkx(self, rng, hopf_sig):
+        nx = pytest.importorskip("networkx")
+        several = with_strays = 0
+        for _ in range(300):
+            net = random_network(rng, list(hopf_sig), max_inner=6, max_strays=2)
+            graph = nx.Graph()
+            graph.add_nodes_from(net.inner_vertices())
+            graph.add_edges_from(
+                (ends.head, ends.tail)
+                for ends in net.edges.values()
+                if ends.head != 0 and ends.tail != 1
+            )
+            want = sorted(nx.connected_components(graph), key=min)
+            strays = sorted(
+                e for e, ends in net.edges.items() if ends.head == 0 and ends.tail == 1
+            )
+            assert _components(net) == (want, strays)
+            several += len(want) > 1
+            with_strays += bool(strays)
+        assert several > 50 and with_strays > 50

@@ -11,26 +11,31 @@ from netrw.network import (
     InvalidNetworkError,
     Network,
     act,
-    all_cuts,
     canonical_code,
     check,
     cut,
     evaluate,
     from_code,
     generator_network,
-    obvious_ordering,
     perm_network,
     relabel,
     smoothen,
     split,
-    is_homeomorphism,
     transference,
     validate,
 )
 from netrw.props import BOOL_MATRIX, NAT_MATRIX, Mat, all_ones_assignment
 from netrw.core import NEUTRAL
 
-from conftest import random_network, random_relabel, random_perm
+from conftest import (
+    all_cuts,
+    is_homeomorphism,
+    obvious_ordering,
+    random_network,
+    random_perm,
+    random_relabel,
+    smoothing_homeomorphism,
+)
 
 
 def nat_assign(rng, sig_symbols, top=4):
@@ -117,11 +122,16 @@ class TestEvaluate:
             assert transference(net) == transference(other)
 
     def test_tiebreak_independence(self, rng, sig2):
+        # evaluate consumes the least ready vertex first; reversing the
+        # order of the inner vertex ids makes it consume the greatest
         for _ in range(200):
             net = random_network(rng, list(sig2), max_inner=4)
             assign = nat_assign(rng, list(sig2))
-            lo = evaluate(net, NAT_MATRIX, assign, tiebreak="min")
-            hi = evaluate(net, NAT_MATRIX, assign, tiebreak="max")
+            inner = net.inner_vertices()
+            vmap = {0: 0, 1: 1, **dict(zip(inner, reversed(inner)))}
+            reversed_net = relabel(net, vmap, {e: e for e in net.edges})
+            lo = evaluate(net, NAT_MATRIX, assign)
+            hi = evaluate(reversed_net, NAT_MATRIX, assign)
             assert lo == hi
 
 
@@ -236,34 +246,33 @@ class TestSmoothen:
 
     def test_chain_collapses_to_wire(self):
         net = self.chain_network(3)
-        smooth, hom = smoothen(net)
+        smooth = smoothen(net)
         assert canonical_code(smooth) == canonical_code(perm_network(same(1)))
-        assert is_homeomorphism(hom)
+        assert is_homeomorphism(smoothing_homeomorphism(net, smooth))
 
     def test_noop_without_neutral(self, rng, sig2):
         net = random_network(rng, list(sig2))
-        smooth, hom = smoothen(net)
+        smooth = smoothen(net)
         assert canonical_code(smooth) == canonical_code(net)
-        assert is_homeomorphism(hom)
+        assert is_homeomorphism(smoothing_homeomorphism(net, smooth))
 
     def test_wrong_arity_neutral(self):
-        bad = Symbol("~", 1, 1)
-        two = Symbol("two", 2, 1)
+        bad = Symbol("~", 2, 1)
         edges = {
             0: Edge(2, 1, 1, 1),
             1: Edge(0, 1, 2, 1),
             2: Edge(0, 2, 2, 2),
         }
-        net = validate({0, 1, 2}, edges, {2: two})
+        net = validate({0, 1, 2}, edges, {2: bad})
         with pytest.raises(InvalidNetworkError):
-            smoothen(net, {"two"})
+            smoothen(net)
 
     def test_eval_preserved(self, rng, sig2):
         symbols = list(sig2) + [NEUTRAL]
         for _ in range(300):
             net = random_network(rng, symbols, max_inner=4)
-            smooth, hom = smoothen(net)
-            assert is_homeomorphism(hom)
+            smooth = smoothen(net)
+            assert is_homeomorphism(smoothing_homeomorphism(net, smooth))
             assign = nat_assign(rng, list(sig2))
             assert evaluate(net, NAT_MATRIX, assign) == evaluate(
                 smooth, NAT_MATRIX, assign
