@@ -17,18 +17,19 @@ from typing import Sequence
 
 from .core import BoolMat, Perm, UnionFind
 from .freeprop import LinComb, NetClass, class_of, lc_act, lc_annex
-from .match import Embedding, complement, context_type_ok, strong_embeddings
-from .network import Edge, InvalidNetworkError, Network, act, canonical_code, validate
-from .order import LT, OrderSpec, compare, rule_compatible
-from .rewrite import (
-    BudgetExceededError,
-    Rule,
-    RuleError,
-    _lc_key,
-    joinable,
-    make_rule,
-    normalize,
+from .match import Embedding, context_type_ok, contexts
+from .network import (
+    Edge,
+    InvalidNetworkError,
+    Network,
+    _component_code_from,
+    _components,
+    act,
+    canonical_code,
+    validate,
 )
+from .order import LT, OrderSpec, compare, rule_compatible
+from .rewrite import Rule, RuleError, _lc_key, joinable, make_rule
 
 Node = tuple[str, int, int]  # ("v"|"e", side, id)
 
@@ -360,15 +361,13 @@ def _leg_relabelings(site: Network, cap: int = 64) -> list[tuple[Perm, Perm]]:
     """Canonical leg reorderings: permutation pairs (sigma, tau) such that
     sigma . site . tau carries the canonical leg numbering.  Ties from
     equal-coded components yield several."""
-    from .network import _components, _component_code_from
-
     comps, strays = _components(site)
     entries = []  # (legless code, [per-root (outs, ins)])
     for comp in comps:
         best = None
         assignments = []
         for root in sorted(comp):
-            raw = _component_code_from(site, root, comp)
+            raw = _component_code_from(site, root)
             outs: list[int] = []
             ins: list[int] = []
             norm = []
@@ -484,13 +483,11 @@ def enumerate_decisive(s1: Rule, s2: Rule) -> list[Ambiguity]:
         emb2 = Embedding(
             tuple(sorted(cand.chi[2].items())), tuple(sorted(cand.psi[2].items()))
         )
-        for se1 in strong_embeddings(emb1, h1, site):
-            k1 = complement(site, h1, se1)
+        for k1 in contexts(emb1, h1, site):
             if not context_type_ok(k1.tr, s1.qtype, amb_type):
                 continue
             r1 = lc_annex(k1, s1.rhs)
-            for se2 in strong_embeddings(emb2, h2, site):
-                k2 = complement(site, h2, se2)
+            for k2 in contexts(emb2, h2, site):
                 if not context_type_ok(k2.tr, s2.qtype, amb_type):
                     continue
                 r2 = lc_annex(k2, s2.rhs)
@@ -560,17 +557,7 @@ def resolve(
         return AmbiguityResult(amb, "resolved", None)
     if result.status == "unknown":
         return AmbiguityResult(amb, "unknown", None)
-    try:
-        n1 = normalize(
-            amb.reduct1, amb.amb_type, rules, max_steps=max_steps, order_backed=spec is not None
-        )
-        n2 = normalize(
-            amb.reduct2, amb.amb_type, rules, max_steps=max_steps, order_backed=spec is not None
-        )
-        difference = n1 - n2
-    except BudgetExceededError:
-        difference = amb.reduct1 - amb.reduct2
-    return AmbiguityResult(amb, "unresolved", difference)
+    return AmbiguityResult(amb, "unresolved", result.difference)
 
 
 class IncompatibleRuleError(ValueError):

@@ -389,6 +389,9 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "max_steps", None) is not None and args.max_steps < 0:
+        print("error: --max-steps must be a nonnegative integer", file=sys.stderr)
+        return USAGE_ERROR
     try:
         return args.func(args)
     except (AinError, SignatureError, RuleError, ValueError) as exc:

@@ -283,13 +283,6 @@ class BoolMat:
             out.append(acc)
         return BoolMat(self.rows, other.cols, tuple(out))
 
-    def transpose(self) -> "BoolMat":
-        bits = tuple(
-            sum(self.get(i, j) << i for i in range(self.rows))
-            for j in range(self.cols)
-        )
-        return BoolMat(self.cols, self.rows, bits)
-
     def tensor(self, other: "BoolMat") -> "BoolMat":
         """Direct sum (diagonal blocks)."""
         top = tuple(r for r in self.bits)

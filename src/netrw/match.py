@@ -1,6 +1,6 @@
 """Redex location: embeddings of a pattern network into a subject,
-strong embeddings (segment labelings), complement extraction, and
-context-type admissibility."""
+strong embeddings (segment labelings), complement extraction, the
+distinct contexts of an embedding, and context-type admissibility."""
 
 from __future__ import annotations
 
@@ -165,15 +165,14 @@ def find_embeddings(pattern: Network, subject: Network) -> list[Embedding]:
 
 
 def strong_embeddings(
-    emb: Embedding, pattern: Network, subject: Network, dedup: bool = True
+    emb: Embedding, pattern: Network, subject: Network
 ) -> list[StrongEmbedding]:
     """All segment labelings of an embedding.
 
     Pattern edges sharing a subject edge are ordered tail to head: an edge
     with an inner tail is the tailmost segment, one with an inner head is
     the headmost, and stray edges fill the remaining slots in every
-    possible order.  When ``dedup`` is set, labelings with isomorphic
-    complements are reported once.
+    possible order.
     """
     psi = emb.psi()
     m = max(subject.edges, default=0) + 1
@@ -204,20 +203,20 @@ def strong_embeddings(
         per_class.append(assignments)
 
     out = []
-    seen = set()
     for combo in itertools.product(*per_class):
         theta: dict[int, int] = {}
         for part in combo:
             theta.update(part)
         seg = {e: psi[e] + m * theta[e] for e in psi}
-        se = StrongEmbedding(emb, m, tuple(sorted(seg.items())))
-        if dedup:
-            key = complement(subject, pattern, se).code
-            if key in seen:
-                continue
-            seen.add(key)
-        out.append(se)
+        out.append(StrongEmbedding(emb, m, tuple(sorted(seg.items()))))
     return out
+
+
+def contexts(emb: Embedding, pattern: Network, subject: Network) -> list[NetClass]:
+    """The contexts K with annex(K, pattern) = subject read off the
+    labelings of ``emb``: each isomorphism class once, in labeling order."""
+    labelings = strong_embeddings(emb, pattern, subject)
+    return list(dict.fromkeys(complement(subject, pattern, se) for se in labelings))
 
 
 def complement(subject: Network, pattern: Network, se: StrongEmbedding) -> NetClass:

@@ -542,7 +542,7 @@ def _components(net: Network) -> tuple[list[frozenset[int]], list[int]]:
     return sorted(uf.members.values(), key=min), sorted(strays)
 
 
-def _component_code_from(net: Network, root: int, comp: set[int]) -> tuple:
+def _component_code_from(net: Network, root: int) -> tuple:
     order = {root: 0}
     queue = [root]
     seq = []
@@ -587,7 +587,7 @@ def canonical_code(net: Network) -> tuple:
     comps, strays = _components(net)
     codes = []
     for comp in comps:
-        best = min(_component_code_from(net, r, comp) for r in sorted(comp))
+        best = min(_component_code_from(net, r) for r in sorted(comp))
         codes.append(("C", best))
     for e in strays:
         ends = net.edges[e]

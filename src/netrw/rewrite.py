@@ -9,7 +9,7 @@ from typing import Sequence
 
 from .core import BoolMat
 from .freeprop import LinComb, NetClass, lc, lc_annex
-from .match import complement, context_type_ok, find_embeddings, strong_embeddings
+from .match import context_type_ok, contexts, find_embeddings
 
 
 class RuleError(ValueError):
@@ -92,24 +92,13 @@ class ReductionStep:
     coefficient: Fraction
 
 
-@dataclass
-class Redex:
-    """One admissible simple reduction site inside a combination."""
-
-    monomial: NetClass
-    coefficient: Fraction
-    rule: Rule
-    context: NetClass
-
-
 def _monomial_redexes(nu: NetClass, q: BoolMat, rules: Sequence[Rule]):
     """Yield (rule, context K) pairs admissible at ambient type q, in the
     deterministic redex order."""
     for rule in sorted(rules, key=lambda r: r.rule_id):
         pattern = rule.lhs.rep
         for emb in find_embeddings(pattern, nu.rep):
-            for se in strong_embeddings(emb, pattern, nu.rep):
-                ctx = complement(nu.rep, pattern, se)
+            for ctx in contexts(emb, pattern, nu.rep):
                 if context_type_ok(ctx.tr, rule.qtype, q):
                     yield rule, ctx
 
@@ -122,37 +111,28 @@ def _check_types(x: LinComb, q: BoolMat) -> None:
             raise RuleError("combination outside ambient type")
 
 
-def reduce_once(
-    x: LinComb, q: BoolMat, rules: Sequence[Rule]
-) -> tuple[LinComb, ReductionStep] | None:
-    """Apply the first admissible simple reduction, or None if irreducible.
-
-    Redexes are tried in a reproducible order: monomials by canonical
-    code, rules by id, occurrences by canonical order.
-    """
+def _single_steps(x: LinComb, q: BoolMat, rules: Sequence[Rule]):
+    """Yield (result, step) for every simple reduction of x, in a
+    reproducible order: monomials by canonical code, rules by id,
+    occurrences by canonical order."""
     _check_types(x, q)
     for nu, coeff in x.items():
         for rule, ctx in _monomial_redexes(nu, q, rules):
             replacement = lc_annex(ctx, rule.rhs)
             out = x + (replacement - LinComb.monomial(nu)).scale(coeff)
-            step = ReductionStep(rule.rule_id, ctx, nu, replacement, coeff)
-            return out, step
-    return None
+            yield out, ReductionStep(rule.rule_id, ctx, nu, replacement, coeff)
+
+
+def reduce_once(
+    x: LinComb, q: BoolMat, rules: Sequence[Rule]
+) -> tuple[LinComb, ReductionStep] | None:
+    """Apply the first admissible simple reduction, or None if irreducible."""
+    return next(_single_steps(x, q, rules), None)
 
 
 def all_single_steps(x: LinComb, q: BoolMat, rules: Sequence[Rule]) -> list[LinComb]:
     """Every result of one simple reduction acting nontrivially on x."""
-    _check_types(x, q)
-    seen = set()
-    out = []
-    for nu, coeff in x.items():
-        for rule, ctx in _monomial_redexes(nu, q, rules):
-            replacement = lc_annex(ctx, rule.rhs)
-            result = x + (replacement - LinComb.monomial(nu)).scale(coeff)
-            if result not in seen:
-                seen.add(result)
-                out.append(result)
-    return out
+    return list(dict.fromkeys(out for out, _ in _single_steps(x, q, rules)))
 
 
 def is_irreducible(x: LinComb, q: BoolMat, rules: Sequence[Rule]) -> bool:
@@ -170,9 +150,9 @@ def normalize(
     """Reduce to a fixpoint of :func:`reduce_once`.
 
     With ``order_backed`` the caller asserts the rules are compatible with
-    a well-founded order, so no step bound is needed; otherwise
-    ``max_steps`` bounds the run and :class:`BudgetExceededError` carries
-    the partial result.
+    a well-founded order, so no step bound is needed; otherwise at most
+    ``max_steps`` steps are applied, and when the result is still
+    reducible :class:`BudgetExceededError` carries it.
     """
     if not order_backed and max_steps is None:
         raise ValueError("normalize needs either order_backed or max_steps")
@@ -182,20 +162,19 @@ def normalize(
         hit = reduce_once(cur, q, rules)
         if hit is None:
             return cur
+        if max_steps is not None and steps >= max_steps:
+            raise BudgetExceededError(cur, steps)
         cur, step = hit
         if trace is not None:
             trace.append(step)
         steps += 1
-        if max_steps is not None and steps >= max_steps:
-            if reduce_once(cur, q, rules) is None:
-                return cur
-            raise BudgetExceededError(cur, steps)
 
 
 @dataclass(frozen=True)
 class JoinResult:
     status: str  # "yes" | "no" | "unknown"
     common: LinComb | None = None
+    difference: LinComb | None = None  # nf(x) - nf(y) when "no"
 
     @property
     def joined(self) -> bool:
@@ -215,7 +194,7 @@ def joinable(
     First the deterministic normal forms are compared; on a mismatch a
     bidirectional breadth-first search over all one-step reducts runs to
     the given depth.  "no" is only reported when both reachable sets are
-    fully explored.
+    fully explored, and carries the difference of the normal forms.
     """
     if x == y:
         return JoinResult("yes", x)
@@ -252,7 +231,7 @@ def joinable(
         if common:
             return JoinResult("yes", sorted(common, key=_lc_key)[0])
         frontier_x, frontier_y = new_x, new_y
-    return JoinResult("no")
+    return JoinResult("no", difference=nx - ny)
 
 
 def _lc_key(x: LinComb):

@@ -19,7 +19,7 @@ from netrw.freeprop import LinComb, annex, lc_annex
 from netrw.match import find_embeddings
 from netrw.order import BaffStage, OrderSpec
 from netrw.props import BAFF_NAT, parse_assignment
-from netrw.rewrite import all_single_steps, is_irreducible, joinable, make_rule
+from netrw.rewrite import all_single_steps, is_irreducible, joinable, make_rule, normalize
 
 from conftest import random_class
 
@@ -239,6 +239,19 @@ class TestConfluenceReport:
         with pytest.raises(IncompatibleRuleError):
             confluence_report([noop], spec)
 
+    @pytest.mark.parametrize("system", ["bridge", "frobenius", "circle"])
+    def test_difference_of_normal_forms(self, system):
+        sig = parse_signature(open(f"src/netrw/corpus/{system}.sig").read())
+        rules = parse_rules(open(f"src/netrw/corpus/{system}.rules").read(), sig)
+        report = confluence_report(rules, max_steps=40)
+        unresolved = [r for r in report.results if r.status == "unresolved"]
+        assert unresolved
+        for res in unresolved:
+            amb = res.ambiguity
+            n1 = normalize(amb.reduct1, amb.amb_type, rules, max_steps=40)
+            n2 = normalize(amb.reduct2, amb.amb_type, rules, max_steps=40)
+            assert res.difference == n1 - n2
+
     def test_determinism(self, frob_setup):
         _, rules = frob_setup
         r1 = confluence_report(rules, max_steps=10)
@@ -278,7 +291,6 @@ class TestUniqueNormalForms:
         from conftest import exact_shape_class
 
         rules = parse_rules(open("src/netrw/corpus/hopf.rules").read(), hopf_sig)
-        from netrw.rewrite import normalize
 
         for _ in range(80):
             m, n = rng.randint(0, 2), rng.randint(0, 2)

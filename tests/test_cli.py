@@ -127,6 +127,37 @@ class TestSubcommands:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("command", ["normalize", "confluence"])
+    def test_negative_budget_exit_2(self, corpus, capsys, command):
+        term = ["m^a_bc m^c_de"] if command == "normalize" else []
+        code, out, err = run(
+            capsys,
+            command,
+            "--sig",
+            str(corpus / "assoc.sig"),
+            "--rules",
+            str(corpus / "assoc.rules"),
+            "--max-steps",
+            "-1",
+            *term,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_zero_budget(self, corpus, capsys):
+        code, out, _ = run(
+            capsys,
+            "normalize",
+            "--sig",
+            str(corpus / "assoc.sig"),
+            "--rules",
+            str(corpus / "assoc.rules"),
+            "--max-steps",
+            "0",
+            "m^a_bc m^c_de",
+        )
+        assert code == 1 and out.startswith("budget exceeded; partial: ")
+
     def test_ambiguities_pair(self, corpus, capsys):
         code, out, _ = run(
             capsys,

@@ -10,6 +10,7 @@ from netrw.match import (
     Embedding,
     complement,
     context_type_ok,
+    contexts,
     find_embeddings,
     strong_embeddings,
 )
@@ -123,7 +124,7 @@ class TestStrongEmbeddings:
         for _ in range(50):
             g = random_class(rng, list(sig2), max_inner=3, max_strays=0)
             for emb in find_embeddings(g.rep, g.rep):
-                ses = strong_embeddings(emb, g.rep, g.rep, dedup=False)
+                ses = strong_embeddings(emb, g.rep, g.rep)
                 if not any(
                     ends.head == 0 and ends.tail == 1 for ends in g.rep.edges.values()
                 ):
@@ -141,7 +142,7 @@ class TestStrongEmbeddings:
             if e.edge_map[0][1] == e.edge_map[1][1]
         ]
         assert embs
-        ses = strong_embeddings(embs[0], pattern, subject, dedup=False)
+        ses = strong_embeddings(embs[0], pattern, subject)
         assert len(ses) == 2
 
     def test_mod_m_reproduces_base(self, rng, sig2):
@@ -149,10 +150,27 @@ class TestStrongEmbeddings:
             subject = random_network(rng, list(sig2), max_inner=3)
             pattern = random_network(rng, list(sig2), max_inner=2)
             for emb in find_embeddings(pattern, subject)[:3]:
-                for se in strong_embeddings(emb, pattern, subject, dedup=False):
+                for se in strong_embeddings(emb, pattern, subject):
                     base = emb.psi()
                     for e, label in se.psi_prime().items():
                         assert label % se.modulus == base[e]
+
+
+class TestContexts:
+    def test_first_occurrence_dedup_of_complements(self, rng, sig2):
+        several = 0
+        for _ in range(300):
+            subject = random_network(rng, list(sig2), max_inner=3)
+            pattern = random_network(rng, list(sig2), max_inner=1, max_strays=3)
+            for emb in find_embeddings(pattern, subject)[:4]:
+                labelings = strong_embeddings(emb, pattern, subject)
+                several += len(labelings) > 1
+                want: dict[tuple, None] = {}
+                for se in labelings:
+                    want.setdefault(complement(subject, pattern, se).code)
+                got = [k.code for k in contexts(emb, pattern, subject)]
+                assert got == list(want)
+        assert several >= 50
 
 
 class TestComplement:

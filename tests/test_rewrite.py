@@ -1,9 +1,11 @@
 """Rules, simple reductions, normalization, and joinability."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 
+import netrw.match
 from netrw.ainparse import parse_rules, parse_term
 from netrw.core import BoolMat, cross, parse_signature, same
 from netrw.freeprop import (
@@ -42,6 +44,16 @@ def msig():
 @pytest.fixture
 def assoc(msig):
     return parse_rules("rule assoc sharp: m^a_bc m^c_de -> m^a_ce m^c_bd", msig)
+
+
+@pytest.fixture
+def circle():
+    """The circle rule and y^8, which takes 15 steps to normalize."""
+    sig = parse_signature("gen x 1 1\ngen y 1 1\n")
+    rules = parse_rules("rule circ sharp: y^a_b y^b_c -> d^a_c - x^a_b x^b_c", sig)
+    labels = "abcdefghi"
+    y8 = parse_term(" ".join(f"y^{a}_{b}" for a, b in zip(labels, labels[1:])), sig)
+    return rules, y8, BoolMat.ones(1, 1)
 
 
 @pytest.fixture
@@ -157,6 +169,54 @@ class TestNormalize:
         with pytest.raises(BudgetExceededError) as info:
             normalize(LinComb.monomial(deep), q, assoc, max_steps=1)
         assert not info.value.partial.is_zero()
+
+    def test_zero_budget_applies_no_step(self, msig, assoc, circle):
+        rules, y8, q = circle
+        trace = []
+        with pytest.raises(BudgetExceededError) as info:
+            normalize(y8, q, rules, max_steps=0, trace=trace)
+        assert info.value.steps == 0
+        assert info.value.partial == y8
+        assert trace == []
+        m = LinComb.monomial(generator(msig["m"]))
+        assert normalize(m, BoolMat.ones(1, 2), assoc, max_steps=0) == m
+
+    def test_budget_counts_steps(self, circle):
+        rules, y8, q = circle
+        nf = normalize(y8, q, rules, max_steps=15)
+        for k in (1, 7, 14):
+            trace = []
+            with pytest.raises(BudgetExceededError) as info:
+                normalize(y8, q, rules, max_steps=k, trace=trace)
+            assert info.value.steps == k == len(trace)
+            assert normalize(info.value.partial, q, rules, max_steps=15 - k) == nf
+
+    def test_one_complement_per_labeling(self, monkeypatch, circle):
+        # each context is computed once: strong_embeddings returns the
+        # labelings, and exactly one complement is taken of each
+        rules, y8, q = circle
+        counts = {"complement": 0, "labelings": 0}
+        real_complement = netrw.match.complement
+        real_strong = netrw.match.strong_embeddings
+
+        def counting_complement(*args):
+            counts["complement"] += 1
+            return real_complement(*args)
+
+        def counting_strong(*args, **kwargs):
+            labelings = real_strong(*args, **kwargs)
+            counts["labelings"] += len(labelings)
+            return labelings
+
+        swap = {id(real_complement): counting_complement, id(real_strong): counting_strong}
+        for name, module in list(sys.modules.items()):
+            if name == "netrw" or name.startswith("netrw."):
+                for attr, value in list(vars(module).items()):
+                    if id(value) in swap:
+                        monkeypatch.setattr(module, attr, swap[id(value)])
+        normalize(y8, q, rules, max_steps=15)
+        assert counts["labelings"] > 0
+        assert counts["complement"] == counts["labelings"]
 
     def test_every_step_decreases(self, rng, msig, assoc):
         assignment = parse_assignment(

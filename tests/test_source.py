@@ -3,7 +3,8 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "netrw"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "netrw"
 BROAD = {"Exception", "BaseException"}
 
 
@@ -23,3 +24,46 @@ def test_no_broad_exception_handlers():
             if node.type is None or BROAD & set(_caught_names(node)):
                 broad.append(f"{path.name}:{node.lineno}")
     assert not broad, f"broad exception handlers: {broad}"
+
+
+def _definitions(tree: ast.Module):
+    """Top-level functions and classes, and the methods of those classes,
+    as (qualified name, name, line)."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs):
+            yield node.name, node.name, node.lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, defs):
+                    yield f"{node.name}.{item.name}", item.name, item.lineno
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                names.update(alias.name.split("."))
+    return names
+
+
+def test_no_unreferenced_definitions():
+    """Every function, class and method in the package is used somewhere in
+    the package or its tests.  Dunder methods are called by the language."""
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+    }
+    referenced = set().union(*map(_referenced_names, trees.values()))
+    unused = [
+        f"{path.name}:{line} {qualname}"
+        for path in sorted(SRC.glob("*.py"))
+        for qualname, name, line in _definitions(trees[path])
+        if name not in referenced and not (name.startswith("__") and name.endswith("__"))
+    ]
+    assert not unused, f"definitions nothing refers to: {unused}"
