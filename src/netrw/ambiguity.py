@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .core import BoolMat, Perm, UnionFind
-from .freeprop import LinComb, NetClass, class_of, lc_act, lc_annex
+from .freeprop import LinComb, NetClass, class_of, lc_annex
 from .match import Embedding, context_type_ok, contexts
 from .network import (
     Edge,
@@ -26,10 +26,11 @@ from .network import (
     _components,
     act,
     canonical_code,
+    transference,
     validate,
 )
 from .order import LT, OrderSpec, compare, rule_compatible
-from .rewrite import Rule, RuleError, _lc_key, joinable, make_rule
+from .rewrite import Rule, RuleError, joinable, make_rule
 
 Node = tuple[str, int, int]  # ("v"|"e", side, id)
 
@@ -230,7 +231,7 @@ class _Candidate:
 
 
 def _build_site(state: _GlueState) -> _Candidate | None:
-    """Assemble the glued network; None when cyclic or not terse enough."""
+    """Assemble the glued network; None when it is cyclic."""
     classes = state.uf.members
 
     vclasses = sorted(
@@ -258,12 +259,6 @@ def _build_site(state: _GlueState) -> _Candidate | None:
             eid_of[node] = i
         edge_members[i] = classes[root]
 
-    # terseness 4/5: same-side sharing must be covered by the other side
-    for members in edge_members.values():
-        for side in (1, 2):
-            own = [n for n in members if n[1] == side]
-            if len(own) > 1 and not any(n[1] != side for n in members):
-                return None
     # terseness 2/3: an output leg of one pattern and an input leg of the
     # other sharing an edge makes the ambiguity a wrap, not terse
     terse = True
@@ -360,39 +355,21 @@ def _is_montage(state: _GlueState, q1: BoolMat, q2: BoolMat) -> bool:
 def _leg_relabelings(site: Network, cap: int = 64) -> list[tuple[Perm, Perm]]:
     """Canonical leg reorderings: permutation pairs (sigma, tau) such that
     sigma . site . tau carries the canonical leg numbering.  Ties from
-    equal-coded components yield several."""
+    equal-coded components yield several; all of them act to the same
+    isomorphism class."""
     comps, strays = _components(site)
     entries = []  # (legless code, [per-root (outs, ins)])
     for comp in comps:
         best = None
         assignments = []
         for root in sorted(comp):
-            raw = _component_code_from(site, root)
-            outs: list[int] = []
-            ins: list[int] = []
-            norm = []
-            for name, co, ar, in_items, out_items in raw:
-                nins = []
-                for item in in_items:
-                    if item[0] == "I":
-                        ins.append(item[1])
-                        nins.append(("I", len(ins)))
-                    else:
-                        nins.append(item)
-                nouts = []
-                for item in out_items:
-                    if item[0] == "O":
-                        outs.append(item[1])
-                        nouts.append(("O", len(outs)))
-                    else:
-                        nouts.append(item)
-                norm.append((name, co, ar, tuple(nins), tuple(nouts)))
-            norm_t = tuple(norm)
-            if best is None or norm_t < best:
-                best = norm_t
-                assignments = [(outs, ins)]
-            elif norm_t == best:
-                assignments.append((outs, ins))
+            legs: tuple[list[int], list[int]] = ([], [])
+            code = _component_code_from(site, root, legs)
+            if best is None or code < best:
+                best = code
+                assignments = [legs]
+            elif code == best:
+                assignments.append(legs)
         entries.append((("C", best), assignments))
     for e in strays:
         ends = site.edges[e]
@@ -419,43 +396,36 @@ def _leg_relabelings(site: Network, cap: int = 64) -> list[tuple[Perm, Perm]]:
         for choice in itertools.product(*(entries[i][1] for i in flat)):
             if len(out) >= cap:
                 break
-            new_out: list[int] = []
-            new_in: list[int] = []
-            for outs, ins in choice:
-                new_out.extend(outs)
-                new_in.extend(ins)
-            if len(new_out) != site.coarity or len(new_in) != site.arity:
-                continue
-            sigma_images = [0] * site.coarity
-            for newpos, old in enumerate(new_out, 1):
-                sigma_images[old - 1] = newpos
-            tau_inv = [0] * site.arity
-            for newpos, old in enumerate(new_in, 1):
-                tau_inv[old - 1] = newpos
-            sigma = Perm(tuple(sigma_images))
-            tau = Perm(tuple(tau_inv)).inverse()
-            out.append((sigma, tau))
-    if not out:
-        out.append((Perm(tuple(range(1, site.coarity + 1))), Perm(tuple(range(1, site.arity + 1)))))
+            # every leg lies in exactly one component or stray, so these
+            # list each old index once, at its new position
+            new_out = tuple(old for outs, _ in choice for old in outs)
+            new_in = tuple(old for _, ins in choice for old in ins)
+            out.append((Perm(new_out).inverse(), Perm(new_in)))
     return out
 
 
-def _ambiguity_key(
-    site: Network,
-    rule1_id: str,
-    rule2_id: str,
-    r1: LinComb,
-    r2: LinComb,
-) -> tuple:
-    best = None
-    for sigma, tau in _leg_relabelings(site):
-        scode = canonical_code(act(sigma, site, tau))
-        k1 = (rule1_id, _lc_key(lc_act(sigma, r1, tau)))
-        k2 = (rule2_id, _lc_key(lc_act(sigma, r2, tau)))
-        key = (scode, tuple(sorted((k1, k2))))
-        if best is None or key < best:
-            best = key
-    return best
+def _reducts(
+    rule: Rule, ks: list[NetClass], relabelings: list[tuple[Perm, Perm]]
+) -> list[tuple[NetClass, LinComb, list[tuple]]]:
+    """Each context K with its reduct annex(K, rhs) and the reduct's key
+    under each relabeling of the site."""
+    out = []
+    for k in ks:
+        reduct = lc_annex(k, rule.rhs)
+        keys = [
+            (
+                rule.rule_id,
+                tuple(
+                    sorted(
+                        (canonical_code(act(sigma, t.rep, tau)), c)
+                        for t, c in reduct.terms.items()
+                    )
+                ),
+            )
+            for sigma, tau in relabelings
+        ]
+        out.append((k, reduct, keys))
+    return out
 
 
 def enumerate_decisive(s1: Rule, s2: Rule) -> list[Ambiguity]:
@@ -474,8 +444,7 @@ def enumerate_decisive(s1: Rule, s2: Rule) -> list[Ambiguity]:
         if cand is None:
             continue
         site = cand.site
-        site_cls = class_of(site)
-        amb_type = site_cls.tr if both_sharp else BoolMat.ones(site.coarity, site.arity)
+        amb_type = transference(site) if both_sharp else BoolMat.ones(site.coarity, site.arity)
 
         emb1 = Embedding(
             tuple(sorted(cand.chi[1].items())), tuple(sorted(cand.psi[1].items()))
@@ -483,15 +452,21 @@ def enumerate_decisive(s1: Rule, s2: Rule) -> list[Ambiguity]:
         emb2 = Embedding(
             tuple(sorted(cand.chi[2].items())), tuple(sorted(cand.psi[2].items()))
         )
-        for k1 in contexts(emb1, h1, site):
-            if not context_type_ok(k1.tr, s1.qtype, amb_type):
-                continue
-            r1 = lc_annex(k1, s1.rhs)
-            for k2 in contexts(emb2, h2, site):
-                if not context_type_ok(k2.tr, s2.qtype, amb_type):
-                    continue
-                r2 = lc_annex(k2, s2.rhs)
-                key = _ambiguity_key(site, s1.rule_id, s2.rule_id, r1, r2)
+        ks1 = [k for k in contexts(emb1, h1, site) if context_type_ok(k.tr, s1.qtype, amb_type)]
+        if not ks1:
+            continue
+        ks2 = [k for k in contexts(emb2, h2, site) if context_type_ok(k.tr, s2.qtype, amb_type)]
+        if not ks2:
+            continue
+        site_cls = class_of(site)
+        relabelings = _leg_relabelings(site)
+        sigma, tau = relabelings[0]  # every relabeling gives the same code
+        site_code = canonical_code(act(sigma, site, tau))
+        side1 = _reducts(s1, ks1, relabelings)
+        side2 = _reducts(s2, ks2, relabelings)
+        for k1, r1, keys1 in side1:
+            for k2, r2, keys2 in side2:
+                key = (site_code, min(tuple(sorted(p)) for p in zip(keys1, keys2)))
                 if key in found:
                     continue
                 found[key] = Ambiguity(

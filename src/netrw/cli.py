@@ -139,17 +139,17 @@ def cmd_normalize(args) -> int:
             if not ok:
                 print(f"rule {rule.rule_id} not compatible with the order", file=sys.stderr)
                 return USAGE_ERROR
-        nf = normalize(term, q, rules, order_backed=True)
-    else:
-        try:
-            nf = normalize(term, q, rules, max_steps=args.max_steps)
-        except BudgetExceededError as exc:
-            _emit(
-                args,
-                {"status": "budget-exceeded", "partial": format_term(exc.partial)},
-                f"budget exceeded; partial: {format_term(exc.partial)}",
-            )
-            return NEGATIVE
+    try:
+        nf = normalize(
+            term, q, rules, max_steps=args.max_steps, order_backed=bool(args.order)
+        )
+    except BudgetExceededError as exc:
+        _emit(
+            args,
+            {"status": "budget-exceeded", "partial": format_term(exc.partial)},
+            f"budget exceeded; partial: {format_term(exc.partial)}",
+        )
+        return NEGATIVE
     _emit(args, {"normal_form": format_term(nf)}, format_term(nf))
     return OK
 
@@ -306,8 +306,20 @@ def cmd_order_check(args) -> int:
     return OK if all_ok else NEGATIVE
 
 
+class UsageError(Exception):
+    """A malformed command line; :func:`main` prints it and returns 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises :class:`UsageError` where argparse would print the usage and
+    exit; subparsers are made of the same class."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="netrw", description="rewriting engine for free linear PROPs"
     )
     parser.add_argument("--json", action="store_true", help="structured output")
@@ -387,17 +399,12 @@ def main(argv=None) -> int:
     if threads is not None and (not threads.isdigit() or int(threads) < 1):
         print("NETRW_THREADS must be a positive integer", file=sys.stderr)
         return USAGE_ERROR
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "max_steps", None) is not None and args.max_steps < 0:
-        print("error: --max-steps must be a nonnegative integer", file=sys.stderr)
-        return USAGE_ERROR
     try:
+        args = build_parser().parse_args(argv)
+        if getattr(args, "max_steps", None) is not None and args.max_steps < 0:
+            raise UsageError("--max-steps must be a nonnegative integer")
         return args.func(args)
-    except (AinError, SignatureError, RuleError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except OSError as exc:
+    except (UsageError, AinError, SignatureError, RuleError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

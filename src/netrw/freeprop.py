@@ -402,10 +402,3 @@ def lc_annex(a: NetClass | LinComb, b: NetClass | LinComb) -> LinComb:
 def lc_free_feedback(a: NetClass | LinComb, n: int) -> LinComb:
     return lc_sym_join(a, n, n, phi(same(n)))
 
-
-def lc_act(sigma: Perm | None, x: LinComb, tau: Perm | None = None) -> LinComb:
-    return LinComb(
-        x.coarity,
-        x.arity,
-        {act_class(sigma, t, tau): c for t, c in x.terms.items()},
-    )

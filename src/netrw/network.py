@@ -95,6 +95,25 @@ class Network:
         )
 
 
+def _topological_order(inner: Iterable[int], edges: Iterable[Edge]) -> list[int]:
+    """Inner vertices ordered so that every edge between two of them runs
+    from an earlier to a later one (Kahn's algorithm, sources in the order
+    given).  Vertices on or above a directed cycle are left out."""
+    indeg = dict.fromkeys(inner, 0)
+    succs: dict[int, list[int]] = {v: [] for v in indeg}
+    for ends in edges:
+        if ends.tail in indeg and ends.head in indeg:
+            succs[ends.tail].append(ends.head)
+            indeg[ends.head] += 1
+    order = [v for v, d in indeg.items() if d == 0]
+    for v in order:
+        for w in succs[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                order.append(w)
+    return order
+
+
 def check(
     vertices: Iterable[int],
     edges: Mapping[int, Edge],
@@ -154,24 +173,10 @@ def check(
         if len(by_head[v]) != sym.arity or len(by_tail[v]) != sym.coarity:
             violations.append(Violation("ArityMismatch", (v,)))
 
-    # acyclicity via Kahn's algorithm over inner vertices
-    indeg = {v: 0 for v in inner}
-    succs: dict[int, list[int]] = {v: [] for v in inner}
-    for ends in edges.values():
-        if ends.tail in inner and ends.head in inner:
-            succs[ends.tail].append(ends.head)
-            indeg[ends.head] += 1
-    queue = [v for v in inner if indeg[v] == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
-        for w in succs[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    if seen != len(inner):
-        cyclic = sorted(v for v in inner if indeg[v] > 0)
+    # acyclicity: the vertices a topological order leaves out lie on or
+    # above a cycle
+    cyclic = inner.difference(_topological_order(inner, edges.values()))
+    if cyclic:
         witness = sorted(
             e for e, ends in edges.items() if ends.tail in cyclic and ends.head in cyclic
         )
@@ -232,45 +237,20 @@ def relabel(net: Network, vmap: Mapping[int, int], emap: Mapping[int, int]) -> N
 
 def transference(net: Network) -> BoolMat:
     """Boolean coarity x arity matrix of input-to-output path existence."""
-    # reach[e] = bitmask of input leg indices (0-based) that can reach edge e
+    # reach[v] = bitmask of input leg indices (0-based) with a path to v
     reach: dict[int, int] = {}
-    order = _topological_edges(net)
-    for e in order:
+
+    def reach_of(e: int) -> int:
         ends = net.edges[e]
-        if ends.tail == 1:
-            reach[e] = 1 << (ends.tindex - 1)
-        else:
-            acc = 0
-            for f in net.in_edges(ends.tail):
-                acc |= reach[f]
-            reach[e] = acc
-    bits = [0] * net.coarity
-    for e, ends in net.edges.items():
-        if ends.head == 0:
-            bits[ends.hindex - 1] = reach[e]
-    return BoolMat(net.coarity, net.arity, tuple(bits))
+        return 1 << (ends.tindex - 1) if ends.tail == 1 else reach[ends.tail]
 
-
-def _topological_edges(net: Network) -> list[int]:
-    """Edges ordered so that each edge follows all edges into its tail."""
-    inner = net.inner_vertices()
-    indeg = {
-        v: sum(1 for e in net.in_edges(v) if net.edges[e].tail != 1) for v in inner
-    }
-    ready = [v for v in inner if indeg[v] == 0]
-    out: list[int] = [e for e, ends in sorted(net.edges.items()) if ends.tail == 1]
-    seen_v = []
-    while ready:
-        v = ready.pop()
-        seen_v.append(v)
-        for e in net.out_edges(v):
-            out.append(e)
-            h = net.edges[e].head
-            if h != 0:
-                indeg[h] -= 1
-                if indeg[h] == 0:
-                    ready.append(h)
-    return out
+    for v in _topological_order(net.inner_vertices(), net.edges.values()):
+        acc = 0
+        for e in net.in_edges(v):
+            acc |= reach_of(e)
+        reach[v] = acc
+    bits = tuple(reach_of(net.in_edge(0, i)) for i in range(1, net.coarity + 1))
+    return BoolMat(net.coarity, net.arity, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +270,9 @@ def evaluate(
     """Evaluate a network in a target PROP.
 
     ``assign`` maps symbols (or symbol names) to target elements of the
-    right shape.  The computation slices the network below one
-    topologically minimal inner vertex at a time; the result does not
-    depend on the order in which ready vertices are consumed.
+    right shape.  The computation walks a topological order of the inner
+    vertices and slices the network below one vertex at a time; the result
+    does not depend on which topological order is walked.
     """
     if callable(assign) and not isinstance(assign, Mapping):
         lookup = assign
@@ -305,8 +285,9 @@ def evaluate(
             except KeyError:
                 raise TargetError(f"no assignment for symbol {sym.name!r}") from None
 
+    inner = net.inner_vertices()
     images: dict[int, object] = {}
-    for v in net.inner_vertices():
+    for v in inner:
         sym = net.deco[v]
         img = lookup(sym)
         if target.dims(img) != (sym.coarity, sym.arity):
@@ -316,20 +297,15 @@ def evaluate(
             )
         images[v] = img
 
+    order = _topological_order(inner, net.edges.values())
+    if len(order) != len(inner):
+        raise InvalidNetworkError([Violation("CycleFound", ())])
     frontier: list[int] = [net.out_edge(1, j) for j in range(1, net.arity + 1)]
     value = target.phi(same(net.arity))
-
-    inner = net.inner_vertices()
-    missing = {v: len(net.in_edges(v)) for v in inner}
-    available = set(frontier)
-    for v in inner:
-        missing[v] -= sum(1 for e in net.in_edges(v) if e in available)
-    ready = sorted(v for v in inner if missing[v] == 0)
-    done = 0
-    while ready:
-        v = ready.pop(0)
+    for v in order:
         ins = net.in_edges(v)
-        others = [e for e in frontier if e not in set(ins)]
+        consumed = set(ins)
+        others = [e for e in frontier if e not in consumed]
         arranged = others + ins
         # route frontier position j to arranged position of frontier[j-1]
         pos = {e: i for i, e in enumerate(arranged, 1)}
@@ -338,16 +314,6 @@ def evaluate(
         slice_elem = target.tensor(target.phi(same(len(others))), images[v])
         value = target.compose(slice_elem, value)
         frontier = others + net.out_edges(v)
-        done += 1
-        for e in net.out_edges(v):
-            h = net.edges[e].head
-            if h != 0:
-                missing[h] -= 1
-                if missing[h] == 0:
-                    ready.append(h)
-        ready.sort()
-    if done != len(inner):
-        raise InvalidNetworkError([Violation("CycleFound", ())])
 
     target_order = [net.in_edge(0, i) for i in range(1, net.coarity + 1)]
     pos = {e: i for i, e in enumerate(target_order, 1)}
@@ -542,18 +508,28 @@ def _components(net: Network) -> tuple[list[frozenset[int]], list[int]]:
     return sorted(uf.members.values(), key=min), sorted(strays)
 
 
-def _component_code_from(net: Network, root: int) -> tuple:
+def _component_code_from(
+    net: Network, root: int, legs: tuple[list[int], list[int]] | None = None
+) -> tuple:
+    """The breadth-first serialization of root's component, with ports in
+    index order.  Legs carry their own indices; when ``legs`` is a pair of
+    lists (outs, ins), legs are instead numbered by first appearance, and
+    their own indices are appended to those lists in that order."""
+    outs_seen, ins_seen = legs if legs is not None else (None, None)
     order = {root: 0}
     queue = [root]
     seq = []
-    while queue:
-        v = queue.pop(0)
+    for v in queue:
         sym = net.deco[v]
         ins = []
         for e in net.in_edges(v):
             ends = net.edges[e]
             if ends.tail == 1:
-                ins.append(("I", ends.tindex))
+                if ins_seen is None:
+                    ins.append(("I", ends.tindex))
+                else:
+                    ins_seen.append(ends.tindex)
+                    ins.append(("I", len(ins_seen)))
             else:
                 u = ends.tail
                 if u not in order:
@@ -564,7 +540,11 @@ def _component_code_from(net: Network, root: int) -> tuple:
         for e in net.out_edges(v):
             ends = net.edges[e]
             if ends.head == 0:
-                outs.append(("O", ends.hindex))
+                if outs_seen is None:
+                    outs.append(("O", ends.hindex))
+                else:
+                    outs_seen.append(ends.hindex)
+                    outs.append(("O", len(outs_seen)))
             else:
                 u = ends.head
                 if u not in order:

@@ -1,6 +1,10 @@
 """Ambiguity enumeration, resolution, confluence reports, completion."""
 
+import contextlib
+import hashlib
+import io
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -8,20 +12,25 @@ from netrw.ainparse import parse_rules, parse_term
 from netrw.ambiguity import (
     Ambiguity,
     IncompatibleRuleError,
+    _leg_relabelings,
     OrientationFailedError,
     complete,
     confluence_report,
     enumerate_decisive,
     resolve,
 )
+from netrw.cli import main
 from netrw.core import BoolMat, parse_signature
 from netrw.freeprop import LinComb, annex, lc_annex
 from netrw.match import find_embeddings
+from netrw.network import _components, act, canonical_code
 from netrw.order import BaffStage, OrderSpec
 from netrw.props import BAFF_NAT, parse_assignment
 from netrw.rewrite import all_single_steps, is_irreducible, joinable, make_rule, normalize
 
-from conftest import random_class
+from conftest import random_class, random_network
+
+CORPUS = Path(__file__).resolve().parent.parent / "src" / "netrw" / "corpus"
 
 
 @pytest.fixture
@@ -156,6 +165,57 @@ class TestEnumerate:
             assert annex(amb.context2, rules[0].lhs) == amb.site
             assert lc_annex(amb.context1, rules[0].rhs) == amb.reduct1
             assert lc_annex(amb.context2, rules[0].rhs) == amb.reduct2
+
+
+class TestKeys:
+    # (ambiguities, digest of their keys, confluence exit code, digest of
+    # its stdout), recorded before keys were built once per site; the
+    # confluence runs use an order for assoc and circle, else --max-steps 25
+    CORPUS_DIGESTS = {
+        "assoc": (2, "6d7e1b8d040f2903", 0, "6b8db0773edc52b2"),
+        "circle": (2, "3fd4bf5ebafebf46", 1, "d43980361203693f"),
+        "bridge": (4, "1d84e0c84b3f6350", 1, "a23b05d15c83b736"),
+        "zigzag": (7, "b9f2ecfd78e29459", 0, "1600a3e26137f2f6"),
+        "frobenius": (7, "16559546910f443e", 1, "ba3a02505d50792f"),
+        "hopf": (46, "c95bcc8eead648a9", 0, "e9b570f68bfc45fe"),
+    }
+
+    @pytest.mark.parametrize("system", sorted(CORPUS_DIGESTS))
+    def test_corpus_digests(self, system):
+        def digest(text):
+            return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+        sig_path, rules_path = CORPUS / f"{system}.sig", CORPUS / f"{system}.rules"
+        sig = parse_signature(sig_path.read_text(encoding="utf-8"))
+        rules = sorted(parse_rules(rules_path.read_text(encoding="utf-8"), sig), key=lambda r: r.rule_id)
+        keys = [
+            repr(amb.key)
+            for i, s1 in enumerate(rules)
+            for s2 in rules[i:]
+            for amb in enumerate_decisive(s1, s2)
+        ]
+        if system in ("assoc", "circle"):
+            limit = ["--order", str(CORPUS / f"{system}.order")]
+        else:
+            limit = ["--max-steps", "25"]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["confluence", "--sig", str(sig_path), "--rules", str(rules_path), *limit])
+        got = (len(keys), digest("\n".join(keys)), code, digest(out.getvalue()))
+        assert got == self.CORPUS_DIGESTS[system]
+
+    def test_relabelings_give_one_site_code(self, rng, hopf_sig):
+        several = with_strays = many_components = 0
+        for _ in range(400):
+            net = random_network(rng, list(hopf_sig), max_inner=6, max_strays=2)
+            relabelings = _leg_relabelings(net)
+            codes = {canonical_code(act(sigma, net, tau)) for sigma, tau in relabelings}
+            assert len(codes) == 1
+            several += len(relabelings) > 1
+            comps, strays = _components(net)
+            with_strays += bool(strays)
+            many_components += len(comps) > 1
+        assert several > 100 and with_strays > 50 and many_components > 50
 
 
 class TestStrayRules:

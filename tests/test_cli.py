@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from netrw.cli import main
+from netrw.cli import UsageError, build_parser, main
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "netrw" / "corpus"
 
@@ -158,6 +158,23 @@ class TestSubcommands:
         )
         assert code == 1 and out.startswith("budget exceeded; partial: ")
 
+    def test_order_backed_zero_budget(self, corpus, capsys):
+        # --max-steps bounds an ordered run too
+        code, out, _ = run(
+            capsys,
+            "normalize",
+            "--sig",
+            str(corpus / "circle.sig"),
+            "--rules",
+            str(corpus / "circle.rules"),
+            "--order",
+            str(corpus / "circle.order"),
+            "--max-steps",
+            "0",
+            "y^a_b y^b_c",
+        )
+        assert code == 1 and out.startswith("budget exceeded; partial: ")
+
     def test_ambiguities_pair(self, corpus, capsys):
         code, out, _ = run(
             capsys,
@@ -267,3 +284,27 @@ class TestSubcommands:
         monkeypatch.setenv("NETRW_THREADS", "4")
         code, _, _ = run(capsys, "validate", "--sig", str(corpus / "assoc.sig"), "m^a_bc")
         assert code == 0
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["normalize", "--sig", "assoc.sig", "--max-steps", "x", "m^a_bc"],
+            ["validate", "--sig", "assoc.sig"],
+            ["no-such-command"],
+        ],
+    )
+    def test_usage_error_returns_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["normalize", "--help"])
+        assert exc.value.code == 0 and "--max-steps" in capsys.readouterr().out
+
+    def test_parser_error_raises(self):
+        with pytest.raises(UsageError, match="^bad option$"):
+            build_parser().error("bad option")

@@ -10,6 +10,8 @@ from netrw.network import (
     Edge,
     InvalidNetworkError,
     Network,
+    Violation,
+    _components,
     act,
     canonical_code,
     check,
@@ -74,6 +76,22 @@ class TestValidate:
         violations = check({0, 1, 2, 3}, edges, {2: s, 3: s})
         assert any(v.kind == "CycleFound" for v in violations)
 
+    def test_cycle_witness(self):
+        # witnesses recorded before the acyclicity test shared its order
+        # with transference and evaluate: the edges among the vertices on
+        # or above the cycle; the vertex below it is not one of them
+        s, t, d = Symbol("s", 1, 1), Symbol("t", 1, 2), Symbol("d", 2, 1)
+        edges = {0: Edge(4, 1, 1, 1), 1: Edge(2, 1, 4, 1), 2: Edge(3, 1, 2, 1), 3: Edge(2, 2, 3, 1)}
+        assert check({0, 1, 2, 3, 4}, edges, {2: t, 3: s, 4: s}) == [
+            Violation("CycleFound", (2, 3))
+        ]
+        # a vertex above the cycle: vertex 3 becomes d and also feeds 5
+        edges[4] = Edge(5, 1, 3, 2)
+        edges[5] = Edge(0, 1, 5, 1)
+        assert check({0, 1, 2, 3, 4, 5}, edges, {2: t, 3: d, 4: s, 5: s}) == [
+            Violation("CycleFound", (2, 3, 4))
+        ]
+
     def test_duplicate_port(self):
         edges = {0: Edge(0, 1, 1, 1), 1: Edge(0, 1, 1, 2)}
         violations = check({0, 1}, edges, {})
@@ -100,6 +118,30 @@ class TestTransference:
         net = validate({0, 1, 2, 3}, edges, {2: eta, 3: eps})
         assert transference(net) == BoolMat.zeros(1, 1)
 
+    def test_matches_networkx_reachability(self, rng, hopf_sig):
+        nx = pytest.importorskip("networkx")
+        with_strays = several = 0
+        for _ in range(300):
+            net = random_network(rng, list(hopf_sig), max_inner=6, max_strays=2)
+            graph = nx.DiGraph()
+            graph.add_nodes_from(("in", j) for j in range(1, net.arity + 1))
+            graph.add_nodes_from(("out", i) for i in range(1, net.coarity + 1))
+            graph.add_edges_from(
+                (
+                    ("in", ends.tindex) if ends.tail == 1 else ends.tail,
+                    ("out", ends.hindex) if ends.head == 0 else ends.head,
+                )
+                for ends in net.edges.values()
+            )
+            tr = transference(net)
+            assert (tr.rows, tr.cols) == (net.coarity, net.arity)
+            for i in range(1, net.coarity + 1):
+                for j in range(1, net.arity + 1):
+                    assert bool(tr.get(i - 1, j - 1)) == nx.has_path(graph, ("in", j), ("out", i))
+            with_strays += any(e.head == 0 and e.tail == 1 for e in net.edges.values())
+            several += len(_components(net)[0]) > 1
+        assert with_strays > 50 and several > 50
+
     def test_equals_boolean_evaluation(self, rng, sig2):
         for _ in range(200):
             net = random_network(rng, list(sig2))
@@ -121,9 +163,18 @@ class TestEvaluate:
             assert evaluate(net, NAT_MATRIX, assign) == evaluate(other, NAT_MATRIX, assign)
             assert transference(net) == transference(other)
 
+    def test_cycle_raises(self):
+        s, t = Symbol("s", 1, 1), Symbol("t", 1, 2)
+        edges = {0: Edge(4, 1, 1, 1), 1: Edge(2, 1, 4, 1), 2: Edge(3, 1, 2, 1), 3: Edge(2, 2, 3, 1)}
+        net = Network({0, 1, 2, 3, 4}, edges, {2: t, 3: s, 4: s})
+        assign = {"s": Mat.from_rows([[1]]), "t": Mat.from_rows([[1, 1]])}
+        with pytest.raises(InvalidNetworkError) as exc:
+            evaluate(net, NAT_MATRIX, assign)
+        assert [v.kind for v in exc.value.violations] == ["CycleFound"]
+
     def test_tiebreak_independence(self, rng, sig2):
-        # evaluate consumes the least ready vertex first; reversing the
-        # order of the inner vertex ids makes it consume the greatest
+        # evaluate takes the sources of its topological order in id order;
+        # reversing the order of the inner vertex ids changes the walk
         for _ in range(200):
             net = random_network(rng, list(sig2), max_inner=4)
             assign = nat_assign(rng, list(sig2))

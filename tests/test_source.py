@@ -1,6 +1,9 @@
 """Properties of the package source itself."""
 
 import ast
+import importlib
+import importlib.util
+import inspect
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -67,3 +70,19 @@ def test_no_unreferenced_definitions():
         if name not in referenced and not (name.startswith("__") and name.endswith("__"))
     ]
     assert not unused, f"definitions nothing refers to: {unused}"
+
+
+def test_traced_functions_exist():
+    """The benchmark's tracer wraps functions by module and name; a renamed
+    or deleted one would break only the traced benchmark runs."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"{mod}.{name}"
+        for mod, name in tracing.WRAPPED
+        if not inspect.isfunction(getattr(importlib.import_module(f"netrw.{mod}"), name, None))
+    ]
+    assert tracing.WRAPPED and not missing, f"traced functions not found: {missing}"
