@@ -18,11 +18,7 @@ from .freeprop import (
     generator,
     identity,
     lc_annex,
-    lc_compose,
-    lc_free_feedback,
-    lc_phi,
     lc_sym_join,
-    lc_tensor,
     phi,
     sym_join,
     tensor,
@@ -51,11 +47,7 @@ __all__ = [
     "generator",
     "identity",
     "lc_annex",
-    "lc_compose",
-    "lc_free_feedback",
-    "lc_phi",
     "lc_sym_join",
-    "lc_tensor",
     "phi",
     "sym_join",
     "tensor",

@@ -127,6 +127,13 @@ def _parse_script(text: str, i: int) -> tuple[list[str], int]:
     return labels, i
 
 
+def _coefficient(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise AinError("Syntax", f"zero denominator in {text!r}") from None
+
+
 def _parse_product(text: str) -> tuple[Fraction, list[Factor]]:
     """Parse ``[coefficient] factor*`` (the part between bars, or a naked term)."""
     i = 0
@@ -144,7 +151,7 @@ def _parse_product(text: str) -> tuple[Fraction, list[Factor]]:
                 j += 1
             if seen_coeff or factors:
                 raise AinError("Syntax", f"unexpected number at {text[i:j]!r}")
-            coeff = Fraction(text[i:j])
+            coeff = _coefficient(text[i:j])
             seen_coeff = True
             i = j
             continue
@@ -180,7 +187,7 @@ def _parse_chunk(chunk: str) -> Term:
     while i < len(s) and (s[i].isdigit() or s[i] == "/"):
         i += 1
     if i and i < len(s) and s[i:].lstrip().startswith("["):
-        coeff = Fraction(s[:i])
+        coeff = _coefficient(s[:i])
         s = s[i:].lstrip()
     if s.startswith("["):
         if not s.endswith("]"):

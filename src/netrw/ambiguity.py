@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .core import BoolMat, Perm, UnionFind
 from .freeprop import LinComb, NetClass, class_of, lc_annex
@@ -166,11 +166,6 @@ class _GlueState:
         return True
 
 
-def _leg_kind(net: Network, e: int) -> tuple[bool, bool]:
-    ends = net.edges[e]
-    return ends.head == 0, ends.tail == 1  # (is output leg, is input leg)
-
-
 def _possible_seeds(state: _GlueState) -> list[tuple[Node, Node]]:
     h1, h2 = state.nets[1], state.nets[2]
     find = state.uf.find
@@ -201,37 +196,9 @@ def _possible_seeds(state: _GlueState) -> list[tuple[Node, Node]]:
     return seeds
 
 
-def _enumerate_gluings(h1: Network, h2: Network) -> list[_GlueState]:
-    base = _GlueState({1: h1, 2: h2})
-    seen: set[frozenset] = set()
-    out: list[_GlueState] = []
-
-    def rec(state: _GlueState) -> None:
-        sig = state.signature()
-        if sig in seen:
-            return
-        seen.add(sig)
-        if sig:
-            out.append(state)
-        for a, b in _possible_seeds(state):
-            nxt = state.copy()
-            if nxt.merge(a, b):
-                rec(nxt)
-
-    rec(base)
-    return out
-
-
-@dataclass
-class _Candidate:
-    site: Network
-    chi: dict[int, dict[int, int]]  # side -> pattern vertex -> site vertex
-    psi: dict[int, dict[int, int]]  # side -> pattern edge -> site edge
-    terse: bool
-
-
-def _build_site(state: _GlueState) -> _Candidate | None:
-    """Assemble the glued network; None when it is cyclic."""
+def _build_site(state: _GlueState) -> tuple[Network, Embedding, Embedding, bool] | None:
+    """Assemble the glued network with the embedding of each pattern and
+    its terseness; None when it is cyclic."""
     classes = state.uf.members
 
     vclasses = sorted(
@@ -253,37 +220,30 @@ def _build_site(state: _GlueState) -> _Candidate | None:
         key=lambda r: min(classes[r]),
     )
     eid_of: dict[Node, int] = {}
-    edge_members: dict[int, set[Node]] = {}
-    for i, root in enumerate(eclasses):
-        for node in classes[root]:
-            eid_of[node] = i
-        edge_members[i] = classes[root]
-
-    # terseness 2/3: an output leg of one pattern and an input leg of the
-    # other sharing an edge makes the ambiguity a wrap, not terse
-    terse = True
-    for members in edge_members.values():
-        for a, b in itertools.permutations(members, 2):
-            if a[1] == b[1]:
-                continue
-            a_out, _ = _leg_kind(state.nets[a[1]], a[2])
-            _, b_in = _leg_kind(state.nets[b[1]], b[2])
-            if a_out and b_in:
-                terse = False
-
     edges: dict[int, Edge] = {}
     out_legs = []
     in_legs = []
-    for eid, members in sorted(edge_members.items()):
+    terse = True
+    for eid, root in enumerate(eclasses):
         head = tail = None
         hindex = tindex = None
-        for node in members:
+        out_sides, in_sides = set(), set()
+        for node in classes[root]:
+            eid_of[node] = eid
             _, side, e = node
             ends = state.nets[side].edges[e]
             if ends.head != 0:
                 head, hindex = vid_of[("v", side, ends.head)], ends.hindex
+            else:
+                out_sides.add(side)
             if ends.tail != 1:
                 tail, tindex = vid_of[("v", side, ends.tail)], ends.tindex
+            else:
+                in_sides.add(side)
+        # terseness 2/3: an output leg of one pattern and an input leg of
+        # the other sharing an edge makes the ambiguity a wrap, not terse
+        if any(s != t for s in out_sides for t in in_sides):
+            terse = False
         if head is None:
             out_legs.append(eid)
         if tail is None:
@@ -298,19 +258,18 @@ def _build_site(state: _GlueState) -> _Candidate | None:
 
     try:
         site = validate(set(deco) | {0, 1}, edges, deco)
-    except InvalidNetworkError:
-        return None
-    chi = {
-        side: {
-            v: vid_of[("v", side, v)] for v in state.nets[side].inner_vertices()
-        }
-        for side in (1, 2)
-    }
-    psi = {
-        side: {e: eid_of[("e", side, e)] for e in state.nets[side].edges}
-        for side in (1, 2)
-    }
-    return _Candidate(site, chi, psi, terse)
+    except InvalidNetworkError as exc:
+        if all(v.kind == "CycleFound" for v in exc.violations):
+            return None
+        raise
+    emb1, emb2 = (
+        Embedding(
+            tuple((v, vid_of[("v", side, v)]) for v in net.inner_vertices()),
+            tuple((e, eid_of[("e", side, e)]) for e in sorted(net.edges)),
+        )
+        for side, net in sorted(state.nets.items())
+    )
+    return site, emb1, emb2, terse
 
 
 def _is_montage(state: _GlueState, q1: BoolMat, q2: BoolMat) -> bool:
@@ -350,6 +309,37 @@ def _is_montage(state: _GlueState, q1: BoolMat, q2: BoolMat) -> bool:
         w_back = w_back.set(in_pos, out_pos, 1)
     q_tensor = q1.tensor(q2)
     return w_back.mul(q_tensor).is_nilpotent()
+
+
+def _decisive_sites(
+    s1: Rule, s2: Rule
+) -> Iterator[tuple[Network, Embedding, Embedding, bool]]:
+    """The acyclic sites of the non-montage gluings of both left hand
+    sides, each with the two embeddings and its terseness, in depth-first
+    preorder of the gluings."""
+    seen: set[frozenset] = set()
+    stack = [_GlueState({1: s1.lhs.rep, 2: s2.lhs.rep})]
+    while stack:
+        state = stack.pop()
+        sig = state.signature()
+        if sig in seen:
+            continue
+        seen.add(sig)
+        if sig and not _is_montage(state, s1.qtype, s2.qtype):
+            built = _build_site(state)
+            if built is None:
+                # gluing more nodes maps the directed cycle onto a closed
+                # walk, so every refinement of this gluing is cyclic too
+                continue
+            yield built
+        children = []
+        for a, b in _possible_seeds(state):
+            nxt = state.copy()
+            if nxt.merge(a, b):
+                children.append(nxt)
+        # popped in seed order: the first site to give a key supplies
+        # its ambiguity, so the order is part of the result
+        stack.extend(reversed(children))
 
 
 def _leg_relabelings(site: Network, cap: int = 64) -> list[tuple[Perm, Perm]]:
@@ -432,30 +422,15 @@ def enumerate_decisive(s1: Rule, s2: Rule) -> list[Ambiguity]:
     """All decisive ambiguities of the rule pair, up to site isomorphism,
     leg reordering, and operand swap, plus the non-terse wrap ambiguities
     that leg-to-leg wirings produce."""
-    h1 = s1.lhs.rep
-    h2 = s2.lhs.rep
     both_sharp = s1.sharp and s2.sharp
 
     found: dict[tuple, Ambiguity] = {}
-    for state in _enumerate_gluings(h1, h2):
-        if _is_montage(state, s1.qtype, s2.qtype):
-            continue
-        cand = _build_site(state)
-        if cand is None:
-            continue
-        site = cand.site
+    for site, emb1, emb2, terse in _decisive_sites(s1, s2):
         amb_type = transference(site) if both_sharp else BoolMat.ones(site.coarity, site.arity)
-
-        emb1 = Embedding(
-            tuple(sorted(cand.chi[1].items())), tuple(sorted(cand.psi[1].items()))
-        )
-        emb2 = Embedding(
-            tuple(sorted(cand.chi[2].items())), tuple(sorted(cand.psi[2].items()))
-        )
-        ks1 = [k for k in contexts(emb1, h1, site) if context_type_ok(k.tr, s1.qtype, amb_type)]
+        ks1 = [k for k in contexts(emb1, s1.lhs.rep, site) if context_type_ok(k.tr, s1.qtype, amb_type)]
         if not ks1:
             continue
-        ks2 = [k for k in contexts(emb2, h2, site) if context_type_ok(k.tr, s2.qtype, amb_type)]
+        ks2 = [k for k in contexts(emb2, s2.lhs.rep, site) if context_type_ok(k.tr, s2.qtype, amb_type)]
         if not ks2:
             continue
         site_cls = class_of(site)
@@ -478,7 +453,7 @@ def enumerate_decisive(s1: Rule, s2: Rule) -> list[Ambiguity]:
                     amb_type,
                     r1,
                     r2,
-                    cand.terse,
+                    terse,
                     key,
                 )
     return [found[k] for k in sorted(found)]
@@ -499,7 +474,6 @@ class AmbiguityResult:
 @dataclass(frozen=True)
 class ConfluenceReport:
     results: tuple[AmbiguityResult, ...]
-    verdict: str  # "confluent" | "not-confluent" | "unknown"
     advisory: bool  # True when the system is not sharp
     operadic: bool
 
@@ -508,6 +482,16 @@ class ConfluenceReport:
         for r in self.results:
             out[r.status] += 1
         return out
+
+    @property
+    def verdict(self) -> str:
+        """One of "confluent", "not-confluent" and "unknown", from the counts."""
+        counts = self.counts()
+        if counts["unresolved"]:
+            return "not-confluent"
+        if counts["unknown"]:
+            return "unknown"
+        return "confluent"
 
 
 def resolve(
@@ -563,18 +547,9 @@ def confluence_report(
             for amb in enumerate_decisive(s1, s2):
                 results.append(resolve(amb, rules, spec, max_steps))
     results.sort(key=lambda r: r.ambiguity.key)
-    counts = {"resolved": 0, "unresolved": 0, "unknown": 0}
-    for r in results:
-        counts[r.status] += 1
-    if counts["unresolved"]:
-        verdict = "not-confluent"
-    elif counts["unknown"]:
-        verdict = "unknown"
-    else:
-        verdict = "confluent"
     advisory = not all(r.sharp for r in rules)
     operadic = all(r.coarity == 1 for r in rules)
-    return ConfluenceReport(tuple(results), verdict, advisory, operadic)
+    return ConfluenceReport(tuple(results), advisory, operadic)
 
 
 class OrientationFailedError(ValueError):

@@ -325,12 +325,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="structured output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, rules=False, order=False, target=False, steps=False):
+    # rules and order: None leaves the option out, else whether it is required
+    def common(p, rules=None, order=None, target=False, steps=False):
         p.add_argument("--sig", required=True, help="signature file")
-        if rules:
-            p.add_argument("--rules", help="rules file")
-        if order:
-            p.add_argument("--order", help="order preset file")
+        if rules is not None:
+            p.add_argument("--rules", required=rules, help="rules file")
+        if order is not None:
+            p.add_argument("--order", required=order, help="order preset file")
         if target:
             p.add_argument("--target", required=True, help="target PROP name")
             p.add_argument("--map", help="generator assignment file")
@@ -367,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_join)
 
     p = sub.add_parser("normalize", help="reduce a term to normal form")
-    common(p, rules=True, order=True, steps=True)
+    common(p, rules=True, order=False, steps=True)
     p.add_argument("--type", choices=["ones", "zero"], default="ones")
     p.add_argument("term")
     p.set_defaults(func=cmd_normalize)
@@ -378,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ambiguities)
 
     p = sub.add_parser("confluence", help="resolve all ambiguities")
-    common(p, rules=True, order=True, steps=True)
+    common(p, rules=True, order=False, steps=True)
     p.set_defaults(func=cmd_confluence)
 
     p = sub.add_parser("complete", help="orient unresolved differences into new rules")
@@ -386,15 +387,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_complete)
 
     p = sub.add_parser("order-check", help="check strictness and rule compatibility")
-    common(p, rules=True, order=True)
+    common(p, rules=False, order=True)
     p.set_defaults(func=cmd_order_check)
 
     return parser
 
 
 def main(argv=None) -> int:
-    # NETRW_THREADS caps internal parallelism; execution is sequential,
-    # which respects any cap >= 1.
+    # NETRW_THREADS is validated only: execution is sequential.
     threads = os.environ.get("NETRW_THREADS")
     if threads is not None and (not threads.isdigit() or int(threads) < 1):
         print("NETRW_THREADS must be a positive integer", file=sys.stderr)
@@ -403,6 +403,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if getattr(args, "max_steps", None) is not None and args.max_steps < 0:
             raise UsageError("--max-steps must be a nonnegative integer")
+        if args.command in ("normalize", "confluence") and not args.order and args.max_steps is None:
+            raise UsageError(f"{args.command} needs --order or --max-steps")
         return args.func(args)
     except (UsageError, AinError, SignatureError, RuleError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

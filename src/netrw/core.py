@@ -70,9 +70,6 @@ class Signature:
     def __len__(self) -> int:
         return len(self._by_name)
 
-    def names(self) -> list[str]:
-        return sorted(self._by_name)
-
 
 def parse_signature(text: str) -> Signature:
     """Parse the signature text format: one ``gen <name> <coarity> <arity>``
@@ -290,9 +287,11 @@ class BoolMat:
         return BoolMat(self.rows + other.rows, self.cols + other.cols, top + bot)
 
     def submatrix(self, rows: range, cols: range) -> "BoolMat":
-        bits = tuple(
-            sum(self.get(i, j) << jj for jj, j in enumerate(cols)) for i in rows
-        )
+        """The entries in the given rows and in the contiguous columns cols."""
+        if cols.step != 1:
+            raise ValueError("submatrix columns must be contiguous")
+        mask = (1 << len(cols)) - 1
+        bits = tuple((self.bits[i] >> cols.start) & mask for i in rows)
         return BoolMat(len(rows), len(cols), bits)
 
     def leq(self, other: "BoolMat") -> bool:

@@ -169,8 +169,10 @@ def join_transference(tr_a: BoolMat, tr_b: BoolMat, r: int, q: int) -> BoolMat:
     a11, a12, a21, a22 = bm_blocks(tr_a, k, l)
     b22, b23, b32, b33 = bm_blocks(tr_b, q, r)
     ab_star = a22.mul(b22).star()
-    ba_star = b22.mul(a22).star()
     c11 = a11.add(a12.mul(b22).mul(ab_star).mul(a21))
+    if not (m or n):  # b is annexed: the other blocks are empty
+        return c11
+    ba_star = b22.mul(a22).star()
     c13 = a12.mul(ba_star).mul(b23)
     c31 = b32.mul(ab_star).mul(a21)
     c33 = b33.add(b32.mul(a22).mul(ba_star).mul(b23))
@@ -228,6 +230,8 @@ def sym_join(a: NetClass, r: int, q: int, b: NetClass) -> NetClass:
     The last r outputs of a are connected to the first r inputs of b and
     the first q outputs of b to the last q inputs of a.
     """
+    if r < 0 or q < 0:
+        raise ShapeError("join: r and q must be nonnegative")
     if a.coarity < r or a.arity < q or b.coarity < q or b.arity < r:
         raise ShapeError("join: operands too small for the given r, q")
     cond = join_condition(a.tr, b.tr, r, q)
@@ -300,9 +304,6 @@ class LinComb:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def coeff(self, t: NetClass) -> Fraction:
-        return self.terms.get(t, Fraction(0))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, LinComb)
@@ -349,31 +350,6 @@ def lc(x: NetClass | LinComb) -> LinComb:
     return x if isinstance(x, LinComb) else LinComb.monomial(x)
 
 
-def _bilinear(op, a: NetClass | LinComb, b: NetClass | LinComb, coarity: int, arity: int) -> LinComb:
-    la, lb = lc(a), lc(b)
-    out = LinComb.zero(coarity, arity)
-    for s, cs in la.items():
-        for t, ct in lb.items():
-            out = out + LinComb.monomial(op(s, t), cs * ct)
-    return out
-
-
-def lc_compose(a: NetClass | LinComb, b: NetClass | LinComb) -> LinComb:
-    la, lb = lc(a), lc(b)
-    if la.arity != lb.coarity:
-        raise ShapeError("compose: shape mismatch")
-    return _bilinear(compose, la, lb, la.coarity, lb.arity)
-
-
-def lc_tensor(a: NetClass | LinComb, b: NetClass | LinComb) -> LinComb:
-    la, lb = lc(a), lc(b)
-    return _bilinear(tensor, la, lb, la.coarity + lb.coarity, la.arity + lb.arity)
-
-
-def lc_phi(p: Perm) -> LinComb:
-    return LinComb.monomial(phi(p))
-
-
 def lc_sym_join(a: NetClass | LinComb, r: int, q: int, b: NetClass | LinComb) -> LinComb:
     """Bilinear symmetric join; undefined when any monomial pair fails the
     nilpotence condition."""
@@ -385,20 +361,13 @@ def lc_sym_join(a: NetClass | LinComb, r: int, q: int, b: NetClass | LinComb) ->
                 raise ShapeError("join: shape mismatch")
             if not cond.is_nilpotent():
                 raise JoinUndefinedError("monomial pair fails the nilpotence condition")
-    return _bilinear(
-        lambda s, t: sym_join(s, r, q, t),
-        la,
-        lb,
-        la.coarity - r + lb.coarity - q,
-        la.arity - q + lb.arity - r,
-    )
+    out = LinComb.zero(la.coarity - r + lb.coarity - q, la.arity - q + lb.arity - r)
+    for s, cs in la.items():
+        for t, ct in lb.items():
+            out = out + LinComb.monomial(sym_join(s, r, q, t), cs * ct)
+    return out
 
 
 def lc_annex(a: NetClass | LinComb, b: NetClass | LinComb) -> LinComb:
     lb = lc(b)
     return lc_sym_join(a, lb.arity, lb.coarity, b)
-
-
-def lc_free_feedback(a: NetClass | LinComb, n: int) -> LinComb:
-    return lc_sym_join(a, n, n, phi(same(n)))
-

@@ -6,8 +6,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from .core import BoolMat, bm_blocks
-from .freeprop import NetClass, class_of
+from .core import BoolMat
+from .freeprop import NetClass, class_of, join_condition, join_transference
 from .network import Edge, Network, _components
 
 
@@ -283,12 +283,9 @@ def complement(subject: Network, pattern: Network, se: StrongEmbedding) -> NetCl
 
 def context_type_ok(k_tr: BoolMat, q_rule: BoolMat, q_ambient: BoolMat) -> bool:
     """Admissibility of a context K for a rule of type q_rule inside an
-    ambient type q_ambient."""
-    omega_g = q_ambient.rows
-    alpha_g = q_ambient.cols
-    p11, p12, p21, p22 = bm_blocks(k_tr, omega_g, alpha_g)
-    loop = p22.mul(q_rule)
-    if not loop.is_nilpotent():
+    ambient type q_ambient: K annexes the rule's type without a cycle, and
+    the block formula puts the result's transference within q_ambient."""
+    r, q = q_rule.cols, q_rule.rows
+    if not join_condition(k_tr, q_rule, r, q).is_nilpotent():
         return False
-    induced = p11.add(p12.mul(q_rule).mul(loop.star()).mul(p21))
-    return induced.leq(q_ambient)
+    return join_transference(k_tr, q_rule, r, q).leq(q_ambient)

@@ -484,7 +484,10 @@ def parse_assignment(text: str, sig, target):
         for chunk in body.split(";"):
             entries = chunk.split()
             if entries:
-                data.append([Fraction(x) if "/" in x else int(x) for x in entries])
+                try:
+                    data.append([Fraction(x) if "/" in x else int(x) for x in entries])
+                except ZeroDivisionError:
+                    raise TargetValueError(f"line {lineno}: zero denominator") from None
         if len(data) != rows or any(len(r) != cols for r in data):
             raise TargetValueError(
                 f"line {lineno}: {name!r} needs a {rows}x{cols} matrix"

@@ -10,9 +10,7 @@ from netrw.core import BoolMat, cross, parse_signature, same
 from netrw.freeprop import (
     LinComb,
     compose,
-    lc_compose,
     lc_sym_join,
-    lc_tensor,
     phi,
     sym_join,
     tensor,

@@ -9,10 +9,16 @@ from pathlib import Path
 import pytest
 
 from netrw.ainparse import parse_rules, parse_term
+from netrw import ambiguity
 from netrw.ambiguity import (
     Ambiguity,
     IncompatibleRuleError,
+    _build_site,
+    _decisive_sites,
+    _GlueState,
+    _is_montage,
     _leg_relabelings,
+    _possible_seeds,
     OrientationFailedError,
     complete,
     confluence_report,
@@ -23,7 +29,7 @@ from netrw.cli import main
 from netrw.core import BoolMat, parse_signature
 from netrw.freeprop import LinComb, annex, lc_annex
 from netrw.match import find_embeddings
-from netrw.network import _components, act, canonical_code
+from netrw.network import InvalidNetworkError, Violation, _components, act, canonical_code
 from netrw.order import BaffStage, OrderSpec
 from netrw.props import BAFF_NAT, parse_assignment
 from netrw.rewrite import all_single_steps, is_irreducible, joinable, make_rule, normalize
@@ -165,6 +171,70 @@ class TestEnumerate:
             assert annex(amb.context2, rules[0].lhs) == amb.site
             assert lc_annex(amb.context1, rules[0].rhs) == amb.reduct1
             assert lc_annex(amb.context2, rules[0].rhs) == amb.reduct2
+
+
+def reference_sites(s1, s2):
+    """The gluing enumeration without pruning: a recursion that lists every
+    gluing state, then builds the site of each non-montage; None stands
+    for a cyclic one."""
+    seen = set()
+    states = []
+
+    def rec(state):
+        sig = state.signature()
+        if sig in seen:
+            return
+        seen.add(sig)
+        if sig:
+            states.append(state)
+        for a, b in _possible_seeds(state):
+            nxt = state.copy()
+            if nxt.merge(a, b):
+                rec(nxt)
+
+    rec(_GlueState({1: s1.lhs.rep, 2: s2.lhs.rep}))
+    return [_build_site(st) for st in states if not _is_montage(st, s1.qtype, s2.qtype)]
+
+
+def corpus_rule_pairs():
+    pairs = []
+    for system in ("assoc", "circle", "bridge", "zigzag", "frobenius", "hopf"):
+        sig = parse_signature((CORPUS / f"{system}.sig").read_text(encoding="utf-8"))
+        text = (CORPUS / f"{system}.rules").read_text(encoding="utf-8")
+        rules = sorted(parse_rules(text, sig), key=lambda r: r.rule_id)
+        pairs += [(s1, s2) for i, s1 in enumerate(rules) for s2 in rules[i:]]
+    return pairs
+
+
+class TestDecisiveSites:
+    def test_matches_unpruned_recursion(self, rng, hopf_sig):
+        pairs = corpus_rule_pairs()
+        n_corpus = len(pairs)
+        while len(pairs) < n_corpus + 120:
+            lhs = [random_class(rng, list(hopf_sig), max_inner=3, min_inner=1) for _ in range(2)]
+            if sum(len(h.rep.edges) for h in lhs) > 8:
+                continue
+            typespecs = ["sharp" if rng.random() < 0.5 else [] for _ in lhs]
+            pairs.append([make_rule(f"r{i}", h, h, t) for i, (h, t) in enumerate(zip(lhs, typespecs))])
+        cyclic = 0
+        for s1, s2 in pairs:
+            expected = reference_sites(s1, s2)
+            got = list(_decisive_sites(s1, s2))
+            cyclic += expected.count(None)
+            expected = [b for b in expected if b is not None]
+            assert [(site.edges, site.deco, e1, e2, terse) for site, e1, e2, terse in got] == [
+                (site.edges, site.deco, e1, e2, terse) for site, e1, e2, terse in expected
+            ]
+        assert cyclic > 500
+
+    def test_only_cycles_are_dropped(self, frob_setup, monkeypatch):
+        def invalid(vertices, edges, deco):
+            raise InvalidNetworkError([Violation("DuplicatePort", (2, 1))])
+
+        monkeypatch.setattr(ambiguity, "validate", invalid)
+        _, rules = frob_setup
+        with pytest.raises(InvalidNetworkError, match="DuplicatePort"):
+            enumerate_decisive(rules[0], rules[1])
 
 
 class TestKeys:

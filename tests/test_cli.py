@@ -300,6 +300,39 @@ class TestUsageErrors:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["confluence", "--sig", "{assoc.sig}", "--max-steps", "3"],
+            ["complete", "--sig", "{assoc.sig}", "--rules", "{assoc.rules}"],
+            ["order-check", "--sig", "{assoc.sig}"],
+            ["join", "--sig", "{assoc.sig}", "--r", "-1", "--q", "0", "m^a_bc", "m^a_bc"],
+            ["validate", "--sig", "{assoc.sig}", "1/0 m^a_{bc}"],
+            ["eval", "--sig", "{assoc.sig}", "--target", "rat-matrix", "--map", "{zero.map}", "m^a_bc"],
+        ],
+        ids=["no-rules", "no-order", "order-check-no-order", "negative-r", "term-zero-denominator", "map-zero-denominator"],
+    )
+    def test_bad_input_one_error_line(self, corpus, capsys, argv):
+        (corpus / "zero.map").write_text("map m = 1 1/0\n", encoding="utf-8")
+        argv = [str(corpus / a[1:-1]) if a.startswith("{") else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["normalize", "--sig", "{assoc.sig}", "--rules", "{assoc.rules}", "m^a_bc m^c_de"],
+            ["confluence", "--sig", "{zigzag.sig}", "--rules", "{zigzag.rules}"],
+        ],
+    )
+    def test_no_step_bound(self, corpus, capsys, argv):
+        # zigzag's confluence never normalizes, yet it needs a bound too
+        argv = [str(corpus / a[1:-1]) if a.startswith("{") else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {argv[0]} needs --order or --max-steps\n"
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["normalize", "--help"])

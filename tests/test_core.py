@@ -210,6 +210,16 @@ class TestBoolMat:
         assert z.mul(BoolMat.zeros(3, 2)) == BoolMat.zeros(0, 2)
         assert BoolMat.zeros(0, 0).is_nilpotent()
 
+    def test_submatrix_entries(self, rng):
+        for _ in range(200):
+            a = rand_bm(rng, rng.randint(0, 5), rng.randint(0, 5))
+            r0, c0 = rng.randint(0, a.rows), rng.randint(0, a.cols)
+            rows, cols = range(r0, rng.randint(r0, a.rows)), range(c0, rng.randint(c0, a.cols))
+            sub = a.submatrix(rows, cols)
+            assert sub.to_rows() == [[a.get(i, j) for j in cols] for i in rows]
+        with pytest.raises(ValueError):
+            a.submatrix(range(a.rows), range(0, a.cols, 2))
+
     def test_blocks_roundtrip(self, rng):
         a = rand_bm(rng, 5, 4)
         blocks = bm_blocks(a, 2, 3)

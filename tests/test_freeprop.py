@@ -17,10 +17,9 @@ from netrw.freeprop import (
     identity,
     join_transference,
     join_condition,
+    ShapeError,
     lc_annex,
-    lc_compose,
     lc_sym_join,
-    lc_tensor,
     phi,
     sym_join,
     tensor,
@@ -119,6 +118,11 @@ class TestSymJoin:
     def test_one_cycle_undefined(self):
         with pytest.raises(JoinUndefinedError):
             sym_join(phi(same(1)), 1, 1, phi(same(1)))
+
+    @pytest.mark.parametrize("r, q", [(-1, 0), (0, -1)])
+    def test_negative_ports_rejected(self, r, q):
+        with pytest.raises(ShapeError):
+            sym_join(phi(same(1)), r, q, phi(same(1)))
 
     def test_join_transference_formula(self, rng, sig2):
         cases = 0

@@ -1,11 +1,21 @@
 """Embeddings, strong embeddings, complements, and context types."""
 
+import collections
 import itertools
 
 import pytest
 
 from netrw.core import BoolMat, Symbol, cross, parse_signature, same
-from netrw.freeprop import annex, class_of, compose, generator, identity, phi, tensor
+from netrw.freeprop import (
+    JoinUndefinedError,
+    annex,
+    class_of,
+    compose,
+    generator,
+    identity,
+    phi,
+    tensor,
+)
 from netrw.match import (
     Embedding,
     complement,
@@ -16,7 +26,7 @@ from netrw.match import (
 )
 from netrw.network import Edge, Network, validate
 
-from conftest import random_class, random_network
+from conftest import exact_shape_class, random_class, random_network
 
 
 def brute_force_embeddings(pattern: Network, subject: Network):
@@ -259,3 +269,25 @@ class TestContextType:
         k = phi(same(1))  # context of shape (0+1, 0+1) closing a (1,1) rule
         q_rule = BoolMat.ones(1, 1)
         assert not context_type_ok(k.tr, q_rule, BoolMat.ones(0, 0))
+
+    def test_agrees_with_annex(self, rng, hopf_sig):
+        # K admits a rule of type H.tr at type q exactly when annex(K, H)
+        # is defined and its transference lies within q
+        outcomes = collections.Counter()
+        for _ in range(300):
+            h = random_class(rng, list(hopf_sig), max_inner=2)
+            m, n = rng.randint(0, 2), rng.randint(0, 2)
+            k = exact_shape_class(rng, hopf_sig, m + h.arity, n + h.coarity)
+            q = BoolMat.zeros(m, n)
+            for i, j in itertools.product(range(m), range(n)):
+                if rng.random() < 0.7:
+                    q = q.set(i, j, 1)
+            try:
+                tr = annex(k, h).tr
+            except JoinUndefinedError:
+                outcome = "undefined"
+            else:
+                outcome = "within" if tr.leq(q) else "exceeds"
+            assert context_type_ok(k.tr, h.tr, q) == (outcome == "within")
+            outcomes[outcome] += 1
+        assert min(outcomes[o] for o in ("undefined", "within", "exceeds")) >= 20, outcomes
