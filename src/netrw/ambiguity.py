@@ -22,8 +22,8 @@ from .network import (
     Edge,
     InvalidNetworkError,
     Network,
-    _component_code_from,
     _components,
+    _least_code,
     act,
     canonical_code,
     transference,
@@ -350,16 +350,7 @@ def _leg_relabelings(site: Network, cap: int = 64) -> list[tuple[Perm, Perm]]:
     comps, strays = _components(site)
     entries = []  # (legless code, [per-root (outs, ins)])
     for comp in comps:
-        best = None
-        assignments = []
-        for root in sorted(comp):
-            legs: tuple[list[int], list[int]] = ([], [])
-            code = _component_code_from(site, root, legs)
-            if best is None or code < best:
-                best = code
-                assignments = [legs]
-            elif code == best:
-                assignments.append(legs)
+        best, assignments = _least_code(site, comp, legs=True)
         entries.append((("C", best), assignments))
     for e in strays:
         ends = site.edges[e]

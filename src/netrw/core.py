@@ -214,6 +214,16 @@ class BoolMat:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
+    def _unchecked(rows: int, cols: int, bits: tuple[int, ...]) -> "BoolMat":
+        """A matrix from arguments that are valid by construction, without
+        the checks of ``__post_init__``; for results of the operations."""
+        mat = object.__new__(BoolMat)
+        object.__setattr__(mat, "rows", rows)
+        object.__setattr__(mat, "cols", cols)
+        object.__setattr__(mat, "bits", bits)
+        return mat
+
+    @staticmethod
     def zeros(rows: int, cols: int) -> "BoolMat":
         return BoolMat(rows, cols, (0,) * rows)
 
@@ -264,7 +274,8 @@ class BoolMat:
     def add(self, other: "BoolMat") -> "BoolMat":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in boolean matrix addition")
-        return BoolMat(self.rows, self.cols, tuple(a | b for a, b in zip(self.bits, other.bits)))
+        bits = tuple(a | b for a, b in zip(self.bits, other.bits))
+        return BoolMat._unchecked(self.rows, self.cols, bits)
 
     def mul(self, other: "BoolMat") -> "BoolMat":
         if self.cols != other.rows:
@@ -278,13 +289,13 @@ class BoolMat:
                 acc |= other.bits[k]
                 rr &= rr - 1
             out.append(acc)
-        return BoolMat(self.rows, other.cols, tuple(out))
+        return BoolMat._unchecked(self.rows, other.cols, tuple(out))
 
     def tensor(self, other: "BoolMat") -> "BoolMat":
         """Direct sum (diagonal blocks)."""
         top = tuple(r for r in self.bits)
         bot = tuple(r << self.cols for r in other.bits)
-        return BoolMat(self.rows + other.rows, self.cols + other.cols, top + bot)
+        return BoolMat._unchecked(self.rows + other.rows, self.cols + other.cols, top + bot)
 
     def submatrix(self, rows: range, cols: range) -> "BoolMat":
         """The entries in the given rows and in the contiguous columns cols."""
@@ -292,7 +303,7 @@ class BoolMat:
             raise ValueError("submatrix columns must be contiguous")
         mask = (1 << len(cols)) - 1
         bits = tuple((self.bits[i] >> cols.start) & mask for i in rows)
-        return BoolMat(len(rows), len(cols), bits)
+        return BoolMat._unchecked(len(rows), len(cols), bits)
 
     def leq(self, other: "BoolMat") -> bool:
         """Entrywise comparison; shapes must agree."""
@@ -353,4 +364,4 @@ def bm_stack(a11: BoolMat, a12: BoolMat, a21: BoolMat, a22: BoolMat) -> BoolMat:
         raise ValueError("column mismatch in block assembly")
     top = tuple(a | (b << a11.cols) for a, b in zip(a11.bits, a12.bits))
     bot = tuple(a | (b << a21.cols) for a, b in zip(a21.bits, a22.bits))
-    return BoolMat(a11.rows + a21.rows, a11.cols + a12.cols, top + bot)
+    return BoolMat._unchecked(a11.rows + a21.rows, a11.cols + a12.cols, top + bot)

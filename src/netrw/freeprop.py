@@ -17,7 +17,6 @@ from .network import (
     generator_network,
     smoothen,
     transference,
-    act,
 )
 
 
@@ -137,10 +136,6 @@ def tensor(a: NetClass, b: NetClass) -> NetClass:
     return class_of(Network(left.vertices | right.vertices, edges, deco))
 
 
-def act_class(sigma: Perm | None, a: NetClass, tau: Perm | None = None) -> NetClass:
-    return class_of(act(sigma, a.rep, tau))
-
-
 # ---------------------------------------------------------------------------
 # Symmetric join
 # ---------------------------------------------------------------------------
@@ -224,19 +219,21 @@ def _raw_sym_join(ka: Network, hb: Network, r: int, q: int) -> Network:
     return Network(vertices, edges, deco)
 
 
+def _require_join_shape(a: NetClass | LinComb, r: int, q: int, b: NetClass | LinComb) -> None:
+    if r < 0 or q < 0:
+        raise ShapeError("join: r and q must be nonnegative")
+    if a.coarity < r or a.arity < q or b.coarity < q or b.arity < r:
+        raise ShapeError("join: operands too small for the given r, q")
+
+
 def sym_join(a: NetClass, r: int, q: int, b: NetClass) -> NetClass:
     """The symmetric join a join^r_q b on classes.
 
     The last r outputs of a are connected to the first r inputs of b and
     the first q outputs of b to the last q inputs of a.
     """
-    if r < 0 or q < 0:
-        raise ShapeError("join: r and q must be nonnegative")
-    if a.coarity < r or a.arity < q or b.coarity < q or b.arity < r:
-        raise ShapeError("join: operands too small for the given r, q")
+    _require_join_shape(a, r, q, b)
     cond = join_condition(a.tr, b.tr, r, q)
-    if cond is None:
-        raise ShapeError("join: shape mismatch")
     if not cond.is_nilpotent():
         plus = cond.plus()
         bad = [i + 1 for i in range(plus.rows) if plus.get(i, i)]
@@ -354,12 +351,11 @@ def lc_sym_join(a: NetClass | LinComb, r: int, q: int, b: NetClass | LinComb) ->
     """Bilinear symmetric join; undefined when any monomial pair fails the
     nilpotence condition."""
     la, lb = lc(a), lc(b)
+    # checked once for the combinations, so a zero operand is checked too
+    _require_join_shape(la, r, q, lb)
     for s, _ in la.items():
         for t, _ in lb.items():
-            cond = join_condition(s.tr, t.tr, r, q)
-            if cond is None:
-                raise ShapeError("join: shape mismatch")
-            if not cond.is_nilpotent():
+            if not join_condition(s.tr, t.tr, r, q).is_nilpotent():
                 raise JoinUndefinedError("monomial pair fails the nilpotence condition")
     out = LinComb.zero(la.coarity - r + lb.coarity - q, la.arity - q + lb.arity - r)
     for s, cs in la.items():

@@ -10,7 +10,7 @@ only rename vertex and edge ids.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .core import NEUTRAL_NAME, Perm, Symbol, BoolMat, UnionFind, same
 
@@ -508,17 +508,17 @@ def _components(net: Network) -> tuple[list[frozenset[int]], list[int]]:
     return sorted(uf.members.values(), key=min), sorted(strays)
 
 
-def _component_code_from(
+def _component_records(
     net: Network, root: int, legs: tuple[list[int], list[int]] | None = None
-) -> tuple:
-    """The breadth-first serialization of root's component, with ports in
-    index order.  Legs carry their own indices; when ``legs`` is a pair of
-    lists (outs, ins), legs are instead numbered by first appearance, and
-    their own indices are appended to those lists in that order."""
+) -> Iterator[tuple]:
+    """The records of the breadth-first serialization of root's component,
+    one per vertex, with ports in index order.  Legs carry their own
+    indices; when ``legs`` is a pair of lists (outs, ins), legs are instead
+    numbered by first appearance, and their own indices are appended to
+    those lists in that order."""
     outs_seen, ins_seen = legs if legs is not None else (None, None)
     order = {root: 0}
     queue = [root]
-    seq = []
     for v in queue:
         sym = net.deco[v]
         ins = []
@@ -551,24 +551,59 @@ def _component_code_from(
                     order[u] = len(order)
                     queue.append(u)
                 outs.append(("V", order[u], ends.hindex))
-        seq.append((sym.name, sym.coarity, sym.arity, tuple(ins), tuple(outs)))
-    return tuple(seq)
+        yield (sym.name, sym.coarity, sym.arity, tuple(ins), tuple(outs))
+
+
+def _least_code(
+    net: Network, comp: Iterable[int], legs: bool = False
+) -> tuple[tuple, list[tuple[list[int], list[int]] | None]]:
+    """The least serialization of a component over all its roots, and, in
+    root order, the leg numbering (outs, ins) of each root that gives it
+    (None for each when ``legs`` is false).
+
+    Roots are compared record by record with the least serialization so
+    far, which is itself built only as far as a comparison needs it: a
+    root is dropped at its first greater record and takes over at its
+    first smaller one.  All serializations of a component have the same
+    length, so this is tuple order, and a root whose own first record
+    loses costs one record.
+    """
+    first, *others = sorted(comp)
+    seen = ([], []) if legs else None
+    best: list[tuple] = []
+    rest = _component_records(net, first, seen)  # continues ``best``
+    ties = [seen]
+    for root in others:
+        seen = ([], []) if legs else None
+        records = _component_records(net, root, seen)
+        for k, rec in enumerate(records):
+            if k == len(best):
+                best.append(next(rest))
+            if rec != best[k]:
+                if rec < best[k]:
+                    best[k:] = [rec]
+                    rest = records
+                    ties = [seen]
+                break
+        else:
+            ties.append(seen)
+    best.extend(rest)
+    return tuple(best), ties
 
 
 def canonical_code(net: Network) -> tuple:
     """A total serialization of the isomorphism class of ``net``.
 
     Codes are equal iff the networks are isomorphic: per component the
-    minimum breadth-first serialization over all start vertices is taken
+    least breadth-first serialization over all start vertices is taken
     (ports are totally ordered at each vertex, so each start fixes the
     whole traversal), component codes are sorted, and the leg counts
-    appended.
+    appended.  A start's serialization is abandoned at its first record
+    that exceeds the least one's (see ``_least_code``), so most starts
+    cost a record or two rather than a whole serialization.
     """
     comps, strays = _components(net)
-    codes = []
-    for comp in comps:
-        best = min(_component_code_from(net, r) for r in sorted(comp))
-        codes.append(("C", best))
+    codes = [("C", _least_code(net, comp)[0]) for comp in comps]
     for e in strays:
         ends = net.edges[e]
         codes.append(("S", ends.tindex, ends.hindex))

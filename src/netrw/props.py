@@ -145,11 +145,6 @@ class BoolMatrixTarget:
 BOOL_MATRIX = BoolMatrixTarget()
 
 
-def all_ones_assignment(sym) -> BoolMat:
-    """The generator image used to compute transference by evaluation."""
-    return BoolMat.ones(sym.coarity, sym.arity)
-
-
 # ---------------------------------------------------------------------------
 # Biaffine PROP
 # ---------------------------------------------------------------------------

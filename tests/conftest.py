@@ -1,5 +1,6 @@
 """Shared fixtures: signatures, random generators, the PROP axiom suite,
-and test-only oracles for cuts and smoothening."""
+test-only oracles for cuts and smoothening, and test-only helpers for
+permutation actions on classes and boolean evaluation."""
 
 from __future__ import annotations
 
@@ -10,9 +11,9 @@ from typing import Mapping
 
 import pytest
 
-from netrw.core import Perm, Signature, Symbol, cross, same
+from netrw.core import BoolMat, Perm, Signature, Symbol, cross, same
 from netrw.freeprop import LinComb, NetClass, class_of
-from netrw.network import Edge, Network, validate
+from netrw.network import Edge, Network, act, validate
 from netrw.props import Mat
 
 
@@ -270,6 +271,16 @@ class FreePropTarget:
         from netrw.freeprop import phi
 
         return phi(p)
+
+
+def act_class(sigma: Perm | None, a: NetClass, tau: Perm | None = None) -> NetClass:
+    """The class of sigma . a . tau, by ``network.act`` on a's representative."""
+    return class_of(act(sigma, a.rep, tau))
+
+
+def all_ones_assignment(sym: Symbol) -> BoolMat:
+    """The generator image under which boolean evaluation is transference."""
+    return BoolMat.ones(sym.coarity, sym.arity)
 
 
 # ---------------------------------------------------------------------------

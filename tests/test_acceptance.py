@@ -36,7 +36,6 @@ from netrw.props import (
     CONNECTIVITY,
     NAT_MATRIX,
     Mat,
-    all_ones_assignment,
     matrix_feedback,
     parse_assignment,
 )
@@ -45,6 +44,7 @@ from netrw.rewrite import is_irreducible, joinable, normalize, reduce_once
 from conftest import (
     FreePropTarget,
     all_cuts,
+    all_ones_assignment,
     check_prop_axioms,
     exact_shape_class,
     obvious_ordering,

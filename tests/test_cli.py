@@ -307,10 +307,12 @@ class TestUsageErrors:
             ["complete", "--sig", "{assoc.sig}", "--rules", "{assoc.rules}"],
             ["order-check", "--sig", "{assoc.sig}"],
             ["join", "--sig", "{assoc.sig}", "--r", "-1", "--q", "0", "m^a_bc", "m^a_bc"],
+            ["join", "--sig", "{assoc.sig}", "--r", "5", "--q", "0", "0", "m^a_bc"],
+            ["join", "--sig", "{assoc.sig}", "--r", "5", "--q", "0", "m^a_bc", "m^a_bc"],
             ["validate", "--sig", "{assoc.sig}", "1/0 m^a_{bc}"],
             ["eval", "--sig", "{assoc.sig}", "--target", "rat-matrix", "--map", "{zero.map}", "m^a_bc"],
         ],
-        ids=["no-rules", "no-order", "order-check-no-order", "negative-r", "term-zero-denominator", "map-zero-denominator"],
+        ids=["no-rules", "no-order", "order-check-no-order", "negative-r", "r-too-big-zero-operand", "r-too-big", "term-zero-denominator", "map-zero-denominator"],
     )
     def test_bad_input_one_error_line(self, corpus, capsys, argv):
         (corpus / "zero.map").write_text("map m = 1 1/0\n", encoding="utf-8")

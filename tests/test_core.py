@@ -64,6 +64,31 @@ class TestPerm:
 
 
 class TestBoolMat:
+    def test_results_pass_the_checks(self, rng):
+        # results of the operations are built without the constructor's
+        # checks; each must equal its checked reconstruction
+        def rand(rows, cols):
+            return BoolMat(rows, cols, tuple(rng.getrandbits(cols) for _ in range(rows)))
+
+        for _ in range(200):
+            r, c, k = (rng.randint(0, 5) for _ in range(3))
+            a, b, sq, other = rand(r, c), rand(r, c), rand(r, r), rand(c, k)
+            i, j = rng.randint(0, r), rng.randint(0, c)
+            blocks = bm_blocks(a, i, j)
+            results = [
+                a.add(b),
+                a.mul(other),
+                a.tensor(other),
+                a.submatrix(range(i, r), range(j, c)),
+                sq.star(),
+                sq.plus(),
+                bm_stack(*blocks),
+                *blocks,
+            ]
+            for res in results:
+                assert type(res.bits) is tuple
+                assert BoolMat(res.rows, res.cols, res.bits) == res
+
     def test_identity_product(self, rng):
         a = rand_bm(rng, 4, 4)
         assert BoolMat.eye(4).mul(a) == a

@@ -27,6 +27,7 @@ from netrw.freeprop import (
 
 from conftest import (
     FreePropTarget,
+    act_class,
     check_prop_axioms,
     class_pool,
     exact_shape_class,
@@ -168,8 +169,6 @@ class TestSymJoin:
             cond = join_condition(kc.tr, hc.tr, r, q)
             if cond is None or not cond.is_nilpotent():
                 continue
-            from netrw.freeprop import act_class
-
             lhs = act_class(cross(k_, m_), sym_join(kc, r, q, hc), cross(n_, l_))
             rhs = sym_join(
                 act_class(cross(q, m_), hc, cross(n_, r)),

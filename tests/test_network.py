@@ -26,11 +26,12 @@ from netrw.network import (
     transference,
     validate,
 )
-from netrw.props import BOOL_MATRIX, NAT_MATRIX, Mat, all_ones_assignment
+from netrw.props import BOOL_MATRIX, NAT_MATRIX, Mat
 from netrw.core import NEUTRAL
 
 from conftest import (
     all_cuts,
+    all_ones_assignment,
     is_homeomorphism,
     obvious_ordering,
     random_network,

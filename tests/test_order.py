@@ -14,7 +14,6 @@ from netrw.freeprop import (
     phi,
     sym_join,
     tensor,
-    act_class,
 )
 from netrw.order import (
     EQUIV,

@@ -21,7 +21,6 @@ from netrw.props import (
     Mat,
     PatternNotNilpotentError,
     PatternViolatedError,
-    all_ones_assignment,
     connectivity_assignment,
     get_target,
     matrix_feedback,
