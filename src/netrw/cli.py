@@ -87,8 +87,7 @@ def cmd_tr(args) -> int:
     sig = _load_sig(args)
     term = parse_term(args.term, sig)
     if not term.is_monomial():
-        print("tr needs a single monomial", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError("tr needs a single monomial")
     mat = term.monomials()[0].tr
     _emit(args, {"rows": mat.rows, "cols": mat.cols, "matrix": mat.to_rows()}, str(mat))
     return OK
@@ -103,8 +102,7 @@ def cmd_eval(args) -> int:
     elif args.target == "connectivity":
         assign = connectivity_assignment(sig)
     else:
-        print("eval needs --map for this target", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError("eval needs --map for this target")
     pieces = []
     for cls, coeff in term.items():
         value = evaluate(cls.rep, target, assign)
@@ -137,8 +135,7 @@ def cmd_normalize(args) -> int:
         for rule in rules:
             ok, _ = rule_compatible(rule, spec)
             if not ok:
-                print(f"rule {rule.rule_id} not compatible with the order", file=sys.stderr)
-                return USAGE_ERROR
+                raise UsageError(f"rule {rule.rule_id} not compatible with the order")
     try:
         nf = normalize(
             term, q, rules, max_steps=args.max_steps, order_backed=bool(args.order)
@@ -162,8 +159,7 @@ def cmd_ambiguities(args) -> int:
         try:
             pairs = [(by_id[args.pair[0]], by_id[args.pair[1]])]
         except KeyError as exc:
-            print(f"unknown rule {exc}", file=sys.stderr)
-            return USAGE_ERROR
+            raise UsageError(f"unknown rule {exc}") from None
     else:
         pairs = [
             (rules[i], rules[j])
@@ -203,8 +199,7 @@ def cmd_confluence(args) -> int:
     try:
         report = confluence_report(rules, spec, max_steps=args.max_steps)
     except IncompatibleRuleError as exc:
-        print(str(exc), file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError(str(exc)) from None
     rows = []
     for res in report.results:
         amb = res.ambiguity
@@ -277,7 +272,7 @@ def cmd_complete(args) -> int:
         },
         "\n".join(lines),
     )
-    return OK
+    return OK if report.verdict == "confluent" else NEGATIVE
 
 
 def cmd_order_check(args) -> int:
@@ -394,12 +389,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # NETRW_THREADS is validated only: execution is sequential.
-    threads = os.environ.get("NETRW_THREADS")
-    if threads is not None and (not threads.isdigit() or int(threads) < 1):
-        print("NETRW_THREADS must be a positive integer", file=sys.stderr)
-        return USAGE_ERROR
     try:
+        # NETRW_THREADS is validated only: execution is sequential.
+        threads = os.environ.get("NETRW_THREADS")
+        if threads is not None and (not threads.isdigit() or int(threads) < 1):
+            raise UsageError("NETRW_THREADS must be a positive integer")
         args = build_parser().parse_args(argv)
         if getattr(args, "max_steps", None) is not None and args.max_steps < 0:
             raise UsageError("--max-steps must be a nonnegative integer")

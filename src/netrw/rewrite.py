@@ -94,8 +94,8 @@ class ReductionStep:
 
 def _monomial_redexes(nu: NetClass, q: BoolMat, rules: Sequence[Rule]):
     """Yield (rule, context K) pairs admissible at ambient type q, in the
-    deterministic redex order."""
-    for rule in sorted(rules, key=lambda r: r.rule_id):
+    deterministic redex order; ``rules`` are sorted by id."""
+    for rule in rules:
         pattern = rule.lhs.rep
         for emb in find_embeddings(pattern, nu.rep):
             for ctx in contexts(emb, pattern, nu.rep):
@@ -103,36 +103,93 @@ def _monomial_redexes(nu: NetClass, q: BoolMat, rules: Sequence[Rule]):
                     yield rule, ctx
 
 
-def _check_types(x: LinComb, q: BoolMat) -> None:
-    if (q.rows, q.cols) != (x.coarity, x.arity):
-        raise RuleError("ambient type shape mismatch")
-    for t in x.monomials():
-        if not t.tr.leq(q):
-            raise RuleError("combination outside ambient type")
+class _Redexes:
+    """The admissible redexes of each monomial at one ambient type, kept
+    for one call of :func:`normalize` or :func:`joinable`.
+
+    A simple reduction is fixed by its monomial and redex, so the search
+    for a monomial's redexes runs once per call however often the monomial
+    recurs.  Entries are tuples of ``(rule, ctx, lc_annex(ctx, rule.rhs))``
+    in the redex order of :func:`_monomial_redexes`: ``first`` maps a
+    monomial to its first redex alone (``()`` when irreducible, ``None``
+    while unsearched), ``every`` to all of them.
+    """
+
+    __slots__ = ("q", "rules", "first", "every")
+
+    def __init__(self, q: BoolMat, rules: Sequence[Rule]):
+        self.q = q
+        self.rules = sorted(rules, key=lambda r: r.rule_id)
+        self.first: dict[NetClass, tuple | None] = {}
+        self.every: dict[NetClass, tuple] = {}
+
+    def admit(self, x: LinComb) -> None:
+        """Check x's shape, and each monomial's type the first time it is
+        seen."""
+        q = self.q
+        if (q.rows, q.cols) != (x.coarity, x.arity):
+            raise RuleError("ambient type shape mismatch")
+        first = self.first
+        for t in x.terms:
+            if t not in first:
+                if not t.tr.leq(q):
+                    raise RuleError("combination outside ambient type")
+                first[t] = None
+
+    def first_of(self, nu: NetClass) -> tuple:
+        found = self.first[nu]
+        if found is None:
+            found = ()
+            for rule, ctx in _monomial_redexes(nu, self.q, self.rules):
+                found = ((rule, ctx, lc_annex(ctx, rule.rhs)),)
+                break
+            self.first[nu] = found
+        return found
+
+    def every_of(self, nu: NetClass) -> tuple:
+        found = self.every.get(nu)
+        if found is None:
+            found = ()
+            if self.first[nu] != ():
+                found = tuple(
+                    (rule, ctx, lc_annex(ctx, rule.rhs))
+                    for rule, ctx in _monomial_redexes(nu, self.q, self.rules)
+                )
+            self.every[nu] = found
+            self.first[nu] = found[:1]
+        return found
 
 
-def _single_steps(x: LinComb, q: BoolMat, rules: Sequence[Rule]):
-    """Yield (result, step) for every simple reduction of x, in a
+def _single_steps(x: LinComb, memo: _Redexes, every: bool):
+    """Yield (result, step) for the simple reductions of x, in a
     reproducible order: monomials by canonical code, rules by id,
-    occurrences by canonical order."""
-    _check_types(x, q)
+    occurrences by canonical order.  Unless ``every``, only each
+    monomial's first redex is searched."""
+    memo.admit(x)
+    redexes = memo.every_of if every else memo.first_of
     for nu, coeff in x.items():
-        for rule, ctx in _monomial_redexes(nu, q, rules):
-            replacement = lc_annex(ctx, rule.rhs)
+        for rule, ctx, replacement in redexes(nu):
             out = x + (replacement - LinComb.monomial(nu)).scale(coeff)
             yield out, ReductionStep(rule.rule_id, ctx, nu, replacement, coeff)
 
 
 def reduce_once(
-    x: LinComb, q: BoolMat, rules: Sequence[Rule]
+    x: LinComb, q: BoolMat, rules: Sequence[Rule], memo: _Redexes | None = None
 ) -> tuple[LinComb, ReductionStep] | None:
-    """Apply the first admissible simple reduction, or None if irreducible."""
-    return next(_single_steps(x, q, rules), None)
+    """Apply the first admissible simple reduction, or None if irreducible.
+
+    ``memo`` holds the redexes already found for the same q and rules."""
+    return next(_single_steps(x, memo or _Redexes(q, rules), False), None)
 
 
-def all_single_steps(x: LinComb, q: BoolMat, rules: Sequence[Rule]) -> list[LinComb]:
-    """Every result of one simple reduction acting nontrivially on x."""
-    return list(dict.fromkeys(out for out, _ in _single_steps(x, q, rules)))
+def all_single_steps(
+    x: LinComb, q: BoolMat, rules: Sequence[Rule], memo: _Redexes | None = None
+) -> list[LinComb]:
+    """Every result of one simple reduction acting nontrivially on x.
+
+    ``memo`` holds the redexes already found for the same q and rules."""
+    steps = _single_steps(x, memo or _Redexes(q, rules), True)
+    return list(dict.fromkeys(out for out, _ in steps))
 
 
 def is_irreducible(x: LinComb, q: BoolMat, rules: Sequence[Rule]) -> bool:
@@ -146,6 +203,7 @@ def normalize(
     max_steps: int | None = None,
     order_backed: bool = False,
     trace: list[ReductionStep] | None = None,
+    memo: _Redexes | None = None,
 ) -> LinComb:
     """Reduce to a fixpoint of :func:`reduce_once`.
 
@@ -153,13 +211,27 @@ def normalize(
     a well-founded order, so no step bound is needed; otherwise at most
     ``max_steps`` steps are applied, and when the result is still
     reducible :class:`BudgetExceededError` carries it.
+
+    The first redex of each monomial of a combination with two or more
+    terms is searched once per call and kept in a memo that every step
+    reads; the memo is dropped when the call returns.  ``memo`` lets
+    :func:`joinable` share its own, which keeps lone monomials too.
+    Steps, trace and errors are those of repeated :func:`reduce_once`
+    calls without a memo.
     """
     if not order_backed and max_steps is None:
         raise ValueError("normalize needs either order_backed or max_steps")
+    shared = memo is not None
+    if memo is None:
+        memo = _Redexes(q, rules)
     steps = 0
     cur = x
     while True:
-        hit = reduce_once(cur, q, rules)
+        # A lone monomial cannot recur in a terminating normalization of its
+        # own, as all that follows descends from its reducts.  Keeping it in
+        # the memo would only hold its memory from reuse, which measurably
+        # slows the normalization of large single monomials.
+        hit = reduce_once(cur, q, rules, memo if shared or len(cur.terms) > 1 else None)
         if hit is None:
             return cur
         if max_steps is not None and steps >= max_steps:
@@ -195,12 +267,17 @@ def joinable(
     bidirectional breadth-first search over all one-step reducts runs to
     the given depth.  "no" is only reported when both reachable sets are
     fully explored, and carries the difference of the normal forms.
+
+    Both normalizations and every breadth-first expansion share one memo
+    of each monomial's redexes, dropped when the call returns; results are
+    those of the same search without it.
     """
     if x == y:
         return JoinResult("yes", x)
+    memo = _Redexes(q, rules)
     try:
-        nx = normalize(x, q, rules, max_steps=max_steps, order_backed=order_backed)
-        ny = normalize(y, q, rules, max_steps=max_steps, order_backed=order_backed)
+        nx = normalize(x, q, rules, max_steps, order_backed, memo=memo)
+        ny = normalize(y, q, rules, max_steps, order_backed, memo=memo)
     except BudgetExceededError:
         return JoinResult("unknown")
     if nx == ny:
@@ -217,13 +294,13 @@ def joinable(
         depth += 1
         new_x = []
         for z in frontier_x:
-            for w in all_single_steps(z, q, rules):
+            for w in all_single_steps(z, q, rules, memo):
                 if w not in seen_x:
                     seen_x.add(w)
                     new_x.append(w)
         new_y = []
         for z in frontier_y:
-            for w in all_single_steps(z, q, rules):
+            for w in all_single_steps(z, q, rules, memo):
                 if w not in seen_y:
                     seen_y.add(w)
                     new_y.append(w)

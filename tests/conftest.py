@@ -10,11 +10,18 @@ from fractions import Fraction
 from typing import Mapping
 
 import pytest
+from hypothesis import settings
 
 from netrw.core import BoolMat, Perm, Signature, Symbol, cross, same
 from netrw.freeprop import LinComb, NetClass, class_of
 from netrw.network import Edge, Network, act, validate
 from netrw.props import Mat
+
+
+# Hypothesis draws the same examples on every run and keeps no example
+# database, so tier-1 stays deterministic.
+settings.register_profile("netrw", derandomize=True, deadline=None, database=None)
+settings.load_profile("netrw")
 
 
 @pytest.fixture

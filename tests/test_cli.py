@@ -230,6 +230,23 @@ class TestSubcommands:
         )
         assert code == 0 and "1 rules added" in out
 
+    def test_complete_unknown_verdict_exits_1(self, corpus, capsys):
+        # with no steps allowed nothing is resolved: like confluence, any
+        # verdict other than confluent exits 1
+        code, out, _ = run(
+            capsys,
+            "complete",
+            "--sig",
+            str(corpus / "circle.sig"),
+            "--rules",
+            str(corpus / "circle.rules"),
+            "--order",
+            str(corpus / "circle.order"),
+            "--max-steps",
+            "0",
+        )
+        assert code == 1 and out == "0 rules added; verdict: unknown\n"
+
     def test_order_check(self, corpus, capsys):
         code, out, _ = run(
             capsys,
@@ -311,11 +328,24 @@ class TestUsageErrors:
             ["join", "--sig", "{assoc.sig}", "--r", "5", "--q", "0", "m^a_bc", "m^a_bc"],
             ["validate", "--sig", "{assoc.sig}", "1/0 m^a_{bc}"],
             ["eval", "--sig", "{assoc.sig}", "--target", "rat-matrix", "--map", "{zero.map}", "m^a_bc"],
+            ["tr", "--sig", "{assoc.sig}", "0"],
+            ["eval", "--sig", "{assoc.sig}", "--target", "rat-matrix", "m^a_bc"],
+            ["normalize", "--sig", "{assoc.sig}", "--rules", "{rev.rules}", "--order", "{assoc.order}", "m^a_bc"],
+            ["ambiguities", "--sig", "{assoc.sig}", "--rules", "{assoc.rules}", "--pair", "assoc", "nope"],
+            ["confluence", "--sig", "{assoc.sig}", "--rules", "{rev.rules}", "--order", "{assoc.order}"],
+            ["NETRW_THREADS=0", "validate", "--sig", "{assoc.sig}", "m^a_bc"],
         ],
-        ids=["no-rules", "no-order", "order-check-no-order", "negative-r", "r-too-big-zero-operand", "r-too-big", "term-zero-denominator", "map-zero-denominator"],
+        ids=["no-rules", "no-order", "order-check-no-order", "negative-r", "r-too-big-zero-operand", "r-too-big", "term-zero-denominator", "map-zero-denominator", "tr-not-monomial", "eval-no-map", "normalize-incompatible-rule", "unknown-rule", "confluence-incompatible-rule", "bad-threads"],
     )
-    def test_bad_input_one_error_line(self, corpus, capsys, argv):
+    def test_bad_input_one_error_line(self, corpus, capsys, monkeypatch, argv):
         (corpus / "zero.map").write_text("map m = 1 1/0\n", encoding="utf-8")
+        # assoc oriented against its order
+        (corpus / "rev.rules").write_text(
+            "rule rev sharp: m^a_ce m^c_bd -> m^a_bc m^c_de\n", encoding="utf-8"
+        )
+        if argv[0].startswith("NETRW_THREADS="):
+            monkeypatch.setenv("NETRW_THREADS", argv[0].partition("=")[2])
+            argv = argv[1:]
         argv = [str(corpus / a[1:-1]) if a.startswith("{") else a for a in argv]
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and "Traceback" not in err

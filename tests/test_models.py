@@ -1,0 +1,219 @@
+"""Every reduction step preserves value in a model of the rules.
+
+Evaluation in a target PROP is a PROP homomorphism from the free PROP, so
+when both sides of every rule have the same value, so do the two sides of
+every simple reduction, and a combination and its normal form.  The
+models are built here: the circle rule in 1x1 rational matrices, and the
+Hopf rules in the group algebra of S3, whose tensor is the tensor product
+of vector spaces (the ``rat-matrix`` target's tensor is the direct sum).
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import permutations, product
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from netrw.ainparse import parse_rules, parse_term
+from netrw.core import BoolMat, parse_signature
+from netrw.freeprop import LinComb
+from netrw.network import evaluate
+from netrw.props import Mat, get_target
+from netrw.rewrite import BudgetExceededError, normalize
+
+from conftest import exact_shape_class
+
+CORPUS = Path(__file__).resolve().parent.parent / "src" / "netrw" / "corpus"
+
+
+def _load(system):
+    sig = parse_signature((CORPUS / f"{system}.sig").read_text(encoding="utf-8"))
+    return sig, parse_rules((CORPUS / f"{system}.rules").read_text(encoding="utf-8"), sig)
+
+
+# ---------------------------------------------------------------------------
+# The group algebra Q[S3] as a PROP
+# ---------------------------------------------------------------------------
+
+S3 = list(permutations(range(3)))
+UNIT = (0, 1, 2)
+
+
+def _mul(g, h):
+    """The product g.h: apply h, then g."""
+    return tuple(g[h[i]] for i in range(3))
+
+
+def _inv(g):
+    out = [0, 0, 0]
+    for i, gi in enumerate(g):
+        out[gi] = i
+    return tuple(out)
+
+
+class GroupAlgebra:
+    """The linear PROP of Q[S3]: an element of shape (m, n) is a linear map
+    from the n-th to the m-th tensor power of Q[S3], held as
+    ``(m, n, image)`` where ``image`` takes a basis tensor (a tuple of n
+    group elements) to a sparse vector ``{tuple of m elements: coeff}``.
+    Images are computed on demand, so only the inputs asked for are
+    evaluated."""
+
+    def dims(self, a):
+        return a[0], a[1]
+
+    def compose(self, a, b):
+        def image(x):
+            out = {}
+            for y, c in b[2](x).items():
+                for z, d in a[2](y).items():
+                    out[z] = out.get(z, 0) + c * d
+            return out
+
+        return a[0], b[1], image
+
+    def tensor(self, a, b):
+        def image(x):
+            left, right = a[2](x[: a[1]]), b[2](x[a[1] :])
+            return {y + z: c * d for y, c in left.items() for z, d in right.items()}
+
+        return a[0] + b[0], a[1] + b[1], image
+
+    def phi(self, p):
+        # input j goes to output p(j), as in MatrixTarget.phi
+        def image(x):
+            y = [None] * p.n
+            for j in range(1, p.n + 1):
+                y[p(j) - 1] = x[j - 1]
+            return {tuple(y): 1}
+
+        return p.n, p.n, image
+
+
+HOPF_MODEL = {
+    "m": (1, 2, lambda x: {(_mul(x[0], x[1]),): 1}),
+    "eta": (1, 0, lambda x: {(UNIT,): 1}),
+    "D": (2, 1, lambda x: {(x[0], x[0]): 1}),
+    "eps": (0, 1, lambda x: {(): 1}),
+    "S": (1, 1, lambda x: {(_inv(x[0]),): 1}),
+}
+
+
+def _group_algebra_entries(value):
+    m, n, image = value
+    for x in product(S3, repeat=n):
+        for y, c in image(x).items():
+            yield (x, y), c
+
+
+# ---------------------------------------------------------------------------
+# Values of combinations
+# ---------------------------------------------------------------------------
+
+RAT = get_target("rat-matrix")
+CIRCLE_MODEL = {
+    "x": Mat.from_rows([[Fraction(3, 5)]]),
+    "y": Mat.from_rows([[Fraction(4, 5)]]),
+}
+
+
+def _matrix_entries(value):
+    for i, row in enumerate(value.entries):
+        for j, c in enumerate(row):
+            yield (i, j), c
+
+
+MODELS = {
+    "circle": (RAT, CIRCLE_MODEL, _matrix_entries),
+    "hopf": (GroupAlgebra(), HOPF_MODEL, _group_algebra_entries),
+}
+
+
+def value(x: LinComb, model) -> dict:
+    """The value of a combination as its nonzero entries."""
+    target, assign, entries = model
+    out = {}
+    for cls, coeff in x.items():
+        for key, c in entries(evaluate(cls.rep, target, assign)):
+            out[key] = out.get(key, 0) + coeff * c
+    return {key: c for key, c in out.items() if c}
+
+
+def check_preserved(x: LinComb, rules, model, max_steps):
+    """Normalize x and require every step, and the normal form (or the
+    partial result at the budget), to keep x's value."""
+    q = BoolMat.ones(x.coarity, x.arity)
+    trace = []
+    try:
+        result = normalize(x, q, rules, max_steps=max_steps, trace=trace)
+    except BudgetExceededError as exc:
+        result = exc.partial
+    for step in trace:
+        assert value(LinComb.monomial(step.before), model) == value(step.after, model)
+    assert value(result, model) == value(x, model)
+
+
+def _word(letters, labels):
+    """A chain of 1x1 generators read left to right along ``labels``."""
+    if not letters:
+        return f"d^{labels[0]}_{labels[1]}"
+    return " ".join(f"{g}^{a}_{b}" for g, a, b in zip(letters, labels, labels[1:]))
+
+
+COEFFS = st.sampled_from([1, 2, -1, Fraction(1, 2), Fraction(-3, 4)])
+
+
+class TestCircle:
+    SIG, RULES = _load("circle")
+
+    def test_rule_holds_in_model(self):
+        (rule,) = self.RULES
+        assert value(LinComb.monomial(rule.lhs), MODELS["circle"]) == value(
+            rule.rhs, MODELS["circle"]
+        )
+
+    @settings(max_examples=60)
+    @given(
+        st.lists(st.tuples(COEFFS, st.lists(st.sampled_from("xy"), max_size=10)), min_size=1, max_size=3)
+    )
+    def test_steps_preserve_value(self, summands):
+        # single chains only: the rat-matrix tensor is the direct sum, which
+        # is not bilinear, so a context with a wire beside the redex would
+        # not act linearly on its value; a chain's contexts only compose
+        x = LinComb.zero(1, 1)
+        for coeff, letters in summands:
+            x += parse_term(_word(letters, "abcdefghijk"), self.SIG).scale(coeff)
+        check_preserved(x, self.RULES, MODELS["circle"], max_steps=200)
+
+
+class TestHopf:
+    SIG, RULES = _load("hopf")
+
+    def test_rules_hold_in_model(self):
+        for rule in self.RULES:
+            assert value(LinComb.monomial(rule.lhs), MODELS["hopf"]) == value(
+                rule.rhs, MODELS["hopf"]
+            ), rule.rule_id
+
+    def test_model_is_faithful_enough(self):
+        # the antipode reverses products: a model in which m were
+        # commutative would not tell S(m(a, b)) from m(S(a), S(b))
+        swapped = parse_term("[a| m^a_bc S^b_d S^c_e |e d]", self.SIG)
+        kept = parse_term("[a| m^a_bc S^b_d S^c_e |d e]", self.SIG)
+        assert value(swapped, MODELS["hopf"]) != value(kept, MODELS["hopf"])
+
+    @settings(max_examples=60)
+    @given(
+        st.randoms(use_true_random=False),
+        st.integers(0, 2),
+        st.integers(0, 2),
+        st.lists(COEFFS, min_size=2, max_size=3),
+    )
+    def test_steps_preserve_value(self, rng, m, n, coeffs):
+        x = LinComb.zero(m, n)
+        for coeff in coeffs:
+            x += LinComb.monomial(exact_shape_class(rng, self.SIG, m, n), coeff)
+        check_preserved(x, self.RULES, MODELS["hopf"], max_steps=400)

@@ -1,12 +1,15 @@
 """Rules, simple reductions, normalization, and joinability."""
 
 import sys
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import netrw.match
 from netrw.ainparse import parse_rules, parse_term
+from netrw.ambiguity import enumerate_decisive
 from netrw.core import BoolMat, cross, parse_signature, same
 from netrw.freeprop import (
     LinComb,
@@ -18,22 +21,28 @@ from netrw.freeprop import (
     phi,
     tensor,
 )
+from netrw.network import canonical_code
 from netrw.order import LT, BaffStage, OrderSpec, compare
 from netrw.props import BAFF_NAT, parse_assignment
 from netrw.rewrite import (
     BudgetExceededError,
+    JoinResult,
     Rule,
     RuleError,
     all_single_steps,
     format_step,
     is_irreducible,
     joinable,
+    _Redexes,
     make_rule,
     normalize,
     reduce_once,
 )
 
-from conftest import random_class
+from conftest import exact_shape_class, random_class
+
+CORPUS = Path(__file__).resolve().parent.parent / "src" / "netrw" / "corpus"
+SYSTEMS = ("assoc", "circle", "bridge", "zigzag", "frobenius", "hopf")
 
 
 @pytest.fixture
@@ -285,3 +294,184 @@ class TestJoinable:
         assert len(steps) == 2
         res = joinable(steps[0], steps[1], q, assoc, max_steps=10)
         assert res.status == "yes"
+
+
+# ---------------------------------------------------------------------------
+# The redex memo against plain reduce_once calls
+# ---------------------------------------------------------------------------
+
+
+def reference_normalize(x, q, rules, max_steps, trace):
+    """normalize's stepping loop over plain reduce_once calls, which share
+    no memo."""
+    steps = 0
+    while (hit := reduce_once(x, q, rules)) is not None:
+        if steps >= max_steps:
+            raise BudgetExceededError(x, steps)
+        x, step = hit
+        trace.append(step)
+        steps += 1
+    return x
+
+
+def reference_joinable(x, y, q, rules, max_steps):
+    """joinable's search over plain reduce_once and all_single_steps calls."""
+    if x == y:
+        return JoinResult("yes", x)
+    try:
+        nx = reference_normalize(x, q, rules, max_steps, [])
+        ny = reference_normalize(y, q, rules, max_steps, [])
+    except BudgetExceededError:
+        return JoinResult("unknown")
+    if nx == ny:
+        return JoinResult("yes", nx)
+    seen = [{x, nx}, {y, ny}]
+    frontiers = [[x], [y]]
+    for _ in range(max_steps):
+        if not any(frontiers):
+            return JoinResult("no", difference=nx - ny)
+        for side in (0, 1):
+            fresh = []
+            for z in frontiers[side]:
+                for w in all_single_steps(z, q, rules):
+                    if w not in seen[side]:
+                        seen[side].add(w)
+                        fresh.append(w)
+            frontiers[side] = fresh
+        common = seen[0] & seen[1]
+        if common:
+            key = lambda z: tuple((t.code, c) for t, c in z.items())
+            return JoinResult("yes", min(common, key=key))
+    return JoinResult("unknown") if any(frontiers) else JoinResult("no", difference=nx - ny)
+
+
+def outcome(run, *args):
+    """(normal form or BudgetExceededError fields, trace) of one
+    normalization."""
+    trace = []
+    try:
+        result = ("nf", run(*args, trace=trace))
+    except BudgetExceededError as exc:
+        result = ("budget", exc.partial, exc.steps, str(exc))
+    return result, trace
+
+
+def memo_normalize(x, q, rules, max_steps, trace):
+    return normalize(x, q, rules, max_steps=max_steps, trace=trace)
+
+
+@pytest.fixture(scope="module")
+def corpus_ambiguities():
+    """(system, rules, ambiguity) for every decisive ambiguity of every
+    corpus system."""
+    out = []
+    for system in SYSTEMS:
+        sig = parse_signature((CORPUS / f"{system}.sig").read_text(encoding="utf-8"))
+        text = (CORPUS / f"{system}.rules").read_text(encoding="utf-8")
+        rules = sorted(parse_rules(text, sig), key=lambda r: r.rule_id)
+        for i, s1 in enumerate(rules):
+            for s2 in rules[i:]:
+                out += [(system, rules, amb) for amb in enumerate_decisive(s1, s2)]
+    return out
+
+
+class TestRedexMemo:
+    def test_corpus_normalizations_match_reference(self, corpus_ambiguities):
+        systems = set()
+        for system, rules, amb in corpus_ambiguities:
+            site, r1, r2 = LinComb.monomial(amb.site), amb.reduct1, amb.reduct2
+            for x in (site, r1, r2, r1 + r2, r1.scale(2) - r2 + site):
+                for budget in (0, 1, 2, 25):
+                    args = (x, amb.amb_type, rules, budget)
+                    assert outcome(memo_normalize, *args) == outcome(reference_normalize, *args)
+            systems.add(system)
+        assert systems == set(SYSTEMS)
+
+    def test_random_hopf_combinations_match_reference(self, rng, hopf_sig):
+        rules = parse_rules((CORPUS / "hopf.rules").read_text(encoding="utf-8"), hopf_sig)
+        checked = repeats = budget_stops = 0
+        while checked < 200:
+            m, n = rng.randint(0, 2), rng.randint(0, 2)
+            a, b = (LinComb.monomial(exact_shape_class(rng, hopf_sig, m, n)) for _ in "ab")
+            q = BoolMat.ones(m, n)
+            # a one-step reduct of a shares most of a's subnetworks, so the
+            # normalization meets the same monomials from several sides
+            x = a + b.scale(rng.choice((1, 2, Fraction(-1, 3))))
+            x += next(iter(all_single_steps(a, q, rules)), b)
+            if len(x.terms) < 2:
+                continue
+            checked += 1
+            for budget in (rng.randint(0, 3), 400):
+                args = (x, q, rules, budget)
+                expected = outcome(reference_normalize, *args)
+                assert outcome(memo_normalize, *args) == expected
+                budget_stops += expected[0][0] == "budget"
+            trace = expected[1]
+            repeats += len(trace) - len({step.before for step in trace})
+        assert repeats > 50 and budget_stops > 50
+
+    def test_shared_memo_matches_fresh_calls(self, corpus_ambiguities):
+        # a memo filled with first redexes by normalize answers
+        # all_single_steps, and then reduce_once, as fresh calls do
+        for system, rules, amb in corpus_ambiguities:
+            q, memo, trace = amb.amb_type, _Redexes(amb.amb_type, rules), []
+            try:
+                normalize(amb.reduct1 + amb.reduct2, q, rules, max_steps=25, trace=trace, memo=memo)
+            except BudgetExceededError:
+                pass
+            for z in [amb.reduct1, amb.reduct2, LinComb.monomial(amb.site)] + [
+                step.after for step in trace
+            ]:
+                assert all_single_steps(z, q, rules, memo) == all_single_steps(z, q, rules)
+                assert reduce_once(z, q, rules, memo) == reduce_once(z, q, rules)
+
+    def test_types_checked_before_any_step(self, hopf_sig):
+        # S eta eps is reducible at the zero type and sorts before the
+        # identity, which lies outside it: no call applies a step
+        rules = parse_rules((CORPUS / "hopf.rules").read_text(encoding="utf-8"), hopf_sig)
+        x = parse_term("S^a_b eta^b eps_c + d^a_c", hopf_sig)
+        q = BoolMat.zeros(1, 1)
+        assert reduce_once(x - parse_term("d^a_c", hopf_sig), q, rules) is not None
+        calls = (
+            lambda: reduce_once(x, q, rules),
+            lambda: all_single_steps(x, q, rules),
+            lambda: normalize(x, q, rules, max_steps=5),
+            lambda: joinable(x, x.scale(2), q, rules, max_steps=5),
+        )
+        for call in calls:
+            with pytest.raises(RuleError, match="^combination outside ambient type$"):
+                call()
+        with pytest.raises(RuleError, match="^ambient type shape mismatch$"):
+            normalize(x, BoolMat.zeros(1, 2), rules, max_steps=5)
+
+    def test_corpus_joinability_matches_reference(self, corpus_ambiguities):
+        for system, rules, amb in corpus_ambiguities:
+            args = (amb.reduct1, amb.reduct2, amb.amb_type, rules)
+            assert joinable(*args, max_steps=25) == reference_joinable(*args, max_steps=25)
+
+    def test_one_search_per_monomial_and_rule(self, monkeypatch):
+        # circle y^12 takes 63 steps; without the memo every step searches
+        # every monomial of the growing combination again (about 6 calls a
+        # step), with it each distinct monomial is searched once per rule
+        sig = parse_signature("gen x 1 1\ngen y 1 1\n")
+        rules = parse_rules("rule circ sharp: y^a_b y^b_c -> d^a_c - x^a_b x^b_c", sig)
+        labels = "abcdefghijklm"
+        y12 = parse_term(" ".join(f"y^{a}_{b}" for a, b in zip(labels, labels[1:])), sig)
+        searches = Counter()
+        real_find = netrw.match.find_embeddings
+
+        def counting_find(pattern, subject):
+            searches[canonical_code(pattern), canonical_code(subject)] += 1
+            return real_find(pattern, subject)
+
+        for name, module in list(sys.modules.items()):
+            if name == "netrw" or name.startswith("netrw."):
+                for attr, value in list(vars(module).items()):
+                    if value is real_find:
+                        monkeypatch.setattr(module, attr, counting_find)
+        trace = []
+        normalize(y12, BoolMat.ones(1, 1), rules, max_steps=100, trace=trace)
+        monomials = set(y12.terms).union(*(step.after.terms for step in trace))
+        assert len(trace) == 63
+        assert max(searches.values()) == 1
+        assert sum(searches.values()) <= len(monomials) * len(rules) < len(trace)
