@@ -12,6 +12,7 @@ is sequentially consistent are montages and never reported.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -20,10 +21,10 @@ from .freeprop import LinComb, NetClass, class_of, lc_annex
 from .match import Embedding, context_type_ok, contexts
 from .network import (
     Edge,
-    InvalidNetworkError,
     Network,
     _components,
     _least_code,
+    _topological_order,
     act,
     canonical_code,
     transference,
@@ -33,6 +34,7 @@ from .order import LT, OrderSpec, compare, rule_compatible
 from .rewrite import Rule, RuleError, joinable, make_rule
 
 Node = tuple[str, int, int]  # ("v"|"e", side, id)
+_RELABELING_CAP = 64  # leg relabelings listed per site at most
 
 
 @dataclass(frozen=True)
@@ -249,6 +251,8 @@ def _build_site(state: _GlueState) -> tuple[Network, Embedding, Embedding, bool]
         if tail is None:
             in_legs.append(eid)
         edges[eid] = Edge(head, hindex, tail, tindex)
+    if len(_topological_order(deco, edges.values())) < len(deco):
+        return None
     for pos, eid in enumerate(out_legs, 1):
         ends = edges[eid]
         edges[eid] = Edge(0, pos, ends.tail, ends.tindex)
@@ -256,12 +260,7 @@ def _build_site(state: _GlueState) -> tuple[Network, Embedding, Embedding, bool]
         ends = edges[eid]
         edges[eid] = Edge(ends.head, ends.hindex, 1, pos)
 
-    try:
-        site = validate(set(deco) | {0, 1}, edges, deco)
-    except InvalidNetworkError as exc:
-        if all(v.kind == "CycleFound" for v in exc.violations):
-            return None
-        raise
+    site = validate(set(deco) | {0, 1}, edges, deco)
     emb1, emb2 = (
         Embedding(
             tuple((v, vid_of[("v", side, v)]) for v in net.inner_vertices()),
@@ -342,11 +341,11 @@ def _decisive_sites(
         stack.extend(reversed(children))
 
 
-def _leg_relabelings(site: Network, cap: int = 64) -> list[tuple[Perm, Perm]]:
+def _leg_relabelings(site: Network) -> list[tuple[Perm, Perm]]:
     """Canonical leg reorderings: permutation pairs (sigma, tau) such that
     sigma . site . tau carries the canonical leg numbering.  Ties from
-    equal-coded components yield several; all of them act to the same
-    isomorphism class."""
+    equal-coded components yield several, at most ``_RELABELING_CAP``;
+    all of them act to the same isomorphism class."""
     comps, strays = _components(site)
     entries = []  # (legless code, [per-root (outs, ins)])
     for comp in comps:
@@ -365,17 +364,14 @@ def _leg_relabelings(site: Network, cap: int = 64) -> list[tuple[Perm, Perm]]:
             groups.append([i])
 
     group_orders = [list(itertools.permutations(g)) for g in groups]
-    total = 1
-    for g in group_orders:
-        total *= len(g)
-    if total > cap:
+    if math.prod(map(len, group_orders)) > _RELABELING_CAP:
         group_orders = [[tuple(g)] for g in groups]
 
     out = []
     for ordering in itertools.product(*group_orders):
         flat = [i for group in ordering for i in group]
         for choice in itertools.product(*(entries[i][1] for i in flat)):
-            if len(out) >= cap:
+            if len(out) >= _RELABELING_CAP:
                 break
             # every leg lies in exactly one component or stray, so these
             # list each old index once, at its new position

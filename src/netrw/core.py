@@ -180,6 +180,7 @@ class Perm:
 
 
 def same(n: int) -> Perm:
+    """The identity permutation of n things."""
     return Perm(tuple(range(1, n + 1)))
 
 

@@ -25,6 +25,8 @@ class ShapeError(ValueError):
 
 
 class JoinUndefinedError(ValueError):
+    """A symmetric join whose joined ports would close a directed cycle."""
+
     def __init__(self, witness: str):
         super().__init__(f"symmetric join undefined: {witness}")
         self.witness = witness
@@ -63,20 +65,24 @@ class NetClass:
 
 
 def class_of(net: Network) -> NetClass:
+    """The isomorphism class of a network: an element of the free PROP."""
     code = canonical_code(net)
     rep = from_code(code)
     return NetClass(code, rep, transference(rep))
 
 
 def phi(p: Perm) -> NetClass:
+    """The free PROP element of a permutation: its wires crossing."""
     return class_of(perm_network(p))
 
 
 def identity(n: int) -> NetClass:
+    """The identity of n wires, the PROP's unit for composition."""
     return phi(same(n))
 
 
 def generator(sym) -> NetClass:
+    """The free PROP element of one generator: a single decorated vertex."""
     return class_of(generator_network(sym))
 
 
@@ -365,5 +371,6 @@ def lc_sym_join(a: NetClass | LinComb, r: int, q: int, b: NetClass | LinComb) ->
 
 
 def lc_annex(a: NetClass | LinComb, b: NetClass | LinComb) -> LinComb:
+    """Annexation extended bilinearly: b fully engulfed by the context a."""
     lb = lc(b)
     return lc_sym_join(a, lb.arity, lb.coarity, b)

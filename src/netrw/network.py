@@ -189,6 +189,7 @@ def validate(
     edges: Mapping[int, Edge],
     deco: Mapping[int, Symbol],
 ) -> Network:
+    """The network with these parts; InvalidNetworkError lists every axiom broken."""
     vertices = list(vertices)
     violations = check(vertices, edges, deco)
     if violations:

@@ -83,6 +83,8 @@ Stage = BaffStage | ConnectivityStage
 
 @dataclass(frozen=True)
 class OrderSpec:
+    """A monomial order: the lexicographic composite of its stages."""
+
     stages: tuple[Stage, ...]
 
     def __post_init__(self) -> None:

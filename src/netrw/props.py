@@ -141,6 +141,9 @@ class BoolMatrixTarget:
     def ones(self, rows: int, cols: int) -> BoolMat:
         return BoolMat.ones(rows, cols)
 
+    def from_rows(self, rows) -> BoolMat:
+        return BoolMat.from_rows(rows)
+
 
 BOOL_MATRIX = BoolMatrixTarget()
 
@@ -455,7 +458,7 @@ def parse_assignment(text: str, sig, target):
     One ``map <symbol> = <rows>`` line per generator; rows are separated
     by ``;`` and entries by whitespace.  For the biaffine target the full
     padded (m+2) x (n+2) matrix is given.  Entries may be fractions
-    ``p/q`` for the rational target.
+    ``p/q`` for the rational target; the boolean one reads nonzero as 1.
     """
     is_baff = isinstance(target, BaffTarget)
     is_conn = isinstance(target, ConnectivityTarget)
@@ -487,10 +490,7 @@ def parse_assignment(text: str, sig, target):
             raise TargetValueError(
                 f"line {lineno}: {name!r} needs a {rows}x{cols} matrix"
             )
-        if is_baff:
-            out[name] = BaffElem(Mat.from_rows(data))
-        else:
-            out[name] = Mat.from_rows(data)
+        out[name] = target.from_rows(data)
     missing = [s.name for s in sig if s.name not in out and not is_conn]
     if missing:
         raise TargetValueError(f"no assignment for symbols: {', '.join(missing)}")

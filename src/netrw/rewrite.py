@@ -109,19 +109,18 @@ class _Redexes:
 
     A simple reduction is fixed by its monomial and redex, so the search
     for a monomial's redexes runs once per call however often the monomial
-    recurs.  Entries are tuples of ``(rule, ctx, lc_annex(ctx, rule.rhs))``
-    in the redex order of :func:`_monomial_redexes`: ``first`` maps a
-    monomial to its first redex alone (``()`` when irreducible, ``None``
-    while unsearched), ``every`` to all of them.
+    recurs.  ``found`` maps a monomial to ``[redexes, rest]``: the
+    ``(rule, ctx, lc_annex(ctx, rule.rhs))`` found so far, in the redex
+    order of :func:`_monomial_redexes`, and the rest of that search, None
+    once it is exhausted.
     """
 
-    __slots__ = ("q", "rules", "first", "every")
+    __slots__ = ("q", "rules", "found")
 
     def __init__(self, q: BoolMat, rules: Sequence[Rule]):
         self.q = q
         self.rules = sorted(rules, key=lambda r: r.rule_id)
-        self.first: dict[NetClass, tuple | None] = {}
-        self.every: dict[NetClass, tuple] = {}
+        self.found: dict[NetClass, list] = {}
 
     def admit(self, x: LinComb) -> None:
         """Check x's shape, and each monomial's type the first time it is
@@ -129,35 +128,25 @@ class _Redexes:
         q = self.q
         if (q.rows, q.cols) != (x.coarity, x.arity):
             raise RuleError("ambient type shape mismatch")
-        first = self.first
+        found = self.found
         for t in x.terms:
-            if t not in first:
+            if t not in found:
                 if not t.tr.leq(q):
                     raise RuleError("combination outside ambient type")
-                first[t] = None
+                found[t] = [[], _monomial_redexes(t, q, self.rules)]
 
-    def first_of(self, nu: NetClass) -> tuple:
-        found = self.first[nu]
-        if found is None:
-            found = ()
-            for rule, ctx in _monomial_redexes(nu, self.q, self.rules):
-                found = ((rule, ctx, lc_annex(ctx, rule.rhs)),)
-                break
-            self.first[nu] = found
-        return found
-
-    def every_of(self, nu: NetClass) -> tuple:
-        found = self.every.get(nu)
-        if found is None:
-            found = ()
-            if self.first[nu] != ():
-                found = tuple(
-                    (rule, ctx, lc_annex(ctx, rule.rhs))
-                    for rule, ctx in _monomial_redexes(nu, self.q, self.rules)
-                )
-            self.every[nu] = found
-            self.first[nu] = found[:1]
-        return found
+    def redexes(self, nu: NetClass, every: bool) -> list:
+        """nu's first redex, or all of them when ``every``; the search goes
+        on from where it stopped, only as far as needed."""
+        done, rest = entry = self.found[nu]
+        if rest is not None and (every or not done):
+            for rule, ctx in rest:
+                done.append((rule, ctx, lc_annex(ctx, rule.rhs)))
+                if not every:
+                    break
+            else:
+                entry[1] = None
+        return done if every else done[:1]
 
 
 def _single_steps(x: LinComb, memo: _Redexes, every: bool):
@@ -166,9 +155,8 @@ def _single_steps(x: LinComb, memo: _Redexes, every: bool):
     occurrences by canonical order.  Unless ``every``, only each
     monomial's first redex is searched."""
     memo.admit(x)
-    redexes = memo.every_of if every else memo.first_of
     for nu, coeff in x.items():
-        for rule, ctx, replacement in redexes(nu):
+        for rule, ctx, replacement in memo.redexes(nu, every):
             out = x + (replacement - LinComb.monomial(nu)).scale(coeff)
             yield out, ReductionStep(rule.rule_id, ctx, nu, replacement, coeff)
 
@@ -193,6 +181,7 @@ def all_single_steps(
 
 
 def is_irreducible(x: LinComb, q: BoolMat, rules: Sequence[Rule]) -> bool:
+    """Whether no simple reduction admissible at type q acts on x."""
     return reduce_once(x, q, rules) is None
 
 

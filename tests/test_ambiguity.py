@@ -236,6 +236,21 @@ class TestDecisiveSites:
         with pytest.raises(InvalidNetworkError, match="DuplicatePort"):
             enumerate_decisive(rules[0], rules[1])
 
+    def test_validate_runs_only_on_acyclic_sites(self, monkeypatch):
+        # a gluing whose classes close a directed cycle is rejected before
+        # its site is assembled, so validate sees exactly the sites yielded
+        calls = [0]
+        real_validate = ambiguity.validate
+
+        def counting_validate(*args):
+            calls[0] += 1
+            return real_validate(*args)
+
+        monkeypatch.setattr(ambiguity, "validate", counting_validate)
+        pairs = corpus_rule_pairs()
+        sites = sum(1 for s1, s2 in pairs for _ in _decisive_sites(s1, s2))
+        assert (len(pairs), sites, calls[0]) == (114, 111, 111)
+
 
 class TestKeys:
     # (ambiguities, digest of their keys, confluence exit code, digest of

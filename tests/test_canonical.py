@@ -131,6 +131,8 @@ def test_port_labelled_isomorphism_oracle(rng, hopf_sig):
         by_shape.setdefault((net.coarity, net.arity, len(net.deco)), []).append(net)
     for group in by_shape.values():
         pairs += [(a, b) for i, a in enumerate(group) for b in group[i + 1 : i + 4]]
+    # the same network under new vertex and edge ids: always isomorphic
+    relabelled = [(net, random_relabel(rng, net)) for net in pool]
 
     equal = unequal = several = 0
     for a, b in pairs:
@@ -141,6 +143,8 @@ def test_port_labelled_isomorphism_oracle(rng, hopf_sig):
         comps, strays = _components(a)
         several += len(comps) + len(strays) > 1
     assert equal > 50 and unequal > 50 and several > 50
+    for a, b in relabelled:
+        assert canonical_code(a) == canonical_code(b) and isomorphic(a, b)
 
 
 def test_least_code_equals_brute_force(rng, hopf_sig):

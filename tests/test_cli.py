@@ -76,6 +76,24 @@ class TestSubcommands:
         )
         assert code == 0 and "0 0 1 2 4" in out
 
+    def test_eval_bool_matrix_map(self, corpus, capsys, tmp_path):
+        # the boolean target composes boolean matrices, so the map's
+        # entries are read as booleans, any nonzero one as 1
+        amap = tmp_path / "bool.map"
+        amap.write_text("map m = 1 3\n", encoding="utf-8")
+        code, out, _ = run(
+            capsys,
+            "eval",
+            "--sig",
+            str(corpus / "assoc.sig"),
+            "--target",
+            "bool-matrix",
+            "--map",
+            str(amap),
+            "m^a_bc m^c_de",
+        )
+        assert code == 0 and out.strip() == "1 * [1 1 1]"
+
     def test_eval_connectivity_default_map(self, corpus, capsys):
         code, out, _ = run(
             capsys,

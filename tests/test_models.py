@@ -10,6 +10,7 @@ of vector spaces (the ``rat-matrix`` target's tensor is the direct sum).
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import permutations, product
 from pathlib import Path
@@ -19,7 +20,8 @@ from hypothesis import strategies as st
 
 from netrw.ainparse import parse_rules, parse_term
 from netrw.core import BoolMat, parse_signature
-from netrw.freeprop import LinComb
+from netrw.freeprop import LinComb, lc_annex
+from netrw.match import context_type_ok
 from netrw.network import evaluate
 from netrw.props import Mat, get_target
 from netrw.rewrite import BudgetExceededError, normalize
@@ -217,3 +219,21 @@ class TestHopf:
         for coeff in coeffs:
             x += LinComb.monomial(exact_shape_class(rng, self.SIG, m, n), coeff)
         check_preserved(x, self.RULES, MODELS["hopf"], max_steps=400)
+
+    @settings(max_examples=25)
+    @given(st.integers(0, 2**32), st.integers(0, 2), st.integers(0, 2))
+    def test_annexation_preserves_value(self, seed, k, l):
+        # a context K annexes a rule's sides: K's last outputs feed the
+        # rule's inputs and the rule's outputs K's last inputs; where K
+        # admits the rule, both annexations have the same value
+        rng = random.Random(seed)
+        q = BoolMat.ones(k, l)
+        for rule in self.RULES:
+            for _ in range(200):
+                ctx = exact_shape_class(rng, self.SIG, k + rule.arity, l + rule.coarity)
+                if context_type_ok(ctx.tr, rule.qtype, q):
+                    break
+            else:
+                raise AssertionError(f"no admissible context for {rule.rule_id}")
+            lhs, rhs = lc_annex(ctx, rule.lhs), lc_annex(ctx, rule.rhs)
+            assert value(lhs, MODELS["hopf"]) == value(rhs, MODELS["hopf"]), rule.rule_id

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import netrw.match
+from netrw import rewrite
 from netrw.ainparse import parse_rules, parse_term
 from netrw.ambiguity import enumerate_decisive
 from netrw.core import BoolMat, cross, parse_signature, same
@@ -448,6 +449,23 @@ class TestRedexMemo:
         for system, rules, amb in corpus_ambiguities:
             args = (amb.reduct1, amb.reduct2, amb.amb_type, rules)
             assert joinable(*args, max_steps=25) == reference_joinable(*args, max_steps=25)
+
+    def test_joinable_resumes_redex_searches(self, monkeypatch, corpus_ambiguities):
+        # the breadth-first search resumes each search that the
+        # normalizations left after a monomial's first redex, instead of
+        # running it again from the first rule
+        searches = Counter()
+        real_find = rewrite.find_embeddings
+
+        def counting_find(pattern, subject):
+            searches[id(pattern), canonical_code(subject)] += 1
+            return real_find(pattern, subject)
+
+        monkeypatch.setattr(rewrite, "find_embeddings", counting_find)
+        for system, rules, amb in corpus_ambiguities:
+            searches.clear()
+            joinable(amb.reduct1, amb.reduct2, amb.amb_type, rules, max_steps=25)
+            assert max(searches.values(), default=1) == 1, (system, amb.key)
 
     def test_one_search_per_monomial_and_rule(self, monkeypatch):
         # circle y^12 takes 63 steps; without the memo every step searches

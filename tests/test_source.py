@@ -86,3 +86,17 @@ def test_traced_functions_exist():
         if not inspect.isfunction(getattr(importlib.import_module(f"netrw.{mod}"), name, None))
     ]
     assert tracing.WRAPPED and not missing, f"traced functions not found: {missing}"
+
+
+def test_public_api_documented():
+    """Every name the package exports says, in its own docstring, what it
+    is; an inherited docstring or the signature that dataclass writes in
+    place of a missing one does not count."""
+    import netrw
+
+    def documented(name):
+        doc = getattr(netrw, name).__doc__
+        return bool(doc) and not doc.startswith(f"{name}(")
+
+    bare = [name for name in netrw.__all__ if not documented(name)]
+    assert not bare, f"exported names without a docstring: {bare}"
