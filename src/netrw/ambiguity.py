@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .core import BoolMat, Perm, UnionFind
+from .core import BoolMat, Perm
 from .freeprop import LinComb, NetClass, class_of, lc_annex
 from .match import Embedding, context_type_ok, contexts
 from .network import (
@@ -33,7 +33,6 @@ from .network import (
 from .order import LT, OrderSpec, compare, rule_compatible
 from .rewrite import Rule, RuleError, joinable, make_rule
 
-Node = tuple[str, int, int]  # ("v"|"e", side, id)
 _RELABELING_CAP = 64  # leg relabelings listed per site at most
 
 
@@ -63,251 +62,206 @@ class Ambiguity:
         return not self.terse
 
 
-class _GlueState:
-    """A gluing of both patterns: the classes of their vertices and edges."""
+class _PairTables:
+    """Both left hand sides of a rule pair as integer node tables.
 
-    def __init__(self, nets: dict[int, Network], uf: UnionFind | None = None):
-        self.nets = nets
-        if uf is None:
-            nodes: list[Node] = []
-            for side, net in nets.items():
-                nodes += [("v", side, v) for v in net.inner_vertices()]
-                nodes += [("e", side, e) for e in net.edges]
-            uf = UnionFind(nodes)
-        self.uf = uf
+    Nodes are numbered in the sorted order of the tuples ("e"|"v", side,
+    id): the edges of side 1 and of side 2, then the inner vertices of each
+    side.  A class of nodes is named by its least member, so the seed order
+    and the numbering of a site follow the order of the tuples.
+    """
 
-    def copy(self) -> "_GlueState":
-        return _GlueState(self.nets, self.uf.copy())
+    def __init__(self, s1: Rule, s2: Rule):
+        nets = {1: s1.lhs.rep, 2: s2.lhs.rep}
+        keys = sorted(
+            [("e", s, e) for s, net in nets.items() for e in net.edges]
+            + [("v", s, v) for s, net in nets.items() for v in net.inner_vertices()]
+        )
+        node = {key: n for n, key in enumerate(keys)}
+        self.keys = keys
+        self.part = part = {(kind, s): [] for kind in "ev" for s in (1, 2)}
+        for n, (kind, s, _) in enumerate(keys):
+            part[kind, s].append(n)
+        self.n_edges = ne = len(part["e", 1]) + len(part["e", 2])
+        self.side = [s for _, s, _ in keys]
+        self.symbol = symbol = [nets[s].deco[x] if kind == "v" else None for kind, s, x in keys]
+        # per vertex: its in-edges and its out-edges by port
+        self.ports = [None] * ne + [
+            (
+                tuple(node["e", s, e] for e in nets[s].in_edges(v)),
+                tuple(node["e", s, e] for e in nets[s].out_edges(v)),
+            )
+            for _, s, v in keys[ne:]
+        ]
+        # per edge: its head and tail vertex (None at a leg) with their port index
+        ends = [nets[s].edges[e] for _, s, e in keys[:ne]]
+        self.head = [node.get(("v", s, x.head)) for s, x in zip(self.side, ends)]
+        self.tail = [node.get(("v", s, x.tail)) for s, x in zip(self.side, ends)]
+        self.hindex = [x.hindex for x in ends]
+        self.tindex = [x.tindex for x in ends]
+        self.internal = [h is not None and t is not None for h, t in zip(self.head, self.tail)]
+        # the montage test's wiring runs from an output leg (a row of
+        # q1 (+) q2) to an input leg (a column)
+        q1, q2 = s1.qtype, s2.qtype
+        self.qtype = q1.tensor(q2)
+        self.out_pos = [i - 1 + (s - 1) * q1.rows for s, i in zip(self.side, self.hindex)]
+        self.in_pos = [i - 1 + (s - 1) * q1.cols for s, i in zip(self.side, self.tindex)]
 
-    def signature(self) -> frozenset:
-        return frozenset(c for c in self.uf.members.values() if len(c) > 1)
+        seeds = [(a, b) for a in part["v", 1] for b in part["v", 2] if symbol[a] == symbol[b]]
+        for s, o in ((1, 2), (2, 1)):  # a stray edge over an internal edge
+            strays = [a for a in part["e", s] if self.head[a] is None and self.tail[a] is None]
+            seeds += [(a, b) for a in strays for b in part["e", o] if self.internal[b]]
+        for s, o in ((1, 2), (2, 1)):  # an output leg wired to an input leg
+            outs = [a for a in part["e", s] if self.head[a] is None]
+            seeds += [(a, b) for a in outs for b in part["e", o] if self.tail[b] is None]
+        self.seeds = seeds
 
-    def _edge_class_ok(self, members: frozenset[Node], pending: list) -> bool:
-        per_side_heads: dict[int, list[Node]] = {1: [], 2: []}
-        per_side_tails: dict[int, list[Node]] = {1: [], 2: []}
-        heads = []
-        tails = []
-        for node in members:
-            _, side, e = node
-            ends = self.nets[side].edges[e]
-            if ends.head != 0:
-                per_side_heads[side].append(node)
-                heads.append((side, ends.head, ends.hindex))
-            if ends.tail != 1:
-                per_side_tails[side].append(node)
-                tails.append((side, ends.tail, ends.tindex))
-        for side in (1, 2):
-            if len(per_side_heads[side]) > 1 or len(per_side_tails[side]) > 1:
+    def class_ok(self, members: list[int], forced: list[tuple[int, int]]) -> bool:
+        """Whether these nodes may form one class; the pairs of nodes that
+        the class glues are appended to forced.  Vertices, at most one
+        per side and of one symbol, glue their edges port by port.  Edges,
+        with at most one head and one tail per side, heads at one port index
+        and tails at one, and an internal edge alone on its side, glue their
+        heads and their tails."""
+        side = self.side
+        if members[0] >= self.n_edges:
+            if len(members) > 2:
                 return False
-            internal = [
-                n
-                for n in members
-                if n[1] == side
-                and self.nets[side].edges[n[2]].head != 0
-                and self.nets[side].edges[n[2]].tail != 1
-            ]
-            if internal and sum(1 for n in members if n[1] == side) > 1:
+            a, b = members
+            if side[a] == side[b] or self.symbol[a] != self.symbol[b]:
                 return False
-        for (s1, v1, i1), (s2, v2, i2) in itertools.combinations(heads, 2):
-            if i1 != i2:
-                return False
-            pending.append((("v", s1, v1), ("v", s2, v2)))
-        for (s1, v1, i1), (s2, v2, i2) in itertools.combinations(tails, 2):
-            if i1 != i2:
-                return False
-            pending.append((("v", s1, v1), ("v", s2, v2)))
-        return True
+            for ports_a, ports_b in zip(self.ports[a], self.ports[b]):
+                forced += zip(ports_a, ports_b)
+            return True
+        head, tail, internal = self.head, self.tail, self.internal
+        # sets of sides as bits: side 1 is bit 1 and side 2 is bit 2
+        seen = many = inner = heads = tails = 0
+        h0 = t0 = None
+        for n in members:
+            s = side[n]
+            many |= seen & s
+            seen |= s
+            if internal[n]:
+                inner |= s
+            if head[n] is not None:
+                if heads & s or (h0 is not None and self.hindex[n] != self.hindex[h0]):
+                    return False
+                heads |= s
+                if h0 is None:
+                    h0 = n
+                else:
+                    forced.append((head[h0], head[n]))
+            if tail[n] is not None:
+                if tails & s or (t0 is not None and self.tindex[n] != self.tindex[t0]):
+                    return False
+                tails |= s
+                if t0 is None:
+                    t0 = n
+                else:
+                    forced.append((tail[t0], tail[n]))
+        return not inner & many
 
-    def merge(self, a: Node, b: Node) -> bool:
+    def is_montage(self, g: "_Gluing") -> bool:
+        """A gluing that shares no vertex and no internal edge is a montage
+        iff its leg wiring is sequentially consistent."""
+        wiring = [0] * self.qtype.cols
+        for members in g.members:
+            if members is None or len(members) < 2:
+                continue
+            if members[0] >= self.n_edges or any(self.internal[n] for n in members):
+                return False
+            for o in members:
+                if self.head[o] is None:
+                    for n in members:
+                        if n != o and self.tail[n] is None:
+                            wiring[self.in_pos[n]] |= 1 << self.out_pos[o]
+        return BoolMat(len(wiring), self.qtype.rows, tuple(wiring)).mul(self.qtype).is_nilpotent()
+
+    def build_site(self, g: "_Gluing") -> tuple[Network, Embedding, Embedding, bool] | None:
+        """The glued network with the embedding of each pattern and its
+        terseness; None when it is cyclic."""
+        cls, members, ne = g.cls, g.members, self.n_edges
+        roots = [n for n, ms in enumerate(members) if ms is not None]
+        vid = {r: 2 + i for i, r in enumerate(r for r in roots if r >= ne)}
+        eid = {r: i for i, r in enumerate(r for r in roots if r < ne)}
+        deco = {v: self.symbol[r] for r, v in vid.items()}
+        edges: dict[int, Edge] = {}
+        out_legs = []
+        in_legs = []
+        terse = True
+        for r, i in eid.items():
+            head = tail = hindex = tindex = None
+            out_sides = in_sides = 0  # sides as bits, as in class_ok
+            for n in members[r]:
+                if self.head[n] is None:
+                    out_sides |= self.side[n]
+                else:
+                    head, hindex = vid[cls[self.head[n]]], self.hindex[n]
+                if self.tail[n] is None:
+                    in_sides |= self.side[n]
+                else:
+                    tail, tindex = vid[cls[self.tail[n]]], self.tindex[n]
+            # terseness 2/3: an output leg of one pattern and an input leg of
+            # the other sharing an edge makes the ambiguity a wrap, not terse
+            if out_sides and in_sides and out_sides | in_sides == 3:
+                terse = False
+            if head is None:
+                out_legs.append(i)
+            if tail is None:
+                in_legs.append(i)
+            edges[i] = Edge(head, hindex, tail, tindex)
+        if len(_topological_order(deco, edges.values())) < len(deco):
+            return None
+        for pos, i in enumerate(out_legs, 1):
+            edges[i] = edges[i]._replace(head=0, hindex=pos)
+        for pos, i in enumerate(in_legs, 1):
+            edges[i] = edges[i]._replace(tail=1, tindex=pos)
+
+        site = validate(set(deco) | {0, 1}, edges, deco)
+        emb1, emb2 = (
+            Embedding(
+                tuple((self.keys[n][2], vid[cls[n]]) for n in self.part["v", s]),
+                tuple((self.keys[n][2], eid[cls[n]]) for n in self.part["e", s]),
+            )
+            for s in (1, 2)
+        )
+        return site, emb1, emb2, terse
+
+
+class _Gluing:
+    """A gluing of both patterns as a partition of the node numbers: each
+    node's class, named by its least member, and at each class name the
+    list of its members (None at other numbers).  A member list is never
+    changed in place, so copies share them."""
+
+    __slots__ = ("cls", "members")
+
+    def __init__(self, cls: list[int], members: list[list[int] | None]):
+        self.cls = cls
+        self.members = members
+
+    def copy(self) -> "_Gluing":
+        return _Gluing(self.cls[:], self.members[:])
+
+    def merge(self, tables: _PairTables, a: int, b: int) -> bool:
         """Glue a to b and close under port consistency; False when the
         gluing is inconsistent, which leaves the state unusable."""
+        cls, members = self.cls, self.members
         pending = [(a, b)]
-        uf = self.uf
         while pending:
             x, y = pending.pop()
-            rx, ry = uf.find(x), uf.find(y)
-            if rx == ry:
+            lo, hi = cls[x], cls[y]
+            if lo == hi:
                 continue
-            if rx[0] != ry[0]:
+            if hi < lo:
+                lo, hi = hi, lo
+            merged = members[lo] + members[hi]
+            if not tables.class_ok(merged, pending):
                 return False
-            kind = rx[0]
-            merged = uf.members[uf.union(rx, ry)]
-            if kind == "v":
-                per_side: dict[int, set[int]] = {1: set(), 2: set()}
-                for _, side, v in merged:
-                    per_side[side].add(v)
-                if len(per_side[1]) > 1 or len(per_side[2]) > 1:
-                    return False
-                decos = {self.nets[side].deco[v] for _, side, v in merged}
-                if len(decos) != 1:
-                    return False
-                members = sorted(merged)
-                base = members[0]
-                _, bside, bv = base
-                bnet = self.nets[bside]
-                for other in members[1:]:
-                    _, oside, ov = other
-                    onet = self.nets[oside]
-                    sym = bnet.deco[bv]
-                    for i in range(1, sym.arity + 1):
-                        pending.append(
-                            (
-                                ("e", bside, bnet.in_edge(bv, i)),
-                                ("e", oside, onet.in_edge(ov, i)),
-                            )
-                        )
-                    for i in range(1, sym.coarity + 1):
-                        pending.append(
-                            (
-                                ("e", bside, bnet.out_edge(bv, i)),
-                                ("e", oside, onet.out_edge(ov, i)),
-                            )
-                        )
-            elif not self._edge_class_ok(merged, pending):
-                return False
+            for n in members[hi]:
+                cls[n] = lo
+            members[lo], members[hi] = merged, None
         return True
-
-
-def _possible_seeds(state: _GlueState) -> list[tuple[Node, Node]]:
-    h1, h2 = state.nets[1], state.nets[2]
-    find = state.uf.find
-    seeds = []
-    for v1 in h1.inner_vertices():
-        for v2 in h2.inner_vertices():
-            if h1.deco[v1] == h2.deco[v2]:
-                if find(("v", 1, v1)) != find(("v", 2, v2)):
-                    seeds.append((("v", 1, v1), ("v", 2, v2)))
-    for side, other in ((1, 2), (2, 1)):
-        ns, no = state.nets[side], state.nets[other]
-        for e, ends in sorted(ns.edges.items()):
-            if ends.head == 0 and ends.tail == 1:  # stray
-                for f, fe in sorted(no.edges.items()):
-                    if fe.head != 0 and fe.tail != 1:
-                        if find(("e", side, e)) != find(("e", other, f)):
-                            seeds.append((("e", side, e), ("e", other, f)))
-    for side, other in ((1, 2), (2, 1)):
-        ns, no = state.nets[side], state.nets[other]
-        for e, ends in sorted(ns.edges.items()):
-            if ends.head != 0:
-                continue
-            for f, fe in sorted(no.edges.items()):
-                if fe.tail != 1:
-                    continue
-                if find(("e", side, e)) != find(("e", other, f)):
-                    seeds.append((("e", side, e), ("e", other, f)))
-    return seeds
-
-
-def _build_site(state: _GlueState) -> tuple[Network, Embedding, Embedding, bool] | None:
-    """Assemble the glued network with the embedding of each pattern and
-    its terseness; None when it is cyclic."""
-    classes = state.uf.members
-
-    vclasses = sorted(
-        (root for root in classes if root[0] == "v"),
-        key=lambda r: min(classes[r]),
-    )
-    vid_of: dict[Node, int] = {}
-    deco = {}
-    for i, root in enumerate(vclasses):
-        vid = 2 + i
-        members = classes[root]
-        for node in members:
-            vid_of[node] = vid
-        _, side, v = min(members)
-        deco[vid] = state.nets[side].deco[v]
-
-    eclasses = sorted(
-        (root for root in classes if root[0] == "e"),
-        key=lambda r: min(classes[r]),
-    )
-    eid_of: dict[Node, int] = {}
-    edges: dict[int, Edge] = {}
-    out_legs = []
-    in_legs = []
-    terse = True
-    for eid, root in enumerate(eclasses):
-        head = tail = None
-        hindex = tindex = None
-        out_sides, in_sides = set(), set()
-        for node in classes[root]:
-            eid_of[node] = eid
-            _, side, e = node
-            ends = state.nets[side].edges[e]
-            if ends.head != 0:
-                head, hindex = vid_of[("v", side, ends.head)], ends.hindex
-            else:
-                out_sides.add(side)
-            if ends.tail != 1:
-                tail, tindex = vid_of[("v", side, ends.tail)], ends.tindex
-            else:
-                in_sides.add(side)
-        # terseness 2/3: an output leg of one pattern and an input leg of
-        # the other sharing an edge makes the ambiguity a wrap, not terse
-        if any(s != t for s in out_sides for t in in_sides):
-            terse = False
-        if head is None:
-            out_legs.append(eid)
-        if tail is None:
-            in_legs.append(eid)
-        edges[eid] = Edge(head, hindex, tail, tindex)
-    if len(_topological_order(deco, edges.values())) < len(deco):
-        return None
-    for pos, eid in enumerate(out_legs, 1):
-        ends = edges[eid]
-        edges[eid] = Edge(0, pos, ends.tail, ends.tindex)
-    for pos, eid in enumerate(in_legs, 1):
-        ends = edges[eid]
-        edges[eid] = Edge(ends.head, ends.hindex, 1, pos)
-
-    site = validate(set(deco) | {0, 1}, edges, deco)
-    emb1, emb2 = (
-        Embedding(
-            tuple((v, vid_of[("v", side, v)]) for v in net.inner_vertices()),
-            tuple((e, eid_of[("e", side, e)]) for e in sorted(net.edges)),
-        )
-        for side, net in sorted(state.nets.items())
-    )
-    return site, emb1, emb2, terse
-
-
-def _is_montage(state: _GlueState, q1: BoolMat, q2: BoolMat) -> bool:
-    """A gluing with no shared vertices and no internal-edge sharing is a
-    montage iff its leg wiring is sequentially consistent."""
-    classes = state.uf.members
-    for root, members in classes.items():
-        if root[0] == "v" and len({n[1] for n in members}) > 1:
-            return False
-    wires = []
-    for root, members in classes.items():
-        if root[0] != "e" or len(members) < 2:
-            continue
-        for node in members:
-            _, side, e = node
-            ends = state.nets[side].edges[e]
-            if ends.head != 0 and ends.tail != 1 and any(n[1] != side for n in members):
-                return False  # something lies over an internal edge
-        outs = [n for n in members if state.nets[n[1]].edges[n[2]].head == 0]
-        ins = [n for n in members if state.nets[n[1]].edges[n[2]].tail == 1]
-        for o in outs:
-            for n in ins:
-                if o == n:
-                    continue
-                wires.append((o, n))
-    if not wires:
-        return True
-    omega1, alpha1 = q1.rows, q1.cols
-    total_in = alpha1 + q2.cols
-    total_out = omega1 + q2.rows
-    w_back = BoolMat.zeros(total_in, total_out)
-    for o, n in wires:
-        _, oside, oe = o
-        _, nside, ne = n
-        out_pos = state.nets[oside].edges[oe].hindex - 1 + (0 if oside == 1 else omega1)
-        in_pos = state.nets[nside].edges[ne].tindex - 1 + (0 if nside == 1 else alpha1)
-        w_back = w_back.set(in_pos, out_pos, 1)
-    q_tensor = q1.tensor(q2)
-    return w_back.mul(q_tensor).is_nilpotent()
 
 
 def _decisive_sites(
@@ -316,26 +270,35 @@ def _decisive_sites(
     """The acyclic sites of the non-montage gluings of both left hand
     sides, each with the two embeddings and its terseness, in depth-first
     preorder of the gluings."""
-    seen: set[frozenset] = set()
-    stack = [_GlueState({1: s1.lhs.rep, 2: s2.lhs.rep})]
+    tables = _PairTables(s1, s2)
+    nodes = range(len(tables.keys))
+    root = _Gluing(list(nodes), [[n] for n in nodes])
+    seen: set[tuple[int, ...]] = set()
+    stack = [root]
     while stack:
         state = stack.pop()
-        sig = state.signature()
-        if sig in seen:
+        key = tuple(state.cls)
+        if key in seen:
             continue
-        seen.add(sig)
-        if sig and not _is_montage(state, s1.qtype, s2.qtype):
-            built = _build_site(state)
+        seen.add(key)
+        # the root glues nothing, so it is no site
+        if state is not root and not tables.is_montage(state):
+            built = tables.build_site(state)
             if built is None:
                 # gluing more nodes maps the directed cycle onto a closed
                 # walk, so every refinement of this gluing is cyclic too
                 continue
             yield built
+        cls, members = state.cls, state.members
         children = []
-        for a, b in _possible_seeds(state):
-            nxt = state.copy()
-            if nxt.merge(a, b):
-                children.append(nxt)
+        for a, b in tables.seeds:
+            ca, cb = cls[a], cls[b]
+            # a seed whose two classes cannot form one class is dropped
+            # before the state is copied
+            if ca != cb and tables.class_ok(members[ca] + members[cb], []):
+                nxt = state.copy()
+                if nxt.merge(tables, a, b):
+                    children.append(nxt)
         # popped in seed order: the first site to give a key supplies
         # its ambiguity, so the order is part of the result
         stack.extend(reversed(children))

@@ -237,10 +237,12 @@ class BoolMat:
         return BoolMat(n, n, tuple(1 << i for i in range(n)))
 
     @staticmethod
-    def from_rows(rows: Iterable[Iterable[int]]) -> "BoolMat":
+    def from_rows(rows: Iterable[Iterable[int]], cols: int | None = None) -> "BoolMat":
+        """The matrix with these rows, any nonzero entry read as 1; cols
+        gives the width of a matrix with no rows."""
         data = [tuple(1 if x else 0 for x in row) for row in rows]
         nrows = len(data)
-        ncols = len(data[0]) if data else 0
+        ncols = len(data[0]) if data else (cols or 0)
         if any(len(row) != ncols for row in data):
             raise ValueError("ragged rows")
         bits = tuple(sum(b << j for j, b in enumerate(row)) for row in data)
@@ -338,11 +340,22 @@ class BoolMat:
         return self.mul(self.star())
 
     def is_nilpotent(self) -> bool:
-        """True iff some power is zero; tested via the diagonal of A+."""
+        """True iff some power is zero, that is, iff the graph with an arc
+        i -> j at each entry (i, j) has no cycle: rows with no entry among
+        the rows left are peeled off until none are left (Kahn's
+        algorithm) or none can be."""
         if not self.is_square():
             raise ValueError("nilpotence of a non-square matrix")
-        p = self.plus()
-        return all((p.bits[i] >> i) & 1 == 0 for i in range(self.rows))
+        left = (1 << self.rows) - 1
+        while left:
+            peeled = 0
+            for i, row in enumerate(self.bits):
+                if (left >> i) & 1 and not row & left:
+                    peeled |= 1 << i
+            if not peeled:
+                return False
+            left ^= peeled
+        return True
 
 
 def bm_blocks(mat: BoolMat, row_split: int, col_split: int) -> tuple[BoolMat, BoolMat, BoolMat, BoolMat]:

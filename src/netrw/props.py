@@ -99,8 +99,8 @@ class MatrixTarget:
     def identity(self, n: int) -> Mat:
         return self.phi(Perm(tuple(range(1, n + 1))))
 
-    def from_rows(self, rows) -> Mat:
-        return Mat.from_rows(rows)
+    def from_rows(self, rows, cols: int) -> Mat:
+        return Mat.from_rows(rows, cols)
 
 
 def _int_add(a, b):
@@ -141,8 +141,8 @@ class BoolMatrixTarget:
     def ones(self, rows: int, cols: int) -> BoolMat:
         return BoolMat.ones(rows, cols)
 
-    def from_rows(self, rows) -> BoolMat:
-        return BoolMat.from_rows(rows)
+    def from_rows(self, rows, cols: int) -> BoolMat:
+        return BoolMat.from_rows(rows, cols)
 
 
 BOOL_MATRIX = BoolMatrixTarget()
@@ -240,8 +240,8 @@ class BaffTarget:
     def identity(self, n: int) -> BaffElem:
         return BaffElem(NAT_MATRIX.identity(n + 2))
 
-    def from_rows(self, rows) -> BaffElem:
-        return BaffElem(Mat.from_rows(rows))
+    def from_rows(self, rows, cols: int) -> BaffElem:
+        return BaffElem(Mat.from_rows(rows, cols))
 
 
 BAFF_NAT = BaffTarget()
@@ -459,6 +459,8 @@ def parse_assignment(text: str, sig, target):
     by ``;`` and entries by whitespace.  For the biaffine target the full
     padded (m+2) x (n+2) matrix is given.  Entries may be fractions
     ``p/q`` for the rational target; the boolean one reads nonzero as 1.
+    An empty body gives the m x 0 or 0 x n matrix of a generator with no
+    inputs or no outputs.
     """
     is_baff = isinstance(target, BaffTarget)
     is_conn = isinstance(target, ConnectivityTarget)
@@ -486,11 +488,13 @@ def parse_assignment(text: str, sig, target):
                     data.append([Fraction(x) if "/" in x else int(x) for x in entries])
                 except ZeroDivisionError:
                     raise TargetValueError(f"line {lineno}: zero denominator") from None
+        if not data and not rows * cols:
+            data = [[] for _ in range(rows)]
         if len(data) != rows or any(len(r) != cols for r in data):
             raise TargetValueError(
                 f"line {lineno}: {name!r} needs a {rows}x{cols} matrix"
             )
-        out[name] = target.from_rows(data)
+        out[name] = target.from_rows(data, cols)
     missing = [s.name for s in sig if s.name not in out and not is_conn]
     if missing:
         raise TargetValueError(f"no assignment for symbols: {', '.join(missing)}")

@@ -1,9 +1,11 @@
 """Shared fixtures: signatures, random generators, the PROP axiom suite,
-test-only oracles for cuts and smoothening, and test-only helpers for
-permutation actions on classes and boolean evaluation."""
+test-only oracles for cuts, smoothening and gluing enumeration, and
+test-only helpers for permutation actions on classes and boolean
+evaluation."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -12,9 +14,10 @@ from typing import Mapping
 import pytest
 from hypothesis import settings
 
-from netrw.core import BoolMat, Perm, Signature, Symbol, cross, same
+from netrw.core import BoolMat, Perm, Signature, Symbol, UnionFind, cross, same
 from netrw.freeprop import LinComb, NetClass, class_of
-from netrw.network import Edge, Network, act, validate
+from netrw.match import Embedding
+from netrw.network import Edge, Network, _topological_order, act, validate
 from netrw.props import Mat
 
 
@@ -386,3 +389,281 @@ def is_homeomorphism(hom: Homeomorphism) -> bool:
         if gamma[e_in] != gamma[e_out]:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Gluing oracle: the tuple-keyed enumeration that ambiguity._decisive_sites
+# replaced, kept here unchanged as an independent reference
+# ---------------------------------------------------------------------------
+
+Node = tuple[str, int, int]  # ("v"|"e", side, id)
+
+
+class _GlueState:
+    """A gluing of both patterns: the classes of their vertices and edges."""
+
+    def __init__(self, nets: dict[int, Network], uf: UnionFind | None = None):
+        self.nets = nets
+        if uf is None:
+            nodes: list[Node] = []
+            for side, net in nets.items():
+                nodes += [("v", side, v) for v in net.inner_vertices()]
+                nodes += [("e", side, e) for e in net.edges]
+            uf = UnionFind(nodes)
+        self.uf = uf
+
+    def copy(self) -> "_GlueState":
+        return _GlueState(self.nets, self.uf.copy())
+
+    def signature(self) -> frozenset:
+        return frozenset(c for c in self.uf.members.values() if len(c) > 1)
+
+    def _edge_class_ok(self, members: frozenset[Node], pending: list) -> bool:
+        per_side_heads: dict[int, list[Node]] = {1: [], 2: []}
+        per_side_tails: dict[int, list[Node]] = {1: [], 2: []}
+        heads = []
+        tails = []
+        for node in members:
+            _, side, e = node
+            ends = self.nets[side].edges[e]
+            if ends.head != 0:
+                per_side_heads[side].append(node)
+                heads.append((side, ends.head, ends.hindex))
+            if ends.tail != 1:
+                per_side_tails[side].append(node)
+                tails.append((side, ends.tail, ends.tindex))
+        for side in (1, 2):
+            if len(per_side_heads[side]) > 1 or len(per_side_tails[side]) > 1:
+                return False
+            internal = [
+                n
+                for n in members
+                if n[1] == side
+                and self.nets[side].edges[n[2]].head != 0
+                and self.nets[side].edges[n[2]].tail != 1
+            ]
+            if internal and sum(1 for n in members if n[1] == side) > 1:
+                return False
+        for (s1, v1, i1), (s2, v2, i2) in itertools.combinations(heads, 2):
+            if i1 != i2:
+                return False
+            pending.append((("v", s1, v1), ("v", s2, v2)))
+        for (s1, v1, i1), (s2, v2, i2) in itertools.combinations(tails, 2):
+            if i1 != i2:
+                return False
+            pending.append((("v", s1, v1), ("v", s2, v2)))
+        return True
+
+    def merge(self, a: Node, b: Node) -> bool:
+        """Glue a to b and close under port consistency; False when the
+        gluing is inconsistent, which leaves the state unusable."""
+        pending = [(a, b)]
+        uf = self.uf
+        while pending:
+            x, y = pending.pop()
+            rx, ry = uf.find(x), uf.find(y)
+            if rx == ry:
+                continue
+            if rx[0] != ry[0]:
+                return False
+            kind = rx[0]
+            merged = uf.members[uf.union(rx, ry)]
+            if kind == "v":
+                per_side: dict[int, set[int]] = {1: set(), 2: set()}
+                for _, side, v in merged:
+                    per_side[side].add(v)
+                if len(per_side[1]) > 1 or len(per_side[2]) > 1:
+                    return False
+                decos = {self.nets[side].deco[v] for _, side, v in merged}
+                if len(decos) != 1:
+                    return False
+                members = sorted(merged)
+                base = members[0]
+                _, bside, bv = base
+                bnet = self.nets[bside]
+                for other in members[1:]:
+                    _, oside, ov = other
+                    onet = self.nets[oside]
+                    sym = bnet.deco[bv]
+                    for i in range(1, sym.arity + 1):
+                        pending.append(
+                            (
+                                ("e", bside, bnet.in_edge(bv, i)),
+                                ("e", oside, onet.in_edge(ov, i)),
+                            )
+                        )
+                    for i in range(1, sym.coarity + 1):
+                        pending.append(
+                            (
+                                ("e", bside, bnet.out_edge(bv, i)),
+                                ("e", oside, onet.out_edge(ov, i)),
+                            )
+                        )
+            elif not self._edge_class_ok(merged, pending):
+                return False
+        return True
+
+
+def _possible_seeds(state: _GlueState) -> list[tuple[Node, Node]]:
+    h1, h2 = state.nets[1], state.nets[2]
+    find = state.uf.find
+    seeds = []
+    for v1 in h1.inner_vertices():
+        for v2 in h2.inner_vertices():
+            if h1.deco[v1] == h2.deco[v2]:
+                if find(("v", 1, v1)) != find(("v", 2, v2)):
+                    seeds.append((("v", 1, v1), ("v", 2, v2)))
+    for side, other in ((1, 2), (2, 1)):
+        ns, no = state.nets[side], state.nets[other]
+        for e, ends in sorted(ns.edges.items()):
+            if ends.head == 0 and ends.tail == 1:  # stray
+                for f, fe in sorted(no.edges.items()):
+                    if fe.head != 0 and fe.tail != 1:
+                        if find(("e", side, e)) != find(("e", other, f)):
+                            seeds.append((("e", side, e), ("e", other, f)))
+    for side, other in ((1, 2), (2, 1)):
+        ns, no = state.nets[side], state.nets[other]
+        for e, ends in sorted(ns.edges.items()):
+            if ends.head != 0:
+                continue
+            for f, fe in sorted(no.edges.items()):
+                if fe.tail != 1:
+                    continue
+                if find(("e", side, e)) != find(("e", other, f)):
+                    seeds.append((("e", side, e), ("e", other, f)))
+    return seeds
+
+
+def _build_site(state: _GlueState) -> tuple[Network, Embedding, Embedding, bool] | None:
+    """Assemble the glued network with the embedding of each pattern and
+    its terseness; None when it is cyclic."""
+    classes = state.uf.members
+
+    vclasses = sorted(
+        (root for root in classes if root[0] == "v"),
+        key=lambda r: min(classes[r]),
+    )
+    vid_of: dict[Node, int] = {}
+    deco = {}
+    for i, root in enumerate(vclasses):
+        vid = 2 + i
+        members = classes[root]
+        for node in members:
+            vid_of[node] = vid
+        _, side, v = min(members)
+        deco[vid] = state.nets[side].deco[v]
+
+    eclasses = sorted(
+        (root for root in classes if root[0] == "e"),
+        key=lambda r: min(classes[r]),
+    )
+    eid_of: dict[Node, int] = {}
+    edges: dict[int, Edge] = {}
+    out_legs = []
+    in_legs = []
+    terse = True
+    for eid, root in enumerate(eclasses):
+        head = tail = None
+        hindex = tindex = None
+        out_sides, in_sides = set(), set()
+        for node in classes[root]:
+            eid_of[node] = eid
+            _, side, e = node
+            ends = state.nets[side].edges[e]
+            if ends.head != 0:
+                head, hindex = vid_of[("v", side, ends.head)], ends.hindex
+            else:
+                out_sides.add(side)
+            if ends.tail != 1:
+                tail, tindex = vid_of[("v", side, ends.tail)], ends.tindex
+            else:
+                in_sides.add(side)
+        # terseness 2/3: an output leg of one pattern and an input leg of
+        # the other sharing an edge makes the ambiguity a wrap, not terse
+        if any(s != t for s in out_sides for t in in_sides):
+            terse = False
+        if head is None:
+            out_legs.append(eid)
+        if tail is None:
+            in_legs.append(eid)
+        edges[eid] = Edge(head, hindex, tail, tindex)
+    if len(_topological_order(deco, edges.values())) < len(deco):
+        return None
+    for pos, eid in enumerate(out_legs, 1):
+        ends = edges[eid]
+        edges[eid] = Edge(0, pos, ends.tail, ends.tindex)
+    for pos, eid in enumerate(in_legs, 1):
+        ends = edges[eid]
+        edges[eid] = Edge(ends.head, ends.hindex, 1, pos)
+
+    site = validate(set(deco) | {0, 1}, edges, deco)
+    emb1, emb2 = (
+        Embedding(
+            tuple((v, vid_of[("v", side, v)]) for v in net.inner_vertices()),
+            tuple((e, eid_of[("e", side, e)]) for e in sorted(net.edges)),
+        )
+        for side, net in sorted(state.nets.items())
+    )
+    return site, emb1, emb2, terse
+
+
+def _is_montage(state: _GlueState, q1: BoolMat, q2: BoolMat) -> bool:
+    """A gluing with no shared vertices and no internal-edge sharing is a
+    montage iff its leg wiring is sequentially consistent."""
+    classes = state.uf.members
+    for root, members in classes.items():
+        if root[0] == "v" and len({n[1] for n in members}) > 1:
+            return False
+    wires = []
+    for root, members in classes.items():
+        if root[0] != "e" or len(members) < 2:
+            continue
+        for node in members:
+            _, side, e = node
+            ends = state.nets[side].edges[e]
+            if ends.head != 0 and ends.tail != 1 and any(n[1] != side for n in members):
+                return False  # something lies over an internal edge
+        outs = [n for n in members if state.nets[n[1]].edges[n[2]].head == 0]
+        ins = [n for n in members if state.nets[n[1]].edges[n[2]].tail == 1]
+        for o in outs:
+            for n in ins:
+                if o == n:
+                    continue
+                wires.append((o, n))
+    if not wires:
+        return True
+    omega1, alpha1 = q1.rows, q1.cols
+    total_in = alpha1 + q2.cols
+    total_out = omega1 + q2.rows
+    w_back = BoolMat.zeros(total_in, total_out)
+    for o, n in wires:
+        _, oside, oe = o
+        _, nside, ne = n
+        out_pos = state.nets[oside].edges[oe].hindex - 1 + (0 if oside == 1 else omega1)
+        in_pos = state.nets[nside].edges[ne].tindex - 1 + (0 if nside == 1 else alpha1)
+        w_back = w_back.set(in_pos, out_pos, 1)
+    q_tensor = q1.tensor(q2)
+    return w_back.mul(q_tensor).is_nilpotent()
+
+
+def reference_sites(s1, s2):
+    """The gluing enumeration without pruning: a recursion that lists every
+    gluing state, then builds the site of each non-montage; None stands
+    for a cyclic one."""
+    seen = set()
+    states = []
+
+    def rec(state):
+        sig = state.signature()
+        if sig in seen:
+            return
+        seen.add(sig)
+        if sig:
+            states.append(state)
+        for a, b in _possible_seeds(state):
+            nxt = state.copy()
+            if nxt.merge(a, b):
+                rec(nxt)
+
+    rec(_GlueState({1: s1.lhs.rep, 2: s2.lhs.rep}))
+    return [_build_site(st) for st in states if not _is_montage(st, s1.qtype, s2.qtype)]

@@ -94,6 +94,28 @@ class TestSubcommands:
         )
         assert code == 0 and out.strip() == "1 * [1 1 1]"
 
+    def test_eval_matrix_map_without_inputs_or_outputs(self, corpus, capsys, tmp_path):
+        # an empty body gives a generator with no inputs an m x 0 matrix and
+        # one with no outputs a 0 x n matrix, so the Hopf unit and counit
+        # have values in every matrix target
+        amap = tmp_path / "hopf.map"
+        amap.write_text("map m = 1 1\nmap eta =\nmap D = 1 ; 1\nmap eps =\nmap S = 1\n", encoding="utf-8")
+        hopf = ["--sig", str(corpus / "hopf.sig"), "--map", str(amap)]
+        for target in ("nat-matrix", "rat-matrix", "bool-matrix"):
+            code, out, _ = run(capsys, "eval", *hopf, "--target", target, "D^ab_c m^c_de eta^d")
+            assert code == 0 and out.strip() == "1 * [1; 1]"
+        code, out, _ = run(capsys, "eval", *hopf, "--target", "nat-matrix", "eps_a eta^a")
+        assert code == 0 and out.strip() == "1 * []"
+        sig = tmp_path / "e.sig"
+        sig.write_text("gen e 0 1\n", encoding="utf-8")
+        emap = tmp_path / "e.map"
+        emap.write_text("map e =\n", encoding="utf-8")
+        code, out, err = run(capsys, "eval", "--sig", str(sig), "--target", "nat-matrix", "--map", str(emap), "e_a")
+        assert code == 0 and out.strip() == "1 * []", err
+        emap.write_text("map e = 1\n", encoding="utf-8")
+        code, _, err = run(capsys, "eval", "--sig", str(sig), "--target", "nat-matrix", "--map", str(emap), "e_a")
+        assert code == 2 and "'e' needs a 0x1 matrix" in err
+
     def test_eval_connectivity_default_map(self, corpus, capsys):
         code, out, _ = run(
             capsys,

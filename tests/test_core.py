@@ -148,6 +148,34 @@ class TestBoolMat:
                 power = power.mul(a)
             assert power.is_zero() == a.is_nilpotent()
 
+    def test_nilpotence_matches_plus_diagonal(self, rng):
+        # the peeling test against the diagonal of A+, for n <= 12: sparse
+        # to dense matrices, acyclic ones under a shuffled vertex order, and
+        # those with one back arc that closes a cycle through every vertex
+        random_nilpotent = 0
+        for trial in range(600):
+            n = rng.randint(1, 12)
+            kind = ("random", "acyclic", "long cycle")[trial % 3]
+            if kind == "random":
+                a = rand_bm(rng, n, n, density=rng.choice((0.05, 0.15, 0.3, 0.6, 0.95)))
+            else:
+                order = rng.sample(range(n), n)
+                rows = [[0] * n for _ in range(n)]
+                for i, j in itertools.combinations(range(n), 2):
+                    if j == i + 1 or rng.random() < 0.2:
+                        rows[order[i]][order[j]] = 1
+                if kind == "long cycle":
+                    rows[order[-1]][order[0]] = 1
+                a = BoolMat.from_rows(rows)
+            plus = a.plus()
+            via_diag = all(plus.get(i, i) == 0 for i in range(n))
+            assert a.is_nilpotent() == via_diag
+            if kind == "random":
+                random_nilpotent += via_diag
+            else:
+                assert via_diag == (kind == "acyclic")
+        assert 20 < random_nilpotent < 180
+
     def test_ab_ba_nilpotence(self, rng):
         for _ in range(300):
             m, n = rng.randint(1, 4), rng.randint(1, 4)

@@ -4,8 +4,9 @@ Evaluation in a target PROP is a PROP homomorphism from the free PROP, so
 when both sides of every rule have the same value, so do the two sides of
 every simple reduction, and a combination and its normal form.  The
 models are built here: the circle rule in 1x1 rational matrices, and the
-Hopf rules in the group algebra of S3, whose tensor is the tensor product
-of vector spaces (the ``rat-matrix`` target's tensor is the direct sum).
+Hopf rules in the group algebra of S3 and in its dual, the functions on
+S3, whose tensor is the tensor product of vector spaces (the
+``rat-matrix`` target's tensor is the direct sum).
 """
 
 from __future__ import annotations
@@ -104,6 +105,19 @@ HOPF_MODEL = {
 }
 
 
+# The dual Hopf algebra: functions on S3, with the basis of point masses
+# delta_g.  Its product is pointwise and its coproduct is dual to the group
+# product, delta_g -> sum over hk = g of delta_h (x) delta_k, so it is
+# commutative but not cocommutative, and sees faults that permute outputs.
+DUAL_HOPF_MODEL = {
+    "m": (1, 2, lambda x: {(x[0],): 1} if x[0] == x[1] else {}),
+    "eta": (1, 0, lambda x: {(g,): 1 for g in S3}),
+    "D": (2, 1, lambda x: {(h, _mul(_inv(h), x[0])): 1 for h in S3}),
+    "eps": (0, 1, lambda x: {(): 1} if x[0] == UNIT else {}),
+    "S": (1, 1, lambda x: {(_inv(x[0]),): 1}),
+}
+
+
 def _group_algebra_entries(value):
     m, n, image = value
     for x in product(S3, repeat=n):
@@ -131,6 +145,7 @@ def _matrix_entries(value):
 MODELS = {
     "circle": (RAT, CIRCLE_MODEL, _matrix_entries),
     "hopf": (GroupAlgebra(), HOPF_MODEL, _group_algebra_entries),
+    "hopf-dual": (GroupAlgebra(), DUAL_HOPF_MODEL, _group_algebra_entries),
 }
 
 
@@ -191,13 +206,31 @@ class TestCircle:
         check_preserved(x, self.RULES, MODELS["circle"], max_steps=200)
 
 
+HOPF_SIG, HOPF_RULES = _load("hopf")
+# a random sum of Hopf networks of shape (m, n): (rng, m, n, coefficients)
+HOPF_SUMS = (
+    st.randoms(use_true_random=False),
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.lists(COEFFS, min_size=2, max_size=3),
+)
+
+
+def check_hopf_sum(rng, m, n, coeffs, model):
+    x = LinComb.zero(m, n)
+    for coeff in coeffs:
+        x += LinComb.monomial(exact_shape_class(rng, HOPF_SIG, m, n), coeff)
+    check_preserved(x, HOPF_RULES, MODELS[model], max_steps=400)
+
+
 class TestHopf:
-    SIG, RULES = _load("hopf")
+    SIG, RULES = HOPF_SIG, HOPF_RULES
+    MODEL = "hopf"
 
     def test_rules_hold_in_model(self):
         for rule in self.RULES:
-            assert value(LinComb.monomial(rule.lhs), MODELS["hopf"]) == value(
-                rule.rhs, MODELS["hopf"]
+            assert value(LinComb.monomial(rule.lhs), MODELS[self.MODEL]) == value(
+                rule.rhs, MODELS[self.MODEL]
             ), rule.rule_id
 
     def test_model_is_faithful_enough(self):
@@ -207,18 +240,16 @@ class TestHopf:
         kept = parse_term("[a| m^a_bc S^b_d S^c_e |d e]", self.SIG)
         assert value(swapped, MODELS["hopf"]) != value(kept, MODELS["hopf"])
 
+    def test_left_hand_sides_keep_value(self):
+        # each left hand side is a redex in the empty context, so every rule
+        # runs here, not only the ones the random networks happen to hold
+        for rule in self.RULES:
+            check_preserved(LinComb.monomial(rule.lhs), self.RULES, MODELS[self.MODEL], max_steps=400)
+
     @settings(max_examples=60)
-    @given(
-        st.randoms(use_true_random=False),
-        st.integers(0, 2),
-        st.integers(0, 2),
-        st.lists(COEFFS, min_size=2, max_size=3),
-    )
+    @given(*HOPF_SUMS)
     def test_steps_preserve_value(self, rng, m, n, coeffs):
-        x = LinComb.zero(m, n)
-        for coeff in coeffs:
-            x += LinComb.monomial(exact_shape_class(rng, self.SIG, m, n), coeff)
-        check_preserved(x, self.RULES, MODELS["hopf"], max_steps=400)
+        check_hopf_sum(rng, m, n, coeffs, self.MODEL)
 
     @settings(max_examples=25)
     @given(st.integers(0, 2**32), st.integers(0, 2), st.integers(0, 2))
@@ -237,3 +268,22 @@ class TestHopf:
                 raise AssertionError(f"no admissible context for {rule.rule_id}")
             lhs, rhs = lc_annex(ctx, rule.lhs), lc_annex(ctx, rule.rhs)
             assert value(lhs, MODELS["hopf"]) == value(rhs, MODELS["hopf"]), rule.rule_id
+
+
+class TestHopfDual:
+    SIG, RULES = HOPF_SIG, HOPF_RULES
+    MODEL = "hopf-dual"
+    test_rules_hold_in_model = TestHopf.test_rules_hold_in_model
+    test_left_hand_sides_keep_value = TestHopf.test_left_hand_sides_keep_value
+
+    @settings(max_examples=60)
+    @given(*HOPF_SUMS)
+    def test_steps_preserve_value(self, rng, m, n, coeffs):
+        check_hopf_sum(rng, m, n, coeffs, self.MODEL)
+
+    def test_model_is_not_cocommutative(self):
+        # the coproduct is not symmetric, so this model tells a network from
+        # the one with two of its outputs swapped
+        swapped = parse_term("[b a| D^ab_c |c]", self.SIG)
+        kept = parse_term("[a b| D^ab_c |c]", self.SIG)
+        assert value(swapped, MODELS[self.MODEL]) != value(kept, MODELS[self.MODEL])

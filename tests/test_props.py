@@ -385,3 +385,11 @@ class TestRegistryAndAssignments:
         assert out["D"] == Mat.from_rows([[1], [2]])
         with pytest.raises(Exception):
             parse_assignment("map m = 1", sig2, NAT_MATRIX)
+
+    def test_parse_assignment_zero_width(self, hopf_sig):
+        # an empty body is the m x 0 or 0 x n matrix the symbol's shape asks for
+        text = "map m = 1 1\nmap eta =\nmap D = 1 ; 1\nmap eps =\nmap S = 1"
+        out = parse_assignment(text, hopf_sig, NAT_MATRIX)
+        assert (out["eta"], out["eps"]) == (Mat(1, 0, ((),)), Mat(0, 1, ()))
+        out = parse_assignment(text, hopf_sig, BOOL_MATRIX)
+        assert (out["eta"], out["eps"]) == (BoolMat(1, 0, (0,)), BoolMat(0, 1, ()))
