@@ -301,17 +301,17 @@ def _build_term(term: Term, sig: Signature, outs: list[str], ins: list[str]) -> 
     return class_of(smoothen(net))
 
 
-def parse_term(
-    text: str,
-    sig: Signature,
-    forced_outs: list[str] | None = None,
-    forced_ins: list[str] | None = None,
-) -> LinComb:
+def parse_term(text: str, sig: Signature) -> LinComb:
     """Parse a sum of closed or naked terms into a linear combination."""
-    chunks = _split_additive(text)
-    terms = [(sign, _parse_chunk(chunk)) for sign, chunk in chunks]
+    return _parse_combination(text, sig, None, None)[0]
 
-    lead_outs, lead_ins = forced_outs, forced_ins
+
+def _parse_combination(
+    text: str, sig: Signature, lead_outs: list[str] | None, lead_ins: list[str] | None
+) -> tuple[LinComb, list[str], list[str]]:
+    """The combination and the leg labels (outs, ins) that order its naked
+    terms: the given ones, else the first term's own."""
+    terms = [(sign, _parse_chunk(chunk)) for sign, chunk in _split_additive(text)]
     result: LinComb | None = None
     for sign, term in terms:
         if term.closed:
@@ -337,8 +337,8 @@ def parse_term(
             raise AinError("LegOrderMismatchAcrossTerms", "terms have different shapes")
         else:
             result = result + mono
-    assert result is not None
-    return result
+    assert result is not None and lead_outs is not None and lead_ins is not None
+    return result, lead_outs, lead_ins
 
 
 # ---------------------------------------------------------------------------
@@ -375,15 +375,10 @@ def parse_rules(text: str, sig: Signature) -> list[Rule]:
         lhs_text, arrow, rhs_text = body.partition("->")
         if not arrow:
             raise AinError("Syntax", f"line {lineno}: missing '->'")
-        lhs = parse_term(lhs_text, sig)
+        lhs, outs, ins = _parse_combination(lhs_text, sig, None, None)
         if not lhs.is_monomial():
             raise RuleError(f"rule {rule_id!r}: LhsNotMonomial")
-        lhs_term = _parse_chunk(_split_additive(lhs_text)[0][1])
-        if lhs_term.closed:
-            outs, ins = lhs_term.outs, lhs_term.ins
-        else:
-            outs, ins = _term_label_roles(lhs_term, sig)
-        rhs = parse_term(rhs_text, sig, forced_outs=outs, forced_ins=ins)
+        rhs = _parse_combination(rhs_text, sig, outs, ins)[0]
 
         if where.strip():
             if sharp:

@@ -8,7 +8,7 @@ import os
 import sys
 from pathlib import Path
 
-from .ainparse import AinError, format_term, parse_rules, parse_term
+from .ainparse import AinError, format_class, format_term, parse_rules, parse_term
 from .ambiguity import (
     IncompatibleRuleError,
     LimitReachedError,
@@ -172,7 +172,7 @@ def cmd_ambiguities(args) -> int:
             rows.append(
                 {
                     "rules": [amb.rule1_id, amb.rule2_id],
-                    "site": format_term_from_class(amb.site),
+                    "site": format_class(amb.site),
                     "kind": "terse" if amb.terse else "wrap",
                     "trivial": amb.trivial,
                 }
@@ -184,12 +184,6 @@ def cmd_ambiguities(args) -> int:
     )
     _emit(args, {"ambiguities": rows, "count": len(rows)}, text or "none")
     return OK
-
-
-def format_term_from_class(cls) -> str:
-    from .freeprop import LinComb
-
-    return format_term(LinComb.monomial(cls))
 
 
 def cmd_confluence(args) -> int:
@@ -206,7 +200,7 @@ def cmd_confluence(args) -> int:
         rows.append(
             {
                 "rules": [amb.rule1_id, amb.rule2_id],
-                "site": format_term_from_class(amb.site),
+                "site": format_class(amb.site),
                 "kind": "terse" if amb.terse else "wrap",
                 "trivial": amb.trivial,
                 "status": res.status,
@@ -254,7 +248,7 @@ def cmd_complete(args) -> int:
     lines = [f"{len(added)} rules added; verdict: {report.verdict}"]
     for rule in added:
         lines.append(
-            f"  rule {rule.rule_id}: {format_term_from_class(rule.lhs)} ->"
+            f"  rule {rule.rule_id}: {format_class(rule.lhs)} ->"
             f" {format_term(rule.rhs)}"
         )
     _emit(
@@ -263,7 +257,7 @@ def cmd_complete(args) -> int:
             "added": [
                 {
                     "id": r.rule_id,
-                    "lhs": format_term_from_class(r.lhs),
+                    "lhs": format_class(r.lhs),
                     "rhs": format_term(r.rhs),
                 }
                 for r in added

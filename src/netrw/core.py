@@ -270,6 +270,8 @@ class BoolMat:
         return [[self.get(i, j) for j in range(self.cols)] for i in range(self.rows)]
 
     def __str__(self) -> str:
+        if not self.rows or not self.cols:
+            return f"[]({self.rows}x{self.cols})"
         return "[" + "; ".join(" ".join(str(x) for x in row) for row in self.to_rows()) + "]"
 
     # -- arithmetic ----------------------------------------------------------

@@ -359,15 +359,15 @@ def lc_sym_join(a: NetClass | LinComb, r: int, q: int, b: NetClass | LinComb) ->
     la, lb = lc(a), lc(b)
     # checked once for the combinations, so a zero operand is checked too
     _require_join_shape(la, r, q, lb)
-    for s, _ in la.items():
-        for t, _ in lb.items():
-            if not join_condition(s.tr, t.tr, r, q).is_nilpotent():
-                raise JoinUndefinedError("monomial pair fails the nilpotence condition")
-    out = LinComb.zero(la.coarity - r + lb.coarity - q, la.arity - q + lb.arity - r)
+    terms: dict[NetClass, Fraction] = {}
     for s, cs in la.items():
         for t, ct in lb.items():
-            out = out + LinComb.monomial(sym_join(s, r, q, t), cs * ct)
-    return out
+            try:
+                joined = sym_join(s, r, q, t)
+            except JoinUndefinedError:
+                raise JoinUndefinedError("monomial pair fails the nilpotence condition") from None
+            terms[joined] = terms.get(joined, 0) + cs * ct
+    return LinComb(la.coarity - r + lb.coarity - q, la.arity - q + lb.arity - r, terms)
 
 
 def lc_annex(a: NetClass | LinComb, b: NetClass | LinComb) -> LinComb:

@@ -42,34 +42,6 @@ class StrongEmbedding:
         return dict(self.segment_map)
 
 
-def _embedding_ok(pattern: Network, subject: Network, chi: dict[int, int], psi: dict[int, int]) -> bool:
-    if len(set(chi.values())) != len(chi):
-        return False
-    for v, w in chi.items():
-        if w in (0, 1) or pattern.deco[v] != subject.deco[w]:
-            return False
-    for e, x in psi.items():
-        ends = pattern.edges[e]
-        sub = subject.edges[x]
-        if ends.head != 0:
-            if sub.head != chi[ends.head] or sub.hindex != ends.hindex:
-                return False
-        if ends.tail != 1:
-            if sub.tail != chi[ends.tail] or sub.tindex != ends.tindex:
-                return False
-    by_image: dict[int, list[int]] = {}
-    for e, x in psi.items():
-        by_image.setdefault(x, []).append(e)
-    for edges in by_image.values():
-        for e, f in itertools.combinations(edges, 2):
-            pe, pf = pattern.edges[e], pattern.edges[f]
-            if not (
-                (pe.head == 0 and pf.tail == 1) or (pe.tail == 1 and pf.head == 0)
-            ):
-                return False
-    return True
-
-
 def _grow_component(
     pattern: Network,
     subject: Network,
@@ -117,10 +89,12 @@ def _grow_component(
 
 
 def find_embeddings(pattern: Network, subject: Network) -> list[Embedding]:
-    """All embeddings of ``pattern`` into ``subject``, in a deterministic
-    order.  One anchor vertex per pattern component is tried against every
-    equally decorated subject vertex; stray pattern edges may land on any
-    subject edge."""
+    """All embeddings of ``pattern`` into ``subject``, sorted by vertex map,
+    then edge map.  The port walk from one anchor per pattern component
+    makes decorations and ports agree; left to check are that the vertex
+    map is injective and that strays avoid the images of inner edges.
+    The product yields sorted order: components by least vertex, distinct
+    anchor images ascending, strays varying last over sorted subject edges."""
     comps, strays = _components(pattern)
     per_comp: list[list[tuple[dict[int, int], dict[int, int]]]] = []
     for comp in comps:
@@ -134,33 +108,25 @@ def find_embeddings(pattern: Network, subject: Network) -> list[Embedding]:
             return []
         per_comp.append(found)
 
+    inner = [e for e, ends in pattern.edges.items() if ends.head != 0 and ends.tail != 1]
     subject_edges = sorted(subject.edges)
     results = []
     for combo in itertools.product(*per_comp):
         chi: dict[int, int] = {}
         psi: dict[int, int] = {}
-        used = set()
-        ok = True
         for part_chi, part_psi in combo:
-            if used & set(part_chi.values()):
-                ok = False
-                break
-            used |= set(part_chi.values())
             chi.update(part_chi)
             psi.update(part_psi)
-        if not ok:
+        if len(set(chi.values())) != len(chi):
             continue
-        for stray_images in itertools.product(subject_edges, repeat=len(strays)):
-            full_psi = dict(psi)
-            for e, x in zip(strays, stray_images):
-                full_psi[e] = x
-            if _embedding_ok(pattern, subject, chi, full_psi):
-                results.append(
-                    Embedding(
-                        tuple(sorted(chi.items())), tuple(sorted(full_psi.items()))
-                    )
-                )
-    results.sort(key=lambda emb: (emb.vertex_map, emb.edge_map))
+        vertex_map = tuple(sorted(chi.items()))
+        free = subject_edges
+        if strays:
+            taken = {psi[e] for e in inner}
+            free = [x for x in subject_edges if x not in taken]
+        for stray_images in itertools.product(free, repeat=len(strays)):
+            psi.update(zip(strays, stray_images))
+            results.append(Embedding(vertex_map, tuple(sorted(psi.items()))))
     return results
 
 
@@ -226,51 +192,36 @@ def complement(subject: Network, pattern: Network, se: StrongEmbedding) -> NetCl
     context keeps the subject vertices outside the embedding, and the
     extra legs of K line up with the pattern's legs.
     """
-    chi = se.base.chi()
     psi = se.psi_prime()
     m = se.modulus
-    image = set(chi.values())
-    keep = subject.vertices - image
+    keep = subject.vertices - set(se.base.chi().values())
 
-    seg_of_leg = {}
-    for e, label in psi.items():
+    # the pattern's legs on each subject edge, tail to head, as (label, leg)
+    segments: dict[int, list[tuple[int, int]]] = {}
+    for label, e in sorted((label, e) for e, label in psi.items()):
         ends = pattern.edges[e]
         if ends.head == 0 or ends.tail == 1:
-            seg_of_leg[label] = e
-    s_values = sorted(seg_of_leg)
-    s_by_residue: dict[int, list[int]] = {}
-    for f in s_values:
-        s_by_residue.setdefault(f % m, []).append(f)
+            segments.setdefault(label % m, []).append((label, e))
 
     edges: dict[int, Edge] = {}
     omega_g, alpha_g = subject.coarity, subject.arity
-
-    for e, ends in subject.edges.items():
-        seg = s_by_residue.get(e, [])
-        head_in_k = ends.head in keep
-        tail_in_k = ends.tail in keep
-        if not seg:
-            if head_in_k and tail_in_k:
-                edges[e] = ends
+    for x, ends in subject.edges.items():
+        seg = segments.get(x)
+        if seg is None:
+            if ends.head in keep and ends.tail in keep:
+                edges[x] = ends
             continue
-        if head_in_k:
-            label = m + max(seg)
-            h, g = ends.head, ends.hindex
-            prev = max(f for f in seg if f < label)
-            donor = seg_of_leg[prev]
-            edges[label] = Edge(h, g, 1, alpha_g + pattern.edges[donor].hindex)
-        if tail_in_k:
-            label = min(seg)
-            leg = seg_of_leg[label]
+        if ends.head in keep:
+            label, donor = seg[-1]
+            edges[m + label] = Edge(
+                ends.head, ends.hindex, 1, alpha_g + pattern.edges[donor].hindex
+            )
+        if ends.tail in keep:
+            label, leg = seg[0]
             edges[label] = Edge(
                 0, omega_g + pattern.edges[leg].tindex, ends.tail, ends.tindex
             )
-        for label in seg:
-            if label == min(seg):
-                continue
-            leg = seg_of_leg[label]
-            prev = max(f for f in seg if f < label)
-            donor = seg_of_leg[prev]
+        for (_, donor), (label, leg) in zip(seg, seg[1:]):
             edges[label] = Edge(
                 0,
                 omega_g + pattern.edges[leg].tindex,

@@ -37,6 +37,8 @@ class Mat:
         return self.entries[i][j]
 
     def __str__(self) -> str:
+        if not self.rows or not self.cols:
+            return f"[]({self.rows}x{self.cols})"
         return "[" + "; ".join(" ".join(str(x) for x in row) for row in self.entries) + "]"
 
 

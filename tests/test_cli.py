@@ -104,14 +104,17 @@ class TestSubcommands:
         for target in ("nat-matrix", "rat-matrix", "bool-matrix"):
             code, out, _ = run(capsys, "eval", *hopf, "--target", target, "D^ab_c m^c_de eta^d")
             assert code == 0 and out.strip() == "1 * [1; 1]"
+        # a value with no entries prints with its shape
+        code, out, _ = run(capsys, "eval", *hopf, "--target", "nat-matrix", "eta^a")
+        assert code == 0 and out.strip() == "1 * [](1x0)"
         code, out, _ = run(capsys, "eval", *hopf, "--target", "nat-matrix", "eps_a eta^a")
-        assert code == 0 and out.strip() == "1 * []"
+        assert code == 0 and out.strip() == "1 * [](0x0)"
         sig = tmp_path / "e.sig"
         sig.write_text("gen e 0 1\n", encoding="utf-8")
         emap = tmp_path / "e.map"
         emap.write_text("map e =\n", encoding="utf-8")
         code, out, err = run(capsys, "eval", "--sig", str(sig), "--target", "nat-matrix", "--map", str(emap), "e_a")
-        assert code == 0 and out.strip() == "1 * []", err
+        assert code == 0 and out.strip() == "1 * [](0x1)", err
         emap.write_text("map e = 1\n", encoding="utf-8")
         code, _, err = run(capsys, "eval", "--sig", str(sig), "--target", "nat-matrix", "--map", str(emap), "e_a")
         assert code == 2 and "'e' needs a 0x1 matrix" in err

@@ -116,17 +116,24 @@ class TestFindEmbeddings:
             )
 
     def test_completeness_vs_brute_force(self, rng, sig2):
-        cases = 0
-        while cases < 500:
+        # the list itself, order included: find_embeddings does not sort,
+        # so its product order must already be the sorted order; the last
+        # 200 patterns may have two strays
+        ordered_with_strays = 0
+        for case in range(700):
             subject = random_network(rng, list(sig2), max_inner=4)
-            pattern = random_network(rng, list(sig2), max_inner=2, max_strays=1)
-            got = {
+            pattern = random_network(
+                rng, list(sig2), max_inner=2, max_strays=1 if case < 500 else 2
+            )
+            got = [
                 (emb.vertex_map, emb.edge_map)
                 for emb in find_embeddings(pattern, subject)
-            }
-            want = brute_force_embeddings(pattern, subject)
-            assert got == want
-            cases += 1
+            ]
+            assert got == sorted(brute_force_embeddings(pattern, subject))
+            ordered_with_strays += len(got) > 1 and any(
+                ends.head == 0 and ends.tail == 1 for ends in pattern.edges.values()
+            )
+        assert ordered_with_strays >= 100, ordered_with_strays
 
 
 class TestStrongEmbeddings:

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import permutations, product
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -57,13 +59,111 @@ def _inv(g):
     return tuple(out)
 
 
+N = len(S3)
+
+
+def _number(x) -> int:
+    """A basis tensor's number: its factors' indices in S3, read in base N
+    with the first factor first, as numpy lays out an array of N x ... x N."""
+    index = 0
+    for g in x:
+        index = index * N + S3.index(g)
+    return index
+
+
 class GroupAlgebra:
     """The linear PROP of Q[S3]: an element of shape (m, n) is a linear map
     from the n-th to the m-th tensor power of Q[S3], held as
-    ``(m, n, image)`` where ``image`` takes a basis tensor (a tuple of n
-    group elements) to a sparse vector ``{tuple of m elements: coeff}``.
-    Images are computed on demand, so only the inputs asked for are
-    evaluated."""
+    ``(m, n, apply)`` where ``apply`` takes an integer array of shape
+    (..., N^n, B), vectors in its columns, to the (..., N^m, B) array of
+    their images.  Maps are composed, never multiplied out: evaluating a
+    network costs the vectors passed from one vertex to the next, not the
+    square of a layer."""
+
+    def dims(self, a):
+        return a[0], a[1]
+
+    def compose(self, a, b):
+        return a[0], b[1], lambda x: a[2](b[2](x))
+
+    def tensor(self, a, b):
+        (ma, na, fa), (mb, nb, fb) = a, b
+
+        def apply(x):
+            # b acts on the last nb factors, stacked over the first na;
+            # then a acts on the first na, with b's outputs in its columns
+            *lead, _, batch = x.shape
+            y = fb(x.reshape(*lead, N**na, N**nb, batch))
+            y = fa(y.reshape(*lead, N**na, N**mb * batch))
+            return y.reshape(*lead, N ** (ma + mb), batch)
+
+        return ma + mb, na + nb, apply
+
+    def phi(self, p):
+        # input j goes to output p(j), as in MatrixTarget.phi
+        axes = [0] * p.n
+        for j in range(1, p.n + 1):
+            axes[p(j) - 1] = j - 1
+
+        def apply(x):
+            *lead, _, batch = x.shape
+            k = len(lead)
+            factors = x.reshape(*lead, *(N,) * p.n, batch)
+            order = [*range(k), *(k + i for i in axes), k + p.n]
+            return factors.transpose(order).reshape(*lead, N**p.n, batch)
+
+        return p.n, p.n, apply
+
+
+def _linear(m, n, image):
+    """The element of a map given on basis tensors (tuples of n group
+    elements) as sparse vectors {tuple of m elements: coeff}."""
+    mat = np.zeros((N**m, N**n), dtype=np.int64)
+    for j, x in enumerate(product(S3, repeat=n)):
+        for y, c in image(x).items():
+            mat[_number(y), j] = c
+    return m, n, mat.__matmul__
+
+
+# each generator's image of a basis tensor (a tuple of group elements), as a
+# sparse vector {tuple of group elements: coefficient}
+HOPF_IMAGES = {
+    "m": (1, 2, lambda x: {(_mul(x[0], x[1]),): 1}),
+    "eta": (1, 0, lambda x: {(UNIT,): 1}),
+    "D": (2, 1, lambda x: {(x[0], x[0]): 1}),
+    "eps": (0, 1, lambda x: {(): 1}),
+    "S": (1, 1, lambda x: {(_inv(x[0]),): 1}),
+}
+
+
+# The dual Hopf algebra: functions on S3, with the basis of point masses
+# delta_g.  Its product is pointwise and its coproduct is dual to the group
+# product, delta_g -> sum over hk = g of delta_h (x) delta_k, so it is
+# commutative but not cocommutative, and sees faults that permute outputs.
+DUAL_HOPF_IMAGES = {
+    "m": (1, 2, lambda x: {(x[0],): 1} if x[0] == x[1] else {}),
+    "eta": (1, 0, lambda x: {(g,): 1 for g in S3}),
+    "D": (2, 1, lambda x: {(h, _mul(_inv(h), x[0])): 1 for h in S3}),
+    "eps": (0, 1, lambda x: {(): 1} if x[0] == UNIT else {}),
+    "S": (1, 1, lambda x: {(_inv(x[0]),): 1}),
+}
+
+HOPF_MODEL = {name: _linear(*image) for name, image in HOPF_IMAGES.items()}
+DUAL_HOPF_MODEL = {name: _linear(*image) for name, image in DUAL_HOPF_IMAGES.items()}
+
+
+def _group_algebra_entries(value):
+    """(output, input) basis tensor numbers with their coefficients."""
+    m, n, apply = value
+    mat = apply(np.eye(N**n, dtype=np.int64))
+    for i, j in zip(*np.nonzero(mat)):
+        yield (int(i), int(j)), int(mat[i, j])
+
+
+class BasisGroupAlgebra:
+    """The same PROP one basis tensor at a time, as the reference for
+    GroupAlgebra: an element is ``(m, n, image)`` with ``image`` as in
+    HOPF_IMAGES."""
 
     def dims(self, a):
         return a[0], a[1]
@@ -86,7 +186,6 @@ class GroupAlgebra:
         return a[0] + b[0], a[1] + b[1], image
 
     def phi(self, p):
-        # input j goes to output p(j), as in MatrixTarget.phi
         def image(x):
             y = [None] * p.n
             for j in range(1, p.n + 1):
@@ -96,33 +195,11 @@ class GroupAlgebra:
         return p.n, p.n, image
 
 
-HOPF_MODEL = {
-    "m": (1, 2, lambda x: {(_mul(x[0], x[1]),): 1}),
-    "eta": (1, 0, lambda x: {(UNIT,): 1}),
-    "D": (2, 1, lambda x: {(x[0], x[0]): 1}),
-    "eps": (0, 1, lambda x: {(): 1}),
-    "S": (1, 1, lambda x: {(_inv(x[0]),): 1}),
-}
-
-
-# The dual Hopf algebra: functions on S3, with the basis of point masses
-# delta_g.  Its product is pointwise and its coproduct is dual to the group
-# product, delta_g -> sum over hk = g of delta_h (x) delta_k, so it is
-# commutative but not cocommutative, and sees faults that permute outputs.
-DUAL_HOPF_MODEL = {
-    "m": (1, 2, lambda x: {(x[0],): 1} if x[0] == x[1] else {}),
-    "eta": (1, 0, lambda x: {(g,): 1 for g in S3}),
-    "D": (2, 1, lambda x: {(h, _mul(_inv(h), x[0])): 1 for h in S3}),
-    "eps": (0, 1, lambda x: {(): 1} if x[0] == UNIT else {}),
-    "S": (1, 1, lambda x: {(_inv(x[0]),): 1}),
-}
-
-
-def _group_algebra_entries(value):
+def _basis_entries(value):
     m, n, image = value
     for x in product(S3, repeat=n):
         for y, c in image(x).items():
-            yield (x, y), c
+            yield (_number(y), _number(x)), c
 
 
 # ---------------------------------------------------------------------------
@@ -149,28 +226,46 @@ MODELS = {
 }
 
 
-def value(x: LinComb, model) -> dict:
-    """The value of a combination as its nonzero entries."""
+def value(x: LinComb, model, memo=None) -> dict:
+    """The value of a combination as its nonzero entries; ``memo`` keeps
+    each monomial's entries for the next call."""
     target, assign, entries = model
+    memo = {} if memo is None else memo
     out = {}
     for cls, coeff in x.items():
-        for key, c in entries(evaluate(cls.rep, target, assign)):
+        if cls not in memo:
+            memo[cls] = list(entries(evaluate(cls.rep, target, assign)))
+        for key, c in memo[cls]:
             out[key] = out.get(key, 0) + coeff * c
     return {key: c for key, c in out.items() if c}
 
 
-def check_preserved(x: LinComb, rules, model, max_steps):
-    """Normalize x and require every step, and the normal form (or the
-    partial result at the budget), to keep x's value."""
+def normalization(x: LinComb, rules, max_steps):
+    """The steps that normalize x, and the normal form (or the partial
+    result at the budget)."""
     q = BoolMat.ones(x.coarity, x.arity)
     trace = []
     try:
         result = normalize(x, q, rules, max_steps=max_steps, trace=trace)
     except BudgetExceededError as exc:
         result = exc.partial
+    return tuple(trace), result
+
+
+def check_steps(x: LinComb, trace, result, model):
+    """Require every step of x's normalization, and its result, to keep
+    x's value.  A step's monomial is a term of an earlier one's result, so
+    each is evaluated once."""
+    memo = {}
     for step in trace:
-        assert value(LinComb.monomial(step.before), model) == value(step.after, model)
-    assert value(result, model) == value(x, model)
+        assert value(LinComb.monomial(step.before), model, memo) == value(step.after, model, memo)
+    assert value(result, model, memo) == value(x, model, memo)
+
+
+def check_preserved(x: LinComb, rules, model, max_steps):
+    """Normalize x and require every step, and the normal form (or the
+    partial result at the budget), to keep x's value."""
+    check_steps(x, *normalization(x, rules, max_steps), model)
 
 
 def _word(letters, labels):
@@ -223,6 +318,52 @@ def check_hopf_sum(rng, m, n, coeffs, model):
     check_preserved(x, HOPF_RULES, MODELS[model], max_steps=400)
 
 
+# a random context with k extra outputs and l extra inputs for each rule:
+# (seed, k, l)
+HOPF_CONTEXTS = (st.integers(0, 2**32), st.integers(0, 2), st.integers(0, 2))
+
+
+@cache
+def hopf_annexations(seed, k, l):
+    """For each Hopf rule, a random context K that admits it, with k extra
+    outputs and l extra inputs: annex(K, lhs), annex(K, rhs) and the
+    normalization of annex(K, lhs).  None of it depends on a model, so the
+    model classes share it."""
+    rng = random.Random(seed)
+    q = BoolMat.ones(k, l)
+    out = []
+    for rule in HOPF_RULES:
+        for _ in range(200):
+            ctx = exact_shape_class(rng, HOPF_SIG, k + rule.arity, l + rule.coarity)
+            if context_type_ok(ctx.tr, rule.qtype, q):
+                break
+        else:
+            raise AssertionError(f"no admissible context for {rule.rule_id}")
+        lhs = lc_annex(ctx, rule.lhs)
+        out.append((rule.rule_id, lhs, lc_annex(ctx, rule.rhs), normalization(lhs, HOPF_RULES, 400)))
+    return tuple(out)
+
+
+def check_hopf_annexation(seed, k, l, model):
+    # a context K annexes a rule's sides: K's last outputs feed the rule's
+    # inputs and the rule's outputs K's last inputs; where K admits the
+    # rule, both annexations have the same value, and so does every step
+    # that normalizes the annexed lhs, so each rule also runs inside a
+    # random context, not only on its own
+    for rule_id, lhs, rhs, (trace, result) in hopf_annexations(seed, k, l):
+        assert value(lhs, MODELS[model]) == value(rhs, MODELS[model]), rule_id
+        check_steps(lhs, trace, result, MODELS[model])
+
+
+def test_group_algebra_matches_basis_reference(rng):
+    for model, images in (("hopf", HOPF_IMAGES), ("hopf-dual", DUAL_HOPF_IMAGES)):
+        reference = (BasisGroupAlgebra(), images, _basis_entries)
+        for _ in range(60):
+            m, n = rng.randint(0, 2), rng.randint(0, 2)
+            x = LinComb.monomial(exact_shape_class(rng, HOPF_SIG, m, n))
+            assert value(x, MODELS[model]) == value(x, reference)
+
+
 class TestHopf:
     SIG, RULES = HOPF_SIG, HOPF_RULES
     MODEL = "hopf"
@@ -252,22 +393,9 @@ class TestHopf:
         check_hopf_sum(rng, m, n, coeffs, self.MODEL)
 
     @settings(max_examples=25)
-    @given(st.integers(0, 2**32), st.integers(0, 2), st.integers(0, 2))
+    @given(*HOPF_CONTEXTS)
     def test_annexation_preserves_value(self, seed, k, l):
-        # a context K annexes a rule's sides: K's last outputs feed the
-        # rule's inputs and the rule's outputs K's last inputs; where K
-        # admits the rule, both annexations have the same value
-        rng = random.Random(seed)
-        q = BoolMat.ones(k, l)
-        for rule in self.RULES:
-            for _ in range(200):
-                ctx = exact_shape_class(rng, self.SIG, k + rule.arity, l + rule.coarity)
-                if context_type_ok(ctx.tr, rule.qtype, q):
-                    break
-            else:
-                raise AssertionError(f"no admissible context for {rule.rule_id}")
-            lhs, rhs = lc_annex(ctx, rule.lhs), lc_annex(ctx, rule.rhs)
-            assert value(lhs, MODELS["hopf"]) == value(rhs, MODELS["hopf"]), rule.rule_id
+        check_hopf_annexation(seed, k, l, self.MODEL)
 
 
 class TestHopfDual:
@@ -280,6 +408,11 @@ class TestHopfDual:
     @given(*HOPF_SUMS)
     def test_steps_preserve_value(self, rng, m, n, coeffs):
         check_hopf_sum(rng, m, n, coeffs, self.MODEL)
+
+    @settings(max_examples=25)
+    @given(*HOPF_CONTEXTS)
+    def test_annexation_preserves_value(self, seed, k, l):
+        check_hopf_annexation(seed, k, l, self.MODEL)
 
     def test_model_is_not_cocommutative(self):
         # the coproduct is not symmetric, so this model tells a network from
