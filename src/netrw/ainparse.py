@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .core import NEUTRAL, Signature, Symbol
 from .freeprop import LinComb, NetClass, class_of
-from .network import Edge, InvalidNetworkError, smoothen, validate
+from .network import Edge, InvalidNetworkError, Network, _topological_order, smoothen, validate
 from .rewrite import Rule, RuleError, make_rule
 
 
@@ -238,7 +238,16 @@ def _term_label_roles(term: Term, sig: Signature) -> tuple[list[str], list[str]]
     return outs, ins
 
 
-def _build_term(term: Term, sig: Signature, outs: list[str], ins: list[str]) -> NetClass:
+def _term_parts(
+    term: Term, sig: Signature, outs: list[str], ins: list[str]
+) -> tuple[list[int], dict[int, Edge], dict[int, Symbol]]:
+    """The vertices, edges and decorations of a term's network.
+
+    Each label joins the port that produces it to the one that consumes it,
+    so once every label is produced and consumed exactly once and each
+    factor has its symbol's arities, ports are unique and contiguous and
+    every vertex id is valid.  A directed cycle is the one network axiom
+    the parts can still break."""
     deltas = _delta_names(sig)
     producers: dict[str, tuple[int, int]] = {}
     consumers: dict[str, tuple[int, int]] = {}
@@ -294,11 +303,20 @@ def _build_term(term: Term, sig: Signature, outs: list[str], ins: list[str]) -> 
         tail, tindex = producers[label]
         head, hindex = consumers[label]
         edges[eid] = Edge(head, hindex, tail, tindex)
-    try:
-        net = validate(set(range(2, vid)) | {0, 1}, edges, deco)
-    except InvalidNetworkError as exc:
-        raise AinError("CycleInTerm", str(exc)) from None
-    return class_of(smoothen(net))
+    return [0, 1, *deco], edges, deco
+
+
+def _build_term(term: Term, sig: Signature, outs: list[str], ins: list[str]) -> NetClass:
+    """The class of a term's network.  Only a cycle can make the parts
+    invalid, so they are validated only when a topological order misses a
+    vertex, for the message that names the cycle's edges."""
+    vertices, edges, deco = _term_parts(term, sig, outs, ins)
+    if len(_topological_order(deco, edges.values())) < len(deco):
+        try:
+            validate(vertices, edges, deco)
+        except InvalidNetworkError as exc:
+            raise AinError("CycleInTerm", str(exc)) from None
+    return class_of(smoothen(Network(vertices, edges, deco)))
 
 
 def parse_term(text: str, sig: Signature) -> LinComb:

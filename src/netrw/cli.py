@@ -307,15 +307,26 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="netrw", description="rewriting engine for free linear PROPs"
-    )
-    parser.add_argument("--json", action="store_true", help="structured output")
-    sub = parser.add_subparsers(dest="command", required=True)
+# name -> (help, handler), in the order ``netrw --help`` lists them
+_COMMANDS = {
+    "validate": ("check a term against the network axioms", cmd_validate),
+    "iso": ("decide isomorphism of two terms", cmd_iso),
+    "tr": ("transference matrix of a monomial", cmd_tr),
+    "eval": ("evaluate a term in a built-in target", cmd_eval),
+    "join": ("symmetric join of two terms", cmd_join),
+    "normalize": ("reduce a term to normal form", cmd_normalize),
+    "ambiguities": ("list ambiguities of a rule system", cmd_ambiguities),
+    "confluence": ("resolve all ambiguities", cmd_confluence),
+    "complete": ("orient unresolved differences into new rules", cmd_complete),
+    "order-check": ("check strictness and rule compatibility", cmd_order_check),
+}
+
+
+def _add_arguments(p: argparse.ArgumentParser, name: str) -> None:
+    """The arguments of subcommand ``name``, in the order its help lists them."""
 
     # rules and order: None leaves the option out, else whether it is required
-    def common(p, rules=None, order=None, target=False, steps=False):
+    def common(rules=None, order=None, target=False, steps=False):
         p.add_argument("--sig", required=True, help="signature file")
         if rules is not None:
             p.add_argument("--rules", required=rules, help="rules file")
@@ -327,59 +338,64 @@ def build_parser() -> argparse.ArgumentParser:
         if steps:
             p.add_argument("--max-steps", type=int, default=None)
 
-    p = sub.add_parser("validate", help="check a term against the network axioms")
-    common(p)
-    p.add_argument("term")
-    p.set_defaults(func=cmd_validate)
+    if name in ("validate", "tr"):
+        common()
+        p.add_argument("term")
+    elif name == "iso":
+        common()
+        p.add_argument("a")
+        p.add_argument("b")
+    elif name == "eval":
+        common(target=True)
+        p.add_argument("term")
+    elif name == "join":
+        common()
+        p.add_argument("--r", type=int, required=True)
+        p.add_argument("--q", type=int, required=True)
+        p.add_argument("a")
+        p.add_argument("b")
+    elif name == "normalize":
+        common(rules=True, order=False, steps=True)
+        p.add_argument("--type", choices=["ones", "zero"], default="ones")
+        p.add_argument("term")
+    elif name == "ambiguities":
+        common(rules=True)
+        p.add_argument("--pair", nargs=2, metavar=("S1", "S2"))
+    elif name == "confluence":
+        common(rules=True, order=False, steps=True)
+    elif name == "complete":
+        common(rules=True, order=True, steps=True)
+    else:  # order-check
+        common(rules=False, order=True)
 
-    p = sub.add_parser("iso", help="decide isomorphism of two terms")
-    common(p)
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(func=cmd_iso)
 
-    p = sub.add_parser("tr", help="transference matrix of a monomial")
-    common(p)
-    p.add_argument("term")
-    p.set_defaults(func=cmd_tr)
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command line parser, with every subcommand, or only ``command``'s.
 
-    p = sub.add_parser("eval", help="evaluate a term in a built-in target")
-    common(p, target=True)
-    p.add_argument("term")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("join", help="symmetric join of two terms")
-    common(p)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(func=cmd_join)
-
-    p = sub.add_parser("normalize", help="reduce a term to normal form")
-    common(p, rules=True, order=False, steps=True)
-    p.add_argument("--type", choices=["ones", "zero"], default="ones")
-    p.add_argument("term")
-    p.set_defaults(func=cmd_normalize)
-
-    p = sub.add_parser("ambiguities", help="list ambiguities of a rule system")
-    common(p, rules=True)
-    p.add_argument("--pair", nargs=2, metavar=("S1", "S2"))
-    p.set_defaults(func=cmd_ambiguities)
-
-    p = sub.add_parser("confluence", help="resolve all ambiguities")
-    common(p, rules=True, order=False, steps=True)
-    p.set_defaults(func=cmd_confluence)
-
-    p = sub.add_parser("complete", help="orient unresolved differences into new rules")
-    common(p, rules=True, order=True, steps=True)
-    p.set_defaults(func=cmd_complete)
-
-    p = sub.add_parser("order-check", help="check strictness and rule compatibility")
-    common(p, rules=False, order=True)
-    p.set_defaults(func=cmd_order_check)
-
+    Which subcommands exist shows only in the top-level help and in the
+    errors for a missing or unknown command, so a parser with just the
+    named one parses its command lines as the full parser does."""
+    parser = _Parser(
+        prog="netrw", description="rewriting engine for free linear PROPs"
+    )
+    parser.add_argument("--json", action="store_true", help="structured output")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, handler) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            _add_arguments(p, name)
+            p.set_defaults(func=handler)
     return parser
+
+
+def _command(argv: list[str]) -> str | None:
+    """The subcommand argv names after its ``--json`` flags, if it names a
+    known one there; None for anything else, whose handling (help, a
+    missing or unknown command) needs the full parser."""
+    for arg in argv:
+        if arg != "--json":
+            return arg if arg in _COMMANDS else None
+    return None
 
 
 def main(argv=None) -> int:
@@ -388,7 +404,9 @@ def main(argv=None) -> int:
         threads = os.environ.get("NETRW_THREADS")
         if threads is not None and (not threads.isdigit() or int(threads) < 1):
             raise UsageError("NETRW_THREADS must be a positive integer")
-        args = build_parser().parse_args(argv)
+        if argv is None:
+            argv = sys.argv[1:]
+        args = build_parser(_command(argv)).parse_args(argv)
         if getattr(args, "max_steps", None) is not None and args.max_steps < 0:
             raise UsageError("--max-steps must be a nonnegative integer")
         if args.command in ("normalize", "confluence") and not args.order and args.max_steps is None:

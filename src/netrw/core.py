@@ -172,9 +172,6 @@ class Perm:
             inv[v - 1] = i
         return Perm(tuple(inv))
 
-    def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self.images, 1))
-
     def __repr__(self) -> str:
         return f"Perm{self.images}"
 

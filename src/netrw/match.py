@@ -88,17 +88,36 @@ def _grow_component(
     return chi, psi
 
 
-def find_embeddings(pattern: Network, subject: Network) -> list[Embedding]:
+# anchors, strays and inner edges of a pattern; see pattern_parts
+PatternParts = tuple[list[int], list[int], list[int]]
+
+
+def pattern_parts(pattern: Network) -> PatternParts:
+    """What :func:`find_embeddings` reads of a pattern besides its ports:
+    an anchor (the least vertex) of each component, components by least
+    vertex; the stray edges, by id; and the edges between inner vertices."""
+    comps, strays = _components(pattern)
+    inner = [e for e, ends in pattern.edges.items() if ends.head != 0 and ends.tail != 1]
+    return [min(comp) for comp in comps], strays, inner
+
+
+def find_embeddings(
+    pattern: Network,
+    subject: Network,
+    parts: PatternParts | None = None,
+) -> list[Embedding]:
     """All embeddings of ``pattern`` into ``subject``, sorted by vertex map,
     then edge map.  The port walk from one anchor per pattern component
     makes decorations and ports agree; left to check are that the vertex
     map is injective and that strays avoid the images of inner edges.
     The product yields sorted order: components by least vertex, distinct
-    anchor images ascending, strays varying last over sorted subject edges."""
-    comps, strays = _components(pattern)
+    anchor images ascending, strays varying last over sorted subject edges.
+
+    ``parts`` is ``pattern_parts(pattern)``, for a caller that matches one
+    pattern often."""
+    anchors, strays, inner = pattern_parts(pattern) if parts is None else parts
     per_comp: list[list[tuple[dict[int, int], dict[int, int]]]] = []
-    for comp in comps:
-        anchor = min(comp)
+    for anchor in anchors:
         found = []
         for w in subject.inner_vertices():
             grown = _grow_component(pattern, subject, anchor, w)
@@ -108,7 +127,6 @@ def find_embeddings(pattern: Network, subject: Network) -> list[Embedding]:
             return []
         per_comp.append(found)
 
-    inner = [e for e, ends in pattern.edges.items() if ends.head != 0 and ends.tail != 1]
     subject_edges = sorted(subject.edges)
     results = []
     for combo in itertools.product(*per_comp):

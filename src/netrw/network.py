@@ -221,16 +221,6 @@ def generator_network(sym: Symbol) -> Network:
     return Network({0, 1, 2}, edges, {2: sym})
 
 
-def relabel(net: Network, vmap: Mapping[int, int], emap: Mapping[int, int]) -> Network:
-    """Apply an isomorphism given by vertex and edge relabelings."""
-    edges = {
-        emap[e]: Edge(vmap[ends.head], ends.hindex, vmap[ends.tail], ends.tindex)
-        for e, ends in net.edges.items()
-    }
-    deco = {vmap[v]: s for v, s in net.deco.items()}
-    return Network({vmap[v] for v in net.vertices}, edges, deco)
-
-
 # ---------------------------------------------------------------------------
 # Transference
 # ---------------------------------------------------------------------------
@@ -456,6 +446,8 @@ def smoothen(net: Network) -> Network:
     of its neutral chain.
     """
     drop = {v for v, s in net.deco.items() if s.name == NEUTRAL_NAME}
+    if not drop:
+        return net
     for v in drop:
         sym = net.deco[v]
         if sym.arity != 1 or sym.coarity != 1:

@@ -55,7 +55,14 @@ def _mat_blocks(a: Mat, row_split: int, col_split: int) -> tuple[Mat, Mat, Mat, 
 
 class MatrixTarget:
     """Matrices of any sides over a commutative semiring given by
-    (zero, one, add, mul)."""
+    (zero, one, add, mul).
+
+    The tensor is the direct sum (block diagonal), so that an element with
+    m outputs and n inputs stays an m x n matrix.  It is not bilinear:
+    values of single monomials are meaningful, but the value of a linear
+    combination is not preserved by a reduction step whose context has a
+    wire beside the redex, so these targets are no model of a rule
+    system's combinations."""
 
     def __init__(self, name: str, zero, one, add, mul):
         self.name = name

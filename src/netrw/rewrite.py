@@ -4,12 +4,13 @@ joinability over the typed modules of the free linear PROP."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
 from .core import BoolMat
 from .freeprop import LinComb, NetClass, lc, lc_annex
-from .match import context_type_ok, contexts, find_embeddings
+from .match import PatternParts, context_type_ok, contexts, find_embeddings, pattern_parts
 
 
 class RuleError(ValueError):
@@ -40,6 +41,11 @@ class Rule:
     @property
     def arity(self) -> int:
         return self.lhs.arity
+
+    @cached_property
+    def lhs_parts(self) -> PatternParts:
+        """``pattern_parts`` of the lhs representative, found once per rule."""
+        return pattern_parts(self.lhs.rep)
 
 
 def make_rule(
@@ -97,7 +103,7 @@ def _monomial_redexes(nu: NetClass, q: BoolMat, rules: Sequence[Rule]):
     deterministic redex order; ``rules`` are sorted by id."""
     for rule in rules:
         pattern = rule.lhs.rep
-        for emb in find_embeddings(pattern, nu.rep):
+        for emb in find_embeddings(pattern, nu.rep, rule.lhs_parts):
             for ctx in contexts(emb, pattern, nu.rep):
                 if context_type_ok(ctx.tr, rule.qtype, q):
                     yield rule, ctx

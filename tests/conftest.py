@@ -111,9 +111,17 @@ def random_network(
     return validate(vertices, edges, deco)
 
 
-def random_relabel(rng: random.Random, net: Network) -> Network:
-    from netrw.network import relabel
+def relabel(net: Network, vmap: Mapping[int, int], emap: Mapping[int, int]) -> Network:
+    """Apply an isomorphism given by vertex and edge relabelings."""
+    edges = {
+        emap[e]: Edge(vmap[ends.head], ends.hindex, vmap[ends.tail], ends.tindex)
+        for e, ends in net.edges.items()
+    }
+    deco = {vmap[v]: s for v, s in net.deco.items()}
+    return Network({vmap[v] for v in net.vertices}, edges, deco)
 
+
+def random_relabel(rng: random.Random, net: Network) -> Network:
     inner = net.inner_vertices()
     new_ids = [2 + rng.randrange(50) for _ in inner]
     while len(set(new_ids)) != len(inner):
@@ -144,6 +152,10 @@ def random_nat_mat(rng, rows, cols, top=5) -> Mat:
     return Mat.from_rows(
         [[rng.randrange(top) for _ in range(cols)] for _ in range(rows)], cols=cols
     )
+
+
+def is_identity(p: Perm) -> bool:
+    return all(v == i for i, v in enumerate(p.images, 1))
 
 
 def random_perm(rng, n) -> Perm:

@@ -1,20 +1,25 @@
 """AIN parsing, printing, and the notation theorems."""
 
 import itertools
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from netrw import ainparse
 from netrw.ainparse import AinError, format_term, parse_rules, parse_term
 from netrw.core import BoolMat, cross, parse_signature, same
 from netrw.freeprop import (
     LinComb,
+    class_of,
     compose,
     lc_sym_join,
     phi,
     sym_join,
     tensor,
 )
+from netrw.network import InvalidNetworkError, _components, smoothen, validate
 from netrw.rewrite import RuleError
 
 from conftest import random_class, random_network
@@ -70,9 +75,105 @@ class TestParse:
         with pytest.raises(AinError, match="CycleInTerm"):
             parse_term("[|S^a_b S^b_a|]", hsig)
 
+    @pytest.mark.parametrize(
+        "text, witness",
+        [
+            ("[|S^a_b S^b_a|]", "(0, 1)"),  # two vertices
+            ("S^a_a", "(0,)"),  # a self-loop
+            ("d^a_b d^b_a", "(0, 1)"),  # deltas only
+            ("S^d_c D^ac_b S^b_a", "(0, 1, 2)"),  # a vertex above the cycle
+        ],
+    )
+    def test_cycle_message(self, hsig, text, witness):
+        # the message names the edges among the vertices on or above the
+        # cycle, by label order; both builders give it
+        for build in (ainparse._build_term, validated_build):
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(ainparse, "_build_term", build)
+                with pytest.raises(AinError) as exc:
+                    parse_term(text, hsig)
+            assert str(exc.value) == f"CycleInTerm: CycleFound{witness}"
+
     def test_leg_mismatch_across_terms(self, hsig):
         with pytest.raises(AinError, match="LegOrderMismatchAcrossTerms"):
             parse_term("S^a_b + S^a_c", hsig)
+
+
+def validated_build(term, sig, outs, ins):
+    """The parser's term builder as it was before it trusted its own parts:
+    every network axiom checked by ``validate``, then smoothening."""
+    vertices, edges, deco = ainparse._term_parts(term, sig, outs, ins)
+    try:
+        net = validate(vertices, edges, deco)
+    except InvalidNetworkError as exc:
+        raise AinError("CycleInTerm", str(exc)) from None
+    return class_of(smoothen(net))
+
+
+def assert_same_classes(x: LinComb, y: LinComb) -> None:
+    assert len(x.terms) == len(y.terms)
+    for (a, ca), (b, cb) in zip(x.items(), y.items()):
+        assert (a.code, a.rep.edges, a.tr, ca) == (b.code, b.rep.edges, b.tr, cb)
+
+
+def term_text(rng: random.Random, net) -> str:
+    """A closed term for ``net``: random labels, factors in random order,
+    and a delta spliced into about a third of the edges."""
+    labels = iter(rng.sample(ainparse._PRINT_ALPHABET, 2 * len(net.edges)))
+    tail_label, head_label, factors = {}, {}, []
+    for e in net.edges:
+        tail_label[e] = head_label[e] = next(labels)
+        if rng.random() < 0.3:
+            head_label[e] = next(labels)
+            factors.append(f"d^{head_label[e]}_{tail_label[e]}")
+    for v in net.inner_vertices():
+        sups = "".join(tail_label[e] for e in net.out_edges(v))
+        subs = "".join(head_label[e] for e in net.in_edges(v))
+        factors.append(net.deco[v].name + (f"^{{{sups}}}" if sups else "") + (f"_{{{subs}}}" if subs else ""))
+    rng.shuffle(factors)
+    outs = " ".join(head_label[net.in_edge(0, i)] for i in range(1, net.coarity + 1))
+    ins = " ".join(tail_label[net.out_edge(1, j)] for j in range(1, net.arity + 1))
+    return f"[{outs}| {' '.join(factors) or '1'} |{ins}]"
+
+
+class TestTermBuilding:
+    """The parser builds a term's network without validating it: only a
+    cycle can break the axioms once the labels pair up.  The validating
+    builder is the oracle."""
+
+    CORPUS = Path(__file__).resolve().parent.parent / "src" / "netrw" / "corpus"
+
+    @pytest.mark.parametrize("system", ["assoc", "bridge", "circle", "frobenius", "hopf", "zigzag"])
+    def test_corpus_rule_sides(self, monkeypatch, system):
+        sig = parse_signature((self.CORPUS / f"{system}.sig").read_text(encoding="utf-8"))
+        text = (self.CORPUS / f"{system}.rules").read_text(encoding="utf-8")
+        fast = parse_rules(text, sig)
+        monkeypatch.setattr(ainparse, "_build_term", validated_build)
+        slow = parse_rules(text, sig)
+        assert len(fast) == len(slow) > 0
+        for a, b in zip(fast, slow):
+            assert (a.rule_id, a.qtype, a.sharp) == (b.rule_id, b.qtype, b.sharp)
+            assert_same_classes(LinComb.monomial(a.lhs), LinComb.monomial(b.lhs))
+            assert_same_classes(a.rhs, b.rhs)
+
+    def test_random_hopf_networks(self, monkeypatch, rng, hopf_sig):
+        # networks like the random Hopf benchmark inputs: several components
+        # and stray edges; the parsed class must also be the network's own
+        several = with_strays = with_deltas = 0
+        for _ in range(150):
+            net = random_network(rng, list(hopf_sig), max_inner=8, max_strays=2, min_inner=3)
+            text = term_text(rng, net)
+            fast = parse_term(text, hopf_sig)
+            with monkeypatch.context() as m:
+                m.setattr(ainparse, "_build_term", validated_build)
+                slow = parse_term(text, hopf_sig)
+            assert_same_classes(fast, slow)
+            assert_same_classes(fast, LinComb.monomial(class_of(net)))
+            comps, strays = _components(net)
+            several += len(comps) > 1
+            with_strays += bool(strays)
+            with_deltas += "d^" in text
+        assert several > 100 and with_strays > 50 and with_deltas > 100
 
 
 class TestRules:

@@ -18,11 +18,10 @@ from netrw.network import (
     _least_code,
     act,
     canonical_code,
-    relabel,
     validate,
 )
 
-from conftest import random_network, random_perm, random_relabel
+from conftest import random_network, random_perm, random_relabel, relabel
 
 
 def right_comb(n: int, top_down: bool = True) -> Network:

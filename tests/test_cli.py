@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from netrw import cli
 from netrw.cli import UsageError, build_parser, main
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "netrw" / "corpus"
@@ -346,64 +347,71 @@ class TestSubcommands:
         assert code == 0
 
 
-class TestUsageErrors:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["normalize", "--sig", "assoc.sig", "--max-steps", "x", "m^a_bc"],
-            ["validate", "--sig", "assoc.sig"],
-            ["no-such-command"],
-        ],
+# Command lines that each end in one error line; "{name}" stands for the
+# corpus file of that name, and a leading NETRW_THREADS=... sets it.
+USAGE_ARGV = [
+    ["normalize", "--sig", "assoc.sig", "--max-steps", "x", "m^a_bc"],
+    ["validate", "--sig", "assoc.sig"],
+    ["no-such-command"],
+]
+BAD_INPUT_ARGV = [
+    ["confluence", "--sig", "{assoc.sig}", "--max-steps", "3"],
+    ["complete", "--sig", "{assoc.sig}", "--rules", "{assoc.rules}"],
+    ["order-check", "--sig", "{assoc.sig}"],
+    ["join", "--sig", "{assoc.sig}", "--r", "-1", "--q", "0", "m^a_bc", "m^a_bc"],
+    ["join", "--sig", "{assoc.sig}", "--r", "5", "--q", "0", "0", "m^a_bc"],
+    ["join", "--sig", "{assoc.sig}", "--r", "5", "--q", "0", "m^a_bc", "m^a_bc"],
+    ["validate", "--sig", "{assoc.sig}", "1/0 m^a_{bc}"],
+    ["eval", "--sig", "{assoc.sig}", "--target", "rat-matrix", "--map", "{zero.map}", "m^a_bc"],
+    ["tr", "--sig", "{assoc.sig}", "0"],
+    ["eval", "--sig", "{assoc.sig}", "--target", "rat-matrix", "m^a_bc"],
+    ["normalize", "--sig", "{assoc.sig}", "--rules", "{rev.rules}", "--order", "{assoc.order}", "m^a_bc"],
+    ["ambiguities", "--sig", "{assoc.sig}", "--rules", "{assoc.rules}", "--pair", "assoc", "nope"],
+    ["confluence", "--sig", "{assoc.sig}", "--rules", "{rev.rules}", "--order", "{assoc.order}"],
+    ["NETRW_THREADS=0", "validate", "--sig", "{assoc.sig}", "m^a_bc"],
+]
+BAD_INPUT_IDS = ["no-rules", "no-order", "order-check-no-order", "negative-r", "r-too-big-zero-operand", "r-too-big", "term-zero-denominator", "map-zero-denominator", "tr-not-monomial", "eval-no-map", "normalize-incompatible-rule", "unknown-rule", "confluence-incompatible-rule", "bad-threads"]
+NO_BOUND_ARGV = [
+    ["normalize", "--sig", "{assoc.sig}", "--rules", "{assoc.rules}", "m^a_bc m^c_de"],
+    ["confluence", "--sig", "{zigzag.sig}", "--rules", "{zigzag.rules}"],
+]
+
+
+def in_corpus(corpus, argv):
+    return [str(corpus / a[1:-1]) if a.startswith("{") else a for a in argv]
+
+
+def bad_input(corpus, monkeypatch, argv):
+    """argv of BAD_INPUT_ARGV made runnable: its extra files written, its
+    NETRW_THREADS set and its file names resolved."""
+    (corpus / "zero.map").write_text("map m = 1 1/0\n", encoding="utf-8")
+    # assoc oriented against its order
+    (corpus / "rev.rules").write_text(
+        "rule rev sharp: m^a_ce m^c_bd -> m^a_bc m^c_de\n", encoding="utf-8"
     )
+    if argv[0].startswith("NETRW_THREADS="):
+        monkeypatch.setenv("NETRW_THREADS", argv[0].partition("=")[2])
+        argv = argv[1:]
+    return in_corpus(corpus, argv)
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", USAGE_ARGV)
     def test_usage_error_returns_2(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["confluence", "--sig", "{assoc.sig}", "--max-steps", "3"],
-            ["complete", "--sig", "{assoc.sig}", "--rules", "{assoc.rules}"],
-            ["order-check", "--sig", "{assoc.sig}"],
-            ["join", "--sig", "{assoc.sig}", "--r", "-1", "--q", "0", "m^a_bc", "m^a_bc"],
-            ["join", "--sig", "{assoc.sig}", "--r", "5", "--q", "0", "0", "m^a_bc"],
-            ["join", "--sig", "{assoc.sig}", "--r", "5", "--q", "0", "m^a_bc", "m^a_bc"],
-            ["validate", "--sig", "{assoc.sig}", "1/0 m^a_{bc}"],
-            ["eval", "--sig", "{assoc.sig}", "--target", "rat-matrix", "--map", "{zero.map}", "m^a_bc"],
-            ["tr", "--sig", "{assoc.sig}", "0"],
-            ["eval", "--sig", "{assoc.sig}", "--target", "rat-matrix", "m^a_bc"],
-            ["normalize", "--sig", "{assoc.sig}", "--rules", "{rev.rules}", "--order", "{assoc.order}", "m^a_bc"],
-            ["ambiguities", "--sig", "{assoc.sig}", "--rules", "{assoc.rules}", "--pair", "assoc", "nope"],
-            ["confluence", "--sig", "{assoc.sig}", "--rules", "{rev.rules}", "--order", "{assoc.order}"],
-            ["NETRW_THREADS=0", "validate", "--sig", "{assoc.sig}", "m^a_bc"],
-        ],
-        ids=["no-rules", "no-order", "order-check-no-order", "negative-r", "r-too-big-zero-operand", "r-too-big", "term-zero-denominator", "map-zero-denominator", "tr-not-monomial", "eval-no-map", "normalize-incompatible-rule", "unknown-rule", "confluence-incompatible-rule", "bad-threads"],
-    )
+    @pytest.mark.parametrize("argv", BAD_INPUT_ARGV, ids=BAD_INPUT_IDS)
     def test_bad_input_one_error_line(self, corpus, capsys, monkeypatch, argv):
-        (corpus / "zero.map").write_text("map m = 1 1/0\n", encoding="utf-8")
-        # assoc oriented against its order
-        (corpus / "rev.rules").write_text(
-            "rule rev sharp: m^a_ce m^c_bd -> m^a_bc m^c_de\n", encoding="utf-8"
-        )
-        if argv[0].startswith("NETRW_THREADS="):
-            monkeypatch.setenv("NETRW_THREADS", argv[0].partition("=")[2])
-            argv = argv[1:]
-        argv = [str(corpus / a[1:-1]) if a.startswith("{") else a for a in argv]
-        code, out, err = run(capsys, *argv)
+        code, out, err = run(capsys, *bad_input(corpus, monkeypatch, argv))
         assert code == 2 and out == "" and "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["normalize", "--sig", "{assoc.sig}", "--rules", "{assoc.rules}", "m^a_bc m^c_de"],
-            ["confluence", "--sig", "{zigzag.sig}", "--rules", "{zigzag.rules}"],
-        ],
-    )
+    @pytest.mark.parametrize("argv", NO_BOUND_ARGV)
     def test_no_step_bound(self, corpus, capsys, argv):
         # zigzag's confluence never normalizes, yet it needs a bound too
-        argv = [str(corpus / a[1:-1]) if a.startswith("{") else a for a in argv]
+        argv = in_corpus(corpus, argv)
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err == f"error: {argv[0]} needs --order or --max-steps\n"
@@ -416,3 +424,79 @@ class TestUsageErrors:
     def test_parser_error_raises(self):
         with pytest.raises(UsageError, match="^bad option$"):
             build_parser().error("bad option")
+
+
+def outcome(capsys, argv):
+    """Exit code, stdout and stderr of one command line, help included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+class TestLazyParser:
+    """main builds only the subparser its command line names; what it prints
+    and returns must be what the parser with all ten subcommands gives."""
+
+    def assert_as_full(self, capsys, monkeypatch, argv):
+        lazy = outcome(capsys, argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_command", lambda argv: None)
+            full = outcome(capsys, argv)
+        assert lazy == full
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_subcommand_help(self, capsys, monkeypatch, command):
+        self.assert_as_full(capsys, monkeypatch, [command, "--help"])
+        self.assert_as_full(capsys, monkeypatch, ["--json", command, "-h"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--help"],
+            ["-h", "normalize"],
+            ["--json", "--help"],
+            [],
+            ["--json"],
+            ["no-such-command", "--help"],
+            ["--", "normalize", "--help"],
+            ["--js", "validate", "--help"],
+            ["normalize", "--sig", "a.sig", "--rules", "a.rules", "--type", "both", "m^a_bc"],
+            ["validate", "--json", "--sig", "a.sig", "m^a_bc"],
+        ],
+    )
+    def test_top_level(self, capsys, monkeypatch, argv):
+        self.assert_as_full(capsys, monkeypatch, argv)
+
+    @pytest.mark.parametrize("argv", USAGE_ARGV)
+    def test_usage_errors(self, capsys, monkeypatch, argv):
+        self.assert_as_full(capsys, monkeypatch, argv)
+
+    @pytest.mark.parametrize("argv", BAD_INPUT_ARGV, ids=BAD_INPUT_IDS)
+    def test_bad_input(self, corpus, capsys, monkeypatch, argv):
+        self.assert_as_full(capsys, monkeypatch, bad_input(corpus, monkeypatch, argv))
+
+    @pytest.mark.parametrize("argv", NO_BOUND_ARGV)
+    def test_no_step_bound(self, corpus, capsys, monkeypatch, argv):
+        self.assert_as_full(capsys, monkeypatch, in_corpus(corpus, argv))
+
+    def test_one_subparser_built(self, monkeypatch):
+        built = []
+        real = cli.build_parser
+
+        def recording(command=None):
+            built.append(command)
+            return real(command)
+
+        monkeypatch.setattr(cli, "build_parser", recording)
+        main(["--json", "validate", "--sig", "no-such.sig", "m^a_bc"])
+        assert built == ["validate"]
+        (sub,) = [a for a in real("validate")._actions if a.dest == "command"]
+        assert list(sub.choices) == ["validate"]
+
+    def test_reads_sys_argv(self, corpus, capsys, monkeypatch):
+        sig = str(corpus / "assoc.sig")
+        monkeypatch.setattr("sys.argv", ["netrw", "validate", "--sig", sig, "m^a_bc"])
+        assert main() == 0 and "coarity 1" in capsys.readouterr().out

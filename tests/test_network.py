@@ -20,7 +20,6 @@ from netrw.network import (
     from_code,
     generator_network,
     perm_network,
-    relabel,
     smoothen,
     split,
     transference,
@@ -37,6 +36,7 @@ from conftest import (
     random_network,
     random_perm,
     random_relabel,
+    relabel,
     smoothing_homeomorphism,
 )
 

@@ -457,9 +457,9 @@ class TestRedexMemo:
         searches = Counter()
         real_find = rewrite.find_embeddings
 
-        def counting_find(pattern, subject):
+        def counting_find(pattern, subject, *parts):
             searches[id(pattern), canonical_code(subject)] += 1
-            return real_find(pattern, subject)
+            return real_find(pattern, subject, *parts)
 
         monkeypatch.setattr(rewrite, "find_embeddings", counting_find)
         for system, rules, amb in corpus_ambiguities:
@@ -478,9 +478,9 @@ class TestRedexMemo:
         searches = Counter()
         real_find = netrw.match.find_embeddings
 
-        def counting_find(pattern, subject):
+        def counting_find(pattern, subject, *parts):
             searches[canonical_code(pattern), canonical_code(subject)] += 1
-            return real_find(pattern, subject)
+            return real_find(pattern, subject, *parts)
 
         for name, module in list(sys.modules.items()):
             if name == "netrw" or name.startswith("netrw."):
