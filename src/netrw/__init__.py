@@ -24,6 +24,7 @@ from .freeprop import (
     tensor,
 )
 from .network import Network, evaluate, smoothen, transference, validate
+from .props import matrix_feedback
 from .ainparse import format_term, parse_rules, parse_term
 from .rewrite import Rule, is_irreducible, joinable, make_rule, normalize, reduce_once
 from .ambiguity import complete, confluence_report, enumerate_decisive, resolve
@@ -56,6 +57,7 @@ __all__ = [
     "smoothen",
     "transference",
     "validate",
+    "matrix_feedback",
     "format_term",
     "parse_rules",
     "parse_term",

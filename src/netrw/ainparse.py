@@ -437,14 +437,6 @@ def _edge_names(n: int) -> list[str]:
     return list(_PRINT_ALPHABET[:n])
 
 
-def _format_labels(labels: list[str]) -> str:
-    return " ".join(labels)
-
-
-def _format_script(labels: list[str]) -> str:
-    return "".join(labels)
-
-
 def format_class(cls: NetClass) -> str:
     """Deterministic closed-form AIN for one monomial."""
     rep = cls.rep
@@ -466,12 +458,12 @@ def format_class(cls: NetClass) -> str:
         subs = [names[e] for e in rep.in_edges(v)]
         piece = sym.name
         if sups:
-            piece += "^" + _format_script(sups)
+            piece += "^" + "".join(sups)
         if subs:
-            piece += "_" + _format_script(subs)
+            piece += "_" + "".join(subs)
         parts.append(piece)
     body = " ".join(parts) if parts else "1"
-    return f"[{_format_labels(outs)}|{body}|{_format_labels(ins)}]"
+    return f"[{' '.join(outs)}|{body}|{' '.join(ins)}]"
 
 
 def format_term(x: LinComb) -> str:

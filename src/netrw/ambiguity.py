@@ -57,10 +57,6 @@ class Ambiguity:
             and self.reduct1 == self.reduct2
         )
 
-    @property
-    def wrap(self) -> bool:
-        return not self.terse
-
 
 class _PairTables:
     """Both left hand sides of a rule pair as integer node tables.

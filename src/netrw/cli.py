@@ -151,6 +151,16 @@ def cmd_normalize(args) -> int:
     return OK
 
 
+def _ambiguity_row(amb) -> dict:
+    """The fields that ambiguities and confluence report for every ambiguity."""
+    return {
+        "rules": [amb.rule1_id, amb.rule2_id],
+        "site": format_class(amb.site),
+        "kind": "terse" if amb.terse else "wrap",
+        "trivial": amb.trivial,
+    }
+
+
 def cmd_ambiguities(args) -> int:
     sig = _load_sig(args)
     rules = _load_rules(args, sig)
@@ -166,17 +176,7 @@ def cmd_ambiguities(args) -> int:
             for i in range(len(rules))
             for j in range(i, len(rules))
         ]
-    rows = []
-    for s1, s2 in pairs:
-        for amb in enumerate_decisive(s1, s2):
-            rows.append(
-                {
-                    "rules": [amb.rule1_id, amb.rule2_id],
-                    "site": format_class(amb.site),
-                    "kind": "terse" if amb.terse else "wrap",
-                    "trivial": amb.trivial,
-                }
-            )
+    rows = [_ambiguity_row(amb) for s1, s2 in pairs for amb in enumerate_decisive(s1, s2)]
     text = "\n".join(
         f"{r['rules'][0]} / {r['rules'][1]} [{r['kind']}{', trivial' if r['trivial'] else ''}]"
         f" at {r['site']}"
@@ -194,19 +194,14 @@ def cmd_confluence(args) -> int:
         report = confluence_report(rules, spec, max_steps=args.max_steps)
     except IncompatibleRuleError as exc:
         raise UsageError(str(exc)) from None
-    rows = []
-    for res in report.results:
-        amb = res.ambiguity
-        rows.append(
-            {
-                "rules": [amb.rule1_id, amb.rule2_id],
-                "site": format_class(amb.site),
-                "kind": "terse" if amb.terse else "wrap",
-                "trivial": amb.trivial,
-                "status": res.status,
-                "difference": format_term(res.difference) if res.difference else None,
-            }
-        )
+    rows = [
+        {
+            **_ambiguity_row(res.ambiguity),
+            "status": res.status,
+            "difference": format_term(res.difference) if res.difference else None,
+        }
+        for res in report.results
+    ]
     counts = report.counts()
     nontrivial = sum(1 for r in report.results if not r.ambiguity.trivial)
     lines = [

@@ -100,8 +100,7 @@ class UnionFind:
     """Disjoint sets over a fixed universe.
 
     ``members`` maps each root to the frozenset of its class, so a class
-    is read without a pass over the universe, and :meth:`copy` shares the
-    member sets with its source.
+    is read without a pass over the universe.
     """
 
     __slots__ = ("parent", "members")
@@ -109,12 +108,6 @@ class UnionFind:
     def __init__(self, items: Iterable = ()):
         self.parent = {x: x for x in items}
         self.members = {x: frozenset((x,)) for x in self.parent}
-
-    def copy(self) -> "UnionFind":
-        uf = UnionFind.__new__(UnionFind)
-        uf.parent = dict(self.parent)
-        uf.members = dict(self.members)
-        return uf
 
     def find(self, x):
         p = self.parent

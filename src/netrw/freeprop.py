@@ -91,55 +91,18 @@ def generator(sym) -> NetClass:
 # ---------------------------------------------------------------------------
 
 
-def _disjoint_pair(a: Network, b: Network) -> tuple[Network, Network]:
-    """Relabel b so ids do not collide with a (vertices 0,1 shared)."""
-    voff = max(a.vertices) + 1
-    eoff = max(a.edges, default=-1) + 1
-    vmap = {v: (v if v in (0, 1) else v + voff) for v in b.vertices}
-    emap = {e: e + eoff for e in b.edges}
-    b2 = Network(
-        {vmap[v] for v in b.vertices},
-        {
-            emap[e]: Edge(vmap[ends.head], ends.hindex, vmap[ends.tail], ends.tindex)
-            for e, ends in b.edges.items()
-        },
-        {vmap[v]: s for v, s in b.deco.items()},
-    )
-    return a, b2
-
-
 def compose(a: NetClass, b: NetClass) -> NetClass:
-    """Glue: outputs of b feed the inputs of a."""
+    """Glue: outputs of b feed the inputs of a; the symmetric join
+    a join^0_n b with n = a.arity = b.coarity."""
     if a.arity != b.coarity:
         raise ShapeError(f"compose: arity {a.arity} != coarity {b.coarity}")
-    upper, lower = _disjoint_pair(a.rep, b.rep)
-    edges: dict[int, Edge] = {}
-    # interface: output leg j of lower merges with input leg j of upper
-    up_in = {ends.tindex: (e, ends) for e, ends in upper.edges.items() if ends.tail == 1}
-    for e, ends in lower.edges.items():
-        if ends.head == 0:
-            ue, uends = up_in[ends.hindex]
-            edges[e] = Edge(uends.head, uends.hindex, ends.tail, ends.tindex)
-        else:
-            edges[e] = ends
-    for e, ends in upper.edges.items():
-        if ends.tail != 1:
-            edges[e] = ends
-    vertices = upper.vertices | lower.vertices
-    deco = {**lower.deco, **upper.deco}
-    return class_of(Network(vertices, edges, deco))
+    return sym_join(a, 0, b.coarity, b)
 
 
 def tensor(a: NetClass, b: NetClass) -> NetClass:
-    """Juxtapose: b's legs are shifted after a's."""
-    left, right = _disjoint_pair(a.rep, b.rep)
-    edges = dict(left.edges)
-    for e, ends in right.edges.items():
-        hindex = ends.hindex + a.coarity if ends.head == 0 else ends.hindex
-        tindex = ends.tindex + a.arity if ends.tail == 1 else ends.tindex
-        edges[e] = Edge(ends.head, hindex, ends.tail, tindex)
-    deco = {**left.deco, **right.deco}
-    return class_of(Network(left.vertices | right.vertices, edges, deco))
+    """Juxtapose: b's legs are shifted after a's; the symmetric join
+    a join^0_0 b."""
+    return sym_join(a, 0, 0, b)
 
 
 # ---------------------------------------------------------------------------

@@ -48,9 +48,7 @@ def _grow_component(
     anchor: int,
     image: int,
 ) -> tuple[dict[int, int], dict[int, int]] | None:
-    """Propagate the anchor choice through ordered ports; None on clash."""
-    if subject.deco.get(image) != pattern.deco[anchor]:
-        return None
+    """Propagate an equally decorated anchor image through ordered ports; None on clash."""
     chi = {anchor: image}
     psi: dict[int, int] = {}
     queue = [anchor]
@@ -119,10 +117,12 @@ def find_embeddings(
     per_comp: list[list[tuple[dict[int, int], dict[int, int]]]] = []
     for anchor in anchors:
         found = []
+        sym = pattern.deco[anchor]
         for w in subject.inner_vertices():
-            grown = _grow_component(pattern, subject, anchor, w)
-            if grown is not None:
-                found.append(grown)
+            if subject.deco[w] == sym:
+                grown = _grow_component(pattern, subject, anchor, w)
+                if grown is not None:
+                    found.append(grown)
         if not found:
             return []
         per_comp.append(found)

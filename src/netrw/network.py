@@ -338,102 +338,6 @@ def act(sigma: Perm | None, net: Network, tau: Perm | None = None) -> Network:
 
 
 # ---------------------------------------------------------------------------
-# Cuts and splits
-# ---------------------------------------------------------------------------
-
-
-class DecompositionError(ValueError):
-    pass
-
-
-def cut(net: Network, w0: set[int], w1: set[int], ordering: Mapping[int, int]) -> tuple[Network, Network]:
-    """Decompose along an ordered cut (W0 above, W1 below).
-
-    ``ordering`` maps each cut edge to its interface position (1-based).
-    """
-    inner = set(net.inner_vertices())
-    if w0 | w1 != inner or w0 & w1:
-        raise DecompositionError("not a bipartition of the inner vertices")
-    for e, ends in net.edges.items():
-        if ends.head in w1 and ends.tail in w0:
-            raise DecompositionError(f"NotACut: edge {e} goes from W0 to W1")
-    cut_edges = [
-        e
-        for e, ends in net.edges.items()
-        if (ends.head in w0 or ends.head == 0) and (ends.tail in w1 or ends.tail == 1)
-    ]
-    if sorted(ordering.keys()) != sorted(cut_edges) or sorted(ordering.values()) != list(
-        range(1, len(cut_edges) + 1)
-    ):
-        raise DecompositionError("NotACut: bad interface ordering")
-
-    e_upper = {e for e, ends in net.edges.items() if ends.head in w0 or ends.head == 0}
-    e_lower = {e for e, ends in net.edges.items() if ends.tail in w1 or ends.tail == 1}
-    cutset = set(cut_edges)
-
-    upper_edges = {}
-    for e in e_upper:
-        ends = net.edges[e]
-        if e in cutset:
-            upper_edges[e] = Edge(ends.head, ends.hindex, 1, ordering[e])
-        else:
-            upper_edges[e] = ends
-    lower_edges = {}
-    for e in e_lower:
-        ends = net.edges[e]
-        if e in cutset:
-            lower_edges[e] = Edge(0, ordering[e], ends.tail, ends.tindex)
-        else:
-            lower_edges[e] = ends
-    upper = Network(w0 | {0, 1}, upper_edges, {v: net.deco[v] for v in w0})
-    lower = Network(w1 | {0, 1}, lower_edges, {v: net.deco[v] for v in w1})
-    return upper, lower
-
-
-def split(
-    net: Network, fl: set[int], fr: set[int], wl: set[int], wr: set[int]
-) -> tuple[Network, Network]:
-    """Decompose along a split into left and right tensor factors."""
-    inner = set(net.inner_vertices())
-    if wl | wr != inner or wl & wr:
-        raise DecompositionError("not a bipartition of the inner vertices")
-    if fl | fr != set(net.edges) or fl & fr:
-        raise DecompositionError("not a bipartition of the edges")
-    for e in fl:
-        ends = net.edges[e]
-        if ends.head not in wl | {0} or ends.tail not in wl | {1}:
-            raise DecompositionError(f"NotASplit: edge {e} leaves the left part")
-    for e in fr:
-        ends = net.edges[e]
-        if ends.head not in wr | {0} or ends.tail not in wr | {1}:
-            raise DecompositionError(f"NotASplit: edge {e} leaves the right part")
-    left_out = sorted(net.edges[e].hindex for e in fl if net.edges[e].head == 0)
-    right_out = sorted(net.edges[e].hindex for e in fr if net.edges[e].head == 0)
-    if left_out != list(range(1, len(left_out) + 1)) or right_out != list(
-        range(len(left_out) + 1, net.coarity + 1)
-    ):
-        raise DecompositionError("NotASplit: output legs interleave")
-    left_in = sorted(net.edges[e].tindex for e in fl if net.edges[e].tail == 1)
-    right_in = sorted(net.edges[e].tindex for e in fr if net.edges[e].tail == 1)
-    if left_in != list(range(1, len(left_in) + 1)) or right_in != list(
-        range(len(left_in) + 1, net.arity + 1)
-    ):
-        raise DecompositionError("NotASplit: input legs interleave")
-
-    k, l = len(left_out), len(left_in)
-    left_edges = {e: net.edges[e] for e in fl}
-    right_edges = {}
-    for e in fr:
-        ends = net.edges[e]
-        hindex = ends.hindex - k if ends.head == 0 else ends.hindex
-        tindex = ends.tindex - l if ends.tail == 1 else ends.tindex
-        right_edges[e] = Edge(ends.head, hindex, ends.tail, tindex)
-    left = Network(wl | {0, 1}, left_edges, {v: net.deco[v] for v in wl})
-    right = Network(wr | {0, 1}, right_edges, {v: net.deco[v] for v in wr})
-    return left, right
-
-
-# ---------------------------------------------------------------------------
 # Smoothening
 # ---------------------------------------------------------------------------
 

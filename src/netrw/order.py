@@ -20,6 +20,16 @@ class OrderError(ValueError):
     pass
 
 
+def _verdict(le: bool, ge: bool) -> str:
+    if le and ge:
+        return EQUIV
+    if le:
+        return LT
+    if ge:
+        return GT
+    return INCOMPARABLE
+
+
 @dataclass(frozen=True)
 class BaffStage:
     """Pullback of the entrywise order on biaffine matrices over
@@ -42,13 +52,7 @@ class BaffStage:
             for i in range(fa.rows)
             for j in range(fa.cols)
         )
-        if le and ge:
-            return EQUIV
-        if le:
-            return LT
-        if ge:
-            return GT
-        return INCOMPARABLE
+        return _verdict(le, ge)
 
 
 @dataclass(frozen=True)
@@ -56,26 +60,11 @@ class ConnectivityStage:
     """The connectivity order: partition refinement plus cycle count."""
 
     def value(self, a: NetClass) -> ConnElem:
-        assign = {}
-
-        def lookup(sym):
-            if sym.name not in assign:
-                assign[sym.name] = CONNECTIVITY.generator_image(sym)
-            return assign[sym.name]
-
-        return evaluate(a.rep, CONNECTIVITY, lookup)
+        return evaluate(a.rep, CONNECTIVITY, CONNECTIVITY.generator_image)
 
     def compare(self, a: NetClass, b: NetClass) -> str:
         va, vb = self.value(a), self.value(b)
-        le = CONNECTIVITY.leq(va, vb)
-        ge = CONNECTIVITY.leq(vb, va)
-        if le and ge:
-            return EQUIV
-        if le:
-            return LT
-        if ge:
-            return GT
-        return INCOMPARABLE
+        return _verdict(CONNECTIVITY.leq(va, vb), CONNECTIVITY.leq(vb, va))
 
 
 Stage = BaffStage | ConnectivityStage

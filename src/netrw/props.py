@@ -74,9 +74,6 @@ class MatrixTarget:
     def dims(self, a: Mat) -> tuple[int, int]:
         return (a.rows, a.cols)
 
-    def eq(self, a: Mat, b: Mat) -> bool:
-        return a == b
-
     def compose(self, a: Mat, b: Mat) -> Mat:
         if a.cols != b.rows:
             raise TargetValueError("matrix product shape mismatch")
@@ -132,9 +129,6 @@ class BoolMatrixTarget:
     def dims(self, a: BoolMat) -> tuple[int, int]:
         return (a.rows, a.cols)
 
-    def eq(self, a: BoolMat, b: BoolMat) -> bool:
-        return a == b
-
     def compose(self, a: BoolMat, b: BoolMat) -> BoolMat:
         return a.mul(b)
 
@@ -146,9 +140,6 @@ class BoolMatrixTarget:
 
     def identity(self, n: int) -> BoolMat:
         return BoolMat.eye(n)
-
-    def ones(self, rows: int, cols: int) -> BoolMat:
-        return BoolMat.ones(rows, cols)
 
     def from_rows(self, rows, cols: int) -> BoolMat:
         return BoolMat.from_rows(rows, cols)
@@ -219,9 +210,6 @@ class BaffTarget:
 
     def dims(self, a: BaffElem) -> tuple[int, int]:
         return (a.coarity, a.arity)
-
-    def eq(self, a: BaffElem, b: BaffElem) -> bool:
-        return a.full == b.full
 
     def compose(self, a: BaffElem, b: BaffElem) -> BaffElem:
         return BaffElem(NAT_MATRIX.compose(a.full, b.full))
@@ -298,9 +286,6 @@ class ConnectivityTarget:
     def dims(self, a: ConnElem) -> tuple[int, int]:
         return (a.coarity, a.arity)
 
-    def eq(self, a: ConnElem, b: ConnElem) -> bool:
-        return a == b
-
     def compose(self, a: ConnElem, b: ConnElem) -> ConnElem:
         if a.arity != b.coarity:
             raise TargetValueError("connectivity compose shape mismatch")
@@ -367,12 +352,6 @@ class ConnectivityTarget:
 
 
 CONNECTIVITY = ConnectivityTarget()
-
-
-#: cup/cap datum in the connectivity PROP used as a fixed regression test:
-#: evaluates the zig-zag composite to the identity.
-CONN_CUP = ConnElem(0, 2, frozenset({frozenset({(1, 1), (1, 2)})}), 0)
-CONN_CAP = ConnElem(2, 0, frozenset({frozenset({(0, 1), (0, 2)})}), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -308,13 +308,3 @@ def joinable(
 
 def _lc_key(x: LinComb):
     return tuple((t.code, c) for t, c in x.items())
-
-
-def format_step(step: ReductionStep, fmt=None) -> str:
-    """Serialize a step record; ``fmt`` renders combinations (defaults to repr)."""
-    if fmt is None:
-        fmt = repr
-    return (
-        f"apply {step.rule_id} at {fmt(LinComb.monomial(step.context))} : "
-        f"{fmt(LinComb.monomial(step.before))} -> {fmt(step.after)}"
-    )

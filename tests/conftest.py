@@ -1,7 +1,8 @@
 """Shared fixtures: signatures, random generators, the PROP axiom suite,
-test-only oracles for cuts, smoothening and gluing enumeration, and
-test-only helpers for permutation actions on classes and boolean
-evaluation."""
+test-only oracles for composition and tensor, cuts and splits,
+smoothening and gluing enumeration, and test-only helpers for
+permutation actions on classes, boolean evaluation, union-find copies,
+reduction-step text and connectivity data."""
 
 from __future__ import annotations
 
@@ -18,7 +19,8 @@ from netrw.core import BoolMat, Perm, Signature, Symbol, UnionFind, cross, same
 from netrw.freeprop import LinComb, NetClass, class_of
 from netrw.match import Embedding
 from netrw.network import Edge, Network, _topological_order, act, validate
-from netrw.props import Mat
+from netrw.props import ConnElem, Mat
+from netrw.rewrite import ReductionStep
 
 
 # Hypothesis draws the same examples on every run and keeps no example
@@ -184,46 +186,46 @@ def check_prop_axioms(target, gen, rng, cases=70):
         r, s = shapes()
         a, b, c = gen(rng, k, l), gen(rng, l, m), gen(rng, m, n)
         # composition associativity
-        assert target.eq(
-            target.compose(target.compose(a, b), c),
-            target.compose(a, target.compose(b, c)),
+        assert (
+            target.compose(target.compose(a, b), c)
+            == target.compose(a, target.compose(b, c))
         )
         # composition identity
-        assert target.eq(target.compose(target.phi(same(k)), a), a)
-        assert target.eq(target.compose(a, target.phi(same(l))), a)
+        assert target.compose(target.phi(same(k)), a) == a
+        assert target.compose(a, target.phi(same(l))) == a
         # tensor associativity
         x, y, z = gen(rng, k, l), gen(rng, m, n), gen(rng, r, s)
-        assert target.eq(
-            target.tensor(target.tensor(x, y), z),
-            target.tensor(x, target.tensor(y, z)),
+        assert (
+            target.tensor(target.tensor(x, y), z)
+            == target.tensor(x, target.tensor(y, z))
         )
         # tensor identity
         unit = target.phi(same(0))
-        assert target.eq(target.tensor(unit, x), x)
-        assert target.eq(target.tensor(x, unit), x)
+        assert target.tensor(unit, x) == x
+        assert target.tensor(x, unit) == x
         # composition-tensor compatibility
         a2, b2 = gen(rng, k, l), gen(rng, l, m)
         c2, d2 = gen(rng, r, s), gen(rng, s, n)
-        assert target.eq(
-            target.tensor(target.compose(a2, b2), target.compose(c2, d2)),
-            target.compose(target.tensor(a2, c2), target.tensor(b2, d2)),
+        assert (
+            target.tensor(target.compose(a2, b2), target.compose(c2, d2))
+            == target.compose(target.tensor(a2, c2), target.tensor(b2, d2))
         )
         # permutation composition and juxtaposition
         sig1, tau1 = random_perm(rng, n), random_perm(rng, n)
-        assert target.eq(
-            target.compose(target.phi(sig1), target.phi(tau1)),
-            target.phi(sig1.compose(tau1)),
+        assert (
+            target.compose(target.phi(sig1), target.phi(tau1))
+            == target.phi(sig1.compose(tau1))
         )
         sig2_, tau2 = random_perm(rng, m), random_perm(rng, n)
-        assert target.eq(
-            target.tensor(target.phi(sig2_), target.phi(tau2)),
-            target.phi(sig2_.star(tau2)),
+        assert (
+            target.tensor(target.phi(sig2_), target.phi(tau2))
+            == target.phi(sig2_.star(tau2))
         )
         # tensor permutation
         a3, b3 = gen(rng, k, l), gen(rng, m, n)
-        assert target.eq(
-            target.compose(target.phi(cross(k, m)), target.tensor(a3, b3)),
-            target.compose(target.tensor(b3, a3), target.phi(cross(l, n))),
+        assert (
+            target.compose(target.phi(cross(k, m)), target.tensor(a3, b3))
+            == target.compose(target.tensor(b3, a3), target.phi(cross(l, n)))
         )
 
 
@@ -276,9 +278,6 @@ class FreePropTarget:
     def dims(self, a: NetClass):
         return (a.coarity, a.arity)
 
-    def eq(self, a, b):
-        return a == b
-
     def compose(self, a, b):
         from netrw.freeprop import compose
 
@@ -295,9 +294,81 @@ class FreePropTarget:
         return phi(p)
 
 
+# ---------------------------------------------------------------------------
+# Composition and tensor oracle: the hand-built gluings that the symmetric
+# join replaced in the library
+# ---------------------------------------------------------------------------
+
+
+def _disjoint_pair(a: Network, b: Network) -> tuple[Network, Network]:
+    """Relabel b so ids do not collide with a (vertices 0,1 shared)."""
+    voff = max(a.vertices) + 1
+    eoff = max(a.edges, default=-1) + 1
+    vmap = {v: (v if v in (0, 1) else v + voff) for v in b.vertices}
+    emap = {e: e + eoff for e in b.edges}
+    return a, relabel(b, vmap, emap)
+
+
+def reference_compose(a: NetClass, b: NetClass) -> NetClass:
+    """Glue: outputs of b feed the inputs of a."""
+    assert a.arity == b.coarity
+    upper, lower = _disjoint_pair(a.rep, b.rep)
+    edges: dict[int, Edge] = {}
+    # interface: output leg j of lower merges with input leg j of upper
+    up_in = {ends.tindex: ends for ends in upper.edges.values() if ends.tail == 1}
+    for e, ends in lower.edges.items():
+        if ends.head == 0:
+            uends = up_in[ends.hindex]
+            edges[e] = Edge(uends.head, uends.hindex, ends.tail, ends.tindex)
+        else:
+            edges[e] = ends
+    for e, ends in upper.edges.items():
+        if ends.tail != 1:
+            edges[e] = ends
+    vertices = upper.vertices | lower.vertices
+    deco = {**lower.deco, **upper.deco}
+    return class_of(Network(vertices, edges, deco))
+
+
+def reference_tensor(a: NetClass, b: NetClass) -> NetClass:
+    """Juxtapose: b's legs are shifted after a's."""
+    left, right = _disjoint_pair(a.rep, b.rep)
+    edges = dict(left.edges)
+    for e, ends in right.edges.items():
+        hindex = ends.hindex + a.coarity if ends.head == 0 else ends.hindex
+        tindex = ends.tindex + a.arity if ends.tail == 1 else ends.tindex
+        edges[e] = Edge(ends.head, hindex, ends.tail, tindex)
+    deco = {**left.deco, **right.deco}
+    return class_of(Network(left.vertices | right.vertices, edges, deco))
+
+
 def act_class(sigma: Perm | None, a: NetClass, tau: Perm | None = None) -> NetClass:
     """The class of sigma . a . tau, by ``network.act`` on a's representative."""
     return class_of(act(sigma, a.rep, tau))
+
+
+def copy_union_find(uf: UnionFind) -> UnionFind:
+    """An independent copy that shares the member sets with its source."""
+    twin = UnionFind()
+    twin.parent = dict(uf.parent)
+    twin.members = dict(uf.members)
+    return twin
+
+
+def format_step(step: ReductionStep, fmt=None) -> str:
+    """Serialize a step record; ``fmt`` renders combinations (defaults to repr)."""
+    if fmt is None:
+        fmt = repr
+    return (
+        f"apply {step.rule_id} at {fmt(LinComb.monomial(step.context))} : "
+        f"{fmt(LinComb.monomial(step.before))} -> {fmt(step.after)}"
+    )
+
+
+#: cup/cap datum in the connectivity PROP used as a fixed regression test:
+#: evaluates the zig-zag composite to the identity.
+CONN_CUP = ConnElem(0, 2, frozenset({frozenset({(1, 1), (1, 2)})}), 0)
+CONN_CAP = ConnElem(2, 0, frozenset({frozenset({(0, 1), (0, 2)})}), 0)
 
 
 def all_ones_assignment(sym: Symbol) -> BoolMat:
@@ -306,8 +377,99 @@ def all_ones_assignment(sym: Symbol) -> BoolMat:
 
 
 # ---------------------------------------------------------------------------
-# Cuts
+# Cuts and splits
 # ---------------------------------------------------------------------------
+
+
+class DecompositionError(ValueError):
+    pass
+
+
+def cut(net: Network, w0: set[int], w1: set[int], ordering: Mapping[int, int]) -> tuple[Network, Network]:
+    """Decompose along an ordered cut (W0 above, W1 below).
+
+    ``ordering`` maps each cut edge to its interface position (1-based).
+    """
+    inner = set(net.inner_vertices())
+    if w0 | w1 != inner or w0 & w1:
+        raise DecompositionError("not a bipartition of the inner vertices")
+    for e, ends in net.edges.items():
+        if ends.head in w1 and ends.tail in w0:
+            raise DecompositionError(f"NotACut: edge {e} goes from W0 to W1")
+    cut_edges = [
+        e
+        for e, ends in net.edges.items()
+        if (ends.head in w0 or ends.head == 0) and (ends.tail in w1 or ends.tail == 1)
+    ]
+    if sorted(ordering.keys()) != sorted(cut_edges) or sorted(ordering.values()) != list(
+        range(1, len(cut_edges) + 1)
+    ):
+        raise DecompositionError("NotACut: bad interface ordering")
+
+    e_upper = {e for e, ends in net.edges.items() if ends.head in w0 or ends.head == 0}
+    e_lower = {e for e, ends in net.edges.items() if ends.tail in w1 or ends.tail == 1}
+    cutset = set(cut_edges)
+
+    upper_edges = {}
+    for e in e_upper:
+        ends = net.edges[e]
+        if e in cutset:
+            upper_edges[e] = Edge(ends.head, ends.hindex, 1, ordering[e])
+        else:
+            upper_edges[e] = ends
+    lower_edges = {}
+    for e in e_lower:
+        ends = net.edges[e]
+        if e in cutset:
+            lower_edges[e] = Edge(0, ordering[e], ends.tail, ends.tindex)
+        else:
+            lower_edges[e] = ends
+    upper = Network(w0 | {0, 1}, upper_edges, {v: net.deco[v] for v in w0})
+    lower = Network(w1 | {0, 1}, lower_edges, {v: net.deco[v] for v in w1})
+    return upper, lower
+
+
+def split(
+    net: Network, fl: set[int], fr: set[int], wl: set[int], wr: set[int]
+) -> tuple[Network, Network]:
+    """Decompose along a split into left and right tensor factors."""
+    inner = set(net.inner_vertices())
+    if wl | wr != inner or wl & wr:
+        raise DecompositionError("not a bipartition of the inner vertices")
+    if fl | fr != set(net.edges) or fl & fr:
+        raise DecompositionError("not a bipartition of the edges")
+    for e in fl:
+        ends = net.edges[e]
+        if ends.head not in wl | {0} or ends.tail not in wl | {1}:
+            raise DecompositionError(f"NotASplit: edge {e} leaves the left part")
+    for e in fr:
+        ends = net.edges[e]
+        if ends.head not in wr | {0} or ends.tail not in wr | {1}:
+            raise DecompositionError(f"NotASplit: edge {e} leaves the right part")
+    left_out = sorted(net.edges[e].hindex for e in fl if net.edges[e].head == 0)
+    right_out = sorted(net.edges[e].hindex for e in fr if net.edges[e].head == 0)
+    if left_out != list(range(1, len(left_out) + 1)) or right_out != list(
+        range(len(left_out) + 1, net.coarity + 1)
+    ):
+        raise DecompositionError("NotASplit: output legs interleave")
+    left_in = sorted(net.edges[e].tindex for e in fl if net.edges[e].tail == 1)
+    right_in = sorted(net.edges[e].tindex for e in fr if net.edges[e].tail == 1)
+    if left_in != list(range(1, len(left_in) + 1)) or right_in != list(
+        range(len(left_in) + 1, net.arity + 1)
+    ):
+        raise DecompositionError("NotASplit: input legs interleave")
+
+    k, l = len(left_out), len(left_in)
+    left_edges = {e: net.edges[e] for e in fl}
+    right_edges = {}
+    for e in fr:
+        ends = net.edges[e]
+        hindex = ends.hindex - k if ends.head == 0 else ends.hindex
+        tindex = ends.tindex - l if ends.tail == 1 else ends.tindex
+        right_edges[e] = Edge(ends.head, hindex, ends.tail, tindex)
+    left = Network(wl | {0, 1}, left_edges, {v: net.deco[v] for v in wl})
+    right = Network(wr | {0, 1}, right_edges, {v: net.deco[v] for v in wr})
+    return left, right
 
 
 def all_cuts(net: Network) -> list[tuple[set[int], set[int]]]:
@@ -425,7 +587,7 @@ class _GlueState:
         self.uf = uf
 
     def copy(self) -> "_GlueState":
-        return _GlueState(self.nets, self.uf.copy())
+        return _GlueState(self.nets, copy_union_find(self.uf))
 
     def signature(self) -> frozenset:
         return frozenset(c for c in self.uf.members.values() if len(c) > 1)

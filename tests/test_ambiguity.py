@@ -127,7 +127,7 @@ class TestEnumerate:
     def test_frobenius_wrap_found(self, frob_setup):
         _, rules = frob_setup
         ambs = enumerate_decisive(rules[0], rules[1])
-        wraps = [a for a in ambs if a.wrap]
+        wraps = [a for a in ambs if not a.terse]
         assert len(wraps) == 1
         site = wraps[0].site
         assert (site.coarity, site.arity) == (2, 2)
@@ -342,7 +342,7 @@ class TestResolve:
 
     def test_frobenius_wrap_unresolved(self, frob_setup):
         _, rules = frob_setup
-        wraps = [a for a in enumerate_decisive(rules[0], rules[1]) if a.wrap]
+        wraps = [a for a in enumerate_decisive(rules[0], rules[1]) if not a.terse]
         res = resolve(wraps[0], rules, max_steps=25)
         assert res.status == "unresolved"
         amb = wraps[0]
@@ -373,7 +373,7 @@ class TestConfluenceReport:
         report = confluence_report(rules, max_steps=25)
         assert report.verdict == "not-confluent"
         assert report.advisory
-        assert any(r.ambiguity.wrap and r.status == "unresolved" for r in report.results)
+        assert any(not r.ambiguity.terse and r.status == "unresolved" for r in report.results)
 
     def test_incompatible_rule_rejected(self, assoc_setup):
         sig, _, spec = assoc_setup

@@ -20,7 +20,7 @@ from netrw.core import (
 
 from netrw.network import _components
 
-from conftest import random_network, random_perm
+from conftest import copy_union_find, random_network, random_perm
 
 
 def rand_bm(rng, rows, cols, density=0.4):
@@ -306,7 +306,7 @@ class TestUnionFind:
     def test_copy_is_independent(self):
         uf = UnionFind(range(6))
         uf.union(0, 1)
-        twin = uf.copy()
+        twin = copy_union_find(uf)
         uf.union(1, 2)
         twin.union(3, 4)
         assert sorted(map(sorted, uf.members.values())) == [[0, 1, 2], [3], [4], [5]]

@@ -35,6 +35,8 @@ from conftest import (
     random_network,
     random_perm,
     random_relabel,
+    reference_compose,
+    reference_tensor,
 )
 
 
@@ -77,6 +79,39 @@ class TestPropOperations:
                         cases += 1
         assert cases >= 100
 
+    def test_matches_reference_gluings(self, rng, hopf_sig):
+        """compose and tensor are symmetric joins; they give the classes of
+        the hand-built gluings, on pairs with strays and empty networks."""
+        pool = [random_class(rng, list(hopf_sig), max_inner=4, max_strays=2) for _ in range(400)]
+        pool += [identity(0), identity(1), identity(2)]
+        by_coarity: dict[int, list] = {}
+        for c in pool:
+            by_coarity.setdefault(c.coarity, []).append(c)
+
+        def has_stray(c):
+            return any(ends.head == 0 and ends.tail == 1 for ends in c.rep.edges.values())
+
+        composed = tensored = with_stray = with_empty = 0
+        for a in pool:
+            b = rng.choice(pool)
+            assert tensor(a, b) == reference_tensor(a, b)
+            tensored += 1
+            for b in rng.sample(by_coarity[a.arity], min(2, len(by_coarity[a.arity]))):
+                assert compose(a, b) == reference_compose(a, b)
+                composed += 1
+                with_stray += has_stray(a) or has_stray(b)
+                with_empty += not a.rep.deco or not b.rep.deco
+        assert tensored >= 300 and composed >= 300
+        assert with_stray >= 100 and with_empty >= 30
+
+    def test_compose_shape_error(self, hopf_sig):
+        # a join^0_1 eta is defined, with shape (1, 1): compose refuses it
+        m, eta = generator(hopf_sig["m"]), generator(hopf_sig["eta"])
+        with pytest.raises(ShapeError, match=r"^compose: arity 2 != coarity 1$"):
+            compose(m, eta)
+        with pytest.raises(ShapeError, match=r"^compose: arity 0 != coarity 1$"):
+            compose(eta, m)
+
     def test_prop_axioms_netclass(self, rng, hopf_sig):
         check_prop_axioms(
             FreePropTarget(),
@@ -91,7 +126,7 @@ class TestSymJoin:
         for _ in range(50):
             a = random_class(rng, list(sig2), max_inner=3)
             b = random_class(rng, list(sig2), max_inner=3)
-            assert sym_join(a, 0, 0, b) == tensor(a, b)
+            assert sym_join(a, 0, 0, b) == reference_tensor(a, b)
 
     def test_cross_identities(self, rng, sig2):
         for _ in range(50):
@@ -111,8 +146,8 @@ class TestSymJoin:
                     continue
                 for a in items[:3]:
                     for b in others[:3]:
-                        assert sym_join(a, 0, n, b) == compose(a, b)
-                        assert sym_join(b, n, 0, a) == compose(a, b)
+                        assert sym_join(a, 0, n, b) == reference_compose(a, b)
+                        assert sym_join(b, n, 0, a) == reference_compose(a, b)
                         cases += 1
         assert cases >= 60
 
@@ -248,9 +283,11 @@ class TestAnnex:
                     for c in citems[:2]:
                         for b in bitems[:2]:
                             for d in ditems[:2]:
-                                k = compose(
-                                    tensor(c, d), phi(cross(dn, cn))
+                                k = reference_compose(
+                                    reference_tensor(c, d), phi(cross(dn, cn))
                                 )
-                                assert annex(k, b) == compose(compose(c, b), d)
+                                assert annex(k, b) == reference_compose(
+                                    reference_compose(c, b), d
+                                )
                                 cases += 1
         assert cases >= 30

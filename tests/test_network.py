@@ -15,13 +15,11 @@ from netrw.network import (
     act,
     canonical_code,
     check,
-    cut,
     evaluate,
     from_code,
     generator_network,
     perm_network,
     smoothen,
-    split,
     transference,
     validate,
 )
@@ -31,6 +29,7 @@ from netrw.core import NEUTRAL
 from conftest import (
     all_cuts,
     all_ones_assignment,
+    cut,
     is_homeomorphism,
     obvious_ordering,
     random_network,
@@ -38,6 +37,7 @@ from conftest import (
     random_relabel,
     relabel,
     smoothing_homeomorphism,
+    split,
 )
 
 

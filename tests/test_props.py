@@ -11,8 +11,6 @@ from netrw.network import evaluate
 from netrw.props import (
     BAFF_NAT,
     BOOL_MATRIX,
-    CONN_CAP,
-    CONN_CUP,
     CONNECTIVITY,
     NAT_MATRIX,
     RAT_MATRIX,
@@ -27,7 +25,14 @@ from netrw.props import (
     parse_assignment,
 )
 
-from conftest import check_prop_axioms, random_nat_mat, random_network, random_perm
+from conftest import (
+    CONN_CAP,
+    CONN_CUP,
+    check_prop_axioms,
+    random_nat_mat,
+    random_network,
+    random_perm,
+)
 
 
 def random_baff(rng, m, n, top=3) -> BaffElem:
@@ -118,7 +123,7 @@ class TestBaff:
         p = random_perm(rng, 3)
         full = BAFF_NAT.phi(p).full
         assert full.get(0, 0) == 1 and full.get(1, 1) == 1
-        assert BAFF_NAT.eq(BAFF_NAT.phi(same(3)), BAFF_NAT.identity(3))
+        assert BAFF_NAT.phi(same(3)) == BAFF_NAT.identity(3)
 
 
 class TestConnectivity:
@@ -157,7 +162,7 @@ class TestConnectivity:
             ),
             t.tensor(t.identity(1), CONN_CAP),
         )
-        assert t.eq(lhs, t.identity(1))
+        assert lhs == t.identity(1)
 
     def test_cyclomatic_oracle(self, rng, sig2):
         # eval in the connectivity target vs an independent computation on
@@ -294,10 +299,7 @@ class TestMatrixFeedback:
             assert lhs == rhs
             # superposing
             b2 = self._nilblock(rng, k + n, l + n, n)
-            assert t.eq(
-                t.tensor(a, matrix_feedback(b2, n)),
-                matrix_feedback(t.tensor(a, b2), n),
-            )
+            assert t.tensor(a, matrix_feedback(b2, n)) == matrix_feedback(t.tensor(a, b2), n)
             # sliding: (same(k) (x) a . b) fb m  ==  (b . same(l) (x) a) fb n'
             m2, n2 = rng.randint(1, 2), rng.randint(1, 2)
             a2 = Mat.from_rows([[0] * n2 for _ in range(m2)])  # zero block keeps products nilpotent

@@ -31,7 +31,6 @@ from netrw.rewrite import (
     Rule,
     RuleError,
     all_single_steps,
-    format_step,
     is_irreducible,
     joinable,
     _Redexes,
@@ -40,7 +39,7 @@ from netrw.rewrite import (
     reduce_once,
 )
 
-from conftest import exact_shape_class, random_class
+from conftest import exact_shape_class, format_step, random_class
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "netrw" / "corpus"
 SYSTEMS = ("assoc", "circle", "bridge", "zigzag", "frobenius", "hopf")
