@@ -256,6 +256,14 @@ class LinComb:
     def zero(coarity: int, arity: int) -> "LinComb":
         return LinComb(coarity, arity, {})
 
+    @staticmethod
+    def _unchecked(coarity: int, arity: int, terms: dict[NetClass, Fraction]) -> "LinComb":
+        """A combination that takes ``terms`` as its own, unchecked: the
+        caller vouches for their shapes and nonzero Fraction coefficients."""
+        x = LinComb.__new__(LinComb)
+        x.coarity, x.arity, x.terms = coarity, arity, terms
+        return x
+
     # -- structure -----------------------------------------------------------
 
     def items(self) -> list[tuple[NetClass, Fraction]]:

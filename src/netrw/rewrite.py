@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Sequence
 
 from .core import BoolMat
@@ -110,8 +111,9 @@ def _monomial_redexes(nu: NetClass, q: BoolMat, rules: Sequence[Rule]):
 
 
 class _Redexes:
-    """The admissible redexes of each monomial at one ambient type, kept
-    for one call of :func:`normalize` or :func:`joinable`.
+    """The admissible redexes of each monomial at one ambient type, and the
+    agenda of the combination last reduced, kept for one call of
+    :func:`normalize` or :func:`joinable`.
 
     A simple reduction is fixed by its monomial and redex, so the search
     for a monomial's redexes runs once per call however often the monomial
@@ -119,14 +121,26 @@ class _Redexes:
     ``(rule, ctx, lc_annex(ctx, rule.rhs))`` found so far, in the redex
     order of :func:`_monomial_redexes`, and the rest of that search, None
     once it is exhausted.
+
+    The agenda lets a step touch only the monomials it changes.  ``last``
+    is the combination the last step produced, ``fresh`` the monomials that
+    step brought in, and ``heap`` a heap by code of ``(code, monomial)``
+    holding every monomial of ``last`` not yet known to be irreducible;
+    ``queued`` is the set of monomials on the heap or known to be
+    irreducible.  Entries whose monomial has left the combination stay on
+    the heap until they reach its top.
     """
 
-    __slots__ = ("q", "rules", "found")
+    __slots__ = ("q", "rules", "found", "last", "fresh", "heap", "queued")
 
     def __init__(self, q: BoolMat, rules: Sequence[Rule]):
         self.q = q
         self.rules = sorted(rules, key=lambda r: r.rule_id)
         self.found: dict[NetClass, list] = {}
+        self.last: LinComb | None = None
+        self.fresh: list[NetClass] = []
+        self.heap: list[tuple] = []
+        self.queued: set[NetClass] = set()
 
     def admit(self, x: LinComb) -> None:
         """Check x's shape, and each monomial's type the first time it is
@@ -134,12 +148,15 @@ class _Redexes:
         q = self.q
         if (q.rows, q.cols) != (x.coarity, x.arity):
             raise RuleError("ambient type shape mismatch")
-        found = self.found
         for t in x.terms:
-            if t not in found:
-                if not t.tr.leq(q):
-                    raise RuleError("combination outside ambient type")
-                found[t] = [[], _monomial_redexes(t, q, self.rules)]
+            self._see(t)
+
+    def _see(self, t: NetClass) -> None:
+        """Check t's type and set up its redex search, the first time."""
+        if t not in self.found:
+            if not t.tr.leq(self.q):
+                raise RuleError("combination outside ambient type")
+            self.found[t] = [[], _monomial_redexes(t, self.q, self.rules)]
 
     def redexes(self, nu: NetClass, every: bool) -> list:
         """nu's first redex, or all of them when ``every``; the search goes
@@ -154,17 +171,57 @@ class _Redexes:
                 entry[1] = None
         return done if every else done[:1]
 
+    def first_step(self, x: LinComb) -> tuple[LinComb, ReductionStep] | None:
+        """The first simple reduction of x: the least monomial by code that
+        has a redex, at its first redex; None if x is irreducible.
 
-def _single_steps(x: LinComb, memo: _Redexes, every: bool):
-    """Yield (result, step) for the simple reductions of x, in a
-    reproducible order: monomials by canonical code, rules by id,
-    occurrences by canonical order.  Unless ``every``, only each
-    monomial's first redex is searched."""
-    memo.admit(x)
-    for nu, coeff in x.items():
-        for rule, ctx, replacement in memo.redexes(nu, every):
-            out = x + (replacement - LinComb.monomial(nu)).scale(coeff)
-            yield out, ReductionStep(rule.rule_id, ctx, nu, replacement, coeff)
+        For the combination the last step produced, the agenda goes on
+        from that step; for any other it starts afresh from x."""
+        heap, queued = self.heap, self.queued
+        last, self.last = self.last, None
+        if x is last:
+            for t in self.fresh:
+                self._see(t)
+                if t not in queued:
+                    queued.add(t)
+                    heappush(heap, (t.code, t))
+        else:
+            self.admit(x)
+            heap[:] = [(t.code, t) for t in x.terms]
+            heapify(heap)
+            queued.clear()
+            queued.update(x.terms)
+        terms = x.terms
+        while heap:
+            nu = heap[0][1]
+            if nu not in terms:
+                queued.discard(nu)
+            elif first := self.redexes(nu, False):
+                break
+            heappop(heap)
+        else:
+            self.last, self.fresh = x, []
+            return None
+        rule, ctx, replacement = first[0]
+        coeff = terms[nu]
+        out = _reduct(x, nu, coeff, replacement)
+        self.last = out
+        self.fresh = [t for t in replacement.terms if t not in terms]
+        return out, ReductionStep(rule.rule_id, ctx, nu, replacement, coeff)
+
+
+def _reduct(x: LinComb, nu: NetClass, coeff: Fraction, replacement: LinComb) -> LinComb:
+    """x with its term coeff*nu replaced by coeff*replacement, built on one
+    copy of x's terms; terms that cancel are dropped."""
+    terms = dict(x.terms)
+    del terms[nu]
+    for t, c in replacement.terms.items():
+        c = terms.get(t, 0) + coeff * c
+        if c:
+            terms[t] = c
+        else:
+            del terms[t]
+    return LinComb._unchecked(x.coarity, x.arity, terms)
 
 
 def reduce_once(
@@ -172,18 +229,26 @@ def reduce_once(
 ) -> tuple[LinComb, ReductionStep] | None:
     """Apply the first admissible simple reduction, or None if irreducible.
 
-    ``memo`` holds the redexes already found for the same q and rules."""
-    return next(_single_steps(x, memo or _Redexes(q, rules), False), None)
+    Monomials are tried by canonical code, rules by id, occurrences by
+    canonical order.  ``memo`` holds the redexes already found for the
+    same q and rules, and the agenda of the combination it last produced."""
+    return (memo or _Redexes(q, rules)).first_step(x)
 
 
 def all_single_steps(
     x: LinComb, q: BoolMat, rules: Sequence[Rule], memo: _Redexes | None = None
 ) -> list[LinComb]:
-    """Every result of one simple reduction acting nontrivially on x.
+    """Every result of one simple reduction acting nontrivially on x, in
+    the order of :func:`reduce_once`'s search.
 
     ``memo`` holds the redexes already found for the same q and rules."""
-    steps = _single_steps(x, memo or _Redexes(q, rules), True)
-    return list(dict.fromkeys(out for out, _ in steps))
+    memo = memo or _Redexes(q, rules)
+    memo.admit(x)
+    out: dict[LinComb, None] = {}
+    for nu, coeff in x.items():
+        for _, _, replacement in memo.redexes(nu, True):
+            out[_reduct(x, nu, coeff, replacement)] = None
+    return list(out)
 
 
 def is_irreducible(x: LinComb, q: BoolMat, rules: Sequence[Rule]) -> bool:
@@ -211,8 +276,15 @@ def normalize(
     terms is searched once per call and kept in a memo that every step
     reads; the memo is dropped when the call returns.  ``memo`` lets
     :func:`joinable` share its own, which keeps lone monomials too.
-    Steps, trace and errors are those of repeated :func:`reduce_once`
-    calls without a memo.
+
+    The memo also keeps an agenda of the combination each step produced:
+    its monomials not yet known to be irreducible, on a heap by code.  A
+    step takes the least of them that is present and reducible, moves its
+    coefficient onto the replacement, type-checks monomials it has not
+    seen, and copies the terms once, so it touches only the monomials it
+    changes rather than re-sorting the whole combination.  Steps, trace
+    and errors are those of repeated :func:`reduce_once` calls without a
+    memo.
     """
     if not order_backed and max_steps is None:
         raise ValueError("normalize needs either order_backed or max_steps")
@@ -301,7 +373,7 @@ def joinable(
                     new_y.append(w)
         common = seen_x & seen_y
         if common:
-            return JoinResult("yes", sorted(common, key=_lc_key)[0])
+            return JoinResult("yes", min(common, key=_lc_key))
         frontier_x, frontier_y = new_x, new_y
     return JoinResult("no", difference=nx - ny)
 

@@ -12,6 +12,7 @@ S3, whose tensor is the tensor product of vector spaces (the
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
@@ -328,6 +329,17 @@ HOPF_CONTEXTS = (st.integers(0, 2**32), st.integers(0, 2), st.integers(0, 2))
 HOPF_CONTEXT_GRID = [(seed, k, l) for k in range(3) for l in range(3) for seed in range(2)]
 
 
+def admissible_context(rng, rule, k, l):
+    """A random Hopf context with k extra outputs and l extra inputs that
+    admits the rule at the all-ones type."""
+    q = BoolMat.ones(k, l)
+    for _ in range(200):
+        ctx = exact_shape_class(rng, HOPF_SIG, k + rule.arity, l + rule.coarity)
+        if context_type_ok(ctx.tr, rule.qtype, q):
+            return ctx
+    raise AssertionError(f"no admissible context for {rule.rule_id}")
+
+
 @cache
 def hopf_annexations(seed, k, l):
     """For each Hopf rule, a random context K that admits it, with k extra
@@ -335,15 +347,9 @@ def hopf_annexations(seed, k, l):
     normalization of annex(K, lhs).  None of it depends on a model, so the
     model classes share it."""
     rng = random.Random(seed)
-    q = BoolMat.ones(k, l)
     out = []
     for rule in HOPF_RULES:
-        for _ in range(200):
-            ctx = exact_shape_class(rng, HOPF_SIG, k + rule.arity, l + rule.coarity)
-            if context_type_ok(ctx.tr, rule.qtype, q):
-                break
-        else:
-            raise AssertionError(f"no admissible context for {rule.rule_id}")
+        ctx = admissible_context(rng, rule, k, l)
         lhs = lc_annex(ctx, rule.lhs)
         out.append((rule.rule_id, lhs, lc_annex(ctx, rule.rhs), normalization(lhs, HOPF_RULES, 400)))
     return tuple(out)
@@ -358,6 +364,42 @@ def check_hopf_annexation(seed, k, l, model):
     for rule_id, lhs, rhs, (trace, result) in hopf_annexations(seed, k, l):
         assert value(lhs, MODELS[model]) == value(rhs, MODELS[model]), rule_id
         check_steps(lhs, trace, result, MODELS[model])
+
+
+# r06 and r10 need a coproduct fed by another coproduct or by a product,
+# which the random sums above seldom build: they fired 7 times in 150 of
+# them.  The sums of this grid hold an annexed left hand side of each.
+COPRODUCT_RULES = ("r06", "r10")
+COPRODUCT_GRID = [(seed, k, l) for k in range(3) for l in range(3) for seed in range(4)]
+
+
+@cache
+def hopf_coproduct_sums():
+    """For each (seed, k, l) of the grid and each of r06 and r10, a random
+    sum of shape (k, l) with annex(K, lhs) among its terms, for a random
+    context K that admits the rule, and the sum's normalization."""
+    rules = {rule.rule_id: rule for rule in HOPF_RULES}
+    out = []
+    for seed, k, l in COPRODUCT_GRID:
+        rng = random.Random(f"coproduct sums/{seed}")
+        for rule_id in COPRODUCT_RULES:
+            rule = rules[rule_id]
+            x = lc_annex(admissible_context(rng, rule, k, l), rule.lhs)
+            for _ in range(rng.randint(1, 2)):
+                coeff = rng.choice((1, -1, 2, Fraction(1, 2)))
+                x += LinComb.monomial(exact_shape_class(rng, HOPF_SIG, k, l), coeff)
+            out.append((x, normalization(x, HOPF_RULES, 400)))
+    return tuple(out)
+
+
+def check_coproduct_sums(model):
+    # every step of each sum keeps its value, and other redexes of the
+    # sum, reduced first, leave r06 and r10 enough of theirs to fire
+    fired = Counter()
+    for x, (trace, result) in hopf_coproduct_sums():
+        check_steps(x, trace, result, MODELS[model])
+        fired.update(step.rule_id for step in trace)
+    assert fired["r06"] >= 15 and fired["r10"] >= 8, fired
 
 
 def test_group_algebra_matches_basis_reference(rng):
@@ -406,6 +448,9 @@ class TestHopf:
     def test_annexation_grid_preserves_value(self, seed, k, l):
         check_hopf_annexation(seed, k, l, self.MODEL)
 
+    def test_coproduct_sums_preserve_value(self):
+        check_coproduct_sums(self.MODEL)
+
 
 class TestHopfDual:
     SIG, RULES = HOPF_SIG, HOPF_RULES
@@ -426,6 +471,9 @@ class TestHopfDual:
     @pytest.mark.parametrize("seed, k, l", HOPF_CONTEXT_GRID)
     def test_annexation_grid_preserves_value(self, seed, k, l):
         check_hopf_annexation(seed, k, l, self.MODEL)
+
+    def test_coproduct_sums_preserve_value(self):
+        check_coproduct_sums(self.MODEL)
 
     def test_model_is_not_cocommutative(self):
         # the coproduct is not symmetric, so this model tells a network from

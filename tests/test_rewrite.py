@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import netrw.match
-from netrw import rewrite
+from netrw import cli, rewrite
 from netrw.ainparse import parse_rules, parse_term
 from netrw.ambiguity import enumerate_decisive
 from netrw.core import BoolMat, cross, parse_signature, same
@@ -28,11 +28,13 @@ from netrw.props import BAFF_NAT, parse_assignment
 from netrw.rewrite import (
     BudgetExceededError,
     JoinResult,
+    ReductionStep,
     Rule,
     RuleError,
     all_single_steps,
     is_irreducible,
     joinable,
+    _monomial_redexes,
     _Redexes,
     make_rule,
     normalize,
@@ -301,11 +303,28 @@ class TestJoinable:
 # ---------------------------------------------------------------------------
 
 
-def reference_normalize(x, q, rules, max_steps, trace):
+def plain_reduce_once(x, q, rules):
+    """reduce_once from its definition, with neither memo nor agenda: the
+    monomials sorted by code, each searched afresh, and the result built by
+    LinComb arithmetic."""
+    if (q.rows, q.cols) != (x.coarity, x.arity):
+        raise RuleError("ambient type shape mismatch")
+    if not all(t.tr.leq(q) for t in x.terms):
+        raise RuleError("combination outside ambient type")
+    rules = sorted(rules, key=lambda r: r.rule_id)
+    for nu, coeff in x.items():
+        for rule, ctx in _monomial_redexes(nu, q, rules):
+            after = lc_annex(ctx, rule.rhs)
+            out = x + (after - LinComb.monomial(nu)).scale(coeff)
+            return out, ReductionStep(rule.rule_id, ctx, nu, after, coeff)
+    return None
+
+
+def reference_normalize(x, q, rules, max_steps, trace, reduce=reduce_once):
     """normalize's stepping loop over plain reduce_once calls, which share
     no memo."""
     steps = 0
-    while (hit := reduce_once(x, q, rules)) is not None:
+    while (hit := reduce(x, q, rules)) is not None:
         if steps >= max_steps:
             raise BudgetExceededError(x, steps)
         x, step = hit
@@ -360,6 +379,44 @@ def memo_normalize(x, q, rules, max_steps, trace):
     return normalize(x, q, rules, max_steps=max_steps, trace=trace)
 
 
+def plain_normalize(x, q, rules, max_steps, trace):
+    return reference_normalize(x, q, rules, max_steps, trace, reduce=plain_reduce_once)
+
+
+def agenda_events(x, trace):
+    """(steps at which a monomial other than the reduced one cancels to
+    zero, steps whose reduced monomial leaves the combination and comes
+    back later) of a normalization of x."""
+    combos = [set(x.terms)]
+    for step in trace:
+        x = x + (step.after - LinComb.monomial(step.before)).scale(step.coefficient)
+        combos.append(set(x.terms))
+    cancels = returns = 0
+    for i, step in enumerate(trace):
+        cancels += bool(combos[i] - combos[i + 1] - {step.before})
+        returns += step.before not in combos[i + 1] and any(
+            step.before in later for later in combos[i + 2 :]
+        )
+    return cancels, returns
+
+
+def random_circle_sum(rng, sig, rules):
+    """A sum of short x, y words with small coefficients, and a one-step
+    reduct of the first: the terms overlap, so reducts meet other terms
+    and cancel them."""
+    labels = "abcdefghi"
+    words = []
+    for _ in range(rng.randint(1, 3)):
+        letters = "".join(rng.choice("xyy") for _ in range(rng.randint(0, 8)))
+        words.append(" ".join(f"{g}^{a}_{b}" for g, a, b in zip(letters, labels, labels[1:])))
+    a, *rest = (parse_term(word or "d^a_b", sig) for word in words)
+    reduct = next(iter(all_single_steps(a, BoolMat.ones(1, 1), rules)), a)
+    x = a + reduct.scale(rng.choice((1, -1)))
+    for b in rest:
+        x += b.scale(rng.choice((1, -1, 2, Fraction(1, 2))))
+    return x
+
+
 @pytest.fixture(scope="module")
 def corpus_ambiguities():
     """(system, rules, ambiguity) for every decisive ambiguity of every
@@ -409,6 +466,41 @@ class TestRedexMemo:
             trace = expected[1]
             repeats += len(trace) - len({step.before for step in trace})
         assert repeats > 50 and budget_stops > 50
+
+    def test_agenda_matches_plain_steps(self, rng, hopf_sig):
+        # normalize's agenda against loops that sort, search and rebuild the
+        # whole combination on every step, on inputs where a step cancels a
+        # monomial other than the one it reduces, where a monomial reduced
+        # away comes back, and where the budget stops the normalization
+        hopf = parse_rules((CORPUS / "hopf.rules").read_text(encoding="utf-8"), hopf_sig)
+        circle_sig = parse_signature((CORPUS / "circle.sig").read_text(encoding="utf-8"))
+        circle = parse_rules((CORPUS / "circle.rules").read_text(encoding="utf-8"), circle_sig)
+        counts = Counter()
+        while counts["hopf"] < 120 or counts["circle"] < 120:
+            if counts["hopf"] < counts["circle"]:
+                m, n = rng.randint(0, 2), rng.randint(0, 2)
+                a, b = (LinComb.monomial(exact_shape_class(rng, hopf_sig, m, n)) for _ in "ab")
+                q, rules, system = BoolMat.ones(m, n), hopf, "hopf"
+                x = a + b.scale(rng.choice((1, 2, Fraction(-1, 3))))
+                x += next(iter(all_single_steps(a, q, rules)), b).scale(rng.choice((1, -1)))
+            else:
+                x = random_circle_sum(rng, circle_sig, circle)
+                q, rules, system = BoolMat.ones(1, 1), circle, "circle"
+            if len(x.terms) < 2:
+                continue
+            counts[system] += 1
+            for budget in (rng.randint(0, 6), 400):
+                args = (x, q, rules, budget)
+                expected = outcome(plain_normalize, *args)
+                assert outcome(reference_normalize, *args) == expected
+                assert outcome(memo_normalize, *args) == expected
+                counts["budget stops"] += expected[0][0] == "budget"
+            cancels, returns = agenda_events(x, expected[1])
+            counts[system, "cancels"] += cancels
+            counts[system, "returns"] += returns
+        assert counts["hopf", "cancels"] >= 15 and counts["hopf", "returns"] >= 20, counts
+        assert counts["circle", "cancels"] >= 40 and counts["circle", "returns"] >= 100, counts
+        assert counts["budget stops"] >= 60, counts
 
     def test_shared_memo_matches_fresh_calls(self, corpus_ambiguities):
         # a memo filled with first redexes by normalize answers
@@ -492,3 +584,51 @@ class TestRedexMemo:
         assert len(trace) == 63
         assert max(searches.values()) == 1
         assert sum(searches.values()) <= len(monomials) * len(rules) < len(trace)
+
+
+# ---------------------------------------------------------------------------
+# The entry point the benchmark traces
+# ---------------------------------------------------------------------------
+
+
+class TestTracedEntryPoint:
+    """The benchmark's tracer swaps every binding of ``reduce_once`` for a
+    wrapper and counts the calls that return a step as a job's steps, and
+    the redex searches inside them per step; so normalize has to reach
+    the module-level function once per step and once to stop."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        real = rewrite.reduce_once
+        calls = []
+
+        def counting(*args, **kwargs):
+            result = real(*args, **kwargs)
+            calls.append(result is not None)
+            return result
+
+        for name, module in list(sys.modules.items()):
+            if name == "netrw" or name.startswith("netrw."):
+                for attr, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, attr, counting)
+        return calls
+
+    def y10(self):
+        labels = "abcdefghijk"
+        return " ".join(f"y^{a}_{b}" for a, b in zip(labels, labels[1:]))
+
+    def normalize_cli(self, capsys, *argv):
+        files = [f"--{kind}={CORPUS}/circle.{kind}" for kind in ("sig", "rules")]
+        code = cli.main(["normalize", *files, *argv, self.y10()])
+        return code, capsys.readouterr().out
+
+    def test_ordered_circle_power(self, calls, capsys):
+        code, out = self.normalize_cli(capsys, f"--order={CORPUS}/circle.order")
+        assert code == cli.OK and out.strip()
+        assert calls == [True] * 31 + [False]
+
+    def test_budget_stop(self, calls, capsys):
+        code, out = self.normalize_cli(capsys, "--max-steps=7")
+        assert code == cli.NEGATIVE and out.startswith("budget exceeded")
+        assert calls == [True] * 8

@@ -58,6 +58,26 @@ def _referenced_names(tree: ast.AST) -> Counter:
     return names
 
 
+MODULES = {"netrw"} | {path.stem for path in SRC.glob("*.py")}
+
+
+def _referenced_globals(tree: ast.AST) -> Counter:
+    """How often each top-level name can be meant: read as a bare name,
+    imported by name, or read as an attribute of a ``netrw`` module.  An
+    attribute of anything else, such as ``str.split``, refers to no
+    top-level definition."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            if isinstance(node.value, ast.Name) and node.value.id in MODULES:
+                names[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
 # called by argparse, not by the package
 CALLED_FROM_OUTSIDE = {"_Parser.error"}
 
@@ -67,16 +87,25 @@ def test_no_unreferenced_definitions():
     package itself: ``src/`` refers to it outside its own body, or it is
     exported in ``netrw.__all__`` or a method of an exported name.  Dunder
     methods are called by the language.  Code that only tests call belongs
-    in ``tests/``."""
+    in ``tests/``.  A top-level definition counts as referred to only by
+    its bare name, an import of it, or an attribute of a ``netrw`` module;
+    a method, by any name or attribute of the same spelling."""
     import netrw
 
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.rglob("*.py"))}
     referenced = sum(map(_referenced_names, trees.values()), Counter())
+    globals_read = sum(map(_referenced_globals, trees.values()), Counter())
+
+    def unreferenced(qualname, name, node):
+        if "." in qualname:
+            return referenced[name] <= _referenced_names(node)[name]
+        return globals_read[name] <= _referenced_globals(node)[name]
+
     unused = [
         f"{path.name}:{node.lineno} {qualname}"
         for path in sorted(SRC.glob("*.py"))
         for qualname, name, node in _definitions(trees[path])
-        if referenced[name] <= _referenced_names(node)[name]
+        if unreferenced(qualname, name, node)
         and qualname.split(".")[0] not in netrw.__all__
         and qualname not in CALLED_FROM_OUTSIDE
         and not (name.startswith("__") and name.endswith("__"))
