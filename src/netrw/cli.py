@@ -50,6 +50,17 @@ def _load_order(args, sig):
     return parse_order(_read(args.order), sig, resolve)
 
 
+def _admissible_order(args, sig):
+    """The order preset of a run that relies on it for termination, which
+    must pass ``check_strictness``."""
+    spec = _load_order(args, sig)
+    report = check_strictness(spec, sig)
+    if not report.ok:
+        note = next(note for st in report.stages if not st.ok for note in st.notes)
+        raise UsageError(f"order not admissible: {note}")
+    return spec
+
+
 def _emit(args, payload: dict, text: str) -> None:
     if args.json:
         print(json.dumps(payload, sort_keys=True, default=str))
@@ -131,7 +142,7 @@ def cmd_normalize(args) -> int:
     term = parse_term(args.term, sig)
     q = _ambient(term, args)
     if args.order:
-        spec = _load_order(args, sig)
+        spec = _admissible_order(args, sig)
         for rule in rules:
             ok, _ = rule_compatible(rule, spec)
             if not ok:
@@ -189,7 +200,7 @@ def cmd_ambiguities(args) -> int:
 def cmd_confluence(args) -> int:
     sig = _load_sig(args)
     rules = _load_rules(args, sig)
-    spec = _load_order(args, sig) if args.order else None
+    spec = _admissible_order(args, sig) if args.order else None
     try:
         report = confluence_report(rules, spec, max_steps=args.max_steps)
     except IncompatibleRuleError as exc:
@@ -233,7 +244,7 @@ def cmd_confluence(args) -> int:
 def cmd_complete(args) -> int:
     sig = _load_sig(args)
     rules = _load_rules(args, sig)
-    spec = _load_order(args, sig)
+    spec = _admissible_order(args, sig)
     try:
         new_rules, report = complete(rules, spec, max_steps=args.max_steps)
     except (OrientationFailedError, LimitReachedError) as exc:

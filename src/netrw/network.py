@@ -10,7 +10,7 @@ only rename vertex and edge ids.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .core import NEUTRAL_NAME, Perm, Symbol, BoolMat, UnionFind, same
 
@@ -253,34 +253,22 @@ class TargetError(ValueError):
     pass
 
 
-def evaluate(
-    net: Network,
-    target,
-    assign: Callable[[Symbol], object] | Mapping[str, object],
-):
+def evaluate(net: Network, target, assign: Mapping[str, object]):
     """Evaluate a network in a target PROP.
 
-    ``assign`` maps symbols (or symbol names) to target elements of the
-    right shape.  The computation walks a topological order of the inner
-    vertices and slices the network below one vertex at a time; the result
-    does not depend on which topological order is walked.
+    ``assign`` maps symbol names to target elements of the right shape.
+    The computation walks a topological order of the inner vertices and
+    slices the network below one vertex at a time; the result does not
+    depend on which topological order is walked.
     """
-    if callable(assign) and not isinstance(assign, Mapping):
-        lookup = assign
-    else:
-        mapping = assign
-
-        def lookup(sym: Symbol):
-            try:
-                return mapping[sym.name]
-            except KeyError:
-                raise TargetError(f"no assignment for symbol {sym.name!r}") from None
-
     inner = net.inner_vertices()
     images: dict[int, object] = {}
     for v in inner:
         sym = net.deco[v]
-        img = lookup(sym)
+        try:
+            img = assign[sym.name]
+        except KeyError:
+            raise TargetError(f"no assignment for symbol {sym.name!r}") from None
         if target.dims(img) != (sym.coarity, sym.arity):
             raise TargetError(
                 f"assignment for {sym.name!r} has shape {target.dims(img)},"

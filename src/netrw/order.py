@@ -1,6 +1,6 @@
-"""Termination orders: the standard matrix order pulled back over
-evaluation into the biaffine PROP, the connectivity order, and their
-lexicographic compositions."""
+"""Termination orders: the order of an ordered PROP (the biaffine PROP
+over N, or the connectivity PROP) pulled back over evaluation, and the
+lexicographic compositions of such pullbacks."""
 
 from __future__ import annotations
 
@@ -10,7 +10,16 @@ from typing import Mapping, Sequence
 from .core import Signature
 from .freeprop import NetClass
 from .network import evaluate
-from .props import BAFF_NAT, CONNECTIVITY, BaffElem, ConnElem, parse_assignment
+from .props import (
+    BAFF_NAT,
+    CONNECTIVITY,
+    BaffElem,
+    BaffTarget,
+    ConnectivityTarget,
+    ConnElem,
+    connectivity_assignment,
+    parse_assignment,
+)
 from .rewrite import Rule
 
 LT, GT, EQUIV, INCOMPARABLE = "LT", "GT", "EQUIV", "INCOMPARABLE"
@@ -31,43 +40,20 @@ def _verdict(le: bool, ge: bool) -> str:
 
 
 @dataclass(frozen=True)
-class BaffStage:
-    """Pullback of the entrywise order on biaffine matrices over
-    evaluation with the given generator assignment."""
+class Stage:
+    """The pullback of ``target``'s order over evaluation with
+    ``assignment``: a is below b when ``target.leq`` holds between their
+    values."""
 
-    assignment: Mapping[str, BaffElem]
+    target: BaffTarget | ConnectivityTarget
+    assignment: Mapping[str, BaffElem | ConnElem]
 
-    def value(self, a: NetClass) -> BaffElem:
-        return evaluate(a.rep, BAFF_NAT, dict(self.assignment))
-
-    def compare(self, a: NetClass, b: NetClass) -> str:
-        fa, fb = self.value(a).full, self.value(b).full
-        le = all(
-            fa.entries[i][j] <= fb.entries[i][j]
-            for i in range(fa.rows)
-            for j in range(fa.cols)
-        )
-        ge = all(
-            fa.entries[i][j] >= fb.entries[i][j]
-            for i in range(fa.rows)
-            for j in range(fa.cols)
-        )
-        return _verdict(le, ge)
-
-
-@dataclass(frozen=True)
-class ConnectivityStage:
-    """The connectivity order: partition refinement plus cycle count."""
-
-    def value(self, a: NetClass) -> ConnElem:
-        return evaluate(a.rep, CONNECTIVITY, CONNECTIVITY.generator_image)
+    def value(self, a: NetClass) -> BaffElem | ConnElem:
+        return evaluate(a.rep, self.target, self.assignment)
 
     def compare(self, a: NetClass, b: NetClass) -> str:
         va, vb = self.value(a), self.value(b)
-        return _verdict(CONNECTIVITY.leq(va, vb), CONNECTIVITY.leq(vb, va))
-
-
-Stage = BaffStage | ConnectivityStage
+        return _verdict(self.target.leq(va, vb), self.target.leq(vb, va))
 
 
 @dataclass(frozen=True)
@@ -85,10 +71,7 @@ def lex_compose(specs: Sequence[OrderSpec]) -> OrderSpec:
     """Concatenate the stage lists; associative by construction."""
     if not specs:
         raise OrderError("lexicographic composition of no orders")
-    stages: tuple[Stage, ...] = ()
-    for spec in specs:
-        stages = stages + spec.stages
-    return OrderSpec(stages)
+    return OrderSpec(tuple(stage for spec in specs for stage in spec.stages))
 
 
 def compare(a: NetClass, b: NetClass, spec: OrderSpec) -> str:
@@ -125,64 +108,57 @@ class StrictnessReport:
         return "\n".join(lines)
 
 
+_CONNECTIVITY_NOTE = (
+    "strict partial order by construction; rules that only permute legs "
+    "compare EQUIV, so compose with a pullback stage to orient them",
+)
+
+
 def check_strictness(spec: OrderSpec, sig: Signature) -> StrictnessReport:
     """Verify the strictness preconditions of every stage.
 
     A biaffine stage passes when every generator image has at least one
     positive entry in each row and column of its full padded matrix; the
     order is then a well-founded strict PROP quasi-order with the strict
-    uncut property.  A connectivity stage is always admissible."""
+    uncut property.  A connectivity stage passes when it sends every
+    generator to its one-block image, as ``parse_order`` builds it."""
     reports = []
-    ok = True
     for stage in spec.stages:
-        if isinstance(stage, ConnectivityStage):
-            reports.append(
-                StageReport(
-                    "connectivity",
-                    True,
-                    (
-                        "strict partial order by construction; rules that only "
-                        "permute legs compare EQUIV, so compose with a pullback "
-                        "stage to orient them",
-                    ),
-                )
+        if isinstance(stage.target, ConnectivityTarget):
+            image = connectivity_assignment(sig)
+            notes = tuple(
+                f"symbol {sym.name!r} is not sent to its one-block image"
+                for sym in sig
+                if stage.assignment.get(sym.name) != image[sym.name]
             )
+            reports.append(StageReport("connectivity", not notes, notes or _CONNECTIVITY_NOTE))
             continue
         notes = []
-        stage_ok = True
         for sym in sig:
             if sym.name not in stage.assignment:
                 notes.append(f"symbol {sym.name!r} has no image")
-                stage_ok = False
                 continue
-            full = stage.assignment[sym.name].full
-            for i in range(full.rows):
-                if all(full.entries[i][j] == 0 for j in range(full.cols)):
-                    notes.append(f"symbol {sym.name!r}: row {i + 1} has no positive entry")
-                    stage_ok = False
-            for j in range(full.cols):
-                if all(full.entries[i][j] == 0 for i in range(full.rows)):
-                    notes.append(
-                        f"symbol {sym.name!r}: column {j + 1} has no positive entry"
-                    )
-                    stage_ok = False
-        reports.append(StageReport("baff", stage_ok, tuple(notes)))
-        ok = ok and stage_ok
-    return StrictnessReport(ok, tuple(reports))
+            rows = stage.assignment[sym.name].full.entries
+            notes += [
+                f"symbol {sym.name!r}: row {i} has no positive entry"
+                for i, row in enumerate(rows, 1)
+                if not any(row)
+            ]
+            notes += [
+                f"symbol {sym.name!r}: column {j} has no positive entry"
+                for j, column in enumerate(zip(*rows), 1)
+                if not any(column)
+            ]
+        reports.append(StageReport("baff", not notes, tuple(notes)))
+    return StrictnessReport(all(st.ok for st in reports), tuple(reports))
 
 
 def rule_compatible(rule: Rule, spec: OrderSpec) -> tuple[bool, list[tuple[NetClass, str]]]:
     """True iff every monomial of the rhs is strictly below the lhs.
 
     Returns the verdict together with per-monomial witnesses."""
-    witnesses = []
-    ok = True
-    for term in rule.rhs.monomials():
-        verdict = compare(term, rule.lhs, spec)
-        witnesses.append((term, verdict))
-        if verdict != LT:
-            ok = False
-    return ok, witnesses
+    witnesses = [(term, compare(term, rule.lhs, spec)) for term in rule.rhs.monomials()]
+    return all(verdict == LT for _, verdict in witnesses), witnesses
 
 
 # ---------------------------------------------------------------------------
@@ -212,15 +188,17 @@ def parse_order(text: str, sig: Signature, resolve_file) -> OrderSpec:
             continue
         if words[0] != "stage":
             raise OrderError(f"expected 'stage', got {words[0]!r}")
+        if len(words) == 1:
+            raise OrderError("'stage' needs a kind: baff or connectivity")
         if words[1] == "connectivity":
             if len(words) != 2:
                 raise OrderError("stage connectivity takes no arguments")
-            stages.append(ConnectivityStage())
+            stages.append(Stage(CONNECTIVITY, connectivity_assignment(sig)))
         elif words[1] == "baff":
             if len(words) != 3:
                 raise OrderError("stage baff needs an assignment file")
             assignment = parse_assignment(resolve_file(words[2]), sig, BAFF_NAT)
-            stages.append(BaffStage(assignment))
+            stages.append(Stage(BAFF_NAT, assignment))
         else:
             raise OrderError(f"unknown stage kind {words[1]!r}")
     return OrderSpec(tuple(stages))

@@ -54,8 +54,8 @@ def _mat_blocks(a: Mat, row_split: int, col_split: int) -> tuple[Mat, Mat, Mat, 
 
 
 class MatrixTarget:
-    """Matrices of any sides over a commutative semiring given by
-    (zero, one, add, mul).
+    """Matrices of any sides over N or Q, as ``naturals`` says: the two
+    compute alike, and differ only in the entries an assignment may give.
 
     The tensor is the direct sum (block diagonal), so that an element with
     m outputs and n inputs stays an m x n matrix.  It is not bilinear:
@@ -64,12 +64,9 @@ class MatrixTarget:
     wire beside the redex, so these targets are no model of a rule
     system's combinations."""
 
-    def __init__(self, name: str, zero, one, add, mul):
+    def __init__(self, name: str, naturals: bool):
         self.name = name
-        self.zero = zero
-        self.one = one
-        self.add = add
-        self.mul_op = mul
+        self.naturals = naturals
 
     def dims(self, a: Mat) -> tuple[int, int]:
         return (a.rows, a.cols)
@@ -77,29 +74,24 @@ class MatrixTarget:
     def compose(self, a: Mat, b: Mat) -> Mat:
         if a.cols != b.rows:
             raise TargetValueError("matrix product shape mismatch")
-        out = []
-        for i in range(a.rows):
-            row = []
-            for j in range(b.cols):
-                acc = self.zero
-                for k in range(a.cols):
-                    acc = self.add(acc, self.mul_op(a.entries[i][k], b.entries[k][j]))
-                row.append(acc)
-            out.append(row)
-        return Mat.from_rows(out, cols=b.cols)
+        columns = [[row[j] for row in b.entries] for j in range(b.cols)]
+        return Mat.from_rows(
+            [[sum(x * y for x, y in zip(row, col)) for col in columns] for row in a.entries],
+            cols=b.cols,
+        )
 
     def tensor(self, a: Mat, b: Mat) -> Mat:
         out = []
         for i in range(a.rows):
-            out.append(list(a.entries[i]) + [self.zero] * b.cols)
+            out.append(list(a.entries[i]) + [0] * b.cols)
         for i in range(b.rows):
-            out.append([self.zero] * a.cols + list(b.entries[i]))
+            out.append([0] * a.cols + list(b.entries[i]))
         return Mat.from_rows(out, cols=a.cols + b.cols)
 
     def phi(self, p: Perm) -> Mat:
-        out = [[self.zero] * p.n for _ in range(p.n)]
+        out = [[0] * p.n for _ in range(p.n)]
         for j in range(1, p.n + 1):
-            out[p(j) - 1][j - 1] = self.one
+            out[p(j) - 1][j - 1] = 1
         return Mat.from_rows(out)
 
     def identity(self, n: int) -> Mat:
@@ -109,22 +101,15 @@ class MatrixTarget:
         return Mat.from_rows(rows, cols)
 
 
-def _int_add(a, b):
-    return a + b
-
-
-def _int_mul(a, b):
-    return a * b
-
-
-NAT_MATRIX = MatrixTarget("nat-matrix", 0, 1, _int_add, _int_mul)
-RAT_MATRIX = MatrixTarget("rat-matrix", Fraction(0), Fraction(1), _int_add, _int_mul)
+NAT_MATRIX = MatrixTarget("nat-matrix", naturals=True)
+RAT_MATRIX = MatrixTarget("rat-matrix", naturals=False)
 
 
 class BoolMatrixTarget:
     """The boolean matrix PROP; elements are :class:`core.BoolMat`."""
 
     name = "bool-matrix"
+    naturals = False
 
     def dims(self, a: BoolMat) -> tuple[int, int]:
         return (a.rows, a.cols)
@@ -165,6 +150,8 @@ class BaffElem:
         f = self.full
         if f.rows < 2 or f.cols < 2:
             raise TargetValueError("biaffine matrix must be at least 2x2")
+        if not all(isinstance(x, int) and x >= 0 for row in f.entries for x in row):
+            raise TargetValueError("biaffine entries must be non-negative ints")
         if f.get(0, 0) != 1 or f.get(1, 1) != 1:
             raise TargetValueError("biaffine pattern: corner entries must be 1")
         for i in range(1, f.rows):
@@ -207,6 +194,7 @@ class BaffTarget:
     padded matrices, tensor adds the scalar parts and block-sums the rest."""
 
     name = "baff-nat"
+    naturals = True
 
     def dims(self, a: BaffElem) -> tuple[int, int]:
         return (a.coarity, a.arity)
@@ -239,6 +227,14 @@ class BaffTarget:
 
     def from_rows(self, rows, cols: int) -> BaffElem:
         return BaffElem(Mat.from_rows(rows, cols))
+
+    def leq(self, a: BaffElem, b: BaffElem) -> bool:
+        """The entrywise order on the full matrices."""
+        return self.dims(a) == self.dims(b) and all(
+            x <= y
+            for row_a, row_b in zip(a.full.entries, b.full.entries)
+            for x, y in zip(row_a, row_b)
+        )
 
 
 BAFF_NAT = BaffTarget()
@@ -331,14 +327,6 @@ class ConnectivityTarget:
     def identity(self, n: int) -> ConnElem:
         return self.phi(Perm(tuple(range(1, n + 1))))
 
-    def generator_image(self, sym) -> ConnElem:
-        """All legs of the generator in a single block, no cycles."""
-        labels = {(0, i) for i in range(1, sym.coarity + 1)} | {
-            (1, j) for j in range(1, sym.arity + 1)
-        }
-        blocks = frozenset({frozenset(labels)}) if labels else frozenset()
-        return ConnElem(sym.coarity, sym.arity, blocks, 0)
-
     def leq(self, a: ConnElem, b: ConnElem) -> bool:
         """(B1,c1) <= (B2,c2): c1 <= c2 and B1 refines B2."""
         if (a.coarity, a.arity) != (b.coarity, b.arity):
@@ -371,7 +359,15 @@ def _mat_pattern(a: Mat) -> BoolMat:
     return BoolMat.from_rows([[1 if x else 0 for x in row] for row in a.entries])
 
 
-def matrix_feedback(a, n: int, pattern: BoolMat | None = None, target=None):
+def _mat_sum(a: Mat, b: Mat) -> Mat:
+    return Mat(
+        a.rows,
+        a.cols,
+        tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a.entries, b.entries)),
+    )
+
+
+def matrix_feedback(a, n: int, pattern: BoolMat | None = None):
     """Formal feedback: connect the last n outputs back to the last n
     inputs of a matrix (or biaffine) element.
 
@@ -380,9 +376,7 @@ def matrix_feedback(a, n: int, pattern: BoolMat | None = None, target=None):
     pattern); its Kleene star is then the finite Neumann sum.
     """
     if isinstance(a, BaffElem):
-        result = matrix_feedback(a.full, n, pattern, target=NAT_MATRIX)
-        return BaffElem(result)
-    t = target or NAT_MATRIX
+        return BaffElem(matrix_feedback(a.full, n, pattern))
     if n == 0:
         return a
     if a.rows < n or a.cols < n:
@@ -398,23 +392,12 @@ def matrix_feedback(a, n: int, pattern: BoolMat | None = None, target=None):
     if not pat22.leq(pattern):
         raise PatternViolatedError("block exceeds the declared pattern")
     # finite Neumann sum: I + A22 + A22^2 + ... (terminates by nilpotence)
-    star = t.identity(n)
-    power = t.identity(n)
+    t = NAT_MATRIX
+    star = power = t.identity(n)
     for _ in range(n):
         power = t.compose(power, a22)
-        star = Mat.from_rows(
-            [
-                [t.add(star.entries[i][j], power.entries[i][j]) for j in range(n)]
-                for i in range(n)
-            ]
-        )
-    middle = t.compose(t.compose(a12, star), a21)
-    return Mat.from_rows(
-        [
-            [t.add(a11.entries[i][j], middle.entries[i][j]) for j in range(a11.cols)]
-            for i in range(a11.rows)
-        ]
-    )
+        star = _mat_sum(star, power)
+    return _mat_sum(a11, t.compose(t.compose(a12, star), a21))
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +428,9 @@ def parse_assignment(text: str, sig, target):
 
     One ``map <symbol> = <rows>`` line per generator; rows are separated
     by ``;`` and entries by whitespace.  For the biaffine target the full
-    padded (m+2) x (n+2) matrix is given.  Entries may be fractions
-    ``p/q`` for the rational target; the boolean one reads nonzero as 1.
+    padded (m+2) x (n+2) matrix is given.  Entries are natural numbers for
+    the nat and biaffine targets, may be fractions ``p/q`` for the
+    rational target, and are read nonzero as 1 by the boolean one.
     An empty body gives the m x 0 or 0 x n matrix of a generator with no
     inputs or no outputs.
     """
@@ -473,9 +457,16 @@ def parse_assignment(text: str, sig, target):
             entries = chunk.split()
             if entries:
                 try:
-                    data.append([Fraction(x) if "/" in x else int(x) for x in entries])
+                    row = [Fraction(x) if "/" in x else int(x) for x in entries]
                 except ZeroDivisionError:
                     raise TargetValueError(f"line {lineno}: zero denominator") from None
+                if target.naturals:
+                    if any(x < 0 or x.denominator != 1 for x in row):
+                        raise TargetValueError(
+                            f"line {lineno}: {name!r} needs natural-number entries"
+                        )
+                    row = [int(x) for x in row]
+                data.append(row)
         if not data and not rows * cols:
             data = [[] for _ in range(rows)]
         if len(data) != rows or any(len(r) != cols for r in data):
@@ -490,4 +481,13 @@ def parse_assignment(text: str, sig, target):
 
 
 def connectivity_assignment(sig):
-    return {s.name: CONNECTIVITY.generator_image(s) for s in sig}
+    """Each generator's legs in a single block, with no cycles: the
+    assignment the connectivity order is pulled back over."""
+    out = {}
+    for sym in sig:
+        labels = {(0, i) for i in range(1, sym.coarity + 1)} | {
+            (1, j) for j in range(1, sym.arity + 1)
+        }
+        blocks = frozenset({frozenset(labels)}) if labels else frozenset()
+        out[sym.name] = ConnElem(sym.coarity, sym.arity, blocks, 0)
+    return out

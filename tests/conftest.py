@@ -371,9 +371,9 @@ CONN_CUP = ConnElem(0, 2, frozenset({frozenset({(1, 1), (1, 2)})}), 0)
 CONN_CAP = ConnElem(2, 0, frozenset({frozenset({(0, 1), (0, 2)})}), 0)
 
 
-def all_ones_assignment(sym: Symbol) -> BoolMat:
-    """The generator image under which boolean evaluation is transference."""
-    return BoolMat.ones(sym.coarity, sym.arity)
+def all_ones_assignment(symbols) -> dict[str, BoolMat]:
+    """The generator images under which boolean evaluation is transference."""
+    return {sym.name: BoolMat.ones(sym.coarity, sym.arity) for sym in symbols}
 
 
 # ---------------------------------------------------------------------------

@@ -29,13 +29,14 @@ from netrw.freeprop import (
 )
 from netrw.match import complement, find_embeddings, strong_embeddings
 from netrw.network import Edge, evaluate, validate
-from netrw.order import LT, BaffStage, OrderSpec, compare, check_strictness, rule_compatible
+from netrw.order import LT, OrderSpec, Stage, compare, check_strictness, rule_compatible
 from netrw.props import (
     BAFF_NAT,
     BOOL_MATRIX,
     CONNECTIVITY,
     NAT_MATRIX,
     Mat,
+    connectivity_assignment,
     matrix_feedback,
     parse_assignment,
 )
@@ -124,7 +125,7 @@ def test_associativity_suite():
     sig = parse_signature((CORPUS / "assoc.sig").read_text())
     rules = parse_rules((CORPUS / "assoc.rules").read_text(), sig)
     assignment = parse_assignment((CORPUS / "assoc.map").read_text(), sig, BAFF_NAT)
-    spec = OrderSpec((BaffStage(assignment),))
+    spec = OrderSpec((Stage(BAFF_NAT, assignment),))
 
     ambs = enumerate_decisive(rules[0], rules[0])
     nontrivial = [a for a in ambs if not a.trivial]
@@ -244,7 +245,7 @@ class TestPropertySuites:
     def test_transference_is_boolean_evaluation(self, rng, sig2):
         for _ in range(500):
             net = random_network(rng, list(sig2), max_inner=4)
-            assert class_of(net).tr == evaluate(net, BOOL_MATRIX, all_ones_assignment)
+            assert class_of(net).tr == evaluate(net, BOOL_MATRIX, all_ones_assignment(sig2))
         print("ACCEPTANCE PASS: Tr = eval under all-ones assignment (500 cases)")
 
     def test_cut_split_multiplicativity(self, rng, sig2):
@@ -383,7 +384,7 @@ class TestPropertySuites:
         assignment = parse_assignment(
             "map m = 1 0 0 0 ; 0 1 0 0 ; 0 0 1 2", sig, BAFF_NAT
         )
-        spec = OrderSpec((BaffStage(assignment),))
+        spec = OrderSpec((Stage(BAFF_NAT, assignment),))
         small = rules[0].rhs.monomials()[0]
         big = rules[0].lhs
         cases = 0
@@ -449,7 +450,7 @@ class TestPropertySuites:
 def test_connectivity_cyclomatic_check(rng, sig2):
     """Connectivity evaluation vs an independent components-and-cycles
     computation on the leg-graph, 500 random networks, exact."""
-    assign = {s.name: CONNECTIVITY.generator_image(s) for s in sig2}
+    assign = connectivity_assignment(sig2)
     for _ in range(500):
         net = random_network(rng, list(sig2), max_inner=4)
         got = evaluate(net, CONNECTIVITY, assign)

@@ -26,7 +26,7 @@ from netrw.core import BoolMat, parse_signature
 from netrw.freeprop import LinComb, annex, lc_annex
 from netrw.match import find_embeddings
 from netrw.network import InvalidNetworkError, Violation, _components, act, canonical_code
-from netrw.order import BaffStage, OrderSpec
+from netrw.order import OrderSpec, Stage
 from netrw.props import BAFF_NAT, parse_assignment
 from netrw.rewrite import all_single_steps, is_irreducible, joinable, make_rule, normalize
 
@@ -40,7 +40,7 @@ def assoc_setup():
     sig = parse_signature("gen m 1 2\n")
     rules = parse_rules("rule assoc sharp: m^a_bc m^c_de -> m^a_ce m^c_bd", sig)
     assignment = parse_assignment("map m = 1 0 0 0 ; 0 1 0 0 ; 0 0 1 2", sig, BAFF_NAT)
-    return sig, rules, OrderSpec((BaffStage(assignment),))
+    return sig, rules, OrderSpec((Stage(BAFF_NAT, assignment),))
 
 
 @pytest.fixture
@@ -460,7 +460,7 @@ class TestComplete:
             sig,
             BAFF_NAT,
         )
-        spec = OrderSpec((BaffStage(assignment),))
+        spec = OrderSpec((Stage(BAFF_NAT, assignment),))
         done, report = complete(rules, spec)
         assert report.verdict == "confluent"
         new = [r for r in done if r.rule_id not in {"circ"}]
@@ -489,6 +489,6 @@ class TestComplete:
             sig,
             BAFF_NAT,
         )
-        spec = OrderSpec((BaffStage(assignment),))
+        spec = OrderSpec((Stage(BAFF_NAT, assignment),))
         with pytest.raises(OrientationFailedError):
             complete(rules, spec)

@@ -304,6 +304,45 @@ class TestSubcommands:
         )
         assert code == 0 and "compatible" in out
 
+    def test_order_backed_run_names_first_failure(self, corpus, capsys):
+        write_flat_order(corpus)
+        code, out, err = run(
+            capsys,
+            "normalize",
+            "--sig",
+            str(corpus / "circle.sig"),
+            "--rules",
+            str(corpus / "circle.rules"),
+            "--order",
+            str(corpus / "flat.order"),
+            "y^a_b y^b_c",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: order not admissible: symbol 'x': row 3 has no positive entry\n"
+
+    def test_order_check_reports_inadmissible_order(self, corpus, capsys):
+        # the order that normalize, confluence and complete refuse still
+        # gets its full report, with exit 1
+        write_flat_order(corpus)
+        code, out, err = run(
+            capsys,
+            "order-check",
+            "--sig",
+            str(corpus / "circle.sig"),
+            "--order",
+            str(corpus / "flat.order"),
+            "--rules",
+            str(corpus / "circle.rules"),
+        )
+        assert code == 1 and err == ""
+        assert out == (
+            "stage 1 (baff): FAIL\n"
+            "  - symbol 'x': row 3 has no positive entry\n"
+            "  - symbol 'x': column 3 has no positive entry\n"
+            "order NOT admissible\n"
+            "rule circ: compatible\n"
+        )
+
     def test_json_mode(self, corpus, capsys):
         code, out, _ = run(
             capsys,
@@ -369,8 +408,16 @@ BAD_INPUT_ARGV = [
     ["ambiguities", "--sig", "{assoc.sig}", "--rules", "{assoc.rules}", "--pair", "assoc", "nope"],
     ["confluence", "--sig", "{assoc.sig}", "--rules", "{rev.rules}", "--order", "{assoc.order}"],
     ["NETRW_THREADS=0", "validate", "--sig", "{assoc.sig}", "m^a_bc"],
+    ["order-check", "--sig", "{circle.sig}", "--order", "{neg.order}", "--rules", "{grow.rules}"],
+    ["normalize", "--sig", "{circle.sig}", "--rules", "{grow.rules}", "--order", "{neg.order}", "y^a_b"],
+    ["eval", "--sig", "{circle.sig}", "--target", "nat-matrix", "--map", "{half.map}", "x^a_b y^b_c"],
+    ["eval", "--sig", "{circle.sig}", "--target", "baff-nat", "--map", "{neg.map}", "x^a_b y^b_c"],
+    ["order-check", "--sig", "{assoc.sig}", "--order", "{stage.order}"],
+    ["normalize", "--sig", "{circle.sig}", "--rules", "{circle.rules}", "--order", "{flat.order}", "y^a_b y^b_c"],
+    ["confluence", "--sig", "{circle.sig}", "--rules", "{circle.rules}", "--order", "{flat.order}"],
+    ["complete", "--sig", "{circle.sig}", "--rules", "{circle.rules}", "--order", "{flat.order}"],
 ]
-BAD_INPUT_IDS = ["no-rules", "no-order", "order-check-no-order", "negative-r", "r-too-big-zero-operand", "r-too-big", "term-zero-denominator", "map-zero-denominator", "tr-not-monomial", "eval-no-map", "normalize-incompatible-rule", "unknown-rule", "confluence-incompatible-rule", "bad-threads"]
+BAD_INPUT_IDS = ["no-rules", "no-order", "order-check-no-order", "negative-r", "r-too-big-zero-operand", "r-too-big", "term-zero-denominator", "map-zero-denominator", "tr-not-monomial", "eval-no-map", "normalize-incompatible-rule", "unknown-rule", "confluence-incompatible-rule", "bad-threads", "order-check-negative-entry", "normalize-negative-entry", "eval-nat-fraction", "eval-baff-negative-entry", "stage-without-kind", "normalize-inadmissible", "confluence-inadmissible", "complete-inadmissible"]
 NO_BOUND_ARGV = [
     ["normalize", "--sig", "{assoc.sig}", "--rules", "{assoc.rules}", "m^a_bc m^c_de"],
     ["confluence", "--sig", "{zigzag.sig}", "--rules", "{zigzag.rules}"],
@@ -381,10 +428,30 @@ def in_corpus(corpus, argv):
     return [str(corpus / a[1:-1]) if a.startswith("{") else a for a in argv]
 
 
+def write_flat_order(corpus):
+    """flat.order: circle's order with a zero row and column in x's image,
+    which check_strictness rejects."""
+    (corpus / "flat.map").write_text(
+        "map x = 1 0 0 ; 0 1 0 ; 0 0 0\nmap y = 1 0 0 ; 0 1 0 ; 0 1 3\n", encoding="utf-8"
+    )
+    (corpus / "flat.order").write_text("order { stage baff flat.map }\n", encoding="utf-8")
+
+
 def bad_input(corpus, monkeypatch, argv):
     """argv of BAD_INPUT_ARGV made runnable: its extra files written, its
     NETRW_THREADS set and its file names resolved."""
     (corpus / "zero.map").write_text("map m = 1 1/0\n", encoding="utf-8")
+    # entries outside N, which once made an order that never terminates
+    (corpus / "neg.map").write_text(
+        "map x = 1 0 0 ; 0 1 0 ; 0 1 2\nmap y = 1 0 0 ; 0 1 0 ; 0 0 -2\n", encoding="utf-8"
+    )
+    (corpus / "neg.order").write_text("order { stage baff neg.map }\n", encoding="utf-8")
+    (corpus / "grow.rules").write_text(
+        "rule grow sharp: y^a_b -> y^a_c y^c_d y^d_b\n", encoding="utf-8"
+    )
+    (corpus / "half.map").write_text("map x = 1/2\nmap y = -3\n", encoding="utf-8")
+    (corpus / "stage.order").write_text("order { stage }\n", encoding="utf-8")
+    write_flat_order(corpus)
     # assoc oriented against its order
     (corpus / "rev.rules").write_text(
         "rule rev sharp: m^a_ce m^c_bd -> m^a_bc m^c_de\n", encoding="utf-8"

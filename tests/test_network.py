@@ -146,7 +146,7 @@ class TestTransference:
     def test_equals_boolean_evaluation(self, rng, sig2):
         for _ in range(200):
             net = random_network(rng, list(sig2))
-            assert transference(net) == evaluate(net, BOOL_MATRIX, all_ones_assignment)
+            assert transference(net) == evaluate(net, BOOL_MATRIX, all_ones_assignment(sig2))
 
 
 class TestEvaluate:

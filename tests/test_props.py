@@ -19,6 +19,7 @@ from netrw.props import (
     Mat,
     PatternNotNilpotentError,
     PatternViolatedError,
+    TargetValueError,
     connectivity_assignment,
     get_target,
     matrix_feedback,
@@ -116,6 +117,14 @@ class TestBaff:
         with pytest.raises(Exception):
             BaffElem(Mat.from_rows([[0, 0], [0, 1]]))
 
+    def test_entries_in_n(self):
+        # entries outside N would let a pullback stage descend forever;
+        # naturals are held as ints, as parse_assignment gives them
+        BaffElem(Mat.from_rows([[1, 2, 0], [0, 1, 0], [0, 3, 4]]))
+        for bad in (-1, Fraction(1, 2), Fraction(3), 2.0):
+            with pytest.raises(TargetValueError, match="non-negative ints"):
+                BaffElem(Mat.from_rows([[1, 2, 0], [0, 1, 0], [0, 3, bad]]))
+
     def test_axioms(self, rng):
         check_prop_axioms(BAFF_NAT, lambda r, m, n: random_baff(r, m, n), rng, cases=50)
 
@@ -135,8 +144,8 @@ class TestConnectivity:
 
     def test_compose_hand_example(self, sig2):
         # m after D: one merged block, one new cycle
-        m_img = CONNECTIVITY.generator_image(sig2["m"])
-        d_img = CONNECTIVITY.generator_image(sig2["D"])
+        images = connectivity_assignment(sig2)
+        m_img, d_img = images["m"], images["D"]
         out = CONNECTIVITY.compose(m_img, d_img)
         assert out.cyc == 1
         assert len(out.blocks) == 1
@@ -169,7 +178,7 @@ class TestConnectivity:
         # the leg-graph with terminal vertices
         for _ in range(500):
             net = random_network(rng, list(sig2), max_inner=4)
-            got = evaluate(net, CONNECTIVITY, connectivity_assignment_from(sig2))
+            got = evaluate(net, CONNECTIVITY, connectivity_assignment(sig2))
 
             verts = set()
             for v in net.inner_vertices():
@@ -206,10 +215,6 @@ class TestConnectivity:
             assert got.blocks == frozenset(frozenset(b) for b in blocks.values())
 
 
-def connectivity_assignment_from(sig):
-    return {s.name: CONNECTIVITY.generator_image(s) for s in sig}
-
-
 class TestMatrixFeedback:
     def test_truncated_series_example(self):
         a = Mat.from_rows([[1, 2], [3, 0]])
@@ -220,6 +225,10 @@ class TestMatrixFeedback:
     def test_vanishing(self, rng):
         a = random_nat_mat(rng, 3, 2)
         assert matrix_feedback(a, 0) == a
+
+    def test_all_outputs_fed_back(self):
+        # feeding back every output leaves a 0 x (n - k) element, not 0 x 0
+        assert matrix_feedback(Mat.from_rows([[0, 0]]), 1) == Mat(0, 1, ())
 
     def test_yanking(self):
         for n in (1, 2, 3):
@@ -387,6 +396,32 @@ class TestRegistryAndAssignments:
         assert out["D"] == Mat.from_rows([[1], [2]])
         with pytest.raises(Exception):
             parse_assignment("map m = 1", sig2, NAT_MATRIX)
+
+    def test_natural_entries(self, sig2):
+        # nat-matrix and baff-nat take entries in N only; an integral
+        # fraction is its natural number
+        out = parse_assignment("map m = 4/2 0\nmap D = 1 ; 3", sig2, NAT_MATRIX)
+        assert out["m"] == Mat.from_rows([[2, 0]]) and type(out["m"].get(0, 0)) is int
+        for bad in ("map m = -1 2", "map m = 1/2 2"):
+            with pytest.raises(TargetValueError, match="^line 1: 'm' needs natural-number entries$"):
+                parse_assignment(bad + "\nmap D = 1 ; 3", sig2, NAT_MATRIX)
+        with pytest.raises(TargetValueError, match="^line 2: 'D' needs natural-number entries$"):
+            parse_assignment(
+                "map m = 1 0 0 0 ; 0 1 0 0 ; 0 0 1 2\n"
+                "map D = 1 0 0 ; 0 1 0 ; 0 -2 1 ; 0 1 1",
+                sig2,
+                BAFF_NAT,
+            )
+
+    def test_rational_and_boolean_entries(self, sig2):
+        # rat-matrix keeps signed fractions; bool-matrix reads any nonzero as 1
+        text = "map m = -1/2 3\nmap D = 0 ; -2"
+        out = parse_assignment(text, sig2, RAT_MATRIX)
+        assert out["m"] == Mat.from_rows([[Fraction(-1, 2), 3]])
+        assert out["D"] == Mat.from_rows([[0], [-2]])
+        out = parse_assignment(text, sig2, BOOL_MATRIX)
+        assert out["m"] == BoolMat.from_rows([[1, 1]], 2)
+        assert out["D"] == BoolMat.from_rows([[0], [1]], 1)
 
     def test_parse_assignment_zero_width(self, hopf_sig):
         # an empty body is the m x 0 or 0 x n matrix the symbol's shape asks for

@@ -23,7 +23,7 @@ from netrw.freeprop import (
     tensor,
 )
 from netrw.network import canonical_code
-from netrw.order import LT, BaffStage, OrderSpec, compare
+from netrw.order import LT, OrderSpec, Stage, compare
 from netrw.props import BAFF_NAT, parse_assignment
 from netrw.rewrite import (
     BudgetExceededError,
@@ -233,7 +233,7 @@ class TestNormalize:
         assignment = parse_assignment(
             "map m = 1 0 0 0 ; 0 1 0 0 ; 0 0 1 2", msig, BAFF_NAT
         )
-        spec = OrderSpec((BaffStage(assignment),))
+        spec = OrderSpec((Stage(BAFF_NAT, assignment),))
         for _ in range(40):
             x = LinComb.monomial(random_class(rng, list(msig), max_inner=4))
             q = BoolMat.ones(x.coarity, x.arity)
