@@ -272,7 +272,7 @@ def _decisive_sites(
     seen: set[tuple[int, ...]] = set()
     stack = [root]
     while stack:
-        state = stack.pop()
+        state: _Gluing = stack.pop()
         key = tuple(state.cls)
         if key in seen:
             continue

@@ -33,23 +33,42 @@ class JoinUndefinedError(ValueError):
 
 
 class NetClass:
-    """A canonical representative of a network isomorphism class."""
+    """A network isomorphism class, held as one of its networks.
 
-    __slots__ = ("code", "rep", "tr", "_hash")
+    ``net`` is the network the class was built from and ``tr`` its
+    transference, read off ``net`` at once: a leg-preserving isomorphism
+    keeps it.  ``code`` (the canonical code), ``rep`` and the hash are
+    deferred: each is computed on its first read and kept, so a class whose
+    identity is never asked for is never canonicalized.  ``rep`` is always
+    the canonical representative, rebuilt from ``code``; once it is built,
+    ``net`` is ``rep``.  Equality, hashing and order go by code, and
+    :func:`class_of` returns a class already canonicalized.
+    """
 
-    def __init__(self, code: tuple, rep: Network, tr: BoolMat):
-        self.code = code
-        self.rep = rep
-        self.tr = tr
-        self._hash = hash(code)
+    __slots__ = ("net", "tr", "code", "rep", "_hash")
+
+    def __init__(self, net: Network):
+        self.net = net
+        self.tr = transference(net)
+
+    def __getattr__(self, name: str):
+        # reached only when a slot is unset: a deferred field's first read
+        if name == "rep":
+            self.rep = self.net = from_code(self.code)
+        elif name in ("code", "_hash"):
+            self.code = canonical_code(self.net)
+            self._hash = hash(self.code)
+        else:
+            raise AttributeError(name)
+        return object.__getattribute__(self, name)
 
     @property
     def coarity(self) -> int:
-        return self.rep.coarity
+        return self.net.coarity
 
     @property
     def arity(self) -> int:
-        return self.rep.arity
+        return self.net.arity
 
     def __eq__(self, other) -> bool:
         return isinstance(other, NetClass) and self.code == other.code
@@ -61,14 +80,15 @@ class NetClass:
         return self.code < other.code
 
     def __repr__(self) -> str:
-        return f"NetClass({self.coarity},{self.arity};{len(self.rep.deco)}v)"
+        return f"NetClass({self.coarity},{self.arity};{len(self.net.deco)}v)"
 
 
 def class_of(net: Network) -> NetClass:
-    """The isomorphism class of a network: an element of the free PROP."""
-    code = canonical_code(net)
-    rep = from_code(code)
-    return NetClass(code, rep, transference(rep))
+    """The isomorphism class of a network: an element of the free PROP,
+    canonicalized at once."""
+    cls = NetClass(net)
+    cls.rep  # the first read builds code and rep
+    return cls
 
 
 def phi(p: Perm) -> NetClass:
@@ -207,7 +227,7 @@ def sym_join(a: NetClass, r: int, q: int, b: NetClass) -> NetClass:
         plus = cond.plus()
         bad = [i + 1 for i in range(plus.rows) if plus.get(i, i)]
         raise JoinUndefinedError(f"cycle through joined ports {bad}")
-    return class_of(smoothen(_raw_sym_join(a.rep, b.rep, r, q)))
+    return class_of(smoothen(_raw_sym_join(a.net, b.net, r, q)))
 
 
 def annex(a: NetClass, b: NetClass) -> NetClass:
@@ -324,24 +344,28 @@ def lc(x: NetClass | LinComb) -> LinComb:
     return x if isinstance(x, LinComb) else LinComb.monomial(x)
 
 
+def _summands(x: NetClass | LinComb) -> list[tuple[NetClass, Fraction]]:
+    """x's terms by code; a lone class is its own term, with no dict to
+    hash it, so a deferred one stays uncanonicalized."""
+    return [(x, Fraction(1))] if isinstance(x, NetClass) else x.items()
+
+
 def lc_sym_join(a: NetClass | LinComb, r: int, q: int, b: NetClass | LinComb) -> LinComb:
     """Bilinear symmetric join; undefined when any monomial pair fails the
     nilpotence condition."""
-    la, lb = lc(a), lc(b)
-    # checked once for the combinations, so a zero operand is checked too
-    _require_join_shape(la, r, q, lb)
+    # checked once for the operands, so a zero combination is checked too
+    _require_join_shape(a, r, q, b)
     terms: dict[NetClass, Fraction] = {}
-    for s, cs in la.items():
-        for t, ct in lb.items():
+    for s, cs in _summands(a):
+        for t, ct in _summands(b):
             try:
                 joined = sym_join(s, r, q, t)
             except JoinUndefinedError:
                 raise JoinUndefinedError("monomial pair fails the nilpotence condition") from None
             terms[joined] = terms.get(joined, 0) + cs * ct
-    return LinComb(la.coarity - r + lb.coarity - q, la.arity - q + lb.arity - r, terms)
+    return LinComb(a.coarity - r + b.coarity - q, a.arity - q + b.arity - r, terms)
 
 
 def lc_annex(a: NetClass | LinComb, b: NetClass | LinComb) -> LinComb:
     """Annexation extended bilinearly: b fully engulfed by the context a."""
-    lb = lc(b)
-    return lc_sym_join(a, lb.arity, lb.coarity, b)
+    return lc_sym_join(a, b.arity, b.coarity, b)

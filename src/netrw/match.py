@@ -7,7 +7,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from .core import BoolMat
-from .freeprop import NetClass, class_of, join_condition, join_transference
+from .freeprop import NetClass, join_condition, join_transference
 from .network import Edge, Network, _components
 
 
@@ -198,13 +198,16 @@ def strong_embeddings(
 
 def contexts(emb: Embedding, pattern: Network, subject: Network) -> list[NetClass]:
     """The contexts K with annex(K, pattern) = subject read off the
-    labelings of ``emb``: each isomorphism class once, in labeling order."""
-    labelings = strong_embeddings(emb, pattern, subject)
-    return list(dict.fromkeys(complement(subject, pattern, se) for se in labelings))
+    labelings of ``emb``: each isomorphism class once, in labeling order.
+    Only repeats need the classes' codes, so the context of a lone
+    labeling is left uncanonicalized."""
+    ks = [complement(subject, pattern, se) for se in strong_embeddings(emb, pattern, subject)]
+    return ks if len(ks) == 1 else list(dict.fromkeys(ks))
 
 
 def complement(subject: Network, pattern: Network, se: StrongEmbedding) -> NetClass:
-    """The context K with class(subject) = annex(class(K), class(pattern)).
+    """The context K with class(subject) = annex(class(K), class(pattern)),
+    as a class held by the complement network, not yet canonicalized.
 
     Follows the padding construction: segment labels donate edge ids, the
     context keeps the subject vertices outside the embedding, and the
@@ -247,7 +250,7 @@ def complement(subject: Network, pattern: Network, se: StrongEmbedding) -> NetCl
                 alpha_g + pattern.edges[donor].hindex,
             )
     deco = {v: subject.deco[v] for v in keep - {0, 1}}
-    return class_of(Network(keep, edges, deco))
+    return NetClass(Network(keep, edges, deco))
 
 
 def context_type_ok(k_tr: BoolMat, q_rule: BoolMat, q_ambient: BoolMat) -> bool:

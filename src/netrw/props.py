@@ -456,10 +456,14 @@ def parse_assignment(text: str, sig, target):
         for chunk in body.split(";"):
             entries = chunk.split()
             if entries:
-                try:
-                    row = [Fraction(x) if "/" in x else int(x) for x in entries]
-                except ZeroDivisionError:
-                    raise TargetValueError(f"line {lineno}: zero denominator") from None
+                row = []
+                for x in entries:
+                    try:
+                        row.append(Fraction(x) if "/" in x else int(x))
+                    except ZeroDivisionError:
+                        raise TargetValueError(f"line {lineno}: zero denominator") from None
+                    except ValueError:
+                        raise TargetValueError(f"line {lineno}: malformed entry {x!r}") from None
                 if target.naturals:
                     if any(x < 0 or x.denominator != 1 for x in row):
                         raise TargetValueError(

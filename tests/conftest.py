@@ -17,8 +17,17 @@ from hypothesis import settings
 
 from netrw.core import BoolMat, Perm, Signature, Symbol, UnionFind, cross, same
 from netrw.freeprop import LinComb, NetClass, class_of
-from netrw.match import Embedding
-from netrw.network import Edge, Network, _topological_order, act, validate
+from netrw.match import Embedding, complement, strong_embeddings
+from netrw.network import (
+    Edge,
+    Network,
+    _topological_order,
+    act,
+    canonical_code,
+    from_code,
+    transference,
+    validate,
+)
 from netrw.props import ConnElem, Mat
 from netrw.rewrite import ReductionStep
 
@@ -345,6 +354,31 @@ def reference_tensor(a: NetClass, b: NetClass) -> NetClass:
 def act_class(sigma: Perm | None, a: NetClass, tau: Perm | None = None) -> NetClass:
     """The class of sigma . a . tau, by ``network.act`` on a's representative."""
     return class_of(act(sigma, a.rep, tau))
+
+
+def eager_class(net: Network) -> NetClass:
+    """The class of net with every field computed at once, each from its
+    definition: the canonical code, the representative rebuilt from it,
+    and that representative's transference."""
+    cls = NetClass.__new__(NetClass)
+    cls.code = canonical_code(net)
+    cls.rep = cls.net = from_code(cls.code)
+    cls.tr = transference(cls.rep)
+    cls._hash = hash(cls.code)
+    return cls
+
+
+def eager_contexts(emb: Embedding, pattern: Network, subject: Network) -> list[NetClass]:
+    """``match.contexts`` with every context canonicalized as it is taken:
+    the eager class of each labeling's complement network, repeats
+    dropped."""
+    labelings = strong_embeddings(emb, pattern, subject)
+    return list(dict.fromkeys(eager_class(complement(subject, pattern, se).net) for se in labelings))
+
+
+def same_network(a: Network, b: Network) -> bool:
+    """Whether two networks have the same vertices, edges and decorations."""
+    return (a.vertices, a.edges, a.deco) == (b.vertices, b.edges, b.deco)
 
 
 def copy_union_find(uf: UnionFind) -> UnionFind:

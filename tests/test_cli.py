@@ -120,6 +120,21 @@ class TestSubcommands:
         code, _, err = run(capsys, "eval", "--sig", str(sig), "--target", "nat-matrix", "--map", str(emap), "e_a")
         assert code == 2 and "'e' needs a 0x1 matrix" in err
 
+    @pytest.mark.parametrize(
+        "target, entries, message",
+        [
+            ("nat-matrix", "1 x", "error: line 2: malformed entry 'x'"),
+            ("rat-matrix", "1 1/x", "error: line 2: malformed entry '1/x'"),
+        ],
+    )
+    def test_eval_malformed_map_entry_names_its_line(self, corpus, capsys, tmp_path, target, entries, message):
+        amap = tmp_path / "bad.map"
+        amap.write_text(f"# assoc\nmap m = {entries}\n", encoding="utf-8")
+        code, out, err = run(
+            capsys, "eval", "--sig", str(corpus / "assoc.sig"), "--target", target, "--map", str(amap), "m^a_bc"
+        )
+        assert (code, out, err.strip()) == (2, "", message)
+
     def test_eval_connectivity_default_map(self, corpus, capsys):
         code, out, _ = run(
             capsys,

@@ -2,9 +2,11 @@
 
 import collections
 import itertools
+from pathlib import Path
 
 import pytest
 
+from netrw.ainparse import parse_rules
 from netrw.core import BoolMat, Symbol, cross, parse_signature, same
 from netrw.freeprop import (
     JoinUndefinedError,
@@ -26,7 +28,7 @@ from netrw.match import (
 )
 from netrw.network import Edge, Network, validate
 
-from conftest import exact_shape_class, random_class, random_network
+from conftest import eager_contexts, exact_shape_class, random_class, random_network, same_network
 
 
 def brute_force_embeddings(pattern: Network, subject: Network):
@@ -188,6 +190,47 @@ class TestContexts:
                 got = [k.code for k in contexts(emb, pattern, subject)]
                 assert got == list(want)
         assert several >= 50
+
+
+CORPUS = Path(__file__).resolve().parent.parent / "src" / "netrw" / "corpus"
+
+
+def canonicalized(k) -> bool:
+    """Whether k's code has been computed, found without computing it."""
+    try:
+        object.__getattribute__(k, "code")
+    except AttributeError:
+        return False
+    return True
+
+
+class TestDeferredContexts:
+    def test_contexts_match_eager_classes(self, rng, hopf_sig):
+        # each context of contexts() against the class of the same
+        # complement network, canonicalized at once: same order, same
+        # repeats dropped, and equal tr, code, rep and hash; a lone
+        # labeling's context is not canonicalized until it is read
+        counts = collections.Counter()
+        for system in ("circle", "hopf"):
+            sig = hopf_sig if system == "hopf" else parse_signature("gen x 1 1\ngen y 1 1\n")
+            text = (CORPUS / f"{system}.rules").read_text(encoding="utf-8")
+            lhs = [rule.lhs.rep for rule in parse_rules(text, sig)]
+            for _ in range(120):
+                subject = random_network(rng, list(sig), max_inner=6, max_strays=2)
+                stray = random_network(rng, list(sig), max_inner=1, max_strays=3)
+                for pattern in [stray, rng.choice(lhs)]:
+                    for emb in find_embeddings(pattern, subject)[:4]:
+                        several = len(strong_embeddings(emb, pattern, subject)) > 1
+                        got = contexts(emb, pattern, subject)
+                        want = eager_contexts(emb, pattern, subject)
+                        assert len(got) == len(want)
+                        assert all(canonicalized(k) == several for k in got)
+                        assert [k.tr for k in got] == [k.tr for k in want]
+                        assert [k.code for k in got] == [k.code for k in want]
+                        assert [hash(k) for k in got] == [hash(k) for k in want]
+                        assert all(same_network(k.rep, w.rep) for k, w in zip(got, want))
+                        counts[system, several] += 1
+        assert min(counts.values()) >= 20, counts
 
 
 class TestComplement:

@@ -8,12 +8,14 @@ from pathlib import Path
 import pytest
 
 import netrw.match
-from netrw import cli, rewrite
+import netrw.network
+from netrw import ambiguity, cli, rewrite
 from netrw.ainparse import parse_rules, parse_term
 from netrw.ambiguity import enumerate_decisive
 from netrw.core import BoolMat, cross, parse_signature, same
 from netrw.freeprop import (
     LinComb,
+    NetClass,
     annex,
     compose,
     generator,
@@ -41,10 +43,26 @@ from netrw.rewrite import (
     reduce_once,
 )
 
-from conftest import exact_shape_class, format_step, random_class
+from conftest import eager_contexts, exact_shape_class, format_step, random_class, same_network
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "netrw" / "corpus"
 SYSTEMS = ("assoc", "circle", "bridge", "zigzag", "frobenius", "hopf")
+
+
+def swap_everywhere(monkeypatch, real, replacement):
+    """Replace every binding of ``real`` in the netrw modules, as the
+    benchmark's tracer does."""
+    for name, module in list(sys.modules.items()):
+        if name == "netrw" or name.startswith("netrw."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+def circle_power_text(n: int) -> str:
+    """y^n as a naked path of n y factors."""
+    labels = "abcdefghijklmnopqrstuvwxyz"
+    return " ".join(f"y^{a}_{b}" for a, b in zip(labels, labels[1:n + 1]))
 
 
 @pytest.fixture
@@ -62,8 +80,7 @@ def circle():
     """The circle rule and y^8, which takes 15 steps to normalize."""
     sig = parse_signature("gen x 1 1\ngen y 1 1\n")
     rules = parse_rules("rule circ sharp: y^a_b y^b_c -> d^a_c - x^a_b x^b_c", sig)
-    labels = "abcdefghi"
-    y8 = parse_term(" ".join(f"y^{a}_{b}" for a, b in zip(labels, labels[1:])), sig)
+    y8 = parse_term(circle_power_text(8), sig)
     return rules, y8, BoolMat.ones(1, 1)
 
 
@@ -219,12 +236,8 @@ class TestNormalize:
             counts["labelings"] += len(labelings)
             return labelings
 
-        swap = {id(real_complement): counting_complement, id(real_strong): counting_strong}
-        for name, module in list(sys.modules.items()):
-            if name == "netrw" or name.startswith("netrw."):
-                for attr, value in list(vars(module).items()):
-                    if id(value) in swap:
-                        monkeypatch.setattr(module, attr, swap[id(value)])
+        swap_everywhere(monkeypatch, real_complement, counting_complement)
+        swap_everywhere(monkeypatch, real_strong, counting_strong)
         normalize(y8, q, rules, max_steps=15)
         assert counts["labelings"] > 0
         assert counts["complement"] == counts["labelings"]
@@ -564,8 +577,7 @@ class TestRedexMemo:
         # step), with it each distinct monomial is searched once per rule
         sig = parse_signature("gen x 1 1\ngen y 1 1\n")
         rules = parse_rules("rule circ sharp: y^a_b y^b_c -> d^a_c - x^a_b x^b_c", sig)
-        labels = "abcdefghijklm"
-        y12 = parse_term(" ".join(f"y^{a}_{b}" for a, b in zip(labels, labels[1:])), sig)
+        y12 = parse_term(circle_power_text(12), sig)
         searches = Counter()
         real_find = netrw.match.find_embeddings
 
@@ -573,17 +585,107 @@ class TestRedexMemo:
             searches[canonical_code(pattern), canonical_code(subject)] += 1
             return real_find(pattern, subject, *parts)
 
-        for name, module in list(sys.modules.items()):
-            if name == "netrw" or name.startswith("netrw."):
-                for attr, value in list(vars(module).items()):
-                    if value is real_find:
-                        monkeypatch.setattr(module, attr, counting_find)
+        swap_everywhere(monkeypatch, real_find, counting_find)
         trace = []
         normalize(y12, BoolMat.ones(1, 1), rules, max_steps=100, trace=trace)
         monomials = set(y12.terms).union(*(step.after.terms for step in trace))
         assert len(trace) == 63
         assert max(searches.values()) == 1
         assert sum(searches.values()) <= len(monomials) * len(rules) < len(trace)
+
+
+# ---------------------------------------------------------------------------
+# Contexts canonicalized only when read
+# ---------------------------------------------------------------------------
+
+
+def same_contexts(a: NetClass, b: NetClass) -> bool:
+    return a == b and a.tr == b.tr and same_network(a.rep, b.rep)
+
+
+class TestDeferredContexts:
+    """Steps and ambiguities found with contexts that stay uncanonicalized
+    until read, against the same found with every context canonicalized
+    as it is taken (``conftest.eager_contexts``)."""
+
+    def test_steps_match_eager_contexts(self, monkeypatch, rng, hopf_sig):
+        hopf = parse_rules((CORPUS / "hopf.rules").read_text(encoding="utf-8"), hopf_sig)
+        circle_sig = parse_signature((CORPUS / "circle.sig").read_text(encoding="utf-8"))
+        circle = parse_rules((CORPUS / "circle.rules").read_text(encoding="utf-8"), circle_sig)
+        steps = Counter()
+        for k in range(80):
+            if k % 2:
+                m, n = rng.randint(0, 2), rng.randint(0, 2)
+                x = LinComb.monomial(exact_shape_class(rng, hopf_sig, m, n))
+                x += LinComb.monomial(exact_shape_class(rng, hopf_sig, m, n)).scale(2)
+                q, rules, system = BoolMat.ones(m, n), hopf, "hopf"
+            else:
+                x = random_circle_sum(rng, circle_sig, circle)
+                q, rules, system = BoolMat.ones(1, 1), circle, "circle"
+            args = (x, q, rules, 40)
+            deferred = outcome(memo_normalize, *args)
+            assert outcome(plain_normalize, *args) == deferred
+            with monkeypatch.context() as patch:
+                patch.setattr(rewrite, "contexts", eager_contexts)
+                eager = outcome(memo_normalize, *args)
+            assert deferred == eager
+            for a, b in zip(deferred[1], eager[1]):
+                assert same_contexts(a.context, b.context)
+            steps[system] += len(eager[1])
+        assert min(steps.values()) >= 60, steps
+
+    def test_ambiguities_match_eager_contexts(self, monkeypatch, corpus_ambiguities):
+        monkeypatch.setattr(ambiguity, "contexts", eager_contexts)
+        eager = []
+        for system in SYSTEMS:
+            sig = parse_signature((CORPUS / f"{system}.sig").read_text(encoding="utf-8"))
+            text = (CORPUS / f"{system}.rules").read_text(encoding="utf-8")
+            rules = sorted(parse_rules(text, sig), key=lambda r: r.rule_id)
+            for i, s1 in enumerate(rules):
+                for s2 in rules[i:]:
+                    eager += enumerate_decisive(s1, s2)
+        deferred = [amb for _, _, amb in corpus_ambiguities]
+        assert deferred == eager
+        assert [a.key for a in deferred] == [a.key for a in eager]
+        assert [a.trivial for a in deferred] == [a.trivial for a in eager]
+        assert any(a.trivial for a in eager) and not all(a.trivial for a in eager)
+        for a, b in zip(deferred, eager):
+            assert same_contexts(a.context1, b.context1)
+            assert same_contexts(a.context2, b.context2)
+
+    @pytest.fixture
+    def codes(self, monkeypatch):
+        """Counts of canonical codes computed and complements taken."""
+        counts = Counter()
+        for module, name in ((netrw.network, "canonical_code"), (netrw.match, "complement")):
+            real = getattr(module, name)
+
+            def counting(*args, real=real, name=name):
+                counts[name] += 1
+                return real(*args)
+
+            swap_everywhere(monkeypatch, real, counting)
+        return counts
+
+    def normalize_cli(self, capsys, system, term):
+        files = [f"--{kind}={CORPUS}/{system}.{kind}" for kind in ("sig", "rules", "order")]
+        code = cli.main(["normalize", *files, term])
+        out = capsys.readouterr().out
+        assert code == cli.OK and out.strip()
+
+    def test_canonical_codes_of_circle_power(self, codes, capsys):
+        # y^10 takes 31 steps from 15 redex contexts; canonicalizing
+        # those would make 49 codes
+        self.normalize_cli(capsys, "circle", circle_power_text(10))
+        assert codes == {"canonical_code": 34, "complement": 15}
+
+    def test_canonical_codes_of_right_comb(self, codes, capsys):
+        # the right comb of 10 products takes 9 steps, one context each;
+        # canonicalizing those would make 21 codes
+        letters = "abcdefghijklmnopqrstu"
+        comb = " ".join(f"m^{letters[2 * i]}_{letters[2 * i + 1]}{letters[2 * i + 2]}" for i in range(10))
+        self.normalize_cli(capsys, "assoc", comb)
+        assert codes == {"canonical_code": 12, "complement": 9}
 
 
 # ---------------------------------------------------------------------------
@@ -607,20 +709,12 @@ class TestTracedEntryPoint:
             calls.append(result is not None)
             return result
 
-        for name, module in list(sys.modules.items()):
-            if name == "netrw" or name.startswith("netrw."):
-                for attr, value in list(vars(module).items()):
-                    if value is real:
-                        monkeypatch.setattr(module, attr, counting)
+        swap_everywhere(monkeypatch, real, counting)
         return calls
-
-    def y10(self):
-        labels = "abcdefghijk"
-        return " ".join(f"y^{a}_{b}" for a, b in zip(labels, labels[1:]))
 
     def normalize_cli(self, capsys, *argv):
         files = [f"--{kind}={CORPUS}/circle.{kind}" for kind in ("sig", "rules")]
-        code = cli.main(["normalize", *files, *argv, self.y10()])
+        code = cli.main(["normalize", *files, *argv, circle_power_text(10)])
         return code, capsys.readouterr().out
 
     def test_ordered_circle_power(self, calls, capsys):

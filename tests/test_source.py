@@ -43,22 +43,55 @@ def _definitions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item.name, item
 
 
-def _referenced_names(tree: ast.AST) -> Counter:
-    """How often each name is read, as a variable, an attribute or an
-    imported name."""
-    names = Counter()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names[node.id] += 1
-        elif isinstance(node, ast.Attribute):
-            names[node.attr] += 1
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                names.update(alias.name.split("."))
-    return names
-
-
 MODULES = {"netrw"} | {path.stem for path in SRC.glob("*.py")}
+
+
+def _named_class(annotation, classes: set[str]) -> str | None:
+    """The package class an annotation names, as a bare or quoted name."""
+    if isinstance(annotation, ast.Name):
+        name = annotation.id
+    elif isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        name = annotation.value
+    else:
+        return None
+    return name if name in classes else None
+
+
+def _attribute_reads(tree: ast.AST, classes: set[str], owner: str | None = None) -> Counter:
+    """How often each attribute is read, keyed by (receiver class, name).
+    The receiver's class is known for ``self`` in a method (of ``owner``
+    when ``tree`` is a method's own body), a package class read by its
+    name, and a name the enclosing function annotates with a package class
+    (a parameter or an annotated assignment); it is None for any other
+    receiver."""
+    reads = Counter()
+
+    def visit(node, known: dict[str, str]):
+        if isinstance(node, ast.ClassDef):
+            known = {**known, "self": node.name}
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            known = dict(known)
+            args = node.args
+            for arg in args.posonlyargs + args.args + args.kwonlyargs:
+                if arg.arg != "self":
+                    known.pop(arg.arg, None)
+                    if cls := _named_class(arg.annotation, classes):
+                        known[arg.arg] = cls
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name):
+                    if cls := _named_class(sub.annotation, classes):
+                        known[sub.target.id] = cls
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            receiver = node.value.id if isinstance(node.value, ast.Name) else None
+            if receiver in classes:
+                reads[receiver, node.attr] += 1
+            else:
+                reads[known.get(receiver), node.attr] += 1
+        for child in ast.iter_child_nodes(node):
+            visit(child, known)
+
+    visit(tree, {"self": owner} if owner else {})
+    return reads
 
 
 def _referenced_globals(tree: ast.AST) -> Counter:
@@ -88,17 +121,33 @@ def test_no_unreferenced_definitions():
     exported in ``netrw.__all__`` or a method of an exported name.  Dunder
     methods are called by the language.  Code that only tests call belongs
     in ``tests/``.  A top-level definition counts as referred to only by
-    its bare name, an import of it, or an attribute of a ``netrw`` module;
-    a method, by any name or attribute of the same spelling."""
+    its bare name, an import of it, or an attribute of a ``netrw`` module.
+    A method counts as referred to by a bare name of its spelling, or an
+    attribute of that name whose receiver is of its own class or of no
+    known class (see ``_attribute_reads``): ``self.copy()`` in another
+    class, or ``g.copy()`` with ``g: _Gluing``, refers to no
+    ``UnionFind.copy``."""
     import netrw
 
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.rglob("*.py"))}
-    referenced = sum(map(_referenced_names, trees.values()), Counter())
+    classes = {
+        node.name for tree in trees.values() for node in tree.body if isinstance(node, ast.ClassDef)
+    }
+    bare = Counter()
+    for tree in trees.values():
+        bare.update(node.id for node in ast.walk(tree) if isinstance(node, ast.Name))
+    attributes = sum((_attribute_reads(tree, classes) for tree in trees.values()), Counter())
     globals_read = sum(map(_referenced_globals, trees.values()), Counter())
+
+    def method_reads(reads: Counter, names: Counter, cls: str, name: str) -> int:
+        return names[name] + reads[cls, name] + reads[None, name]
 
     def unreferenced(qualname, name, node):
         if "." in qualname:
-            return referenced[name] <= _referenced_names(node)[name]
+            cls = qualname.split(".")[0]
+            own_names = Counter(n.id for n in ast.walk(node) if isinstance(n, ast.Name))
+            own_reads = _attribute_reads(node, classes, cls)
+            return method_reads(attributes, bare, cls, name) <= method_reads(own_reads, own_names, cls, name)
         return globals_read[name] <= _referenced_globals(node)[name]
 
     unused = [
