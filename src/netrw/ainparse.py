@@ -51,11 +51,11 @@ class Term:
 
 
 _BARE_LABEL_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789")
-_FORBIDDEN_IN_BRACED = set("{}[]|^_")
 
 
 def _split_additive(text: str) -> list[tuple[int, str]]:
-    """Split at top-level +/- into (sign, chunk) pieces."""
+    """Split at top-level +/- into (sign, chunk) pieces.  The text after
+    the last sign, or the whole text when there is none, must be a term."""
     pieces = []
     depth = 0
     sign = 1
@@ -73,10 +73,9 @@ def _split_additive(text: str) -> list[tuple[int, str]]:
             cur = []
         else:
             cur.append(ch)
-    if any(c.strip() for c in cur):
-        pieces.append((sign, "".join(cur)))
-    elif sign == -1 or not pieces:
+    if not any(c.strip() for c in cur):
         raise AinError("Syntax", f"dangling sign or empty expression in {text!r}")
+    pieces.append((sign, "".join(cur)))
     return pieces
 
 
@@ -132,6 +131,8 @@ def _coefficient(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise AinError("Syntax", f"zero denominator in {text!r}") from None
+    except ValueError:
+        raise AinError("Syntax", f"bad coefficient {text!r}") from None
 
 
 def _parse_product(text: str) -> tuple[Fraction, list[Factor]]:

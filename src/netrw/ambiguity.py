@@ -421,7 +421,6 @@ class AmbiguityResult:
 class ConfluenceReport:
     results: tuple[AmbiguityResult, ...]
     advisory: bool  # True when the system is not sharp
-    operadic: bool
 
     def counts(self) -> dict[str, int]:
         out = {"resolved": 0, "unresolved": 0, "unknown": 0}
@@ -494,8 +493,7 @@ def confluence_report(
                 results.append(resolve(amb, rules, spec, max_steps))
     results.sort(key=lambda r: r.ambiguity.key)
     advisory = not all(r.sharp for r in rules)
-    operadic = all(r.coarity == 1 for r in rules)
-    return ConfluenceReport(tuple(results), advisory, operadic)
+    return ConfluenceReport(tuple(results), advisory)
 
 
 class OrientationFailedError(ValueError):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -128,11 +127,11 @@ def cmd_join(args) -> int:
     a = parse_term(args.a, sig)
     b = parse_term(args.b, sig)
     try:
-        joined = lc_sym_join(a, args.r, args.q, b)
+        result = lc_sym_join(a, args.r, args.q, b)
     except JoinUndefinedError as exc:
         _emit(args, {"defined": False, "witness": str(exc)}, f"undefined: {exc}")
         return NEGATIVE
-    _emit(args, {"defined": True, "result": format_term(joined)}, format_term(joined))
+    _emit(args, {"defined": True, "result": format_term(result)}, format_term(result))
     return OK
 
 
@@ -406,10 +405,6 @@ def _command(argv: list[str]) -> str | None:
 
 def main(argv=None) -> int:
     try:
-        # NETRW_THREADS is validated only: execution is sequential.
-        threads = os.environ.get("NETRW_THREADS")
-        if threads is not None and (not threads.isdigit() or int(threads) < 1):
-            raise UsageError("NETRW_THREADS must be a positive integer")
         if argv is None:
             argv = sys.argv[1:]
         args = build_parser(_command(argv)).parse_args(argv)

@@ -359,10 +359,10 @@ def lc_sym_join(a: NetClass | LinComb, r: int, q: int, b: NetClass | LinComb) ->
     for s, cs in _summands(a):
         for t, ct in _summands(b):
             try:
-                joined = sym_join(s, r, q, t)
+                st = sym_join(s, r, q, t)
             except JoinUndefinedError:
                 raise JoinUndefinedError("monomial pair fails the nilpotence condition") from None
-            terms[joined] = terms.get(joined, 0) + cs * ct
+            terms[st] = terms.get(st, 0) + cs * ct
     return LinComb(a.coarity - r + b.coarity - q, a.arity - q + b.arity - r, terms)
 
 

@@ -1,6 +1,6 @@
 """Redex location: embeddings of a pattern network into a subject,
-strong embeddings (segment labelings), complement extraction, the
-distinct contexts of an embedding, and context-type admissibility."""
+strong embeddings (segment labelings), complement extraction, one
+context per labeling of an embedding, and context-type admissibility."""
 
 from __future__ import annotations
 
@@ -197,12 +197,15 @@ def strong_embeddings(
 
 
 def contexts(emb: Embedding, pattern: Network, subject: Network) -> list[NetClass]:
-    """The contexts K with annex(K, pattern) = subject read off the
-    labelings of ``emb``: each isomorphism class once, in labeling order.
-    Only repeats need the classes' codes, so the context of a lone
-    labeling is left uncanonicalized."""
-    ks = [complement(subject, pattern, se) for se in strong_embeddings(emb, pattern, subject)]
-    return ks if len(ks) == 1 else list(dict.fromkeys(ks))
+    """The contexts K with annex(K, pattern) = subject, one per labeling
+    of ``emb``, in labeling order and not yet canonicalized.  No two are
+    isomorphic: two labelings differ only in the order of the stray
+    pattern edges on a shared subject edge; ``complement`` turns each
+    consecutive pair (donor, leg) of those segments into a wire of K, from
+    the input leg of the donor's ``hindex`` to the output leg of the leg's
+    ``tindex``; the consecutive pairs of a sequence of distinct items fix
+    the sequence; and a leg-preserving isomorphism keeps each wire's legs."""
+    return [complement(subject, pattern, se) for se in strong_embeddings(emb, pattern, subject)]
 
 
 def complement(subject: Network, pattern: Network, se: StrongEmbedding) -> NetClass:

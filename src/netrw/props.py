@@ -447,6 +447,8 @@ def parse_assignment(text: str, sig, target):
         name = head.strip()
         if name not in sig:
             raise TargetValueError(f"line {lineno}: unknown symbol {name!r}")
+        if name in out:
+            raise TargetValueError(f"line {lineno}: duplicate map for {name!r}")
         sym = sig[name]
         if is_conn:
             raise TargetValueError("connectivity target needs no assignment file")

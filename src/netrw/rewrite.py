@@ -315,10 +315,6 @@ class JoinResult:
     common: LinComb | None = None
     difference: LinComb | None = None  # nf(x) - nf(y) when "no"
 
-    @property
-    def joined(self) -> bool:
-        return self.status == "yes"
-
 
 def joinable(
     x: LinComb,

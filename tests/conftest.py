@@ -371,7 +371,7 @@ def eager_class(net: Network) -> NetClass:
 def eager_contexts(emb: Embedding, pattern: Network, subject: Network) -> list[NetClass]:
     """``match.contexts`` with every context canonicalized as it is taken:
     the eager class of each labeling's complement network, repeats
-    dropped."""
+    dropped, so that a list as long as ``contexts``' shows it has none."""
     labelings = strong_embeddings(emb, pattern, subject)
     return list(dict.fromkeys(eager_class(complement(subject, pattern, se).net) for se in labelings))
 

@@ -59,6 +59,27 @@ class TestParse:
         x = parse_term("2 m^a_bc - 1/2 m^a_bc", hsig)
         assert list(x.terms.values()) == [Fraction(3, 2)]
 
+    def test_leading_sign(self, hsig):
+        assert parse_term("+ m^a_bc", hsig) == parse_term("m^a_bc", hsig)
+        assert list(parse_term("- 2 m^a_bc", hsig).terms.values()) == [-2]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("m^a_bc +", "dangling sign"),
+            ("m^a_bc -", "dangling sign"),
+            ("-", "dangling sign"),
+            ("  ", "empty expression"),
+            ("1/ m^a_bc", "bad coefficient '1/'"),
+            ("1/0 m^a_bc", "zero denominator in '1/0'"),
+            ("1// [a|m^a_bc|b c]", "bad coefficient '1//'"),
+        ],
+    )
+    def test_syntax_errors(self, hsig, text, message):
+        with pytest.raises(AinError, match="^Syntax: ") as exc:
+            parse_term(text, hsig)
+        assert message in str(exc.value)
+
     def test_unknown_symbol(self, hsig):
         with pytest.raises(AinError, match="UnknownSymbol"):
             parse_term("zz^a_b", hsig)
@@ -199,6 +220,11 @@ class TestRules:
     def test_duplicate_id(self, hsig):
         with pytest.raises(AinError):
             parse_rules("rule a: d^x_y -> d^x_y\nrule a: d^x_y -> d^x_y", hsig)
+
+    def test_rule_rhs_trailing_sign(self, hsig):
+        for sign in "+-":
+            with pytest.raises(AinError, match="^Syntax: dangling sign"):
+                parse_rules(f"rule r: m^a_bc -> m^a_bc {sign}", hsig)
 
     def test_rhs_inherits_lhs_legs(self, hsig):
         rule = parse_rules("rule r: m^a_bc eta^b -> d^a_c", hsig)[0]

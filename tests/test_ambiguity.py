@@ -362,7 +362,6 @@ class TestConfluenceReport:
         report = confluence_report(rules, spec)
         assert report.verdict == "confluent"
         assert not report.advisory
-        assert report.operadic
 
     def test_empty_system(self):
         report = confluence_report([])

@@ -392,17 +392,9 @@ class TestSubcommands:
         code, _, err = run(capsys, "validate", "--sig", str(tmp_path), "m^a_bc")
         assert code == 2 and err.startswith("error:") and "Traceback" not in err
 
-    def test_threads_env(self, corpus, capsys, monkeypatch):
-        monkeypatch.setenv("NETRW_THREADS", "zero")
-        code, _, err = run(capsys, "validate", "--sig", str(corpus / "assoc.sig"), "m^a_bc")
-        assert code == 2
-        monkeypatch.setenv("NETRW_THREADS", "4")
-        code, _, _ = run(capsys, "validate", "--sig", str(corpus / "assoc.sig"), "m^a_bc")
-        assert code == 0
-
 
 # Command lines that each end in one error line; "{name}" stands for the
-# corpus file of that name, and a leading NETRW_THREADS=... sets it.
+# corpus file of that name.
 USAGE_ARGV = [
     ["normalize", "--sig", "assoc.sig", "--max-steps", "x", "m^a_bc"],
     ["validate", "--sig", "assoc.sig"],
@@ -422,7 +414,6 @@ BAD_INPUT_ARGV = [
     ["normalize", "--sig", "{assoc.sig}", "--rules", "{rev.rules}", "--order", "{assoc.order}", "m^a_bc"],
     ["ambiguities", "--sig", "{assoc.sig}", "--rules", "{assoc.rules}", "--pair", "assoc", "nope"],
     ["confluence", "--sig", "{assoc.sig}", "--rules", "{rev.rules}", "--order", "{assoc.order}"],
-    ["NETRW_THREADS=0", "validate", "--sig", "{assoc.sig}", "m^a_bc"],
     ["order-check", "--sig", "{circle.sig}", "--order", "{neg.order}", "--rules", "{grow.rules}"],
     ["normalize", "--sig", "{circle.sig}", "--rules", "{grow.rules}", "--order", "{neg.order}", "y^a_b"],
     ["eval", "--sig", "{circle.sig}", "--target", "nat-matrix", "--map", "{half.map}", "x^a_b y^b_c"],
@@ -431,8 +422,10 @@ BAD_INPUT_ARGV = [
     ["normalize", "--sig", "{circle.sig}", "--rules", "{circle.rules}", "--order", "{flat.order}", "y^a_b y^b_c"],
     ["confluence", "--sig", "{circle.sig}", "--rules", "{circle.rules}", "--order", "{flat.order}"],
     ["complete", "--sig", "{circle.sig}", "--rules", "{circle.rules}", "--order", "{flat.order}"],
+    ["validate", "--sig", "{assoc.sig}", "1/ m^a_bc"],
+    ["eval", "--sig", "{circle.sig}", "--target", "rat-matrix", "--map", "{twice.map}", "x^a_b y^b_c"],
 ]
-BAD_INPUT_IDS = ["no-rules", "no-order", "order-check-no-order", "negative-r", "r-too-big-zero-operand", "r-too-big", "term-zero-denominator", "map-zero-denominator", "tr-not-monomial", "eval-no-map", "normalize-incompatible-rule", "unknown-rule", "confluence-incompatible-rule", "bad-threads", "order-check-negative-entry", "normalize-negative-entry", "eval-nat-fraction", "eval-baff-negative-entry", "stage-without-kind", "normalize-inadmissible", "confluence-inadmissible", "complete-inadmissible"]
+BAD_INPUT_IDS = ["no-rules", "no-order", "order-check-no-order", "negative-r", "r-too-big-zero-operand", "r-too-big", "term-zero-denominator", "map-zero-denominator", "tr-not-monomial", "eval-no-map", "normalize-incompatible-rule", "unknown-rule", "confluence-incompatible-rule", "order-check-negative-entry", "normalize-negative-entry", "eval-nat-fraction", "eval-baff-negative-entry", "stage-without-kind", "normalize-inadmissible", "confluence-inadmissible", "complete-inadmissible", "term-bad-coefficient", "map-duplicate"]
 NO_BOUND_ARGV = [
     ["normalize", "--sig", "{assoc.sig}", "--rules", "{assoc.rules}", "m^a_bc m^c_de"],
     ["confluence", "--sig", "{zigzag.sig}", "--rules", "{zigzag.rules}"],
@@ -452,9 +445,9 @@ def write_flat_order(corpus):
     (corpus / "flat.order").write_text("order { stage baff flat.map }\n", encoding="utf-8")
 
 
-def bad_input(corpus, monkeypatch, argv):
-    """argv of BAD_INPUT_ARGV made runnable: its extra files written, its
-    NETRW_THREADS set and its file names resolved."""
+def bad_input(corpus, argv):
+    """argv of BAD_INPUT_ARGV made runnable: its extra files written and
+    its file names resolved."""
     (corpus / "zero.map").write_text("map m = 1 1/0\n", encoding="utf-8")
     # entries outside N, which once made an order that never terminates
     (corpus / "neg.map").write_text(
@@ -465,15 +458,13 @@ def bad_input(corpus, monkeypatch, argv):
         "rule grow sharp: y^a_b -> y^a_c y^c_d y^d_b\n", encoding="utf-8"
     )
     (corpus / "half.map").write_text("map x = 1/2\nmap y = -3\n", encoding="utf-8")
+    (corpus / "twice.map").write_text("map x = 1\nmap y = 2\nmap x = 3\n", encoding="utf-8")
     (corpus / "stage.order").write_text("order { stage }\n", encoding="utf-8")
     write_flat_order(corpus)
     # assoc oriented against its order
     (corpus / "rev.rules").write_text(
         "rule rev sharp: m^a_ce m^c_bd -> m^a_bc m^c_de\n", encoding="utf-8"
     )
-    if argv[0].startswith("NETRW_THREADS="):
-        monkeypatch.setenv("NETRW_THREADS", argv[0].partition("=")[2])
-        argv = argv[1:]
     return in_corpus(corpus, argv)
 
 
@@ -485,8 +476,8 @@ class TestUsageErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", BAD_INPUT_ARGV, ids=BAD_INPUT_IDS)
-    def test_bad_input_one_error_line(self, corpus, capsys, monkeypatch, argv):
-        code, out, err = run(capsys, *bad_input(corpus, monkeypatch, argv))
+    def test_bad_input_one_error_line(self, corpus, capsys, argv):
+        code, out, err = run(capsys, *bad_input(corpus, argv))
         assert code == 2 and out == "" and "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -558,7 +549,7 @@ class TestLazyParser:
 
     @pytest.mark.parametrize("argv", BAD_INPUT_ARGV, ids=BAD_INPUT_IDS)
     def test_bad_input(self, corpus, capsys, monkeypatch, argv):
-        self.assert_as_full(capsys, monkeypatch, bad_input(corpus, monkeypatch, argv))
+        self.assert_as_full(capsys, monkeypatch, bad_input(corpus, argv))
 
     @pytest.mark.parametrize("argv", NO_BOUND_ARGV)
     def test_no_step_bound(self, corpus, capsys, monkeypatch, argv):

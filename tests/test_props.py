@@ -396,6 +396,8 @@ class TestRegistryAndAssignments:
         assert out["D"] == Mat.from_rows([[1], [2]])
         with pytest.raises(Exception):
             parse_assignment("map m = 1", sig2, NAT_MATRIX)
+        with pytest.raises(TargetValueError, match="^line 3: duplicate map for 'm'$"):
+            parse_assignment(good + "\nmap m = 3 4", sig2, NAT_MATRIX)
 
     def test_natural_entries(self, sig2):
         # nat-matrix and baff-nat take entries in N only; an integral

@@ -30,13 +30,54 @@ def test_no_broad_exception_handlers():
     assert not broad, f"broad exception handlers: {broad}"
 
 
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_no_environment_reads():
+    """The runtime has no environment knobs: what a command does follows
+    from its command line and its files alone, so no module reads
+    ``os.environ`` or ``os.getenv``."""
+    reads = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            read = (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "os"
+                and node.attr in ENVIRONMENT
+            )
+            imported = (
+                isinstance(node, ast.ImportFrom)
+                and node.module == "os"
+                and any(alias.name in ENVIRONMENT for alias in node.names)
+            )
+            if read or imported:
+                reads.append(f"{path.name}:{node.lineno}")
+    assert not reads, f"environment reads: {reads}"
+
+
+def _assigned_names(node: ast.stmt) -> list[str]:
+    """The names a top-level assignment binds, tuple targets unpacked."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [
+        n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+    ]
+
+
 def _definitions(tree: ast.Module):
-    """Top-level functions and classes, and the methods of those classes,
-    as (qualified name, name, node)."""
+    """Top-level functions, classes and assigned names, and the methods of
+    those classes, as (qualified name, name, node)."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
         if isinstance(node, defs):
             yield node.name, node.name, node
+        for name in _assigned_names(node):
+            yield name, name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, defs):
@@ -113,41 +154,37 @@ def _referenced_globals(tree: ast.AST) -> Counter:
 
 # called by argparse, not by the package
 CALLED_FROM_OUTSIDE = {"_Parser.error"}
+# module names the language and packaging tools read
+READ_FROM_OUTSIDE = {"__all__", "__version__"}
 
 
 def test_no_unreferenced_definitions():
-    """Every function, class and method in the package is used by the
-    package itself: ``src/`` refers to it outside its own body, or it is
-    exported in ``netrw.__all__`` or a method of an exported name.  Dunder
-    methods are called by the language.  Code that only tests call belongs
-    in ``tests/``.  A top-level definition counts as referred to only by
-    its bare name, an import of it, or an attribute of a ``netrw`` module.
-    A method counts as referred to by a bare name of its spelling, or an
-    attribute of that name whose receiver is of its own class or of no
+    """Every function, class, method and module-level name in the package
+    is used by the package itself: ``src/`` refers to it outside its own
+    body, or it is exported in ``netrw.__all__`` or a method of an
+    exported name.  Dunder methods are called by the language, and
+    ``READ_FROM_OUTSIDE`` names are read by it.  Code or data that only
+    tests use belongs in ``tests/``.  A top-level name counts as referred
+    to only by its bare name, an import of it, or an attribute of a
+    ``netrw`` module.  A method counts as referred to only by an
+    attribute of its name whose receiver is of its own class or of no
     known class (see ``_attribute_reads``): ``self.copy()`` in another
-    class, or ``g.copy()`` with ``g: _Gluing``, refers to no
-    ``UnionFind.copy``."""
+    class, ``g.copy()`` with ``g: _Gluing``, or a local variable named
+    ``copy``, refers to no ``UnionFind.copy``."""
     import netrw
 
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.rglob("*.py"))}
     classes = {
         node.name for tree in trees.values() for node in tree.body if isinstance(node, ast.ClassDef)
     }
-    bare = Counter()
-    for tree in trees.values():
-        bare.update(node.id for node in ast.walk(tree) if isinstance(node, ast.Name))
     attributes = sum((_attribute_reads(tree, classes) for tree in trees.values()), Counter())
     globals_read = sum(map(_referenced_globals, trees.values()), Counter())
-
-    def method_reads(reads: Counter, names: Counter, cls: str, name: str) -> int:
-        return names[name] + reads[cls, name] + reads[None, name]
 
     def unreferenced(qualname, name, node):
         if "." in qualname:
             cls = qualname.split(".")[0]
-            own_names = Counter(n.id for n in ast.walk(node) if isinstance(n, ast.Name))
-            own_reads = _attribute_reads(node, classes, cls)
-            return method_reads(attributes, bare, cls, name) <= method_reads(own_reads, own_names, cls, name)
+            own = _attribute_reads(node, classes, cls)
+            return attributes[cls, name] + attributes[None, name] <= own[cls, name] + own[None, name]
         return globals_read[name] <= _referenced_globals(node)[name]
 
     unused = [
@@ -156,8 +193,8 @@ def test_no_unreferenced_definitions():
         for qualname, name, node in _definitions(trees[path])
         if unreferenced(qualname, name, node)
         and qualname.split(".")[0] not in netrw.__all__
-        and qualname not in CALLED_FROM_OUTSIDE
-        and not (name.startswith("__") and name.endswith("__"))
+        and qualname not in CALLED_FROM_OUTSIDE | READ_FROM_OUTSIDE
+        and not ("." in qualname and name.startswith("__") and name.endswith("__"))
     ]
     assert not unused, f"definitions only tests or nothing refer to: {unused}"
 
