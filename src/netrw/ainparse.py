@@ -54,11 +54,12 @@ _BARE_LABEL_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ012
 
 
 def _split_additive(text: str) -> list[tuple[int, str]]:
-    """Split at top-level +/- into (sign, chunk) pieces.  The text after
-    the last sign, or the whole text when there is none, must be a term."""
+    """Split at top-level +/- into (sign, chunk) pieces.  One sign may
+    stand between two terms or before the first; the text after the last
+    sign, or the whole text when there is none, must be a term."""
     pieces = []
     depth = 0
-    sign = 1
+    sign = 0  # the sign since the last term; 0 before any
     cur = []
     for ch in text:
         if ch == "[":
@@ -67,15 +68,16 @@ def _split_additive(text: str) -> list[tuple[int, str]]:
             depth -= 1
         if ch in "+-" and depth == 0:
             if any(c.strip() for c in cur):
-                pieces.append((sign, "".join(cur)))
-                sign = 1
-            sign *= -1 if ch == "-" else 1
+                pieces.append((sign or 1, "".join(cur)))
+            elif sign:
+                raise AinError("Syntax", f"two signs in a row in {text!r}")
+            sign = -1 if ch == "-" else 1
             cur = []
         else:
             cur.append(ch)
     if not any(c.strip() for c in cur):
         raise AinError("Syntax", f"dangling sign or empty expression in {text!r}")
-    pieces.append((sign, "".join(cur)))
+    pieces.append((sign or 1, "".join(cur)))
     return pieces
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .core import NEUTRAL, BoolMat, Perm, bm_blocks, bm_stack, same
+from .core import BoolMat, Perm, bm_blocks, bm_stack, same
 from .network import (
     Edge,
     Network,
@@ -15,7 +15,6 @@ from .network import (
     from_code,
     perm_network,
     generator_network,
-    smoothen,
     transference,
 )
 
@@ -35,25 +34,27 @@ class JoinUndefinedError(ValueError):
 class NetClass:
     """A network isomorphism class, held as one of its networks.
 
-    ``net`` is the network the class was built from and ``tr`` its
-    transference, read off ``net`` at once: a leg-preserving isomorphism
-    keeps it.  ``code`` (the canonical code), ``rep`` and the hash are
+    ``net`` is the network the class was built from.  ``tr`` (the
+    transference), ``code`` (the canonical code), ``rep`` and the hash are
     deferred: each is computed on its first read and kept, so a class whose
-    identity is never asked for is never canonicalized.  ``rep`` is always
-    the canonical representative, rebuilt from ``code``; once it is built,
-    ``net`` is ``rep``.  Equality, hashing and order go by code, and
-    :func:`class_of` returns a class already canonicalized.
+    identity is never asked for is never canonicalized, and one whose type
+    is never asked for is never traversed.  ``tr`` is read off whichever
+    network ``net`` is then, since a leg-preserving isomorphism keeps it.
+    ``rep`` is always the canonical representative, rebuilt from ``code``;
+    once it is built, ``net`` is ``rep``.  Equality, hashing and order go
+    by code, and :func:`class_of` returns a class already canonicalized.
     """
 
     __slots__ = ("net", "tr", "code", "rep", "_hash")
 
     def __init__(self, net: Network):
         self.net = net
-        self.tr = transference(net)
 
     def __getattr__(self, name: str):
         # reached only when a slot is unset: a deferred field's first read
-        if name == "rep":
+        if name == "tr":
+            self.tr = transference(self.net)
+        elif name == "rep":
             self.rep = self.net = from_code(self.code)
         elif name in ("code", "_hash"):
             self.code = canonical_code(self.net)
@@ -163,49 +164,43 @@ def join_transference(tr_a: BoolMat, tr_b: BoolMat, r: int, q: int) -> BoolMat:
     return bm_stack(c11, c13, c31, c33)
 
 
-def _raw_sym_join(ka: Network, hb: Network, r: int, q: int) -> Network:
-    """The symmetric join network with neutral join vertices (not smoothened)."""
+def _join_network(ka: Network, hb: Network, r: int, q: int) -> Network:
+    """The symmetric join network, with no neutral vertex: each edge whose
+    tail is an inner vertex or a kept input of ka or hb follows its chain
+    through the joined ports to its real head.  Edge e of ka becomes 2e and
+    edge e of hb becomes 2e + 1, and likewise for inner vertices."""
     k = ka.coarity - r
     l = ka.arity - q
-    edges: dict[int, Edge] = {}
-    vertices = {0, 1} | {2 + i for i in range(1, r + q + 1)}
-    deco = {2 + i: NEUTRAL for i in range(1, r + q + 1)}
-    for v in ka.inner_vertices():
-        vertices.add(r + q + 2 * v)
-        deco[r + q + 2 * v] = ka.deco[v]
-    for v in hb.inner_vertices():
-        vertices.add(r + q + 2 * v + 1)
-        deco[r + q + 2 * v + 1] = hb.deco[v]
+    deco = {2 * v: sym for v, sym in ka.deco.items()}
+    deco.update((2 * v + 1, sym) for v, sym in hb.deco.items())
 
+    def head(ends: Edge, in_a: bool) -> tuple[int, int]:
+        # a joined output of one operand is a joined input of the other;
+        # nilpotence of the join condition bounds the chain
+        while ends.head == 0:
+            if in_a:
+                if ends.hindex <= k:
+                    return 0, ends.hindex
+                ends = hb.edges[hb.out_edge(1, ends.hindex - k)]
+            else:
+                if ends.hindex > q:
+                    return 0, k + ends.hindex - q
+                ends = ka.edges[ka.out_edge(1, l + ends.hindex)]
+            in_a = not in_a
+        return 2 * ends.head + (0 if in_a else 1), ends.hindex
+
+    edges: dict[int, Edge] = {}
     for e, ends in ka.edges.items():
-        if ends.head != 0:
-            head, hindex = r + q + 2 * ends.head, ends.hindex
-        elif ends.hindex <= k:
-            head, hindex = 0, ends.hindex
-        else:
-            head, hindex = 2 + ends.hindex - k, 1
         if ends.tail != 1:
-            tail, tindex = r + q + 2 * ends.tail, ends.tindex
+            edges[2 * e] = Edge(*head(ends, True), 2 * ends.tail, ends.tindex)
         elif ends.tindex <= l:
-            tail, tindex = 1, ends.tindex
-        else:
-            tail, tindex = 2 + r + ends.tindex - l, 1
-        edges[2 * e] = Edge(head, hindex, tail, tindex)
+            edges[2 * e] = Edge(*head(ends, True), 1, ends.tindex)
     for e, ends in hb.edges.items():
-        if ends.head != 0:
-            head, hindex = r + q + 2 * ends.head + 1, ends.hindex
-        elif ends.hindex <= q:
-            head, hindex = 2 + r + ends.hindex, 1
-        else:
-            head, hindex = 0, k + ends.hindex - q
         if ends.tail != 1:
-            tail, tindex = r + q + 2 * ends.tail + 1, ends.tindex
-        elif ends.tindex <= r:
-            tail, tindex = 2 + ends.tindex, 1
-        else:
-            tail, tindex = 1, l + ends.tindex - r
-        edges[2 * e + 1] = Edge(head, hindex, tail, tindex)
-    return Network(vertices, edges, deco)
+            edges[2 * e + 1] = Edge(*head(ends, False), 2 * ends.tail + 1, ends.tindex)
+        elif ends.tindex > r:
+            edges[2 * e + 1] = Edge(*head(ends, False), 1, l + ends.tindex - r)
+    return Network(deco.keys() | {0, 1}, edges, deco)
 
 
 def _require_join_shape(a: NetClass | LinComb, r: int, q: int, b: NetClass | LinComb) -> None:
@@ -227,7 +222,7 @@ def sym_join(a: NetClass, r: int, q: int, b: NetClass) -> NetClass:
         plus = cond.plus()
         bad = [i + 1 for i in range(plus.rows) if plus.get(i, i)]
         raise JoinUndefinedError(f"cycle through joined ports {bad}")
-    return class_of(smoothen(_raw_sym_join(a.net, b.net, r, q)))
+    return class_of(_join_network(a.net, b.net, r, q))
 
 
 def annex(a: NetClass, b: NetClass) -> NetClass:

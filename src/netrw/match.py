@@ -1,11 +1,14 @@
-"""Redex location: embeddings of a pattern network into a subject,
-strong embeddings (segment labelings), complement extraction, one
-context per labeling of an embedding, and context-type admissibility."""
+"""Redex location: embeddings of a pattern network into a subject, one
+search per image of the pattern's first anchor; strong embeddings
+(segment labelings), complement extraction, one context per labeling of
+an embedding, and context-type admissibility."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
+
 from .core import BoolMat
 from .freeprop import NetClass, join_condition, join_transference
 from .network import Edge, Network, _components
@@ -102,24 +105,27 @@ def pattern_parts(pattern: Network) -> PatternParts:
 def find_embeddings(
     pattern: Network,
     subject: Network,
+    image: int | None,
     parts: PatternParts | None = None,
 ) -> list[Embedding]:
-    """All embeddings of ``pattern`` into ``subject``, sorted by vertex map,
-    then edge map.  The port walk from one anchor per pattern component
-    makes decorations and ports agree; left to check are that the vertex
-    map is injective and that strays avoid the images of inner edges.
-    The product yields sorted order: components by least vertex, distinct
-    anchor images ascending, strays varying last over sorted subject edges.
+    """The embeddings of ``pattern`` into ``subject`` that send the first
+    anchor to ``image`` (None for a pattern with no inner vertex), sorted by
+    vertex map, then edge map.  The port walk from one anchor per pattern
+    component makes decorations and ports agree; left to check are that
+    the vertex map is injective and that strays avoid the images of inner
+    edges.  The product yields sorted order: components by least vertex,
+    the other anchors' distinct images ascending, strays varying last over
+    sorted subject edges.
 
     ``parts`` is ``pattern_parts(pattern)``, for a caller that matches one
     pattern often."""
     anchors, strays, inner = pattern_parts(pattern) if parts is None else parts
     per_comp: list[list[tuple[dict[int, int], dict[int, int]]]] = []
-    for anchor in anchors:
+    for k, anchor in enumerate(anchors):
         found = []
         sym = pattern.deco[anchor]
-        for w in subject.inner_vertices():
-            if subject.deco[w] == sym:
+        for w in [image] if k == 0 else subject.inner_vertices():
+            if subject.deco.get(w) == sym:
                 grown = _grow_component(pattern, subject, anchor, w)
                 if grown is not None:
                     found.append(grown)
@@ -127,7 +133,7 @@ def find_embeddings(
             return []
         per_comp.append(found)
 
-    subject_edges = sorted(subject.edges)
+    subject_edges = sorted(subject.edges) if strays else []
     results = []
     for combo in itertools.product(*per_comp):
         chi: dict[int, int] = {}
@@ -138,14 +144,32 @@ def find_embeddings(
         if len(set(chi.values())) != len(chi):
             continue
         vertex_map = tuple(sorted(chi.items()))
-        free = subject_edges
-        if strays:
-            taken = {psi[e] for e in inner}
-            free = [x for x in subject_edges if x not in taken]
+        taken = {psi[e] for e in inner} if strays else ()
+        free = [x for x in subject_edges if x not in taken]
         for stray_images in itertools.product(free, repeat=len(strays)):
             psi.update(zip(strays, stray_images))
             results.append(Embedding(vertex_map, tuple(sorted(psi.items()))))
     return results
+
+
+def embeddings(
+    pattern: Network,
+    subject: Network,
+    parts: PatternParts | None = None,
+) -> Iterator[Embedding]:
+    """All embeddings of ``pattern`` into ``subject`` in sorted order,
+    found as they are taken: one :func:`find_embeddings` search per image
+    of the first anchor, equally decorated subject vertices ascending, so
+    a caller that stops at its first redex grows no component past it."""
+    parts = pattern_parts(pattern) if parts is None else parts
+    anchors = parts[0]
+    if not anchors:
+        yield from find_embeddings(pattern, subject, None, parts)
+        return
+    sym = pattern.deco[anchors[0]]
+    for w in subject.inner_vertices():
+        if subject.deco[w] == sym:
+            yield from find_embeddings(pattern, subject, w, parts)
 
 
 def strong_embeddings(

@@ -11,7 +11,7 @@ from typing import Sequence
 
 from .core import BoolMat
 from .freeprop import LinComb, NetClass, lc, lc_annex
-from .match import PatternParts, context_type_ok, contexts, find_embeddings, pattern_parts
+from .match import PatternParts, context_type_ok, contexts, embeddings, pattern_parts
 
 
 class RuleError(ValueError):
@@ -104,7 +104,7 @@ def _monomial_redexes(nu: NetClass, q: BoolMat, rules: Sequence[Rule]):
     deterministic redex order; ``rules`` are sorted by id."""
     for rule in rules:
         pattern = rule.lhs.rep
-        for emb in find_embeddings(pattern, nu.rep, rule.lhs_parts):
+        for emb in embeddings(pattern, nu.rep, rule.lhs_parts):
             for ctx in contexts(emb, pattern, nu.rep):
                 if context_type_ok(ctx.tr, rule.qtype, q):
                     yield rule, ctx
@@ -131,10 +131,12 @@ class _Redexes:
     the heap until they reach its top.
     """
 
-    __slots__ = ("q", "rules", "found", "last", "fresh", "heap", "queued")
+    __slots__ = ("q", "any_type", "rules", "found", "last", "fresh", "heap", "queued")
 
     def __init__(self, q: BoolMat, rules: Sequence[Rule]):
         self.q = q
+        # under the all-ones type every transference fits
+        self.any_type = q == BoolMat.ones(q.rows, q.cols)
         self.rules = sorted(rules, key=lambda r: r.rule_id)
         self.found: dict[NetClass, list] = {}
         self.last: LinComb | None = None
@@ -152,9 +154,10 @@ class _Redexes:
             self._see(t)
 
     def _see(self, t: NetClass) -> None:
-        """Check t's type and set up its redex search, the first time."""
+        """Check t's type and set up its redex search, the first time; t's
+        transference is read only when the ambient type can exclude it."""
         if t not in self.found:
-            if not t.tr.leq(self.q):
+            if not (self.any_type or t.tr.leq(self.q)):
                 raise RuleError("combination outside ambient type")
             self.found[t] = [[], _monomial_redexes(t, self.q, self.rules)]
 

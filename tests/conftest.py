@@ -1,5 +1,6 @@
 """Shared fixtures: signatures, random generators, the PROP axiom suite,
-test-only oracles for composition and tensor, cuts and splits,
+test-only oracles for composition, tensor, the symmetric join and the
+embedding search, cuts and splits,
 smoothening and gluing enumeration, and test-only helpers for
 permutation actions on classes, boolean evaluation, union-find copies,
 reduction-step text and connectivity data."""
@@ -15,9 +16,9 @@ from typing import Mapping
 import pytest
 from hypothesis import settings
 
-from netrw.core import BoolMat, Perm, Signature, Symbol, UnionFind, cross, same
+from netrw.core import NEUTRAL, BoolMat, Perm, Signature, Symbol, UnionFind, cross, same
 from netrw.freeprop import LinComb, NetClass, class_of
-from netrw.match import Embedding, complement, strong_embeddings
+from netrw.match import Embedding, _grow_component, complement, pattern_parts, strong_embeddings
 from netrw.network import (
     Edge,
     Network,
@@ -25,6 +26,7 @@ from netrw.network import (
     act,
     canonical_code,
     from_code,
+    smoothen,
     transference,
     validate,
 )
@@ -351,6 +353,100 @@ def reference_tensor(a: NetClass, b: NetClass) -> NetClass:
     return class_of(Network(left.vertices | right.vertices, edges, deco))
 
 
+def reference_join_network(ka: Network, hb: Network, r: int, q: int) -> Network:
+    """The symmetric join network with one neutral vertex per joined wire,
+    not smoothened: the construction that the library's one-pass join
+    replaced."""
+    k = ka.coarity - r
+    l = ka.arity - q
+    edges: dict[int, Edge] = {}
+    vertices = {0, 1} | {2 + i for i in range(1, r + q + 1)}
+    deco = {2 + i: NEUTRAL for i in range(1, r + q + 1)}
+    for v in ka.inner_vertices():
+        vertices.add(r + q + 2 * v)
+        deco[r + q + 2 * v] = ka.deco[v]
+    for v in hb.inner_vertices():
+        vertices.add(r + q + 2 * v + 1)
+        deco[r + q + 2 * v + 1] = hb.deco[v]
+
+    for e, ends in ka.edges.items():
+        if ends.head != 0:
+            head, hindex = r + q + 2 * ends.head, ends.hindex
+        elif ends.hindex <= k:
+            head, hindex = 0, ends.hindex
+        else:
+            head, hindex = 2 + ends.hindex - k, 1
+        if ends.tail != 1:
+            tail, tindex = r + q + 2 * ends.tail, ends.tindex
+        elif ends.tindex <= l:
+            tail, tindex = 1, ends.tindex
+        else:
+            tail, tindex = 2 + r + ends.tindex - l, 1
+        edges[2 * e] = Edge(head, hindex, tail, tindex)
+    for e, ends in hb.edges.items():
+        if ends.head != 0:
+            head, hindex = r + q + 2 * ends.head + 1, ends.hindex
+        elif ends.hindex <= q:
+            head, hindex = 2 + r + ends.hindex, 1
+        else:
+            head, hindex = 0, k + ends.hindex - q
+        if ends.tail != 1:
+            tail, tindex = r + q + 2 * ends.tail + 1, ends.tindex
+        elif ends.tindex <= r:
+            tail, tindex = 2 + ends.tindex, 1
+        else:
+            tail, tindex = 1, l + ends.tindex - r
+        edges[2 * e + 1] = Edge(head, hindex, tail, tindex)
+    return Network(vertices, edges, deco)
+
+
+def reference_sym_join(a: NetClass, r: int, q: int, b: NetClass) -> NetClass:
+    """a join^r_q b by neutral vertices, then smoothening; the caller
+    vouches that the join is defined."""
+    return class_of(smoothen(reference_join_network(a.net, b.net, r, q)))
+
+
+# ---------------------------------------------------------------------------
+# Embedding oracle: the search over every image of every anchor at once,
+# which the library's walk over the first anchor's images replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_find_embeddings(pattern: Network, subject: Network) -> list[Embedding]:
+    """All embeddings of ``pattern`` into ``subject``, sorted by vertex map,
+    then edge map, from one product over every anchor's images."""
+    anchors, strays, inner = pattern_parts(pattern)
+    per_comp = []
+    for anchor in anchors:
+        sym = pattern.deco[anchor]
+        found = [
+            grown
+            for w in subject.inner_vertices()
+            if subject.deco[w] == sym
+            and (grown := _grow_component(pattern, subject, anchor, w)) is not None
+        ]
+        if not found:
+            return []
+        per_comp.append(found)
+    subject_edges = sorted(subject.edges)
+    results = []
+    for combo in itertools.product(*per_comp):
+        chi: dict[int, int] = {}
+        psi: dict[int, int] = {}
+        for part_chi, part_psi in combo:
+            chi.update(part_chi)
+            psi.update(part_psi)
+        if len(set(chi.values())) != len(chi):
+            continue
+        vertex_map = tuple(sorted(chi.items()))
+        taken = {psi[e] for e in inner}
+        free = [x for x in subject_edges if x not in taken]
+        for stray_images in itertools.product(free, repeat=len(strays)):
+            psi.update(zip(strays, stray_images))
+            results.append(Embedding(vertex_map, tuple(sorted(psi.items()))))
+    return results
+
+
 def act_class(sigma: Perm | None, a: NetClass, tau: Perm | None = None) -> NetClass:
     """The class of sigma . a . tau, by ``network.act`` on a's representative."""
     return class_of(act(sigma, a.rep, tau))
@@ -374,6 +470,16 @@ def eager_contexts(emb: Embedding, pattern: Network, subject: Network) -> list[N
     dropped, so that a list as long as ``contexts``' shows it has none."""
     labelings = strong_embeddings(emb, pattern, subject)
     return list(dict.fromkeys(eager_class(complement(subject, pattern, se).net) for se in labelings))
+
+
+def computed(cls: NetClass, field: str) -> bool:
+    """Whether a deferred field of a class has been computed, found
+    without computing it."""
+    try:
+        object.__getattribute__(cls, field)
+    except AttributeError:
+        return False
+    return True
 
 
 def same_network(a: Network, b: Network) -> bool:

@@ -27,7 +27,7 @@ from netrw.freeprop import (
     sym_join,
     tensor,
 )
-from netrw.match import complement, find_embeddings, strong_embeddings
+from netrw.match import complement, embeddings, strong_embeddings
 from netrw.network import Edge, evaluate, validate
 from netrw.order import LT, OrderSpec, Stage, compare, check_strictness, rule_compatible
 from netrw.props import (
@@ -424,7 +424,7 @@ class TestPropertySuites:
             pattern = random_network(rng, list(sig2), max_inner=2, max_strays=1)
             got = {
                 (emb.vertex_map, emb.edge_map)
-                for emb in find_embeddings(pattern, subject)
+                for emb in embeddings(pattern, subject)
             }
             assert got == brute_force_embeddings(pattern, subject)
             cases += 1
@@ -435,7 +435,7 @@ class TestPropertySuites:
         while cases < 1000:
             subject = random_network(rng, list(sig2), max_inner=4)
             pattern = random_network(rng, list(sig2), max_inner=2, max_strays=1)
-            embs = find_embeddings(pattern, subject)
+            embs = list(embeddings(pattern, subject))
             if not embs:
                 continue
             sub_cls, pat_cls = class_of(subject), class_of(pattern)

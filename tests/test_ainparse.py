@@ -73,6 +73,8 @@ class TestParse:
             ("1/ m^a_bc", "bad coefficient '1/'"),
             ("1/0 m^a_bc", "zero denominator in '1/0'"),
             ("1// [a|m^a_bc|b c]", "bad coefficient '1//'"),
+            ("- - m^a_bc", "two signs in a row in '- - m^a_bc'"),
+            ("m^a_bc +- + m^a_bc", "two signs in a row"),
         ],
     )
     def test_syntax_errors(self, hsig, text, message):

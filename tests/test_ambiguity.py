@@ -24,7 +24,7 @@ from netrw.ambiguity import (
 from netrw.cli import main
 from netrw.core import BoolMat, parse_signature
 from netrw.freeprop import LinComb, annex, lc_annex
-from netrw.match import find_embeddings
+from netrw.match import embeddings
 from netrw.network import InvalidNetworkError, Violation, _components, act, canonical_code
 from netrw.order import OrderSpec, Stage
 from netrw.props import BAFF_NAT, parse_assignment
@@ -60,8 +60,8 @@ def check_terse_conditions(amb: Ambiguity, rules_by_id) -> None:
     site = amb.site.rep
     h1 = rules_by_id[amb.rule1_id].lhs.rep
     h2 = rules_by_id[amb.rule2_id].lhs.rep
-    embs1 = find_embeddings(h1, site)
-    embs2 = find_embeddings(h2, site)
+    embs1 = list(embeddings(h1, site))
+    embs2 = list(embeddings(h2, site))
     assert embs1 and embs2
 
     def covered(emb1, emb2):

@@ -424,8 +424,10 @@ BAD_INPUT_ARGV = [
     ["complete", "--sig", "{circle.sig}", "--rules", "{circle.rules}", "--order", "{flat.order}"],
     ["validate", "--sig", "{assoc.sig}", "1/ m^a_bc"],
     ["eval", "--sig", "{circle.sig}", "--target", "rat-matrix", "--map", "{twice.map}", "x^a_b y^b_c"],
+    ["validate", "--sig", "{assoc.sig}", "- - m^a_bc"],
+    ["normalize", "--sig", "{assoc.sig}", "--rules", "{assoc.rules}", "--max-steps", "0", "m^a_bc +- + m^a_bc"],
 ]
-BAD_INPUT_IDS = ["no-rules", "no-order", "order-check-no-order", "negative-r", "r-too-big-zero-operand", "r-too-big", "term-zero-denominator", "map-zero-denominator", "tr-not-monomial", "eval-no-map", "normalize-incompatible-rule", "unknown-rule", "confluence-incompatible-rule", "order-check-negative-entry", "normalize-negative-entry", "eval-nat-fraction", "eval-baff-negative-entry", "stage-without-kind", "normalize-inadmissible", "confluence-inadmissible", "complete-inadmissible", "term-bad-coefficient", "map-duplicate"]
+BAD_INPUT_IDS = ["no-rules", "no-order", "order-check-no-order", "negative-r", "r-too-big-zero-operand", "r-too-big", "term-zero-denominator", "map-zero-denominator", "tr-not-monomial", "eval-no-map", "normalize-incompatible-rule", "unknown-rule", "confluence-incompatible-rule", "order-check-negative-entry", "normalize-negative-entry", "eval-nat-fraction", "eval-baff-negative-entry", "stage-without-kind", "normalize-inadmissible", "confluence-inadmissible", "complete-inadmissible", "term-bad-coefficient", "map-duplicate", "term-two-signs", "term-sign-pair"]
 NO_BOUND_ARGV = [
     ["normalize", "--sig", "{assoc.sig}", "--rules", "{assoc.rules}", "m^a_bc m^c_de"],
     ["confluence", "--sig", "{zigzag.sig}", "--rules", "{zigzag.rules}"],

@@ -1,13 +1,15 @@
 """Free PROP classes, symmetric join, annexation, feedback, and linear
 combinations."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from netrw.core import BoolMat, Perm, cross, same
+from netrw.core import NEUTRAL, BoolMat, Perm, cross, same
 from netrw.freeprop import (
     JoinUndefinedError,
+    _join_network,
     LinComb,
     annex,
     class_of,
@@ -30,12 +32,15 @@ from conftest import (
     act_class,
     check_prop_axioms,
     class_pool,
+    computed,
     exact_shape_class,
     random_class,
     random_network,
     random_perm,
     random_relabel,
     reference_compose,
+    reference_join_network,
+    reference_sym_join,
     reference_tensor,
 )
 
@@ -213,6 +218,69 @@ class TestSymJoin:
             )
             assert lhs == rhs
             cases += 1
+
+
+def neutral_run(net) -> int:
+    """The most neutral vertices that one chain of edges passes through,
+    from an edge with a real tail to its real head."""
+    longest = 0
+    for ends in net.edges.values():
+        if ends.tail == 1 or net.deco.get(ends.tail) != NEUTRAL:
+            run = 0
+            while net.deco.get(ends.head) == NEUTRAL:
+                run += 1
+                ends = net.edges[net.out_edge(ends.head, 1)]
+            longest = max(longest, run)
+    return longest
+
+
+class TestJoinOracle:
+    """The one-pass join, which follows each chain of joined ports to its
+    real head, against neutral join vertices smoothened away
+    (``conftest.reference_sym_join``)."""
+
+    def test_every_valid_r_q(self, rng, sig2):
+        # operands with up to three strays each, so that chains pass
+        # through joined ports more than once
+        runs = Counter()
+        for _ in range(150):
+            a = random_class(rng, list(sig2), max_inner=3, max_strays=3)
+            b = random_class(rng, list(sig2), max_inner=3, max_strays=3)
+            for r in range(min(a.coarity, b.arity) + 1):
+                for q in range(min(a.arity, b.coarity) + 1):
+                    if not join_condition(a.tr, b.tr, r, q).is_nilpotent():
+                        with pytest.raises(JoinUndefinedError):
+                            sym_join(a, r, q, b)
+                        continue
+                    net = _join_network(a.net, b.net, r, q)
+                    assert NEUTRAL not in net.deco.values()
+                    assert len(net.deco) == len(a.net.deco) + len(b.net.deco)
+                    joined = sym_join(a, r, q, b)
+                    assert NEUTRAL not in joined.net.deco.values()
+                    assert joined == reference_sym_join(a, r, q, b)
+                    # the transference is traversed on its first read
+                    assert not computed(joined, "tr")
+                    assert joined.tr == join_transference(a.tr, b.tr, r, q)
+                    runs[min(neutral_run(reference_join_network(a.net, b.net, r, q)), 3)] += 1
+        assert sum(runs.values()) >= 1000 and runs[2] >= 50 and runs[3] >= 20, runs
+
+    def test_operations_match_reference(self, rng, sig2):
+        pool = class_pool(rng, list(sig2), 150, max_strays=2)
+        flat = [a for items in pool.values() for a in items[:6]]
+        counts = Counter()
+        for a in flat:
+            for b in rng.sample(flat, 8):
+                assert tensor(a, b) == reference_sym_join(a, 0, 0, b)
+                counts["tensor"] += 1
+            for b in pool.get((a.arity, rng.randint(0, 3)), [])[:4]:
+                assert compose(a, b) == reference_sym_join(a, 0, a.arity, b)
+                counts["compose"] += 1
+            for n in range(min(a.coarity, a.arity) + 1):
+                wires = phi(same(n))
+                if join_condition(a.tr, wires.tr, n, n).is_nilpotent():
+                    assert free_feedback(a, n) == reference_sym_join(a, n, n, wires)
+                    counts["free_feedback"] += 1
+        assert min(counts.values()) >= 100, counts
 
 
 class TestFreeFeedback:

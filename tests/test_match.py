@@ -23,12 +23,24 @@ from netrw.match import (
     complement,
     context_type_ok,
     contexts,
+    embeddings,
     find_embeddings,
+    pattern_parts,
     strong_embeddings,
 )
 from netrw.network import Edge, Network, validate
 
-from conftest import eager_contexts, exact_shape_class, random_class, random_network, same_network
+from conftest import (
+    computed,
+    eager_contexts,
+    exact_shape_class,
+    random_class,
+    random_network,
+    reference_find_embeddings,
+    same_network,
+)
+
+CORPUS = Path(__file__).resolve().parent.parent / "src" / "netrw" / "corpus"
 
 
 def brute_force_embeddings(pattern: Network, subject: Network):
@@ -99,18 +111,18 @@ class TestFindEmbeddings:
     def test_single_vertex_in_right_comb(self, sig2):
         m = generator(sig2["m"])
         rc = compose(m, tensor(identity(1), m))
-        assert len(find_embeddings(m.rep, rc.rep)) == 2
+        assert len(list(embeddings(m.rep, rc.rep))) == 2
 
     def test_assoc_lhs_not_in_left_comb(self, sig2):
         m = generator(sig2["m"])
         rc = compose(m, tensor(identity(1), m))
         lc = compose(m, tensor(m, identity(1)))
-        assert find_embeddings(rc.rep, lc.rep) == []
+        assert list(embeddings(rc.rep, lc.rep)) == []
 
     def test_identity_embedding(self, rng, sig2):
         for _ in range(50):
             g = random_class(rng, list(sig2), max_inner=3)
-            embs = find_embeddings(g.rep, g.rep)
+            embs = list(embeddings(g.rep, g.rep))
             assert any(
                 all(v == w for v, w in emb.vertex_map)
                 and all(e == x for e, x in emb.edge_map)
@@ -118,9 +130,10 @@ class TestFindEmbeddings:
             )
 
     def test_completeness_vs_brute_force(self, rng, sig2):
-        # the list itself, order included: find_embeddings does not sort,
-        # so its product order must already be the sorted order; the last
-        # 200 patterns may have two strays
+        # the walk's sequence itself, order included: find_embeddings does
+        # not sort, so the walk over first-anchor images and each search's
+        # product order must already give the sorted order; the last 200
+        # patterns may have two strays
         ordered_with_strays = 0
         for case in range(700):
             subject = random_network(rng, list(sig2), max_inner=4)
@@ -129,7 +142,7 @@ class TestFindEmbeddings:
             )
             got = [
                 (emb.vertex_map, emb.edge_map)
-                for emb in find_embeddings(pattern, subject)
+                for emb in embeddings(pattern, subject)
             ]
             assert got == sorted(brute_force_embeddings(pattern, subject))
             ordered_with_strays += len(got) > 1 and any(
@@ -138,11 +151,57 @@ class TestFindEmbeddings:
         assert ordered_with_strays >= 100, ordered_with_strays
 
 
+class TestEmbeddingWalk:
+    """The walk over first-anchor images, one search per image, against
+    the search over every anchor's images at once
+    (``conftest.reference_find_embeddings``)."""
+
+    def test_matches_all_images_search(self, rng, hopf_sig):
+        sigs = {
+            "hopf": hopf_sig,
+            "circle": parse_signature("gen x 1 1\ngen y 1 1\n"),
+            "assoc": parse_signature("gen m 1 2\n"),
+        }
+        counts = collections.Counter()
+        for system, sig in sigs.items():
+            text = (CORPUS / f"{system}.rules").read_text(encoding="utf-8")
+            lhs = [rule.lhs.rep for rule in parse_rules(text, sig)]
+            for case in range(150):
+                subject = random_network(rng, list(sig), max_inner=6, max_strays=2)
+                if case % 3 == 0:
+                    pattern = rng.choice(lhs)
+                elif case % 3 == 1:
+                    max_inner = 0 if case % 2 else 3
+                    pattern = random_network(rng, list(sig), max_inner=max_inner, max_strays=2)
+                else:
+                    # two components or more, side by side, and half the
+                    # time beside the subject too
+                    parts = [random_class(rng, list(sig), max_inner=2, min_inner=1) for _ in "ab"]
+                    pattern = tensor(*parts).rep
+                    if case % 2:
+                        subject = tensor(tensor(*parts), class_of(subject)).rep
+                want = reference_find_embeddings(pattern, subject)
+                assert list(embeddings(pattern, subject)) == want
+                # each search holds exactly the embeddings with its image
+                anchors = pattern_parts(pattern)[0]
+                images = subject.inner_vertices() if anchors else [None]
+                for w in images:
+                    got = find_embeddings(pattern, subject, w)
+                    assert got == [e for e in want if w is None or e.chi()[anchors[0]] == w]
+                comps = len(anchors)
+                strays = len(pattern_parts(pattern)[1])
+                counts[system, "several components"] += bool(want) and comps > 1
+                counts[system, "strays"] += bool(want) and strays > 0
+                counts[system, "no inner vertex"] += bool(want) and comps == 0
+                counts[system, "found"] += bool(want)
+        assert min(counts.values()) >= 20, counts
+
+
 class TestStrongEmbeddings:
     def test_no_strays_unique(self, rng, sig2):
         for _ in range(50):
             g = random_class(rng, list(sig2), max_inner=3, max_strays=0)
-            for emb in find_embeddings(g.rep, g.rep):
+            for emb in embeddings(g.rep, g.rep):
                 ses = strong_embeddings(emb, g.rep, g.rep)
                 if not any(
                     ends.head == 0 and ends.tail == 1 for ends in g.rep.edges.values()
@@ -157,7 +216,7 @@ class TestStrongEmbeddings:
         subject = validate({0, 1}, {0: Edge(0, 1, 1, 1)}, {})
         embs = [
             e
-            for e in find_embeddings(pattern, subject)
+            for e in embeddings(pattern, subject)
             if e.edge_map[0][1] == e.edge_map[1][1]
         ]
         assert embs
@@ -168,7 +227,7 @@ class TestStrongEmbeddings:
         for _ in range(100):
             subject = random_network(rng, list(sig2), max_inner=3)
             pattern = random_network(rng, list(sig2), max_inner=2)
-            for emb in find_embeddings(pattern, subject)[:3]:
+            for emb in list(embeddings(pattern, subject))[:3]:
                 for se in strong_embeddings(emb, pattern, subject):
                     base = emb.psi()
                     for e, label in se.psi_prime().items():
@@ -182,7 +241,7 @@ class TestContexts:
         for _ in range(300):
             subject = random_network(rng, list(sig2), max_inner=3)
             pattern = random_network(rng, list(sig2), max_inner=1, max_strays=3)
-            for emb in find_embeddings(pattern, subject)[:4]:
+            for emb in list(embeddings(pattern, subject))[:4]:
                 labelings = strong_embeddings(emb, pattern, subject)
                 several += len(labelings) > 1
                 want = [complement(subject, pattern, se).code for se in labelings]
@@ -190,18 +249,6 @@ class TestContexts:
                 assert got == want
                 assert len(set(got)) == len(got)
         assert several >= 50
-
-
-CORPUS = Path(__file__).resolve().parent.parent / "src" / "netrw" / "corpus"
-
-
-def canonicalized(k) -> bool:
-    """Whether k's code has been computed, found without computing it."""
-    try:
-        object.__getattribute__(k, "code")
-    except AttributeError:
-        return False
-    return True
 
 
 class TestDeferredContexts:
@@ -219,12 +266,12 @@ class TestDeferredContexts:
                 subject = random_network(rng, list(sig), max_inner=6, max_strays=2)
                 stray = random_network(rng, list(sig), max_inner=1, max_strays=3)
                 for pattern in [stray, rng.choice(lhs)]:
-                    for emb in find_embeddings(pattern, subject)[:4]:
+                    for emb in list(embeddings(pattern, subject))[:4]:
                         several = len(strong_embeddings(emb, pattern, subject)) > 1
                         got = contexts(emb, pattern, subject)
                         want = eager_contexts(emb, pattern, subject)
                         assert len(got) == len(want)
-                        assert not any(canonicalized(k) for k in got)
+                        assert not any(computed(k, "code") for k in got)
                         assert [k.tr for k in got] == [k.tr for k in want]
                         assert [k.code for k in got] == [k.code for k in want]
                         assert [hash(k) for k in got] == [hash(k) for k in want]
@@ -237,7 +284,7 @@ class TestComplement:
     def test_identity_complement_is_cross(self, rng, sig2):
         for _ in range(30):
             g = random_class(rng, list(sig2), max_inner=3)
-            embs = find_embeddings(g.rep, g.rep)
+            embs = list(embeddings(g.rep, g.rep))
             ident = [
                 e
                 for e in embs
@@ -255,7 +302,7 @@ class TestComplement:
             subject = random_network(rng, list(sig2), max_inner=4)
             pattern = random_network(rng, list(sig2), max_inner=2, max_strays=1)
             sub_cls = class_of(subject)
-            embs = find_embeddings(pattern, subject)
+            embs = list(embeddings(pattern, subject))
             if not embs:
                 continue
             pat_cls = class_of(pattern)
@@ -270,7 +317,7 @@ class TestComplement:
         for _ in range(200):
             subject = random_network(rng, list(sig2), max_inner=3)
             pattern = random_network(rng, list(sig2), max_inner=2)
-            embs = find_embeddings(pattern, subject)
+            embs = list(embeddings(pattern, subject))
             if embs:
                 ses = strong_embeddings(embs[0], pattern, subject)
                 assert ses
@@ -284,7 +331,7 @@ class TestComplement:
                 g = annex(k, h)
             except Exception:
                 continue
-            assert find_embeddings(h.rep, g.rep)
+            assert list(embeddings(h.rep, g.rep))
 
 
 class TestContextType:

@@ -315,6 +315,16 @@ class TestJoinable:
 # The redex memo against plain reduce_once calls
 # ---------------------------------------------------------------------------
 
+# _grow_component calls in normalizing the right comb of 20 products
+GROWN_ON_COMB_20 = 210
+
+
+def normalize_traced(x, q, rules):
+    """The steps of an order-backed normalization."""
+    trace = []
+    normalize(x, q, rules, order_backed=True, trace=trace)
+    return trace
+
 
 def plain_reduce_once(x, q, rules):
     """reduce_once from its definition, with neither memo nor agenda: the
@@ -557,15 +567,15 @@ class TestRedexMemo:
     def test_joinable_resumes_redex_searches(self, monkeypatch, corpus_ambiguities):
         # the breadth-first search resumes each search that the
         # normalizations left after a monomial's first redex, instead of
-        # running it again from the first rule
+        # running it again from the first rule or the first anchor image
         searches = Counter()
-        real_find = rewrite.find_embeddings
+        real_find = netrw.match.find_embeddings
 
-        def counting_find(pattern, subject, *parts):
-            searches[id(pattern), canonical_code(subject)] += 1
-            return real_find(pattern, subject, *parts)
+        def counting_find(pattern, subject, image, *parts):
+            searches[id(pattern), canonical_code(subject), image] += 1
+            return real_find(pattern, subject, image, *parts)
 
-        monkeypatch.setattr(rewrite, "find_embeddings", counting_find)
+        swap_everywhere(monkeypatch, real_find, counting_find)
         for system, rules, amb in corpus_ambiguities:
             searches.clear()
             joinable(amb.reduct1, amb.reduct2, amb.amb_type, rules, max_steps=25)
@@ -574,16 +584,17 @@ class TestRedexMemo:
     def test_one_search_per_monomial_and_rule(self, monkeypatch):
         # circle y^12 takes 63 steps; without the memo every step searches
         # every monomial of the growing combination again (about 6 calls a
-        # step), with it each distinct monomial is searched once per rule
+        # step), with it each distinct monomial is searched once per rule,
+        # each image of the rule's first anchor at most once
         sig = parse_signature("gen x 1 1\ngen y 1 1\n")
         rules = parse_rules("rule circ sharp: y^a_b y^b_c -> d^a_c - x^a_b x^b_c", sig)
         y12 = parse_term(circle_power_text(12), sig)
         searches = Counter()
         real_find = netrw.match.find_embeddings
 
-        def counting_find(pattern, subject, *parts):
-            searches[canonical_code(pattern), canonical_code(subject)] += 1
-            return real_find(pattern, subject, *parts)
+        def counting_find(pattern, subject, image, *parts):
+            searches[canonical_code(pattern), canonical_code(subject), image] += 1
+            return real_find(pattern, subject, image, *parts)
 
         swap_everywhere(monkeypatch, real_find, counting_find)
         trace = []
@@ -591,7 +602,54 @@ class TestRedexMemo:
         monomials = set(y12.terms).union(*(step.after.terms for step in trace))
         assert len(trace) == 63
         assert max(searches.values()) == 1
-        assert sum(searches.values()) <= len(monomials) * len(rules) < len(trace)
+        searched = {(pattern, subject) for pattern, subject, _ in searches}
+        assert len(searched) <= len(monomials) * len(rules) < len(trace)
+        assert sum(searches.values()) <= sum(len(t.rep.deco) for t in monomials) * len(rules)
+
+    def test_search_stops_at_first_redex(self, monkeypatch, msig, assoc):
+        # the right comb of 20 products takes 19 steps; each step grows
+        # components only up to the first anchor image that gives a redex
+        # (searching every image grew 400 components, 190 of them whole)
+        labels = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+        comb = " ".join(f"m^{labels[2 * i]}_{labels[2 * i + 1]}{labels[2 * i + 2]}" for i in range(20))
+        x = parse_term(comb, msig)
+        grown = Counter()
+        real_grow = netrw.match._grow_component
+
+        def counting_grow(*args):
+            result = real_grow(*args)
+            grown[result is not None] += 1
+            return result
+
+        monkeypatch.setattr(netrw.match, "_grow_component", counting_grow)
+        trace = normalize_traced(x, BoolMat.ones(1, 21), assoc)
+        assert len(trace) == 19
+        assert grown[True] == len(trace)
+        assert sum(grown.values()) <= GROWN_ON_COMB_20
+
+    def test_reducts_not_traversed_under_ones_type(self, monkeypatch, msig, assoc, circle):
+        # every transference fits the all-ones type, so only the contexts
+        # that a rule's type must admit are traversed, never a reduct
+        circle_rules, y8, q = circle
+        comb = parse_term("m^a_bc m^c_de m^e_fg m^g_hi", msig)
+        traversed, contexts_taken = [], []
+        real_tr, real_complement = netrw.network.transference, netrw.match.complement
+
+        def recording_tr(net):
+            traversed.append(net)
+            return real_tr(net)
+
+        def recording_complement(*args):
+            k = real_complement(*args)
+            contexts_taken.append(k.net)
+            return k
+
+        swap_everywhere(monkeypatch, real_tr, recording_tr)
+        swap_everywhere(monkeypatch, real_complement, recording_complement)
+        trace = normalize_traced(y8, q, circle_rules) + normalize_traced(comb, BoolMat.ones(1, 5), assoc)
+        assert len(trace) == 15 + 3 and traversed
+        context_nets = {id(net) for net in contexts_taken}
+        assert all(id(net) in context_nets for net in traversed)
 
 
 # ---------------------------------------------------------------------------
