@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from itertools import islice
 from pathlib import Path
+from types import SimpleNamespace
 
 from .ainparse import AinError, format_class, format_term, parse_rules, parse_term
 from .ambiguity import (
@@ -304,115 +305,199 @@ class UsageError(Exception):
     """A malformed command line; :func:`main` prints it and returns 2."""
 
 
-class _Parser(argparse.ArgumentParser):
-    """Raises :class:`UsageError` where argparse would print the usage and
-    exit; subparsers are made of the same class."""
+# An option is (flag, required, kind, nargs, help).  Its value is a string,
+# an int when kind is int, or one of kind's strings when kind is a tuple,
+# whose first string is then the default; with nargs 2 it is a list of two
+# strings.  An option left out is None, unless it has that default.
+_SIG = ("--sig", True, str, 1, "signature file")
+_RULES = ("--rules", True, str, 1, "rules file")
+_ORDER = ("--order", True, str, 1, "order preset file")
+_MAYBE_ORDER = ("--order", False, str, 1, "order preset file")
+_STEPS = ("--max-steps", False, int, 1, "at most this many reduction steps")
 
-    def error(self, message):
-        raise UsageError(message)
-
-
-# name -> (help, handler), in the order ``netrw --help`` lists them
+# name -> (help, handler, options, positionals), in the order ``netrw --help``
+# lists them
 _COMMANDS = {
-    "validate": ("check a term against the network axioms", cmd_validate),
-    "iso": ("decide isomorphism of two terms", cmd_iso),
-    "tr": ("transference matrix of a monomial", cmd_tr),
-    "eval": ("evaluate a term in a built-in target", cmd_eval),
-    "join": ("symmetric join of two terms", cmd_join),
-    "normalize": ("reduce a term to normal form", cmd_normalize),
-    "ambiguities": ("list ambiguities of a rule system", cmd_ambiguities),
-    "confluence": ("resolve all ambiguities", cmd_confluence),
-    "complete": ("orient unresolved differences into new rules", cmd_complete),
-    "order-check": ("check strictness and rule compatibility", cmd_order_check),
+    "validate": ("check a term against the network axioms", cmd_validate, (_SIG,), ("term",)),
+    "iso": ("decide isomorphism of two terms", cmd_iso, (_SIG,), ("a", "b")),
+    "tr": ("transference matrix of a monomial", cmd_tr, (_SIG,), ("term",)),
+    "eval": (
+        "evaluate a term in a built-in target",
+        cmd_eval,
+        (
+            _SIG,
+            ("--target", True, str, 1, "target PROP name"),
+            ("--map", False, str, 1, "generator assignment file"),
+        ),
+        ("term",),
+    ),
+    "join": (
+        "symmetric join of two terms",
+        cmd_join,
+        (
+            _SIG,
+            ("--r", True, int, 1, "last outputs of a joined to first inputs of b"),
+            ("--q", True, int, 1, "first outputs of b joined to last inputs of a"),
+        ),
+        ("a", "b"),
+    ),
+    "normalize": (
+        "reduce a term to normal form",
+        cmd_normalize,
+        (_SIG, _RULES, _MAYBE_ORDER, _STEPS, ("--type", False, ("ones", "zero"), 1, "ambient type")),
+        ("term",),
+    ),
+    "ambiguities": (
+        "list ambiguities of a rule system",
+        cmd_ambiguities,
+        (_SIG, _RULES, ("--pair", False, str, 2, "only this pair of rules")),
+        (),
+    ),
+    "confluence": ("resolve all ambiguities", cmd_confluence, (_SIG, _RULES, _MAYBE_ORDER, _STEPS), ()),
+    "complete": (
+        "orient unresolved differences into new rules",
+        cmd_complete,
+        (_SIG, _RULES, _ORDER, _STEPS),
+        (),
+    ),
+    "order-check": (
+        "check strictness and rule compatibility",
+        cmd_order_check,
+        (_SIG, _ORDER, ("--rules", False, str, 1, "rules file")),
+        (),
+    ),
 }
+_HELP = ("-h", "--help")
 
 
-def _add_arguments(p: argparse.ArgumentParser, name: str) -> None:
-    """The arguments of subcommand ``name``, in the order its help lists them."""
-
-    # rules and order: None leaves the option out, else whether it is required
-    def common(rules=None, order=None, target=False, steps=False):
-        p.add_argument("--sig", required=True, help="signature file")
-        if rules is not None:
-            p.add_argument("--rules", required=rules, help="rules file")
-        if order is not None:
-            p.add_argument("--order", required=order, help="order preset file")
-        if target:
-            p.add_argument("--target", required=True, help="target PROP name")
-            p.add_argument("--map", help="generator assignment file")
-        if steps:
-            p.add_argument("--max-steps", type=int, default=None)
-
-    if name in ("validate", "tr"):
-        common()
-        p.add_argument("term")
-    elif name == "iso":
-        common()
-        p.add_argument("a")
-        p.add_argument("b")
-    elif name == "eval":
-        common(target=True)
-        p.add_argument("term")
-    elif name == "join":
-        common()
-        p.add_argument("--r", type=int, required=True)
-        p.add_argument("--q", type=int, required=True)
-        p.add_argument("a")
-        p.add_argument("b")
-    elif name == "normalize":
-        common(rules=True, order=False, steps=True)
-        p.add_argument("--type", choices=["ones", "zero"], default="ones")
-        p.add_argument("term")
-    elif name == "ambiguities":
-        common(rules=True)
-        p.add_argument("--pair", nargs=2, metavar=("S1", "S2"))
-    elif name == "confluence":
-        common(rules=True, order=False, steps=True)
-    elif name == "complete":
-        common(rules=True, order=True, steps=True)
-    else:  # order-check
-        common(rules=False, order=True)
+def _is_value(token: str) -> bool:
+    """Whether a token is a value rather than an option: it does not start
+    with "-", or it is "-" alone, a negative number or has a space in it."""
+    if not token.startswith("-") or token == "-" or " " in token:
+        return True
+    whole, dot, frac = token[1:].partition(".")
+    if dot:
+        return (not whole or whole.isdecimal()) and frac.isdecimal()
+    return whole.isdecimal()
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The command line parser, with every subcommand, or only ``command``'s.
-
-    Which subcommands exist shows only in the top-level help and in the
-    errors for a missing or unknown command, so a parser with just the
-    named one parses its command lines as the full parser does."""
-    parser = _Parser(
-        prog="netrw", description="rewriting engine for free linear PROPs"
-    )
-    parser.add_argument("--json", action="store_true", help="structured output")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, handler) in _COMMANDS.items():
-        if command in (None, name):
-            p = sub.add_parser(name, help=help_text)
-            _add_arguments(p, name)
-            p.set_defaults(func=handler)
-    return parser
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
 
 
-def _command(argv: list[str]) -> str | None:
-    """The subcommand argv names after its ``--json`` flags, if it names a
-    known one there; None for anything else, whose handling (help, a
-    missing or unknown command) needs the full parser."""
-    for arg in argv:
-        if arg != "--json":
-            return arg if arg in _COMMANDS else None
-    return None
+def _metavar(flag: str, kind, nargs: int) -> str:
+    if isinstance(kind, tuple):
+        return "{" + ",".join(kind) + "}"
+    return " ".join([_dest(flag).upper()] * nargs)
+
+
+def _listing(title: str, rows: list[tuple[str, str]]) -> str:
+    width = max(len(name) for name, _ in rows) + 2
+    return f"{title}:\n" + "\n".join(f"  {name:{width}}{text}" for name, text in rows)
+
+
+def _help(command: str | None) -> str:
+    """The usage and help of ``command``, or of netrw itself."""
+    options = [("-h, --help", "show this help and exit")]
+    if command is None:
+        options.append(("--json", "structured output; comes before the command"))
+        commands = [(name, entry[0]) for name, entry in _COMMANDS.items()]
+        return (
+            "usage: netrw [-h] [--json] COMMAND ...\n\nrewriting engine for free linear PROPs\n\n"
+            + _listing("commands", commands)
+            + "\n\n"
+            + _listing("options", options)
+        )
+    help_text, _, table, positionals = _COMMANDS[command]
+    words = ["usage: netrw [--json]", command, "[-h]"]
+    for flag, required, kind, nargs, text in table:
+        flag_and_value = f"{flag} {_metavar(flag, kind, nargs)}"
+        words.append(flag_and_value if required else f"[{flag_and_value}]")
+        options.append((flag_and_value, text))
+    words += positionals
+    return " ".join(words) + f"\n\n{help_text}\n\n" + _listing("options", options)
+
+
+def _parse_args(argv: list[str]) -> SimpleNamespace | None:
+    """The fields of the command line argv, or None after printing the help
+    it asks for.
+
+    ``--json`` and ``-h``/``--help`` may come before the subcommand; after it
+    come its options, exactly as spelled, as ``--name value`` or
+    ``--name=value``, and its positionals, in any order.  After ``--`` every
+    token is a positional.  The first option that fits no rule is an error;
+    missing or surplus arguments are errors once every token is read, so a
+    ``-h`` among them still gives the help."""
+    json_out = False
+    rest = iter(argv)
+    for token in rest:
+        if token in _HELP:
+            print(_help(None))
+            return None
+        if token != "--json":
+            command = token
+            break
+        json_out = True
+    else:
+        raise UsageError("the following arguments are required: command")
+    if command not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        raise UsageError(f"argument command: invalid choice: {command!r} (choose from {choices})")
+    _, _, options, positionals = _COMMANDS[command]
+    fields = {"json": json_out, "command": command}
+    for flag, _, kind, _, _ in options:
+        fields[_dest(flag)] = kind[0] if isinstance(kind, tuple) else None
+    by_flag = {option[0]: option for option in options}
+    given, values = set(), []
+    for token in rest:
+        if token == "--":
+            values.extend(rest)
+        elif _is_value(token):
+            values.append(token)
+        elif token in _HELP:
+            print(_help(command))
+            return None
+        else:
+            flag, eq, value = token.partition("=")
+            if flag not in by_flag:
+                raise UsageError(f"unrecognized arguments: {token}")
+            _, _, kind, nargs, _ = by_flag[flag]
+            got = [value] if eq else list(islice(rest, nargs))
+            if len(got) != nargs or not all(map(_is_value, got)):
+                expected = "one argument" if nargs == 1 else f"{nargs} arguments"
+                raise UsageError(f"argument {flag}: expected {expected}")
+            if kind is int:
+                try:
+                    got = [int(v) for v in got]
+                except ValueError:
+                    raise UsageError(f"argument {flag}: invalid int value: {got[0]!r}") from None
+            elif isinstance(kind, tuple) and got[0] not in kind:
+                choices = ", ".join(map(repr, kind))
+                raise UsageError(f"argument {flag}: invalid choice: {got[0]!r} (choose from {choices})")
+            fields[_dest(flag)] = got[0] if nargs == 1 else got
+            given.add(flag)
+    missing = [flag for flag, required, *_ in options if required and flag not in given]
+    missing += positionals[len(values):]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if len(values) > len(positionals):
+        raise UsageError(f"unrecognized arguments: {' '.join(values[len(positionals):])}")
+    fields.update(zip(positionals, values))
+    return SimpleNamespace(**fields)
 
 
 def main(argv=None) -> int:
     try:
         if argv is None:
             argv = sys.argv[1:]
-        args = build_parser(_command(argv)).parse_args(argv)
+        args = _parse_args(argv)
+        if args is None:
+            return OK
         if getattr(args, "max_steps", None) is not None and args.max_steps < 0:
             raise UsageError("--max-steps must be a nonnegative integer")
         if args.command in ("normalize", "confluence") and not args.order and args.max_steps is None:
             raise UsageError(f"{args.command} needs --order or --max-steps")
-        return args.func(args)
+        return _COMMANDS[args.command][1](args)
     except (UsageError, AinError, SignatureError, RuleError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

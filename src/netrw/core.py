@@ -309,6 +309,10 @@ class BoolMat:
     def is_zero(self) -> bool:
         return not any(self.bits)
 
+    def is_ones(self) -> bool:
+        full = (1 << self.cols) - 1
+        return all(r == full for r in self.bits)
+
     def is_square(self) -> bool:
         return self.rows == self.cols
 

@@ -283,8 +283,9 @@ def complement(subject: Network, pattern: Network, se: StrongEmbedding) -> NetCl
 def context_type_ok(k_tr: BoolMat, q_rule: BoolMat, q_ambient: BoolMat) -> bool:
     """Admissibility of a context K for a rule of type q_rule inside an
     ambient type q_ambient: K annexes the rule's type without a cycle, and
-    the block formula puts the result's transference within q_ambient."""
+    the block formula puts the result's transference within q_ambient,
+    which holds of any transference when q_ambient is all ones."""
     r, q = q_rule.cols, q_rule.rows
     if not join_condition(k_tr, q_rule, r, q).is_nilpotent():
         return False
-    return join_transference(k_tr, q_rule, r, q).leq(q_ambient)
+    return q_ambient.is_ones() or join_transference(k_tr, q_rule, r, q).leq(q_ambient)

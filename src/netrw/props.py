@@ -273,6 +273,14 @@ class ConnElem:
         if self.cyc < 0:
             raise TargetValueError("negative cycle count")
 
+    def __str__(self) -> str:
+        """Shape, blocks and cycle count, as in ``1x2 {o1 i1 i2} cyc 0``:
+        output k prints as ``ok`` and input k as ``ik``, outputs first,
+        each block and the blocks in ascending order."""
+        blocks = sorted(sorted(block) for block in self.blocks)
+        words = ["{" + " ".join(f"{'oi'[side]}{k}" for side, k in block) + "}" for block in blocks]
+        return " ".join([f"{self.coarity}x{self.arity}", *words, f"cyc {self.cyc}"])
+
 
 class ConnectivityTarget:
     """Pairs (partition of legs, cyclomatic count)."""

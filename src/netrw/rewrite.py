@@ -136,7 +136,7 @@ class _Redexes:
     def __init__(self, q: BoolMat, rules: Sequence[Rule]):
         self.q = q
         # under the all-ones type every transference fits
-        self.any_type = q == BoolMat.ones(q.rows, q.cols)
+        self.any_type = q.is_ones()
         self.rules = sorted(rules, key=lambda r: r.rule_id)
         self.found: dict[NetClass, list] = {}
         self.last: LinComb | None = None

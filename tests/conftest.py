@@ -1,12 +1,14 @@
 """Shared fixtures: signatures, random generators, the PROP axiom suite,
-test-only oracles for composition, tensor, the symmetric join and the
-embedding search, cuts and splits,
+test-only oracles for composition, tensor, the symmetric join, the
+embedding search, context admissibility and the command line parser, cuts
+and splits,
 smoothening and gluing enumeration, and test-only helpers for
 permutation actions on classes, boolean evaluation, union-find copies,
 reduction-step text and connectivity data."""
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import random
 from dataclasses import dataclass
@@ -16,8 +18,9 @@ from typing import Mapping
 import pytest
 from hypothesis import settings
 
+from netrw.cli import UsageError
 from netrw.core import NEUTRAL, BoolMat, Perm, Signature, Symbol, UnionFind, cross, same
-from netrw.freeprop import LinComb, NetClass, class_of
+from netrw.freeprop import LinComb, NetClass, class_of, join_condition, join_transference
 from netrw.match import Embedding, _grow_component, complement, pattern_parts, strong_embeddings
 from netrw.network import (
     Edge,
@@ -445,6 +448,106 @@ def reference_find_embeddings(pattern: Network, subject: Network) -> list[Embedd
             psi.update(zip(strays, stray_images))
             results.append(Embedding(vertex_map, tuple(sorted(psi.items()))))
     return results
+
+
+# ---------------------------------------------------------------------------
+# Context admissibility oracle
+# ---------------------------------------------------------------------------
+
+
+def reference_context_type_ok(k_tr: BoolMat, q_rule: BoolMat, q_ambient: BoolMat) -> bool:
+    """``match.context_type_ok`` computing the block formula under every
+    ambient type, the all-ones one included."""
+    r, q = q_rule.cols, q_rule.rows
+    if not join_condition(k_tr, q_rule, r, q).is_nilpotent():
+        return False
+    return join_transference(k_tr, q_rule, r, q).leq(q_ambient)
+
+
+# ---------------------------------------------------------------------------
+# Command-line oracle: the argparse parser that the table-driven
+# ``cli._parse_args`` replaced
+# ---------------------------------------------------------------------------
+
+
+class ReferenceParser(argparse.ArgumentParser):
+    """Raises :class:`cli.UsageError` where argparse would print the usage
+    and exit; subparsers are made of the same class."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+# name -> help, in the order ``netrw --help`` lists them
+REFERENCE_COMMANDS = {
+    "validate": "check a term against the network axioms",
+    "iso": "decide isomorphism of two terms",
+    "tr": "transference matrix of a monomial",
+    "eval": "evaluate a term in a built-in target",
+    "join": "symmetric join of two terms",
+    "normalize": "reduce a term to normal form",
+    "ambiguities": "list ambiguities of a rule system",
+    "confluence": "resolve all ambiguities",
+    "complete": "orient unresolved differences into new rules",
+    "order-check": "check strictness and rule compatibility",
+}
+
+
+def _reference_arguments(p: argparse.ArgumentParser, name: str) -> None:
+    """The arguments of subcommand ``name``, in the order its help lists them."""
+
+    # rules and order: None leaves the option out, else whether it is required
+    def common(rules=None, order=None, target=False, steps=False):
+        p.add_argument("--sig", required=True, help="signature file")
+        if rules is not None:
+            p.add_argument("--rules", required=rules, help="rules file")
+        if order is not None:
+            p.add_argument("--order", required=order, help="order preset file")
+        if target:
+            p.add_argument("--target", required=True, help="target PROP name")
+            p.add_argument("--map", help="generator assignment file")
+        if steps:
+            p.add_argument("--max-steps", type=int, default=None)
+
+    if name in ("validate", "tr"):
+        common()
+        p.add_argument("term")
+    elif name == "iso":
+        common()
+        p.add_argument("a")
+        p.add_argument("b")
+    elif name == "eval":
+        common(target=True)
+        p.add_argument("term")
+    elif name == "join":
+        common()
+        p.add_argument("--r", type=int, required=True)
+        p.add_argument("--q", type=int, required=True)
+        p.add_argument("a")
+        p.add_argument("b")
+    elif name == "normalize":
+        common(rules=True, order=False, steps=True)
+        p.add_argument("--type", choices=["ones", "zero"], default="ones")
+        p.add_argument("term")
+    elif name == "ambiguities":
+        common(rules=True)
+        p.add_argument("--pair", nargs=2, metavar=("S1", "S2"))
+    elif name == "confluence":
+        common(rules=True, order=False, steps=True)
+    elif name == "complete":
+        common(rules=True, order=True, steps=True)
+    else:  # order-check
+        common(rules=False, order=True)
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse command line parser, with every subcommand."""
+    parser = ReferenceParser(prog="netrw", description="rewriting engine for free linear PROPs")
+    parser.add_argument("--json", action="store_true", help="structured output")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text in REFERENCE_COMMANDS.items():
+        _reference_arguments(sub.add_parser(name, help=help_text), name)
+    return parser
 
 
 def act_class(sigma: Perm | None, a: NetClass, tau: Perm | None = None) -> NetClass:

@@ -1,15 +1,21 @@
 """The batch front end: subcommands, exit codes, and determinism."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from netrw import cli
-from netrw.cli import UsageError, build_parser, main
+from netrw.cli import OK, USAGE_ERROR, UsageError, main
 
-CORPUS = Path(__file__).resolve().parent.parent / "src" / "netrw" / "corpus"
+from conftest import REFERENCE_COMMANDS, reference_parser
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+CORPUS = SRC / "netrw" / "corpus"
 
 
 @pytest.fixture
@@ -136,16 +142,13 @@ class TestSubcommands:
         assert (code, out, err.strip()) == (2, "", message)
 
     def test_eval_connectivity_default_map(self, corpus, capsys):
-        code, out, _ = run(
-            capsys,
-            "eval",
-            "--sig",
-            str(corpus / "assoc.sig"),
-            "--target",
-            "connectivity",
-            "m^a_bc",
-        )
-        assert code == 0
+        # a value prints as its shape, its blocks in ascending order with
+        # outputs (o) before inputs (i), and its cycle count
+        conn = ["eval", "--sig", str(corpus / "assoc.sig"), "--target", "connectivity"]
+        code, out, _ = run(capsys, *conn, "m^a_bc")
+        assert (code, out) == (0, "1 * 1x2 {o1 i1 i2} cyc 0\n")
+        code, out, _ = run(capsys, *conn, "[ab|1|ab] + [ab|1|ba]")
+        assert (code, out) == (0, "1 * 2x2 {o1 i1} {o2 i2} cyc 0\n1 * 2x2 {o1 i2} {o2 i1} cyc 0\n")
 
     def test_join(self, corpus, capsys):
         sig = str(corpus / "assoc.sig")
@@ -492,86 +495,220 @@ class TestUsageErrors:
         assert err == f"error: {argv[0]} needs --order or --max-steps\n"
 
     def test_help_exits_0(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["normalize", "--help"])
-        assert exc.value.code == 0 and "--max-steps" in capsys.readouterr().out
-
-    def test_parser_error_raises(self):
-        with pytest.raises(UsageError, match="^bad option$"):
-            build_parser().error("bad option")
+        code, out, err = run(capsys, "normalize", "--help")
+        assert (code, err) == (0, "") and "--max-steps" in out
 
 
-def outcome(capsys, argv):
-    """Exit code, stdout and stderr of one command line, help included."""
+# Concrete instances of README's synopsis lines, each alternative and
+# optional part taken once.
+SYNOPSIS_ARGV = [
+    ["validate", "--sig", "S.sig", "m^a_bc"],
+    ["iso", "--sig", "S.sig", "m^a_bc", "m^x_yz"],
+    ["tr", "--sig", "S.sig", "m^a_bc"],
+    ["eval", "--sig", "S.sig", "--target", "nat-matrix", "--map", "gens.map", "m^a_bc"],
+    ["eval", "--sig", "S.sig", "--target", "connectivity", "m^a_bc"],
+    ["join", "--sig", "S.sig", "--r", "1", "--q", "0", "m^a_bc", "m^a_bc"],
+    ["normalize", "--sig", "S.sig", "--rules", "R.rules", "--order", "O.order", "m^a_bc"],
+    ["normalize", "--sig", "S.sig", "--rules", "R.rules", "--max-steps", "5", "--type", "zero", "m^a_bc"],
+    ["ambiguities", "--sig", "S.sig", "--rules", "R.rules"],
+    ["ambiguities", "--sig", "S.sig", "--rules", "R.rules", "--pair", "s1", "s2"],
+    ["confluence", "--sig", "S.sig", "--rules", "R.rules", "--order", "O.order"],
+    ["confluence", "--sig", "S.sig", "--rules", "R.rules", "--max-steps", "25"],
+    ["complete", "--sig", "S.sig", "--rules", "R.rules", "--order", "O.order"],
+    ["order-check", "--sig", "S.sig", "--order", "O.order"],
+    ["order-check", "--sig", "S.sig", "--order", "O.order", "--rules", "R.rules"],
+    ["--json", "confluence", "--sig", "S.sig", "--rules", "R.rules", "--order", "O.order"],
+]
+# The grammar at its edges: --name=value, options after and between the
+# positionals, values that start with "-", "--", repeated options, help,
+# and malformed lines.
+GRAMMAR_ARGV = [
+    ["validate", "--sig=S.sig", "m^a_bc"],
+    ["validate", "--sig=", "m^a_bc"],
+    ["normalize", "--sig=S.sig", "--rules=R.rules", "--max-steps=3", "--type=zero", "m^a_bc"],
+    ["normalize", "--sig", "S.sig", "--rules", "R.rules", "--max-steps=-1", "m^a_bc"],
+    ["normalize", "--sig", "S.sig", "--rules", "R.rules", "--max-steps", "x", "m^a_bc"],
+    ["normalize", "--sig", "S.sig", "--rules", "R.rules", "--max-steps", " 7", "m^a_bc"],
+    ["normalize", "--sig", "S.sig", "--rules", "R.rules", "--max-steps", "1.5", "m^a_bc"],
+    ["normalize", "--sig", "S.sig", "--rules", "R.rules", "--type", "both", "m^a_bc"],
+    ["normalize", "m^a_bc", "--sig", "S.sig", "--rules", "R.rules", "--max-steps", "3"],
+    ["validate", "m^a_bc", "--sig", "S.sig"],
+    ["iso", "m^a_bc", "--sig", "S.sig", "m^x_yz"],
+    ["validate", "--sig", "S.sig", "--", "-m^a_bc"],
+    ["validate", "--sig", "S.sig", "-m^a_bc"],
+    ["validate", "--sig", "S.sig", "- - m^a_bc"],
+    ["validate", "--sig", "S.sig", "-"],
+    ["validate", "--sig", "S.sig", ""],
+    ["validate", "--sig", "S.sig", "-1"],
+    ["validate", "--sig", "S.sig", "-1.5"],
+    ["validate", "--sig", "S.sig", "-.5"],
+    ["validate", "--sig", "S.sig", "-1."],
+    ["validate", "--sig", "S.sig", "m^a_bc", "--"],
+    ["validate", "--sig", "S.sig", "--", "m^a_bc", "--"],
+    ["validate", "--sig", "S.sig", "--", "--", "m^a_bc"],
+    ["validate", "--", "--sig", "S.sig", "m^a_bc"],
+    ["validate", "--sig", "--", "m^a_bc"],
+    ["validate", "--sig", "-x", "m^a_bc"],
+    ["validate", "--sig"],
+    ["validate", "--sig", "S.sig", "--sig", "T.sig", "m^a_bc"],
+    ["validate", "--sig", "S.sig", "m^a_bc", "m^x_yz"],
+    ["validate", "-x", "--sig", "S.sig", "m^a_bc"],
+    ["validate", "--sig", "S.sig", "--json", "m^a_bc"],
+    ["validate", "--sig", "S.sig", "--help=x", "m^a_bc"],
+    ["join", "--sig", "S.sig", "--r", "-1", "--q", "0", "m^a_bc", "m^a_bc"],
+    ["join", "--sig", "S.sig", "--r", "1", "--q", "0", "-1", "m^a_bc"],
+    ["join", "--sig", "S.sig", "--r", "1", "m^a_bc", "m^a_bc"],
+    ["ambiguities", "--sig", "S.sig", "--rules", "R.rules", "--pair", "S1", "-1"],
+    ["ambiguities", "--sig", "S.sig", "--rules", "R.rules", "--pair", "S1"],
+    ["ambiguities", "--sig", "S.sig", "--rules", "R.rules", "--pair", "S1", "--sig", "S.sig"],
+    ["ambiguities", "--sig", "S.sig", "--rules", "R.rules", "--pair=S1", "S2"],
+    ["ambiguities", "--sig", "S.sig", "--rules", "R.rules", "--pair", "--", "S1", "S2"],
+    ["--json", "--json", "iso", "--sig", "S.sig", "m^a_bc", "m^x_yz"],
+    ["--json=1", "validate", "--sig", "S.sig", "m^a_bc"],
+    ["--json", "--", "validate", "--sig", "S.sig", "m^a_bc"],
+    ["validate", "--sig", "S.sig", "m^a_bc", "m^x_yz", "--help"],
+    ["normalize", "--max-steps", "x", "--help"],
+    ["normalize", "--sig", "S.sig", "--help", "--max-steps", "x"],
+]
+TOP_LEVEL_ARGV = [
+    ["--help"],
+    ["-h", "normalize"],
+    ["--json", "--help"],
+    [],
+    ["--json"],
+    ["no-such-command", "--help"],
+    ["--", "normalize", "--help"],
+    ["--js", "validate", "--help"],
+    ["normalize", "--sig", "a.sig", "--rules", "a.rules", "--type", "both", "m^a_bc"],
+    ["validate", "--json", "--sig", "a.sig", "m^a_bc"],
+]
+# Lines that argparse accepts and the table-driven parser refuses: argparse
+# takes a unique prefix of an option for the option, and reports an unknown
+# option only after the rest of the line, so a later -h gives the help.
+DECLARED_ARGV = [
+    ["--js", "validate", "--sig", "S.sig", "m^a_bc"],
+    ["--js", "validate", "--help"],
+    ["normalize", "--sig", "S.sig", "--rules", "R.rules", "--max", "3", "m^a_bc"],
+    ["validate", "--s", "S.sig", "m^a_bc"],
+    ["validate", "--foo", "--help"],
+    ["--foo", "validate", "--help"],
+]
+
+
+def parse_outcome(parse, argv, capsys):
+    """The fields parse gives for argv, 0 when it printed help (which it
+    must), or 2 when it raised UsageError."""
     try:
-        code = main(list(argv))
-    except SystemExit as exc:
-        code = exc.code
-    out = capsys.readouterr()
-    return code, out.out, out.err
+        fields = parse(argv)
+    except UsageError:
+        return USAGE_ERROR
+    except SystemExit as exc:  # argparse's help
+        fields = exc.code
+    printed = capsys.readouterr().out
+    if fields in (None, OK):
+        assert printed.startswith("usage: netrw")
+        return OK
+    return vars(fields)
+
+
+def reference_parse(argv):
+    return reference_parser().parse_args(argv)
+
+
+def assert_as_argparse(capsys, argv):
+    ours = parse_outcome(cli._parse_args, argv, capsys)
+    theirs = parse_outcome(reference_parse, argv, capsys)
+    if argv in DECLARED_ARGV:
+        assert ours == USAGE_ERROR and theirs != USAGE_ERROR
+    else:
+        assert ours == theirs
 
 
 class TestLazyParser:
-    """main builds only the subparser its command line names; what it prints
-    and returns must be what the parser with all ten subcommands gives."""
-
-    def assert_as_full(self, capsys, monkeypatch, argv):
-        lazy = outcome(capsys, argv)
-        with monkeypatch.context() as m:
-            m.setattr(cli, "_command", lambda argv: None)
-            full = outcome(capsys, argv)
-        assert lazy == full
+    """``main`` builds no parser: it reads argv against the ``_COMMANDS``
+    table.  What that gives must be what the argparse parser with all ten
+    subcommands (``conftest.reference_parser``) gives: the same fields, help
+    printed by both, or UsageError from both; on DECLARED_ARGV the table
+    refuses what argparse accepts."""
 
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
-    def test_subcommand_help(self, capsys, monkeypatch, command):
-        self.assert_as_full(capsys, monkeypatch, [command, "--help"])
-        self.assert_as_full(capsys, monkeypatch, ["--json", command, "-h"])
+    def test_subcommand_help(self, capsys, command):
+        assert_as_argparse(capsys, [command, "--help"])
+        assert_as_argparse(capsys, ["--json", command, "-h"])
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["--help"],
-            ["-h", "normalize"],
-            ["--json", "--help"],
-            [],
-            ["--json"],
-            ["no-such-command", "--help"],
-            ["--", "normalize", "--help"],
-            ["--js", "validate", "--help"],
-            ["normalize", "--sig", "a.sig", "--rules", "a.rules", "--type", "both", "m^a_bc"],
-            ["validate", "--json", "--sig", "a.sig", "m^a_bc"],
-        ],
-    )
-    def test_top_level(self, capsys, monkeypatch, argv):
-        self.assert_as_full(capsys, monkeypatch, argv)
+    @pytest.mark.parametrize("argv", TOP_LEVEL_ARGV)
+    def test_top_level(self, capsys, argv):
+        assert_as_argparse(capsys, argv)
 
     @pytest.mark.parametrize("argv", USAGE_ARGV)
-    def test_usage_errors(self, capsys, monkeypatch, argv):
-        self.assert_as_full(capsys, monkeypatch, argv)
+    def test_usage_errors(self, capsys, argv):
+        assert_as_argparse(capsys, argv)
 
     @pytest.mark.parametrize("argv", BAD_INPUT_ARGV, ids=BAD_INPUT_IDS)
-    def test_bad_input(self, corpus, capsys, monkeypatch, argv):
-        self.assert_as_full(capsys, monkeypatch, bad_input(corpus, argv))
+    def test_bad_input(self, capsys, argv):
+        assert_as_argparse(capsys, argv)
 
     @pytest.mark.parametrize("argv", NO_BOUND_ARGV)
-    def test_no_step_bound(self, corpus, capsys, monkeypatch, argv):
-        self.assert_as_full(capsys, monkeypatch, in_corpus(corpus, argv))
+    def test_no_step_bound(self, capsys, argv):
+        assert_as_argparse(capsys, argv)
 
-    def test_one_subparser_built(self, monkeypatch):
-        built = []
-        real = cli.build_parser
+    @pytest.mark.parametrize("argv", SYNOPSIS_ARGV)
+    def test_synopsis(self, capsys, argv):
+        assert_as_argparse(capsys, argv)
 
-        def recording(command=None):
-            built.append(command)
-            return real(command)
+    @pytest.mark.parametrize("argv", GRAMMAR_ARGV)
+    def test_grammar(self, capsys, argv):
+        assert_as_argparse(capsys, argv)
 
-        monkeypatch.setattr(cli, "build_parser", recording)
-        main(["--json", "validate", "--sig", "no-such.sig", "m^a_bc"])
-        assert built == ["validate"]
-        (sub,) = [a for a in real("validate")._actions if a.dest == "command"]
-        assert list(sub.choices) == ["validate"]
+    @pytest.mark.parametrize("argv", DECLARED_ARGV)
+    def test_declared_differences(self, capsys, argv):
+        assert_as_argparse(capsys, argv)
+
+    def test_same_commands(self):
+        assert list(cli._COMMANDS) == list(REFERENCE_COMMANDS)
 
     def test_reads_sys_argv(self, corpus, capsys, monkeypatch):
         sig = str(corpus / "assoc.sig")
         monkeypatch.setattr("sys.argv", ["netrw", "validate", "--sig", sig, "m^a_bc"])
         assert main() == 0 and "coarity 1" in capsys.readouterr().out
+
+
+# modules a command line must not cost a fresh process: argparse, and the
+# gettext and locale lookups its messages made on every run
+UNWANTED = {"argparse", "gettext", "locale"}
+
+
+class TestFreshProcess:
+    """``python -m netrw.cli`` in a new interpreter, which ``-X importtime``
+    makes list every module it imports on stderr.  The tests above share
+    one warm interpreter, so they would not see a start-up cost come back."""
+
+    @pytest.mark.parametrize(
+        "argv, code, out",
+        [
+            (["validate", "--sig", "{assoc.sig}", "m^a_bc"], 0, "valid: coarity 1, arity 2\n"),
+            (["iso", "--sig", "{assoc.sig}", "m^a_bc m^c_de", "m^a_ce m^c_bd"], 1, "distinct\n"),
+            (["normalize", "--sig", "{assoc.sig}", "--max-steps", "x", "m^a_bc"], 2, ""),
+            (["--json", "normalize", "--help"], 0, None),
+        ],
+    )
+    def test_exit_code_output_and_imports(self, corpus, argv, code, out):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "netrw.cli", *in_corpus(corpus, argv)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        lines = proc.stderr.splitlines()
+        imported = {line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")}
+        errors = [line for line in lines if not line.startswith("import time:")]
+        assert proc.returncode == code, proc.stderr
+        if out is None:
+            assert proc.stdout.startswith("usage: netrw [--json] normalize") and "--max-steps" in proc.stdout
+        else:
+            assert proc.stdout == out
+        assert errors == (["error: argument --max-steps: invalid int value: 'x'"] if code == 2 else [])
+        assert "netrw.ainparse" in imported and not imported & UNWANTED

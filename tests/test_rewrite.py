@@ -43,7 +43,14 @@ from netrw.rewrite import (
     reduce_once,
 )
 
-from conftest import eager_contexts, exact_shape_class, format_step, random_class, same_network
+from conftest import (
+    eager_contexts,
+    exact_shape_class,
+    format_step,
+    random_class,
+    reference_context_type_ok,
+    same_network,
+)
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "netrw" / "corpus"
 SYSTEMS = ("assoc", "circle", "bridge", "zigzag", "frobenius", "hopf")
@@ -659,6 +666,47 @@ class TestRedexMemo:
 
 def same_contexts(a: NetClass, b: NetClass) -> bool:
     return a == b and a.tr == b.tr and same_network(a.rep, b.rep)
+
+
+class TestContextTypeUnderOnes:
+    """``context_type_ok`` skips the block formula under the all-ones
+    ambient type; the redexes found must be those found with the version
+    that computes it (``conftest.reference_context_type_ok``)."""
+
+    def test_redexes_match_reference(self, monkeypatch, rng, hopf_sig, corpus_ambiguities):
+        hopf = sorted(
+            parse_rules((CORPUS / "hopf.rules").read_text(encoding="utf-8"), hopf_sig),
+            key=lambda r: r.rule_id,
+        )
+        subjects = [(amb.site, rules) for _, rules, amb in corpus_ambiguities]
+        for _ in range(60):
+            m, n = rng.randint(0, 2), rng.randint(0, 2)
+            subjects.append((exact_shape_class(rng, hopf_sig, m, n), hopf))
+        real = netrw.match.join_transference
+        formulas = Counter()
+
+        def counting(*args):
+            formulas["calls"] += 1
+            return real(*args)
+
+        monkeypatch.setattr(netrw.match, "join_transference", counting)
+        found = Counter()
+        for nu, rules in subjects:
+            for q in (BoolMat.ones(nu.coarity, nu.arity), nu.tr, BoolMat.zeros(nu.coarity, nu.arity)):
+                formulas.clear()
+                redexes = list(_monomial_redexes(nu, q, rules))
+                if q.is_ones():
+                    assert not formulas
+                else:
+                    found["formulas"] += formulas["calls"]
+                with monkeypatch.context() as patch:
+                    patch.setattr(rewrite, "context_type_ok", reference_context_type_ok)
+                    expected = list(_monomial_redexes(nu, q, rules))
+                assert redexes == expected
+                for (r1, k1), (r2, k2) in zip(redexes, expected):
+                    assert r1.rule_id == r2.rule_id and same_contexts(k1, k2)
+                found[q.is_ones()] += len(redexes)
+        assert found[True] >= 300 and found[False] >= 5 and found["formulas"] >= 50, found
 
 
 class TestDeferredContexts:

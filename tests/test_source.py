@@ -152,8 +152,6 @@ def _referenced_globals(tree: ast.AST) -> Counter:
     return names
 
 
-# called by argparse, not by the package
-CALLED_FROM_OUTSIDE = {"_Parser.error"}
 # module names the language and packaging tools read
 READ_FROM_OUTSIDE = {"__all__", "__version__"}
 
@@ -193,7 +191,7 @@ def test_no_unreferenced_definitions():
         for qualname, name, node in _definitions(trees[path])
         if unreferenced(qualname, name, node)
         and qualname.split(".")[0] not in netrw.__all__
-        and qualname not in CALLED_FROM_OUTSIDE | READ_FROM_OUTSIDE
+        and qualname not in READ_FROM_OUTSIDE
         and not ("." in qualname and name.startswith("__") and name.endswith("__"))
     ]
     assert not unused, f"definitions only tests or nothing refer to: {unused}"
