@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .core import BoolMat, Perm
+from .core import BoolMat, Perm, same
 from .freeprop import LinComb, NetClass, class_of, lc_annex
 from .match import Embedding, context_type_ok, contexts
 from .network import (
@@ -58,58 +58,65 @@ class Ambiguity:
         )
 
 
+def _shift(nodes: list[int | None], offset: int) -> list[int | None]:
+    return [None if n is None else n + offset for n in nodes]
+
+
 class _PairTables:
     """Both left hand sides of a rule pair as integer node tables.
 
     Nodes are numbered in the sorted order of the tuples ("e"|"v", side,
     id): the edges of side 1 and of side 2, then the inner vertices of each
     side.  A class of nodes is named by its least member, so the seed order
-    and the numbering of a site follow the order of the tuples.
+    and the numbering of a site follow the order of the tuples.  Each
+    side's tables are its rule's ``lhs_nodes``, numbered from 0, so they
+    are joined here by shifting each number by its block's offset.
     """
 
     def __init__(self, s1: Rule, s2: Rule):
-        nets = {1: s1.lhs.rep, 2: s2.lhs.rep}
-        keys = sorted(
-            [("e", s, e) for s, net in nets.items() for e in net.edges]
-            + [("v", s, v) for s, net in nets.items() for v in net.inner_vertices()]
-        )
-        node = {key: n for n, key in enumerate(keys)}
-        self.keys = keys
-        self.part = part = {(kind, s): [] for kind in "ev" for s in (1, 2)}
-        for n, (kind, s, _) in enumerate(keys):
-            part[kind, s].append(n)
-        self.n_edges = ne = len(part["e", 1]) + len(part["e", 2])
-        self.side = [s for _, s, _ in keys]
-        self.symbol = symbol = [nets[s].deco[x] if kind == "v" else None for kind, s, x in keys]
+        t1, t2 = s1.lhs_nodes, s2.lhs_nodes
+        e1, v1 = len(t1.eids), len(t1.vids)
+        self.n_edges = ne = e1 + len(t2.eids)
+        # the id of each node, and the nodes of each kind and side
+        self.ids = t1.eids + t2.eids + t1.vids + t2.vids
+        n = len(self.ids)
+        self.part = {
+            ("e", 1): range(e1),
+            ("e", 2): range(e1, ne),
+            ("v", 1): range(ne, ne + v1),
+            ("v", 2): range(ne + v1, n),
+        }
+        self.side = [1] * e1 + [2] * (ne - e1) + [1] * v1 + [2] * (n - ne - v1)
+        self.symbol = [None] * ne + t1.symbol + t2.symbol
         # per vertex: its in-edges and its out-edges by port
-        self.ports = [None] * ne + [
-            (
-                tuple(node["e", s, e] for e in nets[s].in_edges(v)),
-                tuple(node["e", s, e] for e in nets[s].out_edges(v)),
-            )
-            for _, s, v in keys[ne:]
+        self.ports = [None] * ne + t1.ports + [
+            (tuple(e + e1 for e in ins), tuple(e + e1 for e in outs)) for ins, outs in t2.ports
         ]
         # per edge: its head and tail vertex (None at a leg) with their port index
-        ends = [nets[s].edges[e] for _, s, e in keys[:ne]]
-        self.head = [node.get(("v", s, x.head)) for s, x in zip(self.side, ends)]
-        self.tail = [node.get(("v", s, x.tail)) for s, x in zip(self.side, ends)]
-        self.hindex = [x.hindex for x in ends]
-        self.tindex = [x.tindex for x in ends]
-        self.internal = [h is not None and t is not None for h, t in zip(self.head, self.tail)]
+        self.head = _shift(t1.head, ne) + _shift(t2.head, ne + v1)
+        self.tail = _shift(t1.tail, ne) + _shift(t2.tail, ne + v1)
+        self.hindex = t1.hindex + t2.hindex
+        self.tindex = t1.tindex + t2.tindex
+        self.internal = t1.internal + t2.internal
+        self.headed = [(e, h) for e, h in enumerate(self.head) if h is not None]
+        self.tailed = [(e, t) for e, t in enumerate(self.tail) if t is not None]
         # the montage test's wiring runs from an output leg (a row of
         # q1 (+) q2) to an input leg (a column)
         q1, q2 = s1.qtype, s2.qtype
         self.qtype = q1.tensor(q2)
-        self.out_pos = [i - 1 + (s - 1) * q1.rows for s, i in zip(self.side, self.hindex)]
-        self.in_pos = [i - 1 + (s - 1) * q1.cols for s, i in zip(self.side, self.tindex)]
+        self.out_pos = [i - 1 for i in t1.hindex] + [i - 1 + q1.rows for i in t2.hindex]
+        self.in_pos = [i - 1 for i in t1.tindex] + [i - 1 + q1.cols for i in t2.tindex]
 
-        seeds = [(a, b) for a in part["v", 1] for b in part["v", 2] if symbol[a] == symbol[b]]
-        for s, o in ((1, 2), (2, 1)):  # a stray edge over an internal edge
-            strays = [a for a in part["e", s] if self.head[a] is None and self.tail[a] is None]
-            seeds += [(a, b) for a in strays for b in part["e", o] if self.internal[b]]
-        for s, o in ((1, 2), (2, 1)):  # an output leg wired to an input leg
-            outs = [a for a in part["e", s] if self.head[a] is None]
-            seeds += [(a, b) for a in outs for b in part["e", o] if self.tail[b] is None]
+        # two vertices of one symbol
+        seeds = [
+            (ne + a, ne + v1 + b) for a, sym in enumerate(t1.symbol) for b in t2.by_symbol.get(sym, ())
+        ]
+        # a stray edge over an internal edge
+        seeds += [(a, e1 + b) for a in t1.strays for b in t2.inner]
+        seeds += [(e1 + a, b) for a in t2.strays for b in t1.inner]
+        # an output leg wired to an input leg
+        seeds += [(a, e1 + b) for a in t1.outs for b in t2.ins]
+        seeds += [(e1 + a, b) for a in t2.outs for b in t1.ins]
         self.seeds = seeds
 
     def class_ok(self, members: list[int], forced: list[tuple[int, int]]) -> bool:
@@ -216,12 +223,49 @@ class _PairTables:
         site = validate(set(deco) | {0, 1}, edges, deco)
         emb1, emb2 = (
             Embedding(
-                tuple((self.keys[n][2], vid[cls[n]]) for n in self.part["v", s]),
-                tuple((self.keys[n][2], eid[cls[n]]) for n in self.part["e", s]),
+                tuple((self.ids[n], vid[cls[n]]) for n in self.part["v", s]),
+                tuple((self.ids[n], eid[cls[n]]) for n in self.part["e", s]),
             )
             for s in (1, 2)
         )
         return site, emb1, emb2, terse
+
+    def reach(self, g: "_Gluing") -> tuple[list[int], list[int]]:
+        """Two bit sets over class names at each class name: the vertex
+        classes that a path beginning at the class ends at, and the vertex
+        class that such a path begins at.  A path from a vertex class is
+        nonempty; a path from an edge class begins with the edge, so it
+        reaches the head class and all that it reaches, and begins at the
+        tail class.  Gluing two classes of an acyclic gluing closes a
+        directed cycle when the union of their first sets meets the union
+        of their second sets."""
+        cls = g.cls
+        heads = {cls[e]: cls[v] for e, v in self.headed}
+        tails = {cls[e]: cls[v] for e, v in self.tailed}
+        reach = [0] * len(cls)
+        start = [0] * len(cls)
+        succ: dict[int, int] = {}  # per vertex class: its out-edges' head classes
+        for r, t in tails.items():
+            start[r] = 1 << t
+            if r in heads:
+                succ[t] = succ.get(t, 0) | 1 << heads[r]
+        for v in range(self.n_edges, len(cls)):
+            if cls[v] == v:
+                start[v] = 1 << v
+        for v, todo in succ.items():
+            seen = 0
+            while todo:  # each class enters todo at most once
+                seen |= todo
+                nxt = 0
+                while todo:
+                    low = todo & -todo
+                    nxt |= succ.get(low.bit_length() - 1, 0)
+                    todo ^= low
+                todo = nxt & ~seen
+            reach[v] = seen
+        for r, h in heads.items():
+            reach[r] = 1 << h | reach[h]
+        return reach, start
 
 
 class _Gluing:
@@ -265,9 +309,21 @@ def _decisive_sites(
 ) -> Iterator[tuple[Network, Embedding, Embedding, bool]]:
     """The acyclic sites of the non-montage gluings of both left hand
     sides, each with the two embeddings and its terseness, in depth-first
-    preorder of the gluings."""
+    preorder of the gluings.
+
+    A directed cycle survives every refinement of a gluing: gluing more
+    nodes maps it onto a closed walk.  So a cyclic gluing and all that
+    refine it give no site, and the search drops them.  For each gluing it
+    extends, the search finds once which vertex classes each class reaches
+    (``reach``), and drops before the state is copied a seed whose gluing
+    closes a cycle outright: two vertex classes of which one reaches the
+    other, or two edge classes whose glued edge would have its head class
+    equal to, or reaching, its tail class.  Such a seed's gluing and all
+    its refinements are cyclic, so the sites and their order do not
+    change.  A cycle that only the closure of a seed makes is found by
+    ``build_site``'s topological test."""
     tables = _PairTables(s1, s2)
-    nodes = range(len(tables.keys))
+    nodes = range(len(tables.ids))
     root = _Gluing(list(nodes), [[n] for n in nodes])
     seen: set[tuple[int, ...]] = set()
     stack = [root]
@@ -280,18 +336,21 @@ def _decisive_sites(
         # the root glues nothing, so it is no site
         if state is not root and not tables.is_montage(state):
             built = tables.build_site(state)
-            if built is None:
-                # gluing more nodes maps the directed cycle onto a closed
-                # walk, so every refinement of this gluing is cyclic too
+            if built is None:  # so is every refinement
                 continue
             yield built
         cls, members = state.cls, state.members
+        reach, start = tables.reach(state)
         children = []
         for a, b in tables.seeds:
             ca, cb = cls[a], cls[b]
-            # a seed whose two classes cannot form one class is dropped
-            # before the state is copied
-            if ca != cb and tables.class_ok(members[ca] + members[cb], []):
+            # a seed whose gluing closes a cycle, or whose two classes
+            # cannot form one class, is dropped before the state is copied
+            if (
+                ca != cb
+                and not (reach[ca] | reach[cb]) & (start[ca] | start[cb])
+                and tables.class_ok(members[ca] + members[cb], [])
+            ):
                 nxt = state.copy()
                 if nxt.merge(tables, a, b):
                     children.append(nxt)
@@ -340,26 +399,27 @@ def _leg_relabelings(site: Network) -> list[tuple[Perm, Perm]]:
     return out
 
 
+def _is_identity(sigma: Perm, tau: Perm) -> bool:
+    return sigma == same(sigma.n) and tau == same(tau.n)
+
+
 def _reducts(
     rule: Rule, ks: list[NetClass], relabelings: list[tuple[Perm, Perm]]
 ) -> list[tuple[NetClass, LinComb, list[tuple]]]:
     """Each context K with its reduct annex(K, rhs) and the reduct's key
-    under each relabeling of the site."""
+    under each relabeling of the site; under the identity relabeling a
+    term's code is its class's own."""
+    identity = [_is_identity(sigma, tau) for sigma, tau in relabelings]
     out = []
     for k in ks:
         reduct = lc_annex(k, rule.rhs)
-        keys = [
-            (
-                rule.rule_id,
-                tuple(
-                    sorted(
-                        (canonical_code(act(sigma, t.rep, tau)), c)
-                        for t, c in reduct.terms.items()
-                    )
-                ),
-            )
-            for sigma, tau in relabelings
-        ]
+        keys = []
+        for (sigma, tau), same_legs in zip(relabelings, identity):
+            if same_legs:
+                codes = [t.code for t in reduct.terms]
+            else:
+                codes = [canonical_code(act(sigma, t.rep, tau)) for t in reduct.terms]
+            keys.append((rule.rule_id, tuple(sorted(zip(codes, reduct.terms.values())))))
         out.append((k, reduct, keys))
     return out
 
@@ -382,7 +442,10 @@ def enumerate_decisive(s1: Rule, s2: Rule) -> list[Ambiguity]:
         site_cls = class_of(site)
         relabelings = _leg_relabelings(site)
         sigma, tau = relabelings[0]  # every relabeling gives the same code
-        site_code = canonical_code(act(sigma, site, tau))
+        if _is_identity(sigma, tau):
+            site_code = site_cls.code
+        else:
+            site_code = canonical_code(act(sigma, site, tau))
         side1 = _reducts(s1, ks1, relabelings)
         side2 = _reducts(s2, ks2, relabelings)
         for k1, r1, keys1 in side1:

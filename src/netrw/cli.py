@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import sys
 from itertools import islice
 from pathlib import Path
@@ -63,6 +62,8 @@ def _admissible_order(args, sig):
 
 def _emit(args, payload: dict, text: str) -> None:
     if args.json:
+        import json  # only here, so that a run without --json never loads it
+
         print(json.dumps(payload, sort_keys=True, default=str))
     else:
         print(text)

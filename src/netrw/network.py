@@ -114,6 +114,40 @@ def _topological_order(inner: Iterable[int], edges: Iterable[Edge]) -> list[int]
     return order
 
 
+class NodeTables:
+    """A network's edges and inner vertices as integer tables: edges are
+    numbered from 0 in id order, inner vertices from 0 in id order, and
+    each table lists them in that order.  A leg's missing end is None."""
+
+    def __init__(self, net: Network):
+        self.eids = eids = sorted(net.edges)
+        self.vids = vids = net.inner_vertices()
+        enum = {e: i for i, e in enumerate(eids)}
+        vnum = {v: j for j, v in enumerate(vids)}
+        # per vertex: its symbol, and its in-edges and its out-edges by port
+        self.symbol = [net.deco[v] for v in vids]
+        self.ports = [
+            (tuple(enum[e] for e in net.in_edges(v)), tuple(enum[e] for e in net.out_edges(v)))
+            for v in vids
+        ]
+        # the vertices of each symbol
+        self.by_symbol: dict[Symbol, list[int]] = {}
+        for j, sym in enumerate(self.symbol):
+            self.by_symbol.setdefault(sym, []).append(j)
+        # per edge: its head and tail vertex with their port index
+        ends = [net.edges[e] for e in eids]
+        self.head = [vnum.get(x.head) for x in ends]
+        self.tail = [vnum.get(x.tail) for x in ends]
+        self.hindex = [x.hindex for x in ends]
+        self.tindex = [x.tindex for x in ends]
+        self.internal = [h is not None and t is not None for h, t in zip(self.head, self.tail)]
+        # edges between inner vertices, strays, output legs and input legs
+        self.inner = [e for e, x in enumerate(self.internal) if x]
+        self.strays = [e for e, x in enumerate(ends) if x.head == 0 and x.tail == 1]
+        self.outs = [e for e, x in enumerate(ends) if x.head == 0]
+        self.ins = [e for e, x in enumerate(ends) if x.tail == 1]
+
+
 def check(
     vertices: Iterable[int],
     edges: Mapping[int, Edge],
@@ -289,7 +323,8 @@ def evaluate(net: Network, target, assign: Mapping[str, object]):
         # route frontier position j to arranged position of frontier[j-1]
         pos = {e: i for i, e in enumerate(arranged, 1)}
         sigma = Perm(tuple(pos[e] for e in frontier))
-        value = target.compose(target.phi(sigma), value)
+        if sigma != same(sigma.n):  # phi of the identity is the unit
+            value = target.compose(target.phi(sigma), value)
         slice_elem = target.tensor(target.phi(same(len(others))), images[v])
         value = target.compose(slice_elem, value)
         frontier = others + net.out_edges(v)
@@ -297,6 +332,8 @@ def evaluate(net: Network, target, assign: Mapping[str, object]):
     target_order = [net.in_edge(0, i) for i in range(1, net.coarity + 1)]
     pos = {e: i for i, e in enumerate(target_order, 1)}
     sigma = Perm(tuple(pos[e] for e in frontier))
+    if sigma == same(sigma.n):
+        return value
     return target.compose(target.phi(sigma), value)
 
 

@@ -12,6 +12,7 @@ from typing import Sequence
 from .core import BoolMat
 from .freeprop import LinComb, NetClass, lc, lc_annex
 from .match import PatternParts, context_type_ok, contexts, embeddings, pattern_parts
+from .network import NodeTables
 
 
 class RuleError(ValueError):
@@ -47,6 +48,12 @@ class Rule:
     def lhs_parts(self) -> PatternParts:
         """``pattern_parts`` of the lhs representative, found once per rule."""
         return pattern_parts(self.lhs.rep)
+
+    @cached_property
+    def lhs_nodes(self) -> NodeTables:
+        """``NodeTables`` of the lhs representative, built once per rule
+        on the first ambiguity search that reads it."""
+        return NodeTables(self.lhs.rep)
 
 
 def make_rule(

@@ -1,10 +1,10 @@
 """Shared fixtures: signatures, random generators, the PROP axiom suite,
 test-only oracles for composition, tensor, the symmetric join, the
-embedding search, context admissibility and the command line parser, cuts
-and splits,
-smoothening and gluing enumeration, and test-only helpers for
-permutation actions on classes, boolean evaluation, union-find copies,
-reduction-step text and connectivity data."""
+embedding search, context admissibility, evaluation, the command line
+parser, cuts and splits, smoothening and gluing enumeration, and
+test-only helpers for permutation actions on classes, boolean
+evaluation, union-find copies, reduction-step text and connectivity
+data."""
 
 from __future__ import annotations
 
@@ -462,6 +462,23 @@ def reference_context_type_ok(k_tr: BoolMat, q_rule: BoolMat, q_ambient: BoolMat
     if not join_condition(k_tr, q_rule, r, q).is_nilpotent():
         return False
     return join_transference(k_tr, q_rule, r, q).leq(q_ambient)
+
+
+def reference_evaluate(net: Network, target, assign: Mapping[str, object]):
+    """``network.evaluate`` composing with phi of every frontier
+    permutation, the identity included, on a valid assignment."""
+    images = {v: assign[net.deco[v].name] for v in net.inner_vertices()}
+    frontier = [net.out_edge(1, j) for j in range(1, net.arity + 1)]
+    value = target.phi(same(net.arity))
+    for v in _topological_order(images, net.edges.values()):
+        ins = net.in_edges(v)
+        others = [e for e in frontier if e not in ins]
+        pos = {e: i for i, e in enumerate(others + ins, 1)}
+        value = target.compose(target.phi(Perm(tuple(pos[e] for e in frontier))), value)
+        value = target.compose(target.tensor(target.phi(same(len(others))), images[v]), value)
+        frontier = others + net.out_edges(v)
+    pos = {e: i for i, e in enumerate((net.in_edge(0, i) for i in range(1, net.coarity + 1)), 1)}
+    return target.compose(target.phi(Perm(tuple(pos[e] for e in frontier))), value)
 
 
 # ---------------------------------------------------------------------------

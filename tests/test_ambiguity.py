@@ -225,13 +225,16 @@ class TestDecisiveSites:
         assert (len(pairs), sites, calls[0]) == (114, 111, 111)
 
     def test_closure_work(self, monkeypatch):
-        # a seed whose two classes cannot form one class is dropped before
-        # any closure starts: over the corpus pairs 1,698 closures succeed,
-        # and at most 1,986 are attempted (3,078 without that check), while
-        # the enumeration visits the same 1,112 gluings, roots included
-        attempted = succeeded = 0
+        # a seed whose two classes cannot form one class, or whose gluing
+        # closes a directed cycle outright, is dropped before any closure
+        # starts: over the corpus pairs 838 closures are attempted and 744
+        # succeed, the enumeration visits 642 gluings, roots included, and
+        # 11 of the 122 sites built are cyclic (without the cycle test:
+        # 1,986, 1,698, 1,112, and 481 of 592)
+        attempted = succeeded = built = cyclic = 0
         gluings = set()
         real_merge = ambiguity._Gluing.merge
+        real_build = ambiguity._PairTables.build_site
 
         def counting_merge(self, tables, a, b):
             nonlocal attempted, succeeded
@@ -242,12 +245,64 @@ class TestDecisiveSites:
                 gluings.add((pair, tuple(self.cls)))
             return ok
 
+        def counting_build(self, g):
+            nonlocal built, cyclic
+            site = real_build(self, g)
+            built += 1
+            cyclic += site is None
+            return site
+
         monkeypatch.setattr(ambiguity._Gluing, "merge", counting_merge)
+        monkeypatch.setattr(ambiguity._PairTables, "build_site", counting_build)
         pairs = corpus_rule_pairs()
         for pair, (s1, s2) in enumerate(pairs):
             list(_decisive_sites(s1, s2))
-        assert succeeded == 1698 and attempted <= 1986
-        assert len(gluings) + len(pairs) == 1112
+        assert (attempted, succeeded, len(gluings) + len(pairs)) == (838, 744, 642)
+        assert (built, cyclic) == (122, 11)
+
+    def test_cycle_test_drops_only_cyclic_gluings(self, rng, hopf_sig, monkeypatch):
+        # reach runs once for each gluing the search extends, before any
+        # of its seeds is merged; a seed of that gluing that passes the
+        # class test but is never merged was dropped by the cycle test,
+        # and merged anyway it must fail its closure or give a cyclic site
+        pairs = corpus_rule_pairs()
+        n_corpus = len(pairs)
+        while len(pairs) < n_corpus + 120:
+            lhs = [random_class(rng, list(hopf_sig), max_inner=3, min_inner=1) for _ in range(2)]
+            if sum(len(h.rep.edges) for h in lhs) > 8:
+                continue
+            typespecs = ["sharp" if rng.random() < 0.5 else [] for _ in lhs]
+            pairs.append([make_rule(f"r{i}", h, h, t) for i, (h, t) in enumerate(zip(lhs, typespecs))])
+        extended = []  # (tables, gluing, the seeds merged from it)
+        real_reach = ambiguity._PairTables.reach
+        real_merge = ambiguity._Gluing.merge
+
+        def recording_reach(tables, state):
+            extended.append((tables, state, set()))
+            return real_reach(tables, state)
+
+        def recording_merge(self, tables, a, b):
+            extended[-1][2].add((a, b))
+            return real_merge(self, tables, a, b)
+
+        monkeypatch.setattr(ambiguity._PairTables, "reach", recording_reach)
+        monkeypatch.setattr(ambiguity._Gluing, "merge", recording_merge)
+        for s1, s2 in pairs:
+            list(_decisive_sites(s1, s2))
+        failed = cyclic = 0
+        for tables, state, merged in extended:
+            cls, members = state.cls, state.members
+            for a, b in tables.seeds:
+                ca, cb = cls[a], cls[b]
+                if ca == cb or (a, b) in merged or not tables.class_ok(members[ca] + members[cb], []):
+                    continue
+                nxt = state.copy()
+                if not real_merge(nxt, tables, a, b):
+                    failed += 1
+                else:
+                    assert tables.build_site(nxt) is None
+                    cyclic += 1
+        assert failed > 1000 and cyclic > 1000
 
 
 class TestKeys:

@@ -690,6 +690,7 @@ class TestFreshProcess:
             (["iso", "--sig", "{assoc.sig}", "m^a_bc m^c_de", "m^a_ce m^c_bd"], 1, "distinct\n"),
             (["normalize", "--sig", "{assoc.sig}", "--max-steps", "x", "m^a_bc"], 2, ""),
             (["--json", "normalize", "--help"], 0, None),
+            (["--json", "validate", "--sig", "{assoc.sig}", "m^a_bc"], 0, '{"arity": 2, "coarity": 1, "ok": true}\n'),
         ],
     )
     def test_exit_code_output_and_imports(self, corpus, argv, code, out):
@@ -712,3 +713,5 @@ class TestFreshProcess:
             assert proc.stdout == out
         assert errors == (["error: argument --max-steps: invalid int value: 'x'"] if code == 2 else [])
         assert "netrw.ainparse" in imported and not imported & UNWANTED
+        # json is loaded only by a run that prints a JSON object
+        assert ("json" in imported) == proc.stdout.startswith("{")

@@ -14,6 +14,7 @@ from netrw.props import (
     CONNECTIVITY,
     NAT_MATRIX,
     RAT_MATRIX,
+    TARGETS,
     BaffElem,
     ConnElem,
     Mat,
@@ -33,6 +34,7 @@ from conftest import (
     random_nat_mat,
     random_network,
     random_perm,
+    reference_evaluate,
 )
 
 
@@ -62,6 +64,23 @@ def random_bool(rng, m, n) -> BoolMat:
     return BoolMat(m, n, bits)
 
 
+def random_rat(rng, m, n) -> Mat:
+    return Mat.from_rows(
+        [[Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)) for _ in range(n)] for _ in range(m)],
+        cols=n,
+    )
+
+
+# a random element of each built-in target, by name
+RANDOM_ELEMENT = {
+    "nat-matrix": random_nat_mat,
+    "rat-matrix": random_rat,
+    "bool-matrix": random_bool,
+    "baff-nat": random_baff,
+    "connectivity": random_conn,
+}
+
+
 class TestMatrixTargets:
     def test_identity_compose(self, rng):
         a = random_nat_mat(rng, 3, 2)
@@ -71,17 +90,7 @@ class TestMatrixTargets:
         check_prop_axioms(NAT_MATRIX, lambda r, m, n: random_nat_mat(r, m, n), rng)
 
     def test_axioms_rat(self, rng):
-        check_prop_axioms(
-            RAT_MATRIX,
-            lambda r, m, n: Mat.from_rows(
-                [
-                    [Fraction(r.randrange(-4, 5), r.randrange(1, 4)) for _ in range(n)]
-                    for _ in range(m)
-                ],
-                cols=n,
-            ),
-            rng,
-        )
+        check_prop_axioms(RAT_MATRIX, random_rat, rng)
 
     def test_axioms_bool(self, rng):
         check_prop_axioms(BOOL_MATRIX, lambda r, m, n: random_bool(r, m, n), rng)
@@ -432,3 +441,31 @@ class TestRegistryAndAssignments:
         assert (out["eta"], out["eps"]) == (Mat(1, 0, ((),)), Mat(0, 1, ()))
         out = parse_assignment(text, hopf_sig, BOOL_MATRIX)
         assert (out["eta"], out["eps"]) == (BoolMat(1, 0, (0,)), BoolMat(0, 1, ()))
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("name", sorted(TARGETS))
+    def test_matches_reference(self, rng, hopf_sig, name, monkeypatch):
+        # evaluate composes with phi of a frontier permutation only when
+        # it is no identity; the reference composes with every one
+        target = get_target(name)
+        real_phi = target.phi
+        perms = []
+
+        def recording_phi(p):
+            perms.append(p)
+            return real_phi(p)
+
+        monkeypatch.setattr(target, "phi", recording_phi)
+        skipped = permuted = 0
+        for _ in range(60):
+            net = random_network(rng, list(hopf_sig), max_inner=6, max_strays=2)
+            assign = {sym.name: RANDOM_ELEMENT[name](rng, sym.coarity, sym.arity) for sym in hopf_sig}
+            perms.clear()
+            got = evaluate(net, target, assign)
+            ours = len(perms)
+            permuted += any(p != same(p.n) for p in perms)
+            perms.clear()
+            assert got == reference_evaluate(net, target, assign)
+            skipped += ours < len(perms)
+        assert skipped > 40 and permuted > 40
