@@ -14,11 +14,12 @@ the factor ``1`` denotes the empty product.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import NEUTRAL, Signature, Symbol
-from .freeprop import LinComb, NetClass, class_of
+from .freeprop import LinComb, NetClass
 from .network import Edge, InvalidNetworkError, Network, _topological_order, smoothen, validate
 from .rewrite import Rule, RuleError, make_rule
 
@@ -50,34 +51,43 @@ class Term:
 # ---------------------------------------------------------------------------
 
 
+# the coefficient of a term written without one, shared, since a Fraction
+# is immutable and the product by a unit coefficient is not taken
+_ONE = Fraction(1)
+
 _BARE_LABEL_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789")
+
+
+_ADDITIVE_MARKS = re.compile(r"[][+-]")
 
 
 def _split_additive(text: str) -> list[tuple[int, str]]:
     """Split at top-level +/- into (sign, chunk) pieces.  One sign may
     stand between two terms or before the first; the text after the last
-    sign, or the whole text when there is none, must be a term."""
+    sign, or the whole text when there is none, must be a term.  Only
+    brackets and signs are visited."""
     pieces = []
     depth = 0
     sign = 0  # the sign since the last term; 0 before any
-    cur = []
-    for ch in text:
+    start = 0
+    for mark in _ADDITIVE_MARKS.finditer(text):
+        ch = mark.group()
         if ch == "[":
             depth += 1
         elif ch == "]":
             depth -= 1
-        if ch in "+-" and depth == 0:
-            if any(c.strip() for c in cur):
-                pieces.append((sign or 1, "".join(cur)))
+        elif depth == 0:
+            chunk = text[start : mark.start()]
+            if chunk.strip():
+                pieces.append((sign or 1, chunk))
             elif sign:
                 raise AinError("Syntax", f"two signs in a row in {text!r}")
             sign = -1 if ch == "-" else 1
-            cur = []
-        else:
-            cur.append(ch)
-    if not any(c.strip() for c in cur):
+            start = mark.end()
+    chunk = text[start:]
+    if not chunk.strip():
         raise AinError("Syntax", f"dangling sign or empty expression in {text!r}")
-    pieces.append((sign or 1, "".join(cur)))
+    pieces.append((sign or 1, chunk))
     return pieces
 
 
@@ -141,7 +151,7 @@ def _parse_product(text: str) -> tuple[Fraction, list[Factor]]:
     """Parse ``[coefficient] factor*`` (the part between bars, or a naked term)."""
     i = 0
     n = len(text)
-    coeff = Fraction(1)
+    coeff = _ONE
     factors: list[Factor] = []
     seen_coeff = False
     while i < n:
@@ -184,7 +194,7 @@ def _parse_product(text: str) -> tuple[Fraction, list[Factor]]:
 
 def _parse_chunk(chunk: str) -> Term:
     s = chunk.strip()
-    coeff = Fraction(1)
+    coeff = _ONE
     # leading coefficient before a bracket
     i = 0
     while i < len(s) and (s[i].isdigit() or s[i] == "/"):
@@ -203,15 +213,16 @@ def _parse_chunk(chunk: str) -> Term:
         ins = _parse_leglist(parts[2])
         body = parts[1].strip()
         if body == "1":
-            c2, factors = Fraction(1), []
+            c2, factors = _ONE, []
         else:
             c2, factors = _parse_product(parts[1])
-        return Term(coeff * c2, True, outs, ins, factors)
+        return Term(c2 if coeff is _ONE else coeff * c2, True, outs, ins, factors)
+    # a leading coefficient was taken above only before a bracket
     body = s.strip()
     if body == "1" or body == "":
-        return Term(coeff, False, None, None, [])
+        return Term(_ONE, False, None, None, [])
     c2, factors = _parse_product(s)
-    return Term(coeff * c2, False, None, None, factors)
+    return Term(c2, False, None, None, factors)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +321,8 @@ def _term_parts(
 
 
 def _build_term(term: Term, sig: Signature, outs: list[str], ins: list[str]) -> NetClass:
-    """The class of a term's network.  Only a cycle can make the parts
+    """The class of a term's network, deferred: it is canonicalized only
+    when its code or rep is first read.  Only a cycle can make the parts
     invalid, so they are validated only when a topological order misses a
     vertex, for the message that names the cycle's edges."""
     vertices, edges, deco = _term_parts(term, sig, outs, ins)
@@ -319,21 +331,28 @@ def _build_term(term: Term, sig: Signature, outs: list[str], ins: list[str]) -> 
             validate(vertices, edges, deco)
         except InvalidNetworkError as exc:
             raise AinError("CycleInTerm", str(exc)) from None
-    return class_of(smoothen(Network(vertices, edges, deco)))
+    return NetClass(smoothen(Network(vertices, edges, deco)))
 
 
 def parse_term(text: str, sig: Signature) -> LinComb:
     """Parse a sum of closed or naked terms into a linear combination."""
-    return _parse_combination(text, sig, None, None)[0]
+    return _combination(_parse_summands(text, sig, None, None)[0])
 
 
-def _parse_combination(
+def _combination(summands: list[tuple[NetClass, Fraction]]) -> LinComb:
+    """The combination of parsed summands, which share one shape."""
+    first = summands[0][0]
+    return LinComb.sum_of(first.coarity, first.arity, summands)
+
+
+def _parse_summands(
     text: str, sig: Signature, lead_outs: list[str] | None, lead_ins: list[str] | None
-) -> tuple[LinComb, list[str], list[str]]:
-    """The combination and the leg labels (outs, ins) that order its naked
-    terms: the given ones, else the first term's own."""
+) -> tuple[list[tuple[NetClass, Fraction]], list[str], list[str]]:
+    """The ``(class, coefficient)`` summands of a combination in the order
+    written, each class deferred, and the leg labels (outs, ins) that order
+    its naked terms: the given ones, else the first term's own."""
     terms = [(sign, _parse_chunk(chunk)) for sign, chunk in _split_additive(text)]
-    result: LinComb | None = None
+    summands: list[tuple[NetClass, Fraction]] = []
     for sign, term in terms:
         if term.closed:
             outs, ins = term.outs, term.ins
@@ -351,15 +370,11 @@ def _parse_combination(
         if lead_outs is None:
             lead_outs, lead_ins = outs, ins
         cls = _build_term(term, sig, outs, ins)
-        mono = LinComb.monomial(cls, term.coeff * sign)
-        if result is None:
-            result = mono
-        elif (result.coarity, result.arity) != (mono.coarity, mono.arity):
+        if summands and (cls.coarity, cls.arity) != (summands[0][0].coarity, summands[0][0].arity):
             raise AinError("LegOrderMismatchAcrossTerms", "terms have different shapes")
-        else:
-            result = result + mono
-    assert result is not None and lead_outs is not None and lead_ins is not None
-    return result, lead_outs, lead_ins
+        summands.append((cls, term.coeff if sign > 0 else -term.coeff))
+    assert lead_outs is not None and lead_ins is not None
+    return summands, lead_outs, lead_ins
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +386,11 @@ def parse_rules(text: str, sig: Signature) -> list[Rule]:
     """Parse a rule file: one rule per line,
 
         rule <id> [sharp]: <lhs> -> <rhs> [where <out> ~> <in>[, ...]]
-    """
+
+    Each side is parsed in one pass.  The lhs is canonicalized, to check
+    that it is one monomial; every check on the rhs reads only its
+    terms' transferences, so the rule keeps them as written and
+    canonicalizes them on the first read of ``Rule.rhs``."""
     rules: list[Rule] = []
     seen = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -396,10 +415,11 @@ def parse_rules(text: str, sig: Signature) -> list[Rule]:
         lhs_text, arrow, rhs_text = body.partition("->")
         if not arrow:
             raise AinError("Syntax", f"line {lineno}: missing '->'")
-        lhs, outs, ins = _parse_combination(lhs_text, sig, None, None)
+        lhs_summands, outs, ins = _parse_summands(lhs_text, sig, None, None)
+        lhs = _combination(lhs_summands)
         if not lhs.is_monomial():
             raise RuleError(f"rule {rule_id!r}: LhsNotMonomial")
-        rhs = _parse_combination(rhs_text, sig, outs, ins)[0]
+        rhs = _parse_summands(rhs_text, sig, outs, ins)[0]
 
         if where.strip():
             if sharp:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .core import BoolMat, Perm, same
-from .freeprop import LinComb, NetClass, class_of, lc_annex
+from .freeprop import LinComb, NetClass, class_of
 from .match import Embedding, context_type_ok, contexts
 from .network import (
     Edge,
@@ -31,7 +31,7 @@ from .network import (
     validate,
 )
 from .order import LT, OrderSpec, compare, rule_compatible
-from .rewrite import Rule, RuleError, joinable, make_rule
+from .rewrite import Rule, RuleError, _replacement, joinable, make_rule
 
 _RELABELING_CAP = 64  # leg relabelings listed per site at most
 
@@ -406,13 +406,13 @@ def _is_identity(sigma: Perm, tau: Perm) -> bool:
 def _reducts(
     rule: Rule, ks: list[NetClass], relabelings: list[tuple[Perm, Perm]]
 ) -> list[tuple[NetClass, LinComb, list[tuple]]]:
-    """Each context K with its reduct annex(K, rhs) and the reduct's key
-    under each relabeling of the site; under the identity relabeling a
-    term's code is its class's own."""
+    """Each admitted context K with its reduct annex(K, rhs) and the
+    reduct's key under each relabeling of the site; under the identity
+    relabeling a term's code is its class's own."""
     identity = [_is_identity(sigma, tau) for sigma, tau in relabelings]
     out = []
     for k in ks:
-        reduct = lc_annex(k, rule.rhs)
+        reduct = _replacement(rule, k)
         keys = []
         for (sigma, tau), same_legs in zip(relabelings, identity):
             if same_legs:

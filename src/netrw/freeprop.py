@@ -5,7 +5,7 @@ combinations with exact rational coefficients."""
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .core import BoolMat, Perm, bm_blocks, bm_stack, same
 from .network import (
@@ -278,6 +278,23 @@ class LinComb:
         x = LinComb.__new__(LinComb)
         x.coarity, x.arity, x.terms = coarity, arity, terms
         return x
+
+    @staticmethod
+    def sum_of(
+        coarity: int, arity: int, summands: Iterable[tuple[NetClass, Fraction]]
+    ) -> "LinComb":
+        """The sum of ``(class, coefficient)`` summands, merged in one pass;
+        terms that cancel are dropped.  The caller vouches for their shapes
+        and Fraction coefficients."""
+        terms: dict[NetClass, Fraction] = {}
+        for t, c in summands:
+            if t in terms:
+                terms[t] += c
+            else:
+                terms[t] = c
+        if not all(terms.values()):
+            terms = {t: c for t, c in terms.items() if c}
+        return LinComb._unchecked(coarity, arity, terms)
 
     # -- structure -----------------------------------------------------------
 

@@ -10,7 +10,7 @@ from heapq import heapify, heappop, heappush
 from typing import Sequence
 
 from .core import BoolMat
-from .freeprop import LinComb, NetClass, lc, lc_annex
+from .freeprop import LinComb, NetClass, _join_network, _summands, class_of, lc
 from .match import PatternParts, context_type_ok, contexts, embeddings, pattern_parts
 from .network import NodeTables
 
@@ -26,14 +26,21 @@ class BudgetExceededError(RuntimeError):
         self.steps = steps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Rule:
-    """A rewrite rule (transference type, lhs monomial, rhs combination)."""
+    """A rewrite rule: transference type, lhs monomial, and the rhs as its
+    ``(class, coefficient)`` summands in the order written.  A rule is equal
+    only to itself.
+
+    The summands' classes are checked against the type when the rule is
+    made, which reads only their transferences; ``rhs``, the canonical
+    combination, is built on its first read, so the right-hand side of a
+    rule that never fires is never canonicalized."""
 
     rule_id: str
     qtype: BoolMat
     lhs: NetClass
-    rhs: LinComb
+    summands: tuple[tuple[NetClass, Fraction], ...]
     sharp: bool
 
     @property
@@ -43,6 +50,11 @@ class Rule:
     @property
     def arity(self) -> int:
         return self.lhs.arity
+
+    @cached_property
+    def rhs(self) -> LinComb:
+        """The right-hand side, its summands merged on the first read."""
+        return LinComb.sum_of(self.coarity, self.arity, self.summands)
 
     @cached_property
     def lhs_parts(self) -> PatternParts:
@@ -59,22 +71,32 @@ class Rule:
 def make_rule(
     rule_id: str,
     lhs: NetClass | LinComb,
-    rhs: NetClass | LinComb,
+    rhs: NetClass | LinComb | Sequence[tuple[NetClass, Fraction]],
     typespec="sharp",
 ) -> Rule:
     """Assemble and check a rule.
 
-    ``typespec`` is ``"sharp"`` (type = lhs transference), a list of
-    0-based ``(output, input)`` positions to zero out of the all-ones
-    type, or an explicit :class:`BoolMat`.
+    ``rhs`` is a class, a combination, or a sequence of ``(class,
+    coefficient)`` summands as written, which may repeat a class or cancel;
+    a combination's terms are taken in code order.  ``typespec`` is
+    ``"sharp"`` (type = lhs transference), a list of 0-based ``(output,
+    input)`` positions to zero out of the all-ones type, or an explicit
+    :class:`BoolMat`.  ``RhsOutsideType(term k)`` names the first summand,
+    counting from 1, whose class is outside the type and does not cancel.
     """
     lhs_lc = lc(lhs)
     if not lhs_lc.is_monomial() or lhs_lc.items()[0][1] != 1:
         raise RuleError(f"rule {rule_id!r}: LhsNotMonomial")
     mu = lhs_lc.monomials()[0]
-    rhs_lc = lc(rhs)
-    if (rhs_lc.coarity, rhs_lc.arity) != (mu.coarity, mu.arity):
-        raise RuleError(f"rule {rule_id!r}: lhs and rhs shapes differ")
+    shape = (mu.coarity, mu.arity)
+    if isinstance(rhs, (NetClass, LinComb)):
+        if (rhs.coarity, rhs.arity) != shape:
+            raise RuleError(f"rule {rule_id!r}: lhs and rhs shapes differ")
+        summands = tuple(_summands(rhs))
+    else:
+        summands = tuple(rhs)
+        if any((t.coarity, t.arity) != shape for t, _ in summands):
+            raise RuleError(f"rule {rule_id!r}: lhs and rhs shapes differ")
 
     if typespec == "sharp":
         q = mu.tr
@@ -87,14 +109,18 @@ def make_rule(
         for i, j in typespec:
             q = q.set(i, j, 0)
         sharp = q == mu.tr
-    if (q.rows, q.cols) != (mu.coarity, mu.arity):
+    if (q.rows, q.cols) != shape:
         raise RuleError(f"rule {rule_id!r}: type shape mismatch")
     if not mu.tr.leq(q):
         raise RuleError(f"rule {rule_id!r}: TrExceedsType")
-    for pos, (term, _) in enumerate(rhs_lc.items()):
-        if not term.tr.leq(q):
-            raise RuleError(f"rule {rule_id!r}: RhsOutsideType(term {pos})")
-    return Rule(rule_id, q, mu, rhs_lc, sharp)
+    outside = [pos for pos, (t, c) in enumerate(summands, 1) if c and not t.tr.leq(q)]
+    if outside:
+        # only a class outside the type needs the merge, to see whether it cancels
+        kept = LinComb.sum_of(*shape, summands).terms
+        for pos in outside:
+            if summands[pos - 1][0] in kept:
+                raise RuleError(f"rule {rule_id!r}: RhsOutsideType(term {pos})")
+    return Rule(rule_id, q, mu, summands, sharp)
 
 
 @dataclass(frozen=True)
@@ -117,6 +143,20 @@ def _monomial_redexes(nu: NetClass, q: BoolMat, rules: Sequence[Rule]):
                     yield rule, ctx
 
 
+def _replacement(rule: Rule, ctx: NetClass) -> LinComb:
+    """``lc_annex(ctx, rule.rhs)`` for a context that
+    :func:`~netrw.match.context_type_ok` admitted for the rule.  The context
+    annexes the rule's type without a cycle and every term of ``rhs`` has
+    its transference below that type, so each join is defined: it is built
+    with no second nilpotence test."""
+    r, q = rule.arity, rule.coarity
+    return LinComb.sum_of(
+        ctx.coarity - r,
+        ctx.arity - q,
+        ((class_of(_join_network(ctx.net, t.net, r, q)), c) for t, c in rule.rhs.terms.items()),
+    )
+
+
 class _Redexes:
     """The admissible redexes of each monomial at one ambient type, and the
     agenda of the combination last reduced, kept for one call of
@@ -125,7 +165,7 @@ class _Redexes:
     A simple reduction is fixed by its monomial and redex, so the search
     for a monomial's redexes runs once per call however often the monomial
     recurs.  ``found`` maps a monomial to ``[redexes, rest]``: the
-    ``(rule, ctx, lc_annex(ctx, rule.rhs))`` found so far, in the redex
+    ``(rule, ctx, _replacement(rule, ctx))`` found so far, in the redex
     order of :func:`_monomial_redexes`, and the rest of that search, None
     once it is exhausted.
 
@@ -174,7 +214,7 @@ class _Redexes:
         done, rest = entry = self.found[nu]
         if rest is not None and (every or not done):
             for rule, ctx in rest:
-                done.append((rule, ctx, lc_annex(ctx, rule.rhs)))
+                done.append((rule, ctx, _replacement(rule, ctx)))
                 if not every:
                     break
             else:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -20,7 +21,16 @@ from hypothesis import settings
 
 from netrw.cli import UsageError
 from netrw.core import NEUTRAL, BoolMat, Perm, Signature, Symbol, UnionFind, cross, same
-from netrw.freeprop import LinComb, NetClass, class_of, join_condition, join_transference
+from netrw.ainparse import (
+    AinError,
+    Term,
+    _coefficient,
+    _parse_leglist,
+    _parse_product,
+    _term_label_roles,
+    _term_parts,
+)
+from netrw.freeprop import LinComb, NetClass, class_of, join_condition, join_transference, lc
 from netrw.match import Embedding, _grow_component, complement, pattern_parts, strong_embeddings
 from netrw.network import (
     Edge,
@@ -34,7 +44,7 @@ from netrw.network import (
     validate,
 )
 from netrw.props import ConnElem, Mat
-from netrw.rewrite import ReductionStep
+from netrw.rewrite import ReductionStep, RuleError
 
 
 # Hypothesis draws the same examples on every run and keeps no example
@@ -565,6 +575,16 @@ def reference_parser() -> argparse.ArgumentParser:
     for name, help_text in REFERENCE_COMMANDS.items():
         _reference_arguments(sub.add_parser(name, help=help_text), name)
     return parser
+
+
+def swap_everywhere(monkeypatch, real, replacement):
+    """Replace every binding of ``real`` in the netrw modules, as the
+    benchmark's tracer does."""
+    for name, module in list(sys.modules.items()):
+        if name == "netrw" or name.startswith("netrw."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, replacement)
 
 
 def act_class(sigma: Perm | None, a: NetClass, tau: Perm | None = None) -> NetClass:
@@ -1101,3 +1121,230 @@ def reference_sites(s1, s2):
 
     rec(_GlueState({1: s1.lhs.rep, 2: s2.lhs.rep}))
     return [_build_site(st) for st in states if not _is_montage(st, s1.qtype, s2.qtype)]
+
+
+# ---------------------------------------------------------------------------
+# The eager rule-file loader, the oracle of the deferred one
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ReferenceRule:
+    """A rule as the eager loader built it: both sides canonical."""
+
+    rule_id: str
+    qtype: BoolMat
+    lhs: NetClass
+    rhs: LinComb
+    sharp: bool
+
+
+def _reference_split_additive(text: str) -> list[tuple[int, str]]:
+    """Split at top-level +/- into (sign, chunk) pieces.  One sign may
+    stand between two terms or before the first; the text after the last
+    sign, or the whole text when there is none, must be a term."""
+    pieces = []
+    depth = 0
+    sign = 0  # the sign since the last term; 0 before any
+    cur = []
+    for ch in text:
+        if ch == "[":
+            depth += 1
+        elif ch == "]":
+            depth -= 1
+        if ch in "+-" and depth == 0:
+            if any(c.strip() for c in cur):
+                pieces.append((sign or 1, "".join(cur)))
+            elif sign:
+                raise AinError("Syntax", f"two signs in a row in {text!r}")
+            sign = -1 if ch == "-" else 1
+            cur = []
+        else:
+            cur.append(ch)
+    if not any(c.strip() for c in cur):
+        raise AinError("Syntax", f"dangling sign or empty expression in {text!r}")
+    pieces.append((sign or 1, "".join(cur)))
+    return pieces
+
+
+
+def _reference_parse_chunk(chunk: str) -> Term:
+    s = chunk.strip()
+    coeff = Fraction(1)
+    # leading coefficient before a bracket
+    i = 0
+    while i < len(s) and (s[i].isdigit() or s[i] == "/"):
+        i += 1
+    if i and i < len(s) and s[i:].lstrip().startswith("["):
+        coeff = _coefficient(s[:i])
+        s = s[i:].lstrip()
+    if s.startswith("["):
+        if not s.endswith("]"):
+            raise AinError("Syntax", f"unterminated bracket in {chunk!r}")
+        inner = s[1:-1]
+        parts = inner.split("|")
+        if len(parts) != 3:
+            raise AinError("Syntax", "closed term needs two bars")
+        outs = _parse_leglist(parts[0])
+        ins = _parse_leglist(parts[2])
+        body = parts[1].strip()
+        if body == "1":
+            c2, factors = Fraction(1), []
+        else:
+            c2, factors = _parse_product(parts[1])
+        return Term(coeff * c2, True, outs, ins, factors)
+    body = s.strip()
+    if body == "1" or body == "":
+        return Term(coeff, False, None, None, [])
+    c2, factors = _parse_product(s)
+    return Term(coeff * c2, False, None, None, factors)
+
+
+
+def _reference_build_term(term: Term, sig: Signature, outs: list[str], ins: list[str]) -> NetClass:
+    """The class of a term's network.  Only a cycle can make the parts
+    invalid, so they are validated only when a topological order misses a
+    vertex, for the message that names the cycle's edges."""
+    vertices, edges, deco = _term_parts(term, sig, outs, ins)
+    if len(_topological_order(deco, edges.values())) < len(deco):
+        try:
+            validate(vertices, edges, deco)
+        except InvalidNetworkError as exc:
+            raise AinError("CycleInTerm", str(exc)) from None
+    return class_of(smoothen(Network(vertices, edges, deco)))
+
+
+
+def _reference_parse_combination(
+    text: str, sig: Signature, lead_outs: list[str] | None, lead_ins: list[str] | None
+) -> tuple[LinComb, list[str], list[str]]:
+    """The combination and the leg labels (outs, ins) that order its naked
+    terms: the given ones, else the first term's own."""
+    terms = [(sign, _reference_parse_chunk(chunk)) for sign, chunk in _reference_split_additive(text)]
+    result: LinComb | None = None
+    for sign, term in terms:
+        if term.closed:
+            outs, ins = term.outs, term.ins
+        else:
+            outs, ins = _term_label_roles(term, sig)
+            if lead_outs is None:
+                lead_outs, lead_ins = outs, ins
+            else:
+                if sorted(outs) != sorted(lead_outs) or sorted(ins) != sorted(lead_ins):
+                    raise AinError(
+                        "LegOrderMismatchAcrossTerms",
+                        "additive terms have different unmatched label sets",
+                    )
+                outs, ins = lead_outs, lead_ins
+        if lead_outs is None:
+            lead_outs, lead_ins = outs, ins
+        cls = _reference_build_term(term, sig, outs, ins)
+        mono = LinComb.monomial(cls, term.coeff * sign)
+        if result is None:
+            result = mono
+        elif (result.coarity, result.arity) != (mono.coarity, mono.arity):
+            raise AinError("LegOrderMismatchAcrossTerms", "terms have different shapes")
+        else:
+            result = result + mono
+    assert result is not None and lead_outs is not None and lead_ins is not None
+    return result, lead_outs, lead_ins
+
+
+
+def reference_parse_rules(text: str, sig: Signature) -> list[ReferenceRule]:
+    """Parse a rule file: one rule per line,
+
+        rule <id> [sharp]: <lhs> -> <rhs> [where <out> ~> <in>[, ...]]
+    """
+    rules: list[ReferenceRule] = []
+    seen = set()
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if not line.startswith("rule "):
+            raise AinError("Syntax", f"line {lineno}: expected 'rule'")
+        head, _, rest = line[5:].partition(":")
+        head_words = head.split()
+        if not head_words:
+            raise AinError("Syntax", f"line {lineno}: missing rule id")
+        rule_id = head_words[0]
+        sharp = head_words[1:] == ["sharp"]
+        if head_words[1:] not in ([], ["sharp"]):
+            raise AinError("Syntax", f"line {lineno}: bad rule header")
+        if rule_id in seen:
+            raise AinError("Syntax", f"line {lineno}: duplicate rule id {rule_id!r}")
+        seen.add(rule_id)
+
+        body, _, where = rest.partition(" where ")
+        lhs_text, arrow, rhs_text = body.partition("->")
+        if not arrow:
+            raise AinError("Syntax", f"line {lineno}: missing '->'")
+        lhs, outs, ins = _reference_parse_combination(lhs_text, sig, None, None)
+        if not lhs.is_monomial():
+            raise RuleError(f"rule {rule_id!r}: LhsNotMonomial")
+        rhs = _reference_parse_combination(rhs_text, sig, outs, ins)[0]
+
+        if where.strip():
+            if sharp:
+                raise AinError("Syntax", f"line {lineno}: sharp rule with a where clause")
+            zeros = []
+            for clause in where.split(","):
+                out_label, arrow2, in_label = clause.partition("~>")
+                if not arrow2:
+                    raise AinError("Syntax", f"line {lineno}: bad where clause")
+                out_label, in_label = out_label.strip(), in_label.strip()
+                if out_label not in outs or in_label not in ins:
+                    raise AinError(
+                        "Syntax", f"line {lineno}: where clause labels not legs"
+                    )
+                zeros.append((outs.index(out_label), ins.index(in_label)))
+            typespec = zeros
+        elif sharp:
+            typespec = "sharp"
+        else:
+            typespec = []
+        rules.append(_reference_make_rule(rule_id, lhs, rhs, typespec))
+    return rules
+
+
+
+def _reference_make_rule(
+    rule_id: str,
+    lhs: NetClass | LinComb,
+    rhs: NetClass | LinComb,
+    typespec="sharp",
+) -> ReferenceRule:
+    """Assemble and check a rule.
+
+    ``typespec`` is ``"sharp"`` (type = lhs transference), a list of
+    0-based ``(output, input)`` positions to zero out of the all-ones
+    type, or an explicit :class:`BoolMat`.
+    """
+    lhs_lc = lc(lhs)
+    if not lhs_lc.is_monomial() or lhs_lc.items()[0][1] != 1:
+        raise RuleError(f"rule {rule_id!r}: LhsNotMonomial")
+    mu = lhs_lc.monomials()[0]
+    rhs_lc = lc(rhs)
+    if (rhs_lc.coarity, rhs_lc.arity) != (mu.coarity, mu.arity):
+        raise RuleError(f"rule {rule_id!r}: lhs and rhs shapes differ")
+
+    if typespec == "sharp":
+        q = mu.tr
+        sharp = True
+    elif isinstance(typespec, BoolMat):
+        q = typespec
+        sharp = q == mu.tr
+    else:
+        q = BoolMat.ones(mu.coarity, mu.arity)
+        for i, j in typespec:
+            q = q.set(i, j, 0)
+        sharp = q == mu.tr
+    if (q.rows, q.cols) != (mu.coarity, mu.arity):
+        raise RuleError(f"rule {rule_id!r}: type shape mismatch")
+    if not mu.tr.leq(q):
+        raise RuleError(f"rule {rule_id!r}: TrExceedsType")
+    for pos, (term, _) in enumerate(rhs_lc.items()):
+        if not term.tr.leq(q):
+            raise RuleError(f"rule {rule_id!r}: RhsOutsideType(term {pos})")
+    return ReferenceRule(rule_id, q, mu, rhs_lc, sharp)

@@ -2,12 +2,14 @@
 
 import itertools
 import random
+import re
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from netrw import ainparse
+from netrw import ainparse, network
 from netrw.ainparse import AinError, format_term, parse_rules, parse_term
 from netrw.core import BoolMat, cross, parse_signature, same
 from netrw.freeprop import (
@@ -19,10 +21,21 @@ from netrw.freeprop import (
     sym_join,
     tensor,
 )
-from netrw.network import InvalidNetworkError, _components, smoothen, validate
+from netrw.network import InvalidNetworkError, _components, smoothen, transference, validate
 from netrw.rewrite import RuleError
 
-from conftest import random_class, random_network
+from conftest import (
+    computed,
+    exact_shape_class,
+    random_class,
+    random_network,
+    reference_parse_rules,
+    swap_everywhere,
+)
+
+CORPUS = Path(__file__).resolve().parent.parent / "src" / "netrw" / "corpus"
+CORPUS_SYSTEMS = ("assoc", "bridge", "circle", "frobenius", "hopf", "zigzag")
+
 
 
 @pytest.fixture
@@ -164,12 +177,10 @@ class TestTermBuilding:
     cycle can break the axioms once the labels pair up.  The validating
     builder is the oracle."""
 
-    CORPUS = Path(__file__).resolve().parent.parent / "src" / "netrw" / "corpus"
-
-    @pytest.mark.parametrize("system", ["assoc", "bridge", "circle", "frobenius", "hopf", "zigzag"])
+    @pytest.mark.parametrize("system", CORPUS_SYSTEMS)
     def test_corpus_rule_sides(self, monkeypatch, system):
-        sig = parse_signature((self.CORPUS / f"{system}.sig").read_text(encoding="utf-8"))
-        text = (self.CORPUS / f"{system}.rules").read_text(encoding="utf-8")
+        sig = parse_signature((CORPUS / f"{system}.sig").read_text(encoding="utf-8"))
+        text = (CORPUS / f"{system}.rules").read_text(encoding="utf-8")
         fast = parse_rules(text, sig)
         monkeypatch.setattr(ainparse, "_build_term", validated_build)
         slow = parse_rules(text, sig)
@@ -232,6 +243,180 @@ class TestRules:
         rule = parse_rules("rule r: m^a_bc eta^b -> d^a_c", hsig)[0]
         assert rule.lhs.coarity == 1 and rule.lhs.arity == 1
         assert rule.rhs == LinComb.monomial(phi(same(1)))
+
+    @pytest.mark.parametrize(
+        "rhs, term",
+        [
+            ("eps_a eta^b + d^b_a", 2),
+            ("d^b_a + eps_a eta^b", 1),
+            ("eps_a eta^b + d^b_a - d^b_a + 2 d^b_a", 2),
+        ],
+    )
+    def test_rhs_outside_type_names_the_written_term(self, hsig, rhs, term):
+        # counted from 1 in the order written, whatever the codes' order;
+        # the first written term of a class that stays in the rhs
+        with pytest.raises(RuleError, match=rf"^rule 'a': RhsOutsideType\(term {term}\)$"):
+            parse_rules(f"rule a sharp: eps_a eta^b -> {rhs}", hsig)
+
+    @pytest.mark.parametrize(
+        "rhs, terms",
+        [("eps_a eta^b + d^b_a - d^b_a", 1), ("0 d^b_a + eps_a eta^b", 1), ("d^b_a - d^b_a", 0)],
+    )
+    def test_rhs_outside_type_that_cancels(self, hsig, rhs, terms):
+        # a class outside the type whose coefficients sum to zero is no term
+        rule = parse_rules(f"rule a sharp: eps_a eta^b -> {rhs}", hsig)[0]
+        expected = parse_term("eps_a eta^b", hsig).scale(terms)
+        assert rule.rhs == expected
+
+
+
+def assert_loads_alike(text: str, sig) -> str:
+    """``parse_rules`` against the eager loader on one rule file: the same
+    rules, or the same error, whose kind is returned.  Only the term that
+    ``RhsOutsideType`` names may differ, as the eager loader counted it in
+    code order from 0."""
+    try:
+        expected = reference_parse_rules(text, sig)
+    except Exception as exc:
+        with pytest.raises(Exception) as raised:
+            parse_rules(text, sig)
+        assert type(raised.value) is type(exc)
+        got, want = str(raised.value), str(exc)
+        if "RhsOutsideType" in want:
+            got, want = (re.sub(r"\(term \d+\)$", "", m) for m in (got, want))
+        assert got == want
+        return exc.kind if isinstance(exc, AinError) else want.split(": ")[-1].split("(")[0]
+    rules = parse_rules(text, sig)
+    assert len(rules) == len(expected)
+    for got, want in zip(rules, expected):
+        assert (got.rule_id, got.qtype, got.sharp) == (want.rule_id, want.qtype, want.sharp)
+        assert got.lhs.code == want.lhs.code
+        assert got.rhs == want.rhs
+    return "loaded"
+
+
+COEFFICIENTS = ("", "", "", "2 ", "1/2 ", "3/4 ", "0 ")
+
+
+def random_rule_line(rng: random.Random, pool, rule_id: str) -> str:
+    """One rule over Hopf networks of shape up to (2, 2): closed or naked
+    sides, one to four rhs terms that may repeat a class, cancel or have
+    coefficient 0, a sharp header or a where clause, and now and then a
+    fault."""
+    m, n = rng.randint(0, 2), rng.randint(0, 2)
+    lhs_net = rng.choice(pool[m, n])
+    lhs = term_text(rng, lhs_net)
+    outs, body, ins = lhs[1:-1].split("|")
+    naked = rng.random() < 0.3
+    if naked:
+        lhs = body
+    written: list[tuple[str, str]] = []  # (coefficient, term)
+    for k in range(rng.randint(1, 4)):
+        roll = rng.random()
+        if written and roll < 0.3:
+            # an earlier term again, relabelled, with the opposite sign
+            coeff, term = rng.choice(written)
+            sign = "+" if coeff.startswith("-") else "-"
+            written.append((sign + coeff.lstrip("+-"), term))
+            continue
+        if roll < 0.45:
+            net = lhs_net
+        elif roll < 0.47:
+            net = rng.choice(pool[rng.randint(0, 2), rng.randint(0, 2)])
+        else:
+            net = rng.choice(pool[m, n])
+        if naked and net is lhs_net and rng.random() < 0.5:
+            factors = body.split()
+            rng.shuffle(factors)
+            term = " ".join(factors)
+        else:
+            term = term_text(rng, net)
+        written.append((rng.choice("+-") + rng.choice(COEFFICIENTS), term))
+    rhs = " ".join(f"{c[0]} {c[1:]}{term}" for c, term in written)
+    if rhs.startswith("+ ") and rng.random() < 0.7:
+        rhs = rhs[2:]
+    sharp = rng.random() < 0.6
+    where = ""
+    outs, ins = outs.split(), ins.split()
+    # mostly (output, input) pairs with no path between them in the lhs
+    tr = transference(lhs_net)
+    free = [(o, i) for r, o in enumerate(outs) for c, i in enumerate(ins) if not tr.get(r, c)]
+    if outs and ins and rng.random() < (0.5 if free else 0.05):
+        pairs = {
+            rng.choice(free) if free and rng.random() < 0.9 else (rng.choice(outs), rng.choice(ins))
+            for _ in range(rng.randint(1, 2))
+        }
+        if rng.random() < 0.05:
+            pairs.add(("Z", "Y"))
+        where = " where " + ", ".join(f"{o} ~> {i}" for o, i in sorted(pairs))
+        sharp = sharp and rng.random() < 0.1
+    line = f"rule {rule_id}{' sharp' if sharp else ''}: {lhs} -> {rhs}{where}"
+    fault = rng.random()
+    if fault < 0.015:
+        line = line.replace("->", "=>")
+    elif fault < 0.03:
+        line = line.replace(":", " sharp sharp:", 1)
+    elif fault < 0.05:
+        line = line.replace(" -> ", f" + {term_text(rng, rng.choice(pool[m, n]))} -> ", 1)
+    elif fault < 0.065:
+        line = line.replace(" -> ", f" + {lhs} -> ", 1)
+    elif fault < 0.08:
+        line += " +" if not where else ""
+    elif fault < 0.09:
+        line = line.replace(" -> ", " -> - + ", 1)
+    elif fault < 0.1:
+        line = line.replace("S", "Q", 1)
+    return line
+
+
+class TestDeferredLoad:
+    """``parse_rules`` checks every side at once but canonicalizes a
+    right-hand side only on its first read; the eager loader of
+    ``conftest.reference_parse_rules`` is the oracle."""
+
+    @pytest.mark.parametrize("system", CORPUS_SYSTEMS)
+    def test_corpus_matches_eager_loader(self, system):
+        sig = parse_signature((CORPUS / f"{system}.sig").read_text(encoding="utf-8"))
+        text = (CORPUS / f"{system}.rules").read_text(encoding="utf-8")
+        assert assert_loads_alike(text, sig) == "loaded"
+
+    def test_random_rule_files_match_eager_loader(self, rng, hsig):
+        pool = {
+            (m, n): [exact_shape_class(rng, hsig, m, n).rep for _ in range(5)]
+            for m in range(3)
+            for n in range(3)
+        }
+        kinds = Counter()
+        for _ in range(240):
+            lines = [random_rule_line(rng, pool, f"r{k}") for k in range(rng.randint(1, 3))]
+            if rng.random() < 0.03:
+                lines.append(lines[0])
+            kinds[assert_loads_alike("\n".join(lines), hsig)] += 1
+        faults = kinds.copy()
+        del faults["loaded"], faults["RhsOutsideType"]
+        assert kinds["loaded"] > 120 and kinds["RhsOutsideType"] > 8
+        assert len(faults) >= 6 and sum(faults.values()) > 50
+
+    def test_load_canonicalizes_each_lhs_once(self, monkeypatch, hsig):
+        counts = Counter()
+        for real in (network.canonical_code, network.from_code):
+
+            def counting(*args, real=real):
+                counts[real.__name__] += 1
+                return real(*args)
+
+            swap_everywhere(monkeypatch, real, counting)
+        text = (CORPUS / "hopf.rules").read_text(encoding="utf-8")
+        text += "\nrule s: m^a_bc -> 2 m^a_bc - m^a_cb + 1/2 m^a_bc"
+        rules = parse_rules(text, hsig)
+        assert counts == {"canonical_code": 15}
+        # reading one rule's rhs canonicalizes that rule's terms only
+        counts.clear()
+        assert rules[-1].rhs == parse_term("5/2 m^a_bc - m^a_cb", hsig)
+        assert counts == {"canonical_code": 3 + 2}
+        assert not any(computed(t, "code") for r in rules[:-1] for t, _ in r.summands)
+        assert not any(computed(t, "rep") for r in rules for t, _ in r.summands)
+        assert not any(computed(r.lhs, "rep") for r in rules)
 
 
 class TestFormat:

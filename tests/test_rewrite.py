@@ -1,12 +1,12 @@
 """Rules, simple reductions, normalization, and joinability."""
 
-import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import netrw.freeprop
 import netrw.match
 import netrw.network
 from netrw import ambiguity, cli, rewrite
@@ -38,6 +38,7 @@ from netrw.rewrite import (
     joinable,
     _monomial_redexes,
     _Redexes,
+    _replacement,
     make_rule,
     normalize,
     reduce_once,
@@ -50,20 +51,11 @@ from conftest import (
     random_class,
     reference_context_type_ok,
     same_network,
+    swap_everywhere,
 )
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "netrw" / "corpus"
 SYSTEMS = ("assoc", "circle", "bridge", "zigzag", "frobenius", "hopf")
-
-
-def swap_everywhere(monkeypatch, real, replacement):
-    """Replace every binding of ``real`` in the netrw modules, as the
-    benchmark's tracer does."""
-    for name, module in list(sys.modules.items()):
-        if name == "netrw" or name.startswith("netrw."):
-            for attr, value in list(vars(module).items()):
-                if value is real:
-                    monkeypatch.setattr(module, attr, replacement)
 
 
 def circle_power_text(n: int) -> str:
@@ -460,6 +452,62 @@ def corpus_ambiguities():
             for s2 in rules[i:]:
                 out += [(system, rules, amb) for amb in enumerate_decisive(s1, s2)]
     return out
+
+
+class TestReplacement:
+    """``_replacement``, the reduct of an admitted redex, against
+    ``lc_annex``: the join with each rhs term needs no nilpotence test once
+    the context is admitted."""
+
+    @staticmethod
+    def check_redexes(nu, q, rules, counts):
+        for rule, ctx in _monomial_redexes(nu, q, rules):
+            before = counts["join_condition"]
+            got = _replacement(rule, ctx)
+            assert counts["join_condition"] == before
+            assert got == lc_annex(ctx, rule.rhs)
+            counts["redexes"] += 1
+
+    @staticmethod
+    def count_join_conditions(monkeypatch, counts):
+        real = netrw.freeprop.join_condition
+
+        def counting(*args):
+            counts["join_condition"] += 1
+            return real(*args)
+
+        swap_everywhere(monkeypatch, real, counting)
+
+    def test_corpus_redexes(self, monkeypatch, corpus_ambiguities):
+        # every redex of every site, reduct term and rule side of the corpus,
+        # at the ambiguity's type and at the all-ones type
+        counts = Counter()
+        self.count_join_conditions(monkeypatch, counts)
+        for system, rules, amb in corpus_ambiguities:
+            subjects = {amb.site, *amb.reduct1.terms, *amb.reduct2.terms}
+            for nu in subjects:
+                for q in (amb.amb_type, BoolMat.ones(nu.coarity, nu.arity)):
+                    if nu.tr.leq(q):
+                        self.check_redexes(nu, q, rules, counts)
+            counts[system] += 1
+        assert all(counts[system] for system in SYSTEMS)
+        assert counts["redexes"] > 300
+        # the oracle's joins were counted, so the wrapper is in place
+        assert counts["join_condition"] >= counts["redexes"]
+
+    def test_random_hopf_monomials(self, monkeypatch, rng, hopf_sig):
+        rules = sorted(
+            parse_rules((CORPUS / "hopf.rules").read_text(encoding="utf-8"), hopf_sig),
+            key=lambda r: r.rule_id,
+        )
+        counts = Counter()
+        self.count_join_conditions(monkeypatch, counts)
+        for _ in range(150):
+            nu = random_class(rng, list(hopf_sig), max_inner=7, max_strays=2, min_inner=2)
+            for q in (nu.tr, BoolMat.ones(nu.coarity, nu.arity)):
+                self.check_redexes(nu, q, rules, counts)
+        assert counts["redexes"] > 150
+        assert counts["join_condition"] >= counts["redexes"]
 
 
 class TestRedexMemo:
