@@ -20,7 +20,15 @@ from fractions import Fraction
 
 from .core import NEUTRAL, Signature, Symbol
 from .freeprop import LinComb, NetClass
-from .network import Edge, InvalidNetworkError, Network, _topological_order, smoothen, validate
+from .network import (
+    Edge,
+    InvalidNetworkError,
+    Network,
+    _topological_order,
+    smoothen,
+    transference,
+    validate,
+)
 from .rewrite import Rule, RuleError, make_rule
 
 
@@ -320,23 +328,32 @@ def _term_parts(
     return [0, 1, *deco], edges, deco
 
 
-def _build_term(term: Term, sig: Signature, outs: list[str], ins: list[str]) -> NetClass:
+def _build_term(
+    term: Term, sig: Signature, outs: list[str], ins: list[str], typed: bool
+) -> NetClass:
     """The class of a term's network, deferred: it is canonicalized only
     when its code or rep is first read.  Only a cycle can make the parts
     invalid, so they are validated only when a topological order misses a
-    vertex, for the message that names the cycle's edges."""
+    vertex, for the message that names the cycle's edges.
+
+    When ``typed``, the class's transference is computed along that same
+    order, before smoothening: a delta passes its input's reach on to its
+    output, so the result is the smoothened network's.  Otherwise it is
+    computed on its first read, if any."""
     vertices, edges, deco = _term_parts(term, sig, outs, ins)
-    if len(_topological_order(deco, edges.values())) < len(deco):
+    order = _topological_order(deco, edges.values())
+    if len(order) < len(deco):
         try:
             validate(vertices, edges, deco)
         except InvalidNetworkError as exc:
             raise AinError("CycleInTerm", str(exc)) from None
-    return NetClass(smoothen(Network(vertices, edges, deco)))
+    net = Network(vertices, edges, deco)
+    return NetClass(smoothen(net), transference(net, order) if typed else None)
 
 
 def parse_term(text: str, sig: Signature) -> LinComb:
     """Parse a sum of closed or naked terms into a linear combination."""
-    return _combination(_parse_summands(text, sig, None, None)[0])
+    return _combination(_parse_summands(text, sig, None, None, False)[0])
 
 
 def _combination(summands: list[tuple[NetClass, Fraction]]) -> LinComb:
@@ -346,11 +363,16 @@ def _combination(summands: list[tuple[NetClass, Fraction]]) -> LinComb:
 
 
 def _parse_summands(
-    text: str, sig: Signature, lead_outs: list[str] | None, lead_ins: list[str] | None
+    text: str,
+    sig: Signature,
+    lead_outs: list[str] | None,
+    lead_ins: list[str] | None,
+    typed: bool,
 ) -> tuple[list[tuple[NetClass, Fraction]], list[str], list[str]]:
     """The ``(class, coefficient)`` summands of a combination in the order
     written, each class deferred, and the leg labels (outs, ins) that order
-    its naked terms: the given ones, else the first term's own."""
+    its naked terms: the given ones, else the first term's own.  When
+    ``typed``, each class's transference is computed as it is built."""
     terms = [(sign, _parse_chunk(chunk)) for sign, chunk in _split_additive(text)]
     summands: list[tuple[NetClass, Fraction]] = []
     for sign, term in terms:
@@ -369,7 +391,7 @@ def _parse_summands(
                 outs, ins = lead_outs, lead_ins
         if lead_outs is None:
             lead_outs, lead_ins = outs, ins
-        cls = _build_term(term, sig, outs, ins)
+        cls = _build_term(term, sig, outs, ins, typed)
         if summands and (cls.coarity, cls.arity) != (summands[0][0].coarity, summands[0][0].arity):
             raise AinError("LegOrderMismatchAcrossTerms", "terms have different shapes")
         summands.append((cls, term.coeff if sign > 0 else -term.coeff))
@@ -387,10 +409,15 @@ def parse_rules(text: str, sig: Signature) -> list[Rule]:
 
         rule <id> [sharp]: <lhs> -> <rhs> [where <out> ~> <in>[, ...]]
 
-    Each side is parsed in one pass.  The lhs is canonicalized, to check
-    that it is one monomial; every check on the rhs reads only its
-    terms' transferences, so the rule keeps them as written and
-    canonicalizes them on the first read of ``Rule.rhs``."""
+    Each side is parsed in one pass, and every check reads only the
+    terms' transferences, each computed along the order that rules out a
+    cycle, and the rhs ones only when the rule's type is not all ones.  A
+    lhs written as one term with coefficient 1 is one monomial as it
+    stands; it is canonicalized only when a redex search, an ambiguity
+    search, an order check or ``complete`` first reads it.  Any other lhs
+    is merged, which canonicalizes its terms, to see whether it is one
+    monomial.  The rule keeps the rhs terms as written and canonicalizes
+    them on the first read of ``Rule.rhs``."""
     rules: list[Rule] = []
     seen = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -415,11 +442,19 @@ def parse_rules(text: str, sig: Signature) -> list[Rule]:
         lhs_text, arrow, rhs_text = body.partition("->")
         if not arrow:
             raise AinError("Syntax", f"line {lineno}: missing '->'")
-        lhs_summands, outs, ins = _parse_summands(lhs_text, sig, None, None)
-        lhs = _combination(lhs_summands)
-        if not lhs.is_monomial():
-            raise RuleError(f"rule {rule_id!r}: LhsNotMonomial")
-        rhs = _parse_summands(rhs_text, sig, outs, ins)[0]
+        lhs_summands, outs, ins = _parse_summands(lhs_text, sig, None, None, True)
+        if len(lhs_summands) == 1 and lhs_summands[0][1] == 1:
+            lhs = mu = lhs_summands[0][0]
+        else:
+            lhs = _combination(lhs_summands)
+            if not lhs.is_monomial():
+                raise RuleError(f"rule {rule_id!r}: LhsNotMonomial")
+            mu = lhs.monomials()[0]
+        # make_rule reads the rhs transferences only under a type that is
+        # not all ones: tr(lhs) for a sharp rule, one with a zero for a
+        # where clause
+        typed = bool(where.strip()) or (sharp and not mu.tr.is_ones())
+        rhs = _parse_summands(rhs_text, sig, outs, ins, typed)[0]
 
         if where.strip():
             if sharp:

@@ -611,10 +611,10 @@ def _orient(diff: LinComb, spec: OrderSpec, rule_id: str, current: Sequence[Rule
         ):
             rhs = LinComb.monomial(mu) - diff.scale(1 / coeff)
             try:
-                rule = make_rule(rule_id, LinComb.monomial(mu), rhs, "sharp")
+                rule = make_rule(rule_id, mu, rhs, "sharp")
             except RuleError:
                 try:
-                    rule = make_rule(rule_id, LinComb.monomial(mu), rhs, [])
+                    rule = make_rule(rule_id, mu, rhs, [])
                 except RuleError:
                     return None
             ok, _ = rule_compatible(rule, spec)

@@ -39,16 +39,19 @@ class NetClass:
     deferred: each is computed on its first read and kept, so a class whose
     identity is never asked for is never canonicalized, and one whose type
     is never asked for is never traversed.  ``tr`` is read off whichever
-    network ``net`` is then, since a leg-preserving isomorphism keeps it.
-    ``rep`` is always the canonical representative, rebuilt from ``code``;
-    once it is built, ``net`` is ``rep``.  Equality, hashing and order go
-    by code, and :func:`class_of` returns a class already canonicalized.
+    network ``net`` is then, since a leg-preserving isomorphism keeps it,
+    unless the caller already has it and passes it in.  ``rep`` is always
+    the canonical representative, rebuilt from ``code``; once it is built,
+    ``net`` is ``rep``.  Equality, hashing and order go by code, and
+    :func:`class_of` returns a class already canonicalized.
     """
 
     __slots__ = ("net", "tr", "code", "rep", "_hash")
 
-    def __init__(self, net: Network):
+    def __init__(self, net: Network, tr: BoolMat | None = None):
         self.net = net
+        if tr is not None:
+            self.tr = tr
 
     def __getattr__(self, name: str):
         # reached only when a slot is unset: a deferred field's first read
@@ -350,10 +353,6 @@ class LinComb:
 
     def __rmul__(self, r) -> "LinComb":
         return self.scale(r)
-
-
-def lc(x: NetClass | LinComb) -> LinComb:
-    return x if isinstance(x, LinComb) else LinComb.monomial(x)
 
 
 def _summands(x: NetClass | LinComb) -> list[tuple[NetClass, Fraction]]:

@@ -1,7 +1,8 @@
-"""Redex location: embeddings of a pattern network into a subject, one
-search per image of the pattern's first anchor; strong embeddings
-(segment labelings), complement extraction, one context per labeling of
-an embedding, and context-type admissibility."""
+"""Redex location: the features a pattern needs of its subject;
+embeddings of a pattern network into a subject, one search per image of
+the pattern's first anchor; strong embeddings (segment labelings),
+complement extraction, one context per labeling of an embedding, and
+context-type admissibility."""
 
 from __future__ import annotations
 
@@ -87,6 +88,21 @@ def _grow_component(
                     chi[pv] = sv
                     queue.append(pv)
     return chi, psi
+
+
+def features(net: Network) -> set:
+    """The symbols of net's inner vertices and the types ``(tail symbol,
+    tindex, head symbol, hindex)`` of its edges between inner vertices.
+    An embedding keeps decorations, and puts each edge between two inner
+    pattern vertices on a subject edge between their images at the same
+    ports, so a pattern embeds only into a subject whose features include
+    its own.  Isomorphic networks have the same features."""
+    deco = net.deco
+    found = set(deco.values())
+    for ends in net.edges.values():
+        if ends.head != 0 and ends.tail != 1:
+            found.add((deco[ends.tail], ends.tindex, deco[ends.head], ends.hindex))
+    return found
 
 
 # anchors, strays and inner edges of a pattern; see pattern_parts

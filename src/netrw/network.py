@@ -260,8 +260,11 @@ def generator_network(sym: Symbol) -> Network:
 # ---------------------------------------------------------------------------
 
 
-def transference(net: Network) -> BoolMat:
-    """Boolean coarity x arity matrix of input-to-output path existence."""
+def transference(net: Network, order: list[int] | None = None) -> BoolMat:
+    """Boolean coarity x arity matrix of input-to-output path existence.
+
+    ``order`` is a topological order of all of net's inner vertices, for a
+    caller that has one; by default it is computed."""
     # reach[v] = bitmask of input leg indices (0-based) with a path to v
     reach: dict[int, int] = {}
 
@@ -269,7 +272,9 @@ def transference(net: Network) -> BoolMat:
         ends = net.edges[e]
         return 1 << (ends.tindex - 1) if ends.tail == 1 else reach[ends.tail]
 
-    for v in _topological_order(net.inner_vertices(), net.edges.values()):
+    if order is None:
+        order = _topological_order(net.inner_vertices(), net.edges.values())
+    for v in order:
         acc = 0
         for e in net.in_edges(v):
             acc |= reach_of(e)

@@ -10,8 +10,8 @@ from heapq import heapify, heappop, heappush
 from typing import Sequence
 
 from .core import BoolMat
-from .freeprop import LinComb, NetClass, _join_network, _summands, class_of, lc
-from .match import PatternParts, context_type_ok, contexts, embeddings, pattern_parts
+from .freeprop import LinComb, NetClass, _join_network, _summands, class_of
+from .match import PatternParts, context_type_ok, contexts, embeddings, features, pattern_parts
 from .network import NodeTables
 
 
@@ -32,10 +32,13 @@ class Rule:
     ``(class, coefficient)`` summands in the order written.  A rule is equal
     only to itself.
 
-    The summands' classes are checked against the type when the rule is
-    made, which reads only their transferences; ``rhs``, the canonical
-    combination, is built on its first read, so the right-hand side of a
-    rule that never fires is never canonicalized."""
+    The lhs and the summands' classes are checked against the type when
+    the rule is made, which reads only their transferences.  The lhs is
+    canonicalized on the first read of its ``rep``: by a redex search in a
+    monomial that has all its ``lhs_needs``, an ambiguity search, an order
+    check or ``complete``.  ``rhs``, the canonical combination, is built
+    on its first read, so the right-hand side of a rule that never fires
+    is never canonicalized."""
 
     rule_id: str
     qtype: BoolMat
@@ -55,6 +58,14 @@ class Rule:
     def rhs(self) -> LinComb:
         """The right-hand side, its summands merged on the first read."""
         return LinComb.sum_of(self.coarity, self.arity, self.summands)
+
+    @cached_property
+    def lhs_needs(self) -> frozenset:
+        """The lhs's :func:`~netrw.match.features`: its inner vertices'
+        symbols and the types of its edges between inner vertices.  A
+        monomial whose features do not include them holds no redex of the
+        rule.  Read off the network the lhs holds, canonical or not."""
+        return frozenset(features(self.lhs.net))
 
     @cached_property
     def lhs_parts(self) -> PatternParts:
@@ -83,11 +94,16 @@ def make_rule(
     input)`` positions to zero out of the all-ones type, or an explicit
     :class:`BoolMat`.  ``RhsOutsideType(term k)`` names the first summand,
     counting from 1, whose class is outside the type and does not cancel.
+
+    A class lhs is taken as it is, not canonicalized; a combination must
+    be one monomial with coefficient 1.
     """
-    lhs_lc = lc(lhs)
-    if not lhs_lc.is_monomial() or lhs_lc.items()[0][1] != 1:
+    if isinstance(lhs, NetClass):
+        mu = lhs
+    elif not lhs.is_monomial() or lhs.items()[0][1] != 1:
         raise RuleError(f"rule {rule_id!r}: LhsNotMonomial")
-    mu = lhs_lc.monomials()[0]
+    else:
+        mu = lhs.monomials()[0]
     shape = (mu.coarity, mu.arity)
     if isinstance(rhs, (NetClass, LinComb)):
         if (rhs.coarity, rhs.arity) != shape:
@@ -113,7 +129,10 @@ def make_rule(
         raise RuleError(f"rule {rule_id!r}: type shape mismatch")
     if not mu.tr.leq(q):
         raise RuleError(f"rule {rule_id!r}: TrExceedsType")
-    outside = [pos for pos, (t, c) in enumerate(summands, 1) if c and not t.tr.leq(q)]
+    if q.is_ones():  # every transference fits: no summand's is read
+        outside = []
+    else:
+        outside = [pos for pos, (t, c) in enumerate(summands, 1) if c and not t.tr.leq(q)]
     if outside:
         # only a class outside the type needs the merge, to see whether it cancels
         kept = LinComb.sum_of(*shape, summands).terms
@@ -134,12 +153,24 @@ class ReductionStep:
 
 def _monomial_redexes(nu: NetClass, q: BoolMat, rules: Sequence[Rule]):
     """Yield (rule, context K) pairs admissible at ambient type q, in the
-    deterministic redex order; ``rules`` are sorted by id."""
+    deterministic redex order; ``rules`` are sorted by id.
+
+    A rule whose ``lhs_needs`` are not all features of nu has no
+    embedding into nu, so it is passed over before its lhs is
+    canonicalized.  Each context K of a sharp rule is admissible under the
+    all-ones type unchecked: annexing the lhs to K gives nu, which is
+    acyclic, so K annexes the rule's type tr(lhs) without a cycle, and the
+    all-ones type admits every transference."""
+    have = features(nu.net)
+    any_type = q.is_ones()
     for rule in rules:
-        pattern = rule.lhs.rep
-        for emb in embeddings(pattern, nu.rep, rule.lhs_parts):
-            for ctx in contexts(emb, pattern, nu.rep):
-                if context_type_ok(ctx.tr, rule.qtype, q):
+        if not rule.lhs_needs <= have:
+            continue
+        pattern, subject = rule.lhs.rep, nu.rep
+        unchecked = any_type and rule.sharp
+        for emb in embeddings(pattern, subject, rule.lhs_parts):
+            for ctx in contexts(emb, pattern, subject):
+                if unchecked or context_type_ok(ctx.tr, rule.qtype, q):
                     yield rule, ctx
 
 

@@ -1,10 +1,10 @@
 """Shared fixtures: signatures, random generators, the PROP axiom suite,
 test-only oracles for composition, tensor, the symmetric join, the
-embedding search, context admissibility, evaluation, the command line
-parser, cuts and splits, smoothening and gluing enumeration, and
-test-only helpers for permutation actions on classes, boolean
-evaluation, union-find copies, reduction-step text and connectivity
-data."""
+embedding search, the unindexed redex search, context admissibility,
+evaluation, the command line parser, cuts and splits, smoothening and
+gluing enumeration, and test-only helpers for permutation actions on
+classes, boolean evaluation, union-find copies, reduction-step text and
+connectivity data."""
 
 from __future__ import annotations
 
@@ -30,8 +30,17 @@ from netrw.ainparse import (
     _term_label_roles,
     _term_parts,
 )
-from netrw.freeprop import LinComb, NetClass, class_of, join_condition, join_transference, lc
-from netrw.match import Embedding, _grow_component, complement, pattern_parts, strong_embeddings
+from netrw.freeprop import LinComb, NetClass, class_of, join_condition, join_transference
+from netrw.match import (
+    Embedding,
+    _grow_component,
+    complement,
+    context_type_ok,
+    contexts,
+    embeddings,
+    pattern_parts,
+    strong_embeddings,
+)
 from netrw.network import (
     Edge,
     Network,
@@ -463,6 +472,21 @@ def reference_find_embeddings(pattern: Network, subject: Network) -> list[Embedd
 # ---------------------------------------------------------------------------
 # Context admissibility oracle
 # ---------------------------------------------------------------------------
+
+
+def reference_monomial_redexes(nu: NetClass, q: BoolMat, rules):
+    """Yield (rule, context K) pairs admissible at ambient type q, in the
+    deterministic redex order; ``rules`` are sorted by id.
+
+    The redex search with no index: every rule is searched in every
+    monomial, and every context is checked, the oracle of
+    ``rewrite._monomial_redexes``."""
+    for rule in rules:
+        pattern = rule.lhs.rep
+        for emb in embeddings(pattern, nu.rep, rule.lhs_parts):
+            for ctx in contexts(emb, pattern, nu.rep):
+                if context_type_ok(ctx.tr, rule.qtype, q):
+                    yield rule, ctx
 
 
 def reference_context_type_ok(k_tr: BoolMat, q_rule: BoolMat, q_ambient: BoolMat) -> bool:
@@ -1307,6 +1331,11 @@ def reference_parse_rules(text: str, sig: Signature) -> list[ReferenceRule]:
         rules.append(_reference_make_rule(rule_id, lhs, rhs, typespec))
     return rules
 
+
+
+def lc(x: NetClass | LinComb) -> LinComb:
+    """x as a combination: a class is its own monomial."""
+    return x if isinstance(x, LinComb) else LinComb.monomial(x)
 
 
 def _reference_make_rule(

@@ -22,7 +22,7 @@ from netrw.freeprop import (
     tensor,
 )
 from netrw.network import InvalidNetworkError, _components, smoothen, transference, validate
-from netrw.rewrite import RuleError
+from netrw.rewrite import RuleError, normalize
 
 from conftest import (
     computed,
@@ -135,9 +135,11 @@ class TestParse:
             parse_term("S^a_b + S^a_c", hsig)
 
 
-def validated_build(term, sig, outs, ins):
+def validated_build(term, sig, outs, ins, typed):
     """The parser's term builder as it was before it trusted its own parts:
-    every network axiom checked by ``validate``, then smoothening."""
+    every network axiom checked by ``validate``, then smoothening.  The
+    class is canonicalized at once and, ``typed`` or not, its transference
+    is traversed on its first read."""
     vertices, edges, deco = ainparse._term_parts(term, sig, outs, ins)
     try:
         net = validate(vertices, edges, deco)
@@ -397,7 +399,7 @@ class TestDeferredLoad:
         assert kinds["loaded"] > 120 and kinds["RhsOutsideType"] > 8
         assert len(faults) >= 6 and sum(faults.values()) > 50
 
-    def test_load_canonicalizes_each_lhs_once(self, monkeypatch, hsig):
+    def test_load_canonicalizes_no_lhs(self, monkeypatch, hsig):
         counts = Counter()
         for real in (network.canonical_code, network.from_code):
 
@@ -409,14 +411,85 @@ class TestDeferredLoad:
         text = (CORPUS / "hopf.rules").read_text(encoding="utf-8")
         text += "\nrule s: m^a_bc -> 2 m^a_bc - m^a_cb + 1/2 m^a_bc"
         rules = parse_rules(text, hsig)
-        assert counts == {"canonical_code": 15}
+        assert not counts
         # reading one rule's rhs canonicalizes that rule's terms only
-        counts.clear()
         assert rules[-1].rhs == parse_term("5/2 m^a_bc - m^a_cb", hsig)
         assert counts == {"canonical_code": 3 + 2}
         assert not any(computed(t, "code") for r in rules[:-1] for t, _ in r.summands)
         assert not any(computed(t, "rep") for r in rules for t, _ in r.summands)
-        assert not any(computed(r.lhs, "rep") for r in rules)
+        assert not any(computed(r.lhs, "code") for r in rules)
+        # normalizing a monomial canonicalizes only the lhs's of the rules
+        # whose needs it has, up to the rule that fires: here r02 removes
+        # the unit, and D^ab_d has the needs of no rule.  Unindexed, the
+        # search would canonicalize r01's lhs too, which it tries first.
+        x = parse_term("D^ab_c m^c_de eta^e", hsig)
+        trace = []
+        normalize(x, BoolMat.ones(2, 1), rules, max_steps=5, trace=trace)
+        assert [step.rule_id for step in trace] == ["r02"]
+        assert [r.rule_id for r in rules if computed(r.lhs, "code")] == ["r02"]
+
+
+class TestLoadTransferences:
+    """A parsed term's transference is computed along the topological
+    order that rules out a cycle, and a rule's type reads the rhs ones
+    only when it is not all ones."""
+
+    def count_calls(self, monkeypatch, *reals):
+        counts = Counter()
+        for real in reals:
+
+            def counting(*args, real=real):
+                counts[real.__name__] += 1
+                return real(*args)
+
+            swap_everywhere(monkeypatch, real, counting)
+        return counts
+
+    def test_hopf_load_orders_each_term_once(self, monkeypatch, hsig):
+        text = (CORPUS / "hopf.rules").read_text(encoding="utf-8")
+        counts = self.count_calls(monkeypatch, network._topological_order, network.transference)
+        rules = parse_rules(text, hsig)
+        terms = len(rules) + sum(len(r.summands) for r in rules)
+        assert terms == 28
+        # every Hopf type is all ones, so only the lhs's are typed
+        assert counts == {"_topological_order": 28, "transference": 14}
+        assert all(computed(r.lhs, "tr") for r in rules)
+
+    @pytest.mark.parametrize("system", CORPUS_SYSTEMS)
+    def test_rhs_transference_only_under_a_type_not_all_ones(self, monkeypatch, system):
+        sig = parse_signature((CORPUS / f"{system}.sig").read_text(encoding="utf-8"))
+        text = (CORPUS / f"{system}.rules").read_text(encoding="utf-8")
+        counts = self.count_calls(monkeypatch, network.transference)
+        rules = parse_rules(text, sig)
+        typed = [r for r in rules if not r.qtype.is_ones()]
+        for r in rules:
+            assert [computed(t, "tr") for t, _ in r.summands] == [r in typed] * len(r.summands)
+        assert counts["transference"] == len(rules) + sum(len(r.summands) for r in typed)
+        if system == "zigzag":
+            assert counts["transference"] == 2 and not typed
+
+    def test_where_and_sharp_rules_type_their_rhs(self, hsig):
+        rules = parse_rules(
+            "rule w: eta^a eps_b -> eta^a eps_b where a ~> b\n"
+            "rule s sharp: eta^a eps_b -> eta^a eps_b\n"
+            "rule t sharp: m^a_bc -> m^a_cb\n",
+            hsig,
+        )
+        assert [computed(r.summands[0][0], "tr") for r in rules] == [True, True, False]
+        assert [r.qtype.is_ones() for r in rules] == [False, False, True]
+
+    def test_transference_along_parse_order(self, rng, hopf_sig):
+        # random Hopf networks with deltas spliced into their edges: the
+        # transference computed before smoothening is the network's own
+        with_deltas = 0
+        for _ in range(150):
+            net = random_network(rng, list(hopf_sig), max_inner=8, max_strays=2)
+            text = term_text(rng, net)
+            [(cls, _)] = ainparse._parse_summands(text, hopf_sig, None, None, True)[0]
+            assert computed(cls, "tr") and cls.tr == transference(net)
+            assert cls.tr == transference(cls.net)
+            with_deltas += "d^" in text
+        assert with_deltas > 100
 
 
 class TestFormat:

@@ -9,7 +9,7 @@ import pytest
 import netrw.freeprop
 import netrw.match
 import netrw.network
-from netrw import ambiguity, cli, rewrite
+from netrw import ainparse, ambiguity, cli, rewrite
 from netrw.ainparse import parse_rules, parse_term
 from netrw.ambiguity import enumerate_decisive
 from netrw.core import BoolMat, cross, parse_signature, same
@@ -24,7 +24,8 @@ from netrw.freeprop import (
     phi,
     tensor,
 )
-from netrw.network import canonical_code
+from netrw.match import features, find_embeddings, pattern_parts
+from netrw.network import _components, canonical_code
 from netrw.order import LT, OrderSpec, Stage, compare
 from netrw.props import BAFF_NAT, parse_assignment
 from netrw.rewrite import (
@@ -45,11 +46,14 @@ from netrw.rewrite import (
 )
 
 from conftest import (
+    computed,
     eager_contexts,
     exact_shape_class,
     format_step,
     random_class,
+    random_relabel,
     reference_context_type_ok,
+    reference_monomial_redexes,
     same_network,
     swap_everywhere,
 )
@@ -115,6 +119,20 @@ class TestMakeRule:
         rule = make_rule("z", lhs, lhs, [(0, 0)])
         assert rule.qtype == BoolMat.from_rows([[0, 1], [1, 1]])
         assert not rule.sharp
+
+    def test_class_lhs_taken_as_is(self, zig):
+        # a class lhs is not canonicalized, and under the all-ones type no
+        # rhs transference is read; under the sharp type it is
+        sig, _ = zig
+        [(lhs, _)] = ainparse._parse_summands("cup_12 cap^23", sig, None, None, True)[0]
+        [(rhs, _)] = ainparse._parse_summands("d^3_1", sig, None, None, False)[0]
+        rule = make_rule("z", lhs, rhs, [])
+        assert rule.lhs is lhs and not computed(lhs, "code")
+        assert rule.qtype.is_ones() and not computed(rhs, "tr")
+        assert rule.lhs_needs == {sig["cup"], sig["cap"], (sig["cap"], 1, sig["cup"], 2)}
+        with pytest.raises(RuleError, match=r"RhsOutsideType\(term 1\)"):
+            make_rule("z", lhs, rhs, "sharp")
+        assert computed(rhs, "tr") and not computed(lhs, "code")
 
     def test_lhs_not_monomial(self, msig):
         m = generator(msig["m"])
@@ -682,17 +700,20 @@ class TestRedexMemo:
         assert grown[True] == len(trace)
         assert sum(grown.values()) <= GROWN_ON_COMB_20
 
-    def test_reducts_not_traversed_under_ones_type(self, monkeypatch, msig, assoc, circle):
-        # every transference fits the all-ones type, so only the contexts
-        # that a rule's type must admit are traversed, never a reduct
+    def test_reducts_not_traversed_under_ones_type(self, monkeypatch, msig, assoc, circle, zig):
+        # every transference fits the all-ones type, so no reduct is
+        # traversed; a sharp rule's contexts are admissible there unchecked,
+        # so only the contexts of a rule whose type is not tr(lhs) are
         circle_rules, y8, q = circle
+        zsig, zig_rules = zig
         comb = parse_term("m^a_bc m^c_de m^e_fg m^g_hi", msig)
+        snake = parse_term("cup_12 cap^23 cup_34 cap^45", zsig)
         traversed, contexts_taken = [], []
         real_tr, real_complement = netrw.network.transference, netrw.match.complement
 
-        def recording_tr(net):
+        def recording_tr(net, *order):
             traversed.append(net)
-            return real_tr(net)
+            return real_tr(net, *order)
 
         def recording_complement(*args):
             k = real_complement(*args)
@@ -702,7 +723,9 @@ class TestRedexMemo:
         swap_everywhere(monkeypatch, real_tr, recording_tr)
         swap_everywhere(monkeypatch, real_complement, recording_complement)
         trace = normalize_traced(y8, q, circle_rules) + normalize_traced(comb, BoolMat.ones(1, 5), assoc)
-        assert len(trace) == 15 + 3 and traversed
+        assert len(trace) == 15 + 3 and not traversed
+        assert not any(rule.sharp for rule in zig_rules)
+        assert len(normalize_traced(snake, q, zig_rules)) == 2 and traversed
         context_nets = {id(net) for net in contexts_taken}
         assert all(id(net) in context_nets for net in traversed)
 
@@ -755,6 +778,112 @@ class TestContextTypeUnderOnes:
                     assert r1.rule_id == r2.rule_id and same_contexts(k1, k2)
                 found[q.is_ones()] += len(redexes)
         assert found[True] >= 300 and found[False] >= 5 and found["formulas"] >= 50, found
+
+
+def redex_list(search, nu, q, rules):
+    """A redex search's whole output: rule id, context code and replacement
+    of each redex, in order."""
+    return [(rule.rule_id, ctx.code, _replacement(rule, ctx)) for rule, ctx in search(nu, q, rules)]
+
+
+def reached_monomials(x, q, rules):
+    """The monomials of x and of every combination its normalization at q
+    meets within 25 steps."""
+    trace = []
+    try:
+        normalize(x, q, rules, max_steps=25, trace=trace)
+    except BudgetExceededError:
+        pass
+    return set(x.terms).union(*(step.after.terms for step in trace))
+
+
+EXTRA_HOPF_RULES = (
+    "rule w: d^a_b -> d^a_b\n"  # no inner vertex: needs nothing
+    "rule x: m^a_bc eps_d -> m^a_cb eps_d\n"  # two components, not sharp
+    "rule y sharp: S^a_b D^cd_e -> D^dc_e S^a_b\n"  # two components, sharp
+)
+
+
+class TestIndexedRedexes:
+    """``_monomial_redexes`` passes over each rule whose ``lhs_needs`` the
+    monomial lacks, and admits a sharp rule's contexts under the all-ones
+    type unchecked; ``conftest.reference_monomial_redexes``, which searches
+    every rule and checks every context, is the oracle."""
+
+    def check(self, nu, q, rules, counts):
+        found = redex_list(_monomial_redexes, nu, q, rules)
+        assert found == redex_list(reference_monomial_redexes, nu, q, rules)
+        have = features(nu.net)
+        counts["redexes"] += len(found)
+        counts["passed over"] += sum(not rule.lhs_needs <= have for rule in rules)
+        if q.is_ones():
+            for rule, ctx in _monomial_redexes(nu, q, rules):
+                if rule.sharp:
+                    # annex(K, lhs) = nu is acyclic: the skipped check holds
+                    assert reference_context_type_ok(ctx.tr, rule.qtype, q)
+                    counts["unchecked"] += 1
+
+    def test_corpus_monomials_and_sites(self, corpus_ambiguities):
+        counts = Counter()
+        reached = {}  # system: (rules, {(monomial, ambient type)})
+        for system, rules, amb in corpus_ambiguities:
+            self.check(amb.site, amb.amb_type, rules, counts)
+            self.check(amb.site, BoolMat.ones(amb.site.coarity, amb.site.arity), rules, counts)
+            counts["sites"] += 1
+            _, seen = reached.setdefault(system, (rules, set()))
+            for x in (amb.reduct1, amb.reduct2):
+                seen |= {(nu, amb.amb_type) for nu in reached_monomials(x, amb.amb_type, rules)}
+        for rules, seen in reached.values():
+            for rule in rules:
+                for x in (LinComb.monomial(rule.lhs), rule.rhs):
+                    for q in (rule.qtype, BoolMat.ones(rule.coarity, rule.arity)):
+                        seen |= {(nu, q) for nu in reached_monomials(x, q, rules)}
+            for nu, q in seen:
+                self.check(nu, q, rules, counts)
+            counts["monomials"] += len(seen)
+        assert set(reached) == set(SYSTEMS)
+        assert counts["sites"] >= 60 and counts["monomials"] >= 150, counts
+        assert counts["redexes"] >= 300 and counts["passed over"] >= 2000, counts
+        assert counts["unchecked"] >= 200, counts
+
+    def test_random_hopf_networks(self, rng, hopf_sig):
+        text = (CORPUS / "hopf.rules").read_text(encoding="utf-8") + EXTRA_HOPF_RULES
+        rules = sorted(parse_rules(text, hopf_sig), key=lambda r: r.rule_id)
+        assert rules[-3].lhs_needs == frozenset()
+        counts = Counter()
+        for _ in range(200):
+            nu = random_class(rng, list(hopf_sig), max_inner=7, max_strays=2, min_inner=2)
+            comps, strays = _components(nu.net)
+            counts["several components"] += len(comps) > 1
+            counts["strays"] += bool(strays)
+            for q in (nu.tr, BoolMat.ones(nu.coarity, nu.arity)):
+                self.check(nu, q, rules, counts)
+        assert counts["several components"] >= 150 and counts["strays"] >= 100, counts
+        assert counts["redexes"] >= 3000 and counts["passed over"] >= 4000, counts
+        assert counts["unchecked"] >= 1500, counts
+
+    def test_embeddings_only_into_subjects_with_the_needs(self, rng, hopf_sig):
+        # the index's premise: a pattern with an embedding into a subject
+        # has only features the subject has, whichever networks hold them
+        text = (CORPUS / "hopf.rules").read_text(encoding="utf-8") + EXTRA_HOPF_RULES
+        rules = parse_rules(text, hopf_sig)
+        patterns = [(rule.lhs_needs, rule.lhs.rep) for rule in rules]
+        for _ in range(40):
+            p = random_class(rng, list(hopf_sig), max_inner=2, max_strays=1)
+            patterns.append((frozenset(features(random_relabel(rng, p.rep))), p.rep))
+        hits = 0
+        for _ in range(120):
+            subject = random_class(rng, list(hopf_sig), max_inner=7, max_strays=2, min_inner=2)
+            have = features(random_relabel(rng, subject.rep))
+            assert have == features(subject.rep)
+            for needs, pattern in patterns:
+                assert needs == features(pattern)
+                anchors = pattern_parts(pattern)[0]
+                images = subject.rep.inner_vertices() if anchors else [None]
+                if any(find_embeddings(pattern, subject.rep, w) for w in images):
+                    assert needs <= have
+                    hits += 1
+        assert hits >= 2500, hits
 
 
 class TestDeferredContexts:
