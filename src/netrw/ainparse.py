@@ -7,9 +7,10 @@ appearance) become the outputs and its unmatched subscripts the inputs.
 
 Labels are single characters; braces are grouping only, so ``m^a_bc``,
 ``m^a_{bc}``, and ``m^a_{b c}`` all have subscripts b and c.
-Coefficients are rationals ``p/q``.  ``delta`` is the Kronecker delta
-(as is ``d``, unless the signature declares a symbol of that name), and
-the factor ``1`` denotes the empty product.
+Coefficients are rationals ``p/q``.  ``delta`` and ``d`` are the
+Kronecker delta, a wire with no vertex, each unless the signature
+declares a symbol of that name; the factor ``1`` denotes the empty
+product.
 """
 
 from __future__ import annotations
@@ -18,14 +19,14 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import NEUTRAL, Signature, Symbol
+from .core import Signature, Symbol
 from .freeprop import LinComb, NetClass
 from .network import (
     Edge,
     InvalidNetworkError,
     Network,
+    Violation,
     _topological_order,
-    smoothen,
     transference,
     validate,
 )
@@ -99,51 +100,43 @@ def _split_additive(text: str) -> list[tuple[int, str]]:
     return pieces
 
 
-def _braced_labels(body: str) -> list[str]:
-    labels = []
-    for word in body.split():
-        for ch in word:
-            if ch not in _BARE_LABEL_CHARS:
+_LABEL_RUN = re.compile(r"[0-9A-Za-z]*")
+
+
+def _read_labels(text: str, i: int) -> tuple[list[str], int]:
+    """The labels of the braced group, whose labels whitespace may
+    separate, or of the run of bare labels that starts at ``text[i]``, and
+    the position after it: no labels and ``i`` when neither starts there."""
+    if text.startswith("{", i):
+        j = text.find("}", i)
+        if j < 0:
+            raise AinError("Syntax", f"unterminated brace in {text!r}")
+        labels = []
+        for ch in text[i + 1 : j]:
+            if ch in _BARE_LABEL_CHARS:
+                labels.append(ch)
+            elif not ch.isspace():
                 raise AinError("Syntax", f"bad label character {ch!r}")
-            labels.append(ch)
-    return labels
+        return labels, j + 1
+    j = _LABEL_RUN.match(text, i).end()
+    return list(text[i:j]), j
 
 
-def _parse_leglist(text: str) -> list[str]:
+def _leg_list(text: str) -> list[str]:
+    """The labels of a closed term's leg list: the label reader repeated,
+    with whitespace or nothing between its groups and runs."""
     labels = []
     i = 0
     while i < len(text):
-        ch = text[i]
-        if ch.isspace():
+        if text[i].isspace():
             i += 1
-        elif ch == "{":
-            j = text.find("}", i)
-            if j < 0:
-                raise AinError("Syntax", "unterminated brace in label list")
-            labels.extend(_braced_labels(text[i + 1 : j]))
-            i = j + 1
-        elif ch in _BARE_LABEL_CHARS:
-            labels.append(ch)
-            i += 1
-        else:
-            raise AinError("Syntax", f"unexpected {ch!r} in label list")
+            continue
+        found, j = _read_labels(text, i)
+        if j == i:
+            raise AinError("Syntax", f"unexpected {text[i]!r} in label list")
+        labels += found
+        i = j
     return labels
-
-
-def _parse_script(text: str, i: int) -> tuple[list[str], int]:
-    """Parse the script immediately after ^ or _, returning (labels, pos)."""
-    if i < len(text) and text[i] == "{":
-        j = text.find("}", i)
-        if j < 0:
-            raise AinError("Syntax", "unterminated brace in script")
-        return _braced_labels(text[i + 1 : j]), j + 1
-    labels = []
-    while i < len(text) and text[i] in _BARE_LABEL_CHARS:
-        labels.append(text[i])
-        i += 1
-    if not labels:
-        raise AinError("Syntax", "empty script")
-    return labels, i
 
 
 def _coefficient(text: str) -> Fraction:
@@ -187,7 +180,10 @@ def _parse_product(text: str) -> tuple[Fraction, list[Factor]]:
         subs: list[str] = []
         while i < n and text[i] in "^_":
             marker = text[i]
-            labels, i = _parse_script(text, i + 1)
+            labels, j = _read_labels(text, i + 1)
+            if j == i + 1:
+                raise AinError("Syntax", "empty script")
+            i = j
             if marker == "^":
                 if sups:
                     raise AinError("Syntax", f"two superscripts on {name!r}")
@@ -217,8 +213,8 @@ def _parse_chunk(chunk: str) -> Term:
         parts = inner.split("|")
         if len(parts) != 3:
             raise AinError("Syntax", "closed term needs two bars")
-        outs = _parse_leglist(parts[0])
-        ins = _parse_leglist(parts[2])
+        outs = _leg_list(parts[0])
+        ins = _leg_list(parts[2])
         body = parts[1].strip()
         if body == "1":
             c2, factors = _ONE, []
@@ -239,108 +235,120 @@ def _parse_chunk(chunk: str) -> Term:
 
 
 def _delta_names(sig: Signature) -> set[str]:
-    names = {"delta"}
-    if "d" not in sig:
-        names.add("d")
-    return names
+    """The factor names read as a delta: ``d`` and ``delta``, each unless
+    the signature declares a symbol of that name."""
+    return {name for name in ("d", "delta") if name not in sig}
 
 
-def _term_label_roles(term: Term, sig: Signature) -> tuple[list[str], list[str]]:
-    """Unmatched (superscript, subscript) labels in first-appearance order."""
-    sups: list[str] = []
-    subs: list[str] = []
-    for f in term.factors:
-        sups.extend(f.sups)
-        subs.extend(f.subs)
-    sup_set, sub_set = set(sups), set(subs)
-    if len(sup_set) != len(sups) or len(sub_set) != len(subs):
-        raise AinError("RepeatedLabel", "label used twice in the same role")
-    outs = [l for l in sups if l not in sub_set]
-    ins = [l for l in subs if l not in sup_set]
-    return outs, ins
+Legs = tuple[list[str], list[str]]  # the leg labels (outs, ins) of a term
 
 
-def _term_parts(
-    term: Term, sig: Signature, outs: list[str], ins: list[str]
-) -> tuple[list[int], dict[int, Edge], dict[int, Symbol]]:
-    """The vertices, edges and decorations of a term's network.
+def _build_term(
+    term: Term, sig: Signature, legs: Legs | None, typed: bool
+) -> tuple[NetClass, Legs]:
+    """The class of a term's network, deferred (canonicalized on the first
+    read of its code or rep), and the term's legs: a closed term's own, or
+    a naked term's unmatched superscripts and subscripts in order of first
+    appearance, reordered as ``legs`` when given.
 
-    Each label joins the port that produces it to the one that consumes it,
-    so once every label is produced and consumed exactly once and each
-    factor has its symbol's arities, ports are unique and contiguous and
-    every vertex id is valid.  A directed cycle is the one network axiom
-    the parts can still break."""
+    Each label is registered once with its producer and once with its
+    consumer: a port (vertex, index), or, at a delta ``d^a_b``, which
+    continues wire b as wire a, the delta's other label.  A wire is one
+    edge, with the id of its tailmost label in sorted label order.  With
+    every label produced and consumed once and every factor of the right
+    arities, a directed cycle is the one axiom the network can break: a
+    loop of deltas, which no wire passes, or vertices that a topological
+    order misses, and only then are the parts validated, for the message
+    that names the cycle's edges.  When ``typed``, the transference is
+    computed along that order."""
     deltas = _delta_names(sig)
-    producers: dict[str, tuple[int, int]] = {}
-    consumers: dict[str, tuple[int, int]] = {}
+    producers: dict[str, tuple[int, int] | str] = {}
+    consumers: dict[str, tuple[int, int] | str] = {}
 
-    def add_producer(label: str, where: tuple[int, int]) -> None:
+    def add_producer(label: str, where: tuple[int, int] | str) -> None:
         if label in producers:
             raise AinError("RepeatedLabel", f"label {label!r} produced twice")
         producers[label] = where
 
-    def add_consumer(label: str, where: tuple[int, int]) -> None:
+    def add_consumer(label: str, where: tuple[int, int] | str) -> None:
         if label in consumers:
             raise AinError("RepeatedLabel", f"label {label!r} consumed twice")
         consumers[label] = where
 
-    for j, label in enumerate(ins, 1):
-        add_producer(label, (1, j))
-    for i, label in enumerate(outs, 1):
-        add_consumer(label, (0, i))
+    if term.closed:
+        outs, ins = term.outs, term.ins
+        for j, label in enumerate(ins, 1):
+            add_producer(label, (1, j))
+        for i, label in enumerate(outs, 1):
+            add_consumer(label, (0, i))
 
     deco: dict[int, Symbol] = {}
-    vid = 2
     for f in term.factors:
         if f.name in deltas:
-            sym = NEUTRAL
             if len(f.sups) != 1 or len(f.subs) != 1:
                 raise AinError("ArityMismatch", "delta takes one superscript and one subscript")
-        elif f.name in sig:
-            sym = sig[f.name]
-            if len(f.sups) != sym.coarity or len(f.subs) != sym.arity:
-                raise AinError(
-                    "ArityMismatch",
-                    f"{f.name!r} wants {sym.coarity} superscripts and {sym.arity} subscripts",
-                )
-        else:
+            [a], [b] = f.sups, f.subs
+            add_producer(a, b)
+            add_consumer(b, a)
+            continue
+        if f.name not in sig:
             raise AinError("UnknownSymbol", f"{f.name!r} not in signature")
+        sym = sig[f.name]
+        if len(f.sups) != sym.coarity or len(f.subs) != sym.arity:
+            raise AinError(
+                "ArityMismatch",
+                f"{f.name!r} wants {sym.coarity} superscripts and {sym.arity} subscripts",
+            )
+        vid = len(deco) + 2
         deco[vid] = sym
         for i, label in enumerate(f.sups, 1):
             add_producer(label, (vid, i))
         for i, label in enumerate(f.subs, 1):
             add_consumer(label, (vid, i))
-        vid += 1
 
-    if set(producers) != set(consumers):
-        only_p = sorted(set(producers) - set(consumers))
-        only_c = sorted(set(consumers) - set(producers))
+    if not term.closed:
+        outs = [label for label in producers if label not in consumers]
+        ins = [label for label in consumers if label not in producers]
+        if legs is not None:
+            if sorted(outs) != sorted(legs[0]) or sorted(ins) != sorted(legs[1]):
+                raise AinError(
+                    "LegOrderMismatchAcrossTerms",
+                    "additive terms have different unmatched label sets",
+                )
+            outs, ins = legs
+        for i, label in enumerate(outs, 1):
+            consumers[label] = (0, i)
+        for j, label in enumerate(ins, 1):
+            producers[label] = (1, j)
+    elif producers.keys() != consumers.keys():
+        only_p = sorted(producers.keys() - consumers.keys())
+        only_c = sorted(consumers.keys() - producers.keys())
         raise AinError(
             "RepeatedLabel",
             f"unbalanced labels (produced only: {only_p}, consumed only: {only_c})",
         )
 
-    edges = {}
-    for eid, label in enumerate(sorted(producers)):
-        tail, tindex = producers[label]
-        head, hindex = consumers[label]
-        edges[eid] = Edge(head, hindex, tail, tindex)
-    return [0, 1, *deco], edges, deco
+    labels = sorted(producers)
+    edges: dict[int, Edge] = {}
+    passed: list[str] = []  # the labels that wires take on at deltas
+    for eid, label in enumerate(labels):
+        tail = producers[label]
+        if isinstance(tail, str):
+            continue  # on the wire of the delta's input label
+        head = consumers[label]
+        while isinstance(head, str):
+            passed.append(head)
+            head = consumers[head]
+        edges[eid] = Edge(*head, *tail)
+    if len(passed) < len(term.factors) - len(deco):  # deltas on a loop of their own
+        witness = tuple(
+            eid
+            for eid, label in enumerate(labels)
+            if isinstance(producers[label], str) and label not in passed
+        )
+        raise AinError("CycleInTerm", str(Violation("CycleFound", witness)))
 
-
-def _build_term(
-    term: Term, sig: Signature, outs: list[str], ins: list[str], typed: bool
-) -> NetClass:
-    """The class of a term's network, deferred: it is canonicalized only
-    when its code or rep is first read.  Only a cycle can make the parts
-    invalid, so they are validated only when a topological order misses a
-    vertex, for the message that names the cycle's edges.
-
-    When ``typed``, the class's transference is computed along that same
-    order, before smoothening: a delta passes its input's reach on to its
-    output, so the result is the smoothened network's.  Otherwise it is
-    computed on its first read, if any."""
-    vertices, edges, deco = _term_parts(term, sig, outs, ins)
+    vertices = [0, 1, *deco]
     order = _topological_order(deco, edges.values())
     if len(order) < len(deco):
         try:
@@ -348,12 +356,12 @@ def _build_term(
         except InvalidNetworkError as exc:
             raise AinError("CycleInTerm", str(exc)) from None
     net = Network(vertices, edges, deco)
-    return NetClass(smoothen(net), transference(net, order) if typed else None)
+    return NetClass(net, transference(net, order) if typed else None), (outs, ins)
 
 
 def parse_term(text: str, sig: Signature) -> LinComb:
     """Parse a sum of closed or naked terms into a linear combination."""
-    return _combination(_parse_summands(text, sig, None, None, False)[0])
+    return _combination(_parse_summands(text, sig, None, False)[0])
 
 
 def _combination(summands: list[tuple[NetClass, Fraction]]) -> LinComb:
@@ -363,40 +371,23 @@ def _combination(summands: list[tuple[NetClass, Fraction]]) -> LinComb:
 
 
 def _parse_summands(
-    text: str,
-    sig: Signature,
-    lead_outs: list[str] | None,
-    lead_ins: list[str] | None,
-    typed: bool,
-) -> tuple[list[tuple[NetClass, Fraction]], list[str], list[str]]:
+    text: str, sig: Signature, legs: Legs | None, typed: bool
+) -> tuple[list[tuple[NetClass, Fraction]], Legs]:
     """The ``(class, coefficient)`` summands of a combination in the order
-    written, each class deferred, and the leg labels (outs, ins) that order
-    its naked terms: the given ones, else the first term's own.  When
-    ``typed``, each class's transference is computed as it is built."""
+    written, each class deferred, and the legs that order its naked terms:
+    ``legs`` when given, else the first term's own.  When ``typed``, each
+    class's transference is computed as it is built."""
     terms = [(sign, _parse_chunk(chunk)) for sign, chunk in _split_additive(text)]
     summands: list[tuple[NetClass, Fraction]] = []
     for sign, term in terms:
-        if term.closed:
-            outs, ins = term.outs, term.ins
-        else:
-            outs, ins = _term_label_roles(term, sig)
-            if lead_outs is None:
-                lead_outs, lead_ins = outs, ins
-            else:
-                if sorted(outs) != sorted(lead_outs) or sorted(ins) != sorted(lead_ins):
-                    raise AinError(
-                        "LegOrderMismatchAcrossTerms",
-                        "additive terms have different unmatched label sets",
-                    )
-                outs, ins = lead_outs, lead_ins
-        if lead_outs is None:
-            lead_outs, lead_ins = outs, ins
-        cls = _build_term(term, sig, outs, ins, typed)
+        cls, own = _build_term(term, sig, legs, typed)
+        if legs is None:
+            legs = own
         if summands and (cls.coarity, cls.arity) != (summands[0][0].coarity, summands[0][0].arity):
             raise AinError("LegOrderMismatchAcrossTerms", "terms have different shapes")
         summands.append((cls, term.coeff if sign > 0 else -term.coeff))
-    assert lead_outs is not None and lead_ins is not None
-    return summands, lead_outs, lead_ins
+    assert legs is not None
+    return summands, legs
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +433,7 @@ def parse_rules(text: str, sig: Signature) -> list[Rule]:
         lhs_text, arrow, rhs_text = body.partition("->")
         if not arrow:
             raise AinError("Syntax", f"line {lineno}: missing '->'")
-        lhs_summands, outs, ins = _parse_summands(lhs_text, sig, None, None, True)
+        lhs_summands, legs = _parse_summands(lhs_text, sig, None, True)
         if len(lhs_summands) == 1 and lhs_summands[0][1] == 1:
             lhs = mu = lhs_summands[0][0]
         else:
@@ -454,7 +445,8 @@ def parse_rules(text: str, sig: Signature) -> list[Rule]:
         # not all ones: tr(lhs) for a sharp rule, one with a zero for a
         # where clause
         typed = bool(where.strip()) or (sharp and not mu.tr.is_ones())
-        rhs = _parse_summands(rhs_text, sig, outs, ins, typed)[0]
+        rhs = _parse_summands(rhs_text, sig, legs, typed)[0]
+        outs, ins = legs
 
         if where.strip():
             if sharp:

@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-NEUTRAL_NAME = "~"
-
 
 class SignatureError(ValueError):
     pass
@@ -35,10 +33,6 @@ class Symbol:
         return f"Symbol({self.name!r}, {self.coarity}, {self.arity})"
 
 
-#: The reserved neutral (smoothening) symbol; user signatures may not declare it.
-NEUTRAL = Symbol(NEUTRAL_NAME, 1, 1)
-
-
 class Signature:
     """A finite set of symbols, addressable by name."""
 
@@ -48,8 +42,10 @@ class Signature:
             self.declare(sym)
 
     def declare(self, sym: Symbol) -> Symbol:
-        if sym.name == NEUTRAL_NAME:
-            raise SignatureError(f"symbol name {NEUTRAL_NAME!r} is reserved")
+        """Add a symbol whose name a term can write: a letter, then letters
+        and digits, as the term scanner reads names."""
+        if not (sym.name[:1].isalpha() and sym.name.isalnum()):
+            raise SignatureError(f"symbol name {sym.name!r} is not a letter then letters and digits")
         if sym.name in self._by_name:
             raise SignatureError(f"duplicate symbol {sym.name!r}")
         self._by_name[sym.name] = sym

@@ -220,11 +220,12 @@ def sym_join(a: NetClass, r: int, q: int, b: NetClass) -> NetClass:
     the first q outputs of b to the last q inputs of a.
     """
     _require_join_shape(a, r, q, b)
-    cond = join_condition(a.tr, b.tr, r, q)
-    if not cond.is_nilpotent():
-        plus = cond.plus()
-        bad = [i + 1 for i in range(plus.rows) if plus.get(i, i)]
-        raise JoinUndefinedError(f"cycle through joined ports {bad}")
+    if r and q:  # a cycle through the joined ports needs ports joined both ways
+        cond = join_condition(a.tr, b.tr, r, q)
+        if not cond.is_nilpotent():
+            plus = cond.plus()
+            bad = [i + 1 for i in range(plus.rows) if plus.get(i, i)]
+            raise JoinUndefinedError(f"cycle through joined ports {bad}")
     return class_of(_join_network(a.net, b.net, r, q))
 
 

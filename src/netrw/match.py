@@ -302,6 +302,7 @@ def context_type_ok(k_tr: BoolMat, q_rule: BoolMat, q_ambient: BoolMat) -> bool:
     the block formula puts the result's transference within q_ambient,
     which holds of any transference when q_ambient is all ones."""
     r, q = q_rule.cols, q_rule.rows
-    if not join_condition(k_tr, q_rule, r, q).is_nilpotent():
+    # a cycle through the joined ports needs r > 0 and q > 0
+    if r and q and not join_condition(k_tr, q_rule, r, q).is_nilpotent():
         return False
     return q_ambient.is_ones() or join_transference(k_tr, q_rule, r, q).leq(q_ambient)

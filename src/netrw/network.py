@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .core import NEUTRAL_NAME, Perm, Symbol, BoolMat, UnionFind, same
+from .core import Perm, Symbol, BoolMat, UnionFind, same
 
 
 class Edge(NamedTuple):
@@ -373,13 +373,14 @@ def act(sigma: Perm | None, net: Network, tau: Perm | None = None) -> Network:
 
 
 def smoothen(net: Network) -> Network:
-    """Remove all neutral-decorated vertices, joining their incident edges.
+    """Remove every vertex decorated by the neutral symbol ``~``, which no
+    signature can declare, joining its incident edges.
 
     Every neutral vertex must have arity = coarity = 1.  Each kept edge
     keeps its id and its tail and takes the head of the headmost segment
     of its neutral chain.
     """
-    drop = {v for v, s in net.deco.items() if s.name == NEUTRAL_NAME}
+    drop = {v for v, s in net.deco.items() if s.name == "~"}
     if not drop:
         return net
     for v in drop:

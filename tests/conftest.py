@@ -1,8 +1,9 @@
 """Shared fixtures: signatures, random generators, the PROP axiom suite,
 test-only oracles for composition, tensor, the symmetric join, the
 embedding search, the unindexed redex search, context admissibility,
-evaluation, the command line parser, cuts and splits, smoothening and
-gluing enumeration, and test-only helpers for permutation actions on
+evaluation, the command line parser, the term parser that built deltas as
+neutral vertices, cuts and splits, smoothening and gluing enumeration, the
+neutral symbol, and test-only helpers for permutation actions on
 classes, boolean evaluation, union-find copies, reduction-step text and
 connectivity data."""
 
@@ -20,15 +21,15 @@ import pytest
 from hypothesis import settings
 
 from netrw.cli import UsageError
-from netrw.core import NEUTRAL, BoolMat, Perm, Signature, Symbol, UnionFind, cross, same
+from netrw.core import BoolMat, Perm, Signature, Symbol, UnionFind, cross, same
 from netrw.ainparse import (
+    _BARE_LABEL_CHARS,
+    _ONE,
     AinError,
+    Factor,
     Term,
     _coefficient,
-    _parse_leglist,
-    _parse_product,
-    _term_label_roles,
-    _term_parts,
+    _delta_names,
 )
 from netrw.freeprop import LinComb, NetClass, class_of, join_condition, join_transference
 from netrw.match import (
@@ -43,6 +44,7 @@ from netrw.match import (
 )
 from netrw.network import (
     Edge,
+    InvalidNetworkError,
     Network,
     _topological_order,
     act,
@@ -54,6 +56,11 @@ from netrw.network import (
 )
 from netrw.props import ConnElem, Mat
 from netrw.rewrite import ReductionStep, RuleError
+
+
+#: The neutral symbol: a vertex that passes its one input on as its one
+#: output, which ``smoothen`` removes.  No signature can declare it.
+NEUTRAL = Symbol("~", 1, 1)
 
 
 # Hypothesis draws the same examples on every run and keeps no example
@@ -1192,6 +1199,187 @@ def _reference_split_additive(text: str) -> list[tuple[int, str]]:
 
 
 
+# The label readers and term builder of the two-pass parser, which built
+# each delta as a neutral vertex that smoothening removed: the oracle of
+# the one-pass builder.
+
+
+def reference_braced_labels(body: str) -> list[str]:
+    labels = []
+    for word in body.split():
+        for ch in word:
+            if ch not in _BARE_LABEL_CHARS:
+                raise AinError("Syntax", f"bad label character {ch!r}")
+            labels.append(ch)
+    return labels
+
+
+def reference_parse_leglist(text: str) -> list[str]:
+    labels = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch == "{":
+            j = text.find("}", i)
+            if j < 0:
+                raise AinError("Syntax", "unterminated brace in label list")
+            labels.extend(reference_braced_labels(text[i + 1 : j]))
+            i = j + 1
+        elif ch in _BARE_LABEL_CHARS:
+            labels.append(ch)
+            i += 1
+        else:
+            raise AinError("Syntax", f"unexpected {ch!r} in label list")
+    return labels
+
+
+def reference_parse_script(text: str, i: int) -> tuple[list[str], int]:
+    """Parse the script immediately after ^ or _, returning (labels, pos)."""
+    if i < len(text) and text[i] == "{":
+        j = text.find("}", i)
+        if j < 0:
+            raise AinError("Syntax", "unterminated brace in script")
+        return reference_braced_labels(text[i + 1 : j]), j + 1
+    labels = []
+    while i < len(text) and text[i] in _BARE_LABEL_CHARS:
+        labels.append(text[i])
+        i += 1
+    if not labels:
+        raise AinError("Syntax", "empty script")
+    return labels, i
+
+
+def reference_parse_product(text: str) -> tuple[Fraction, list[Factor]]:
+    """Parse ``[coefficient] factor*`` (the part between bars, or a naked term)."""
+    i = 0
+    n = len(text)
+    coeff = _ONE
+    factors: list[Factor] = []
+    seen_coeff = False
+    while i < n:
+        if text[i].isspace():
+            i += 1
+            continue
+        if text[i].isdigit():
+            j = i
+            while j < n and (text[j].isdigit() or text[j] == "/"):
+                j += 1
+            if seen_coeff or factors:
+                raise AinError("Syntax", f"unexpected number at {text[i:j]!r}")
+            coeff = _coefficient(text[i:j])
+            seen_coeff = True
+            i = j
+            continue
+        if not text[i].isalpha():
+            raise AinError("Syntax", f"unexpected {text[i]!r} in term")
+        j = i
+        while j < n and (text[j].isalnum()):
+            j += 1
+        name = text[i:j]
+        i = j
+        sups: list[str] = []
+        subs: list[str] = []
+        while i < n and text[i] in "^_":
+            marker = text[i]
+            labels, i = reference_parse_script(text, i + 1)
+            if marker == "^":
+                if sups:
+                    raise AinError("Syntax", f"two superscripts on {name!r}")
+                sups = labels
+            else:
+                if subs:
+                    raise AinError("Syntax", f"two subscripts on {name!r}")
+                subs = labels
+        factors.append(Factor(name, sups, subs))
+    return coeff, factors
+
+
+def reference_term_label_roles(term: Term, sig: Signature) -> tuple[list[str], list[str]]:
+    """Unmatched (superscript, subscript) labels in first-appearance order."""
+    sups: list[str] = []
+    subs: list[str] = []
+    for f in term.factors:
+        sups.extend(f.sups)
+        subs.extend(f.subs)
+    sup_set, sub_set = set(sups), set(subs)
+    if len(sup_set) != len(sups) or len(sub_set) != len(subs):
+        raise AinError("RepeatedLabel", "label used twice in the same role")
+    outs = [l for l in sups if l not in sub_set]
+    ins = [l for l in subs if l not in sup_set]
+    return outs, ins
+
+
+def reference_term_parts(
+    term: Term, sig: Signature, outs: list[str], ins: list[str]
+) -> tuple[list[int], dict[int, Edge], dict[int, Symbol]]:
+    """The vertices, edges and decorations of a term's network.
+
+    Each label joins the port that produces it to the one that consumes it,
+    so once every label is produced and consumed exactly once and each
+    factor has its symbol's arities, ports are unique and contiguous and
+    every vertex id is valid.  A directed cycle is the one network axiom
+    the parts can still break."""
+    deltas = _delta_names(sig)
+    producers: dict[str, tuple[int, int]] = {}
+    consumers: dict[str, tuple[int, int]] = {}
+
+    def add_producer(label: str, where: tuple[int, int]) -> None:
+        if label in producers:
+            raise AinError("RepeatedLabel", f"label {label!r} produced twice")
+        producers[label] = where
+
+    def add_consumer(label: str, where: tuple[int, int]) -> None:
+        if label in consumers:
+            raise AinError("RepeatedLabel", f"label {label!r} consumed twice")
+        consumers[label] = where
+
+    for j, label in enumerate(ins, 1):
+        add_producer(label, (1, j))
+    for i, label in enumerate(outs, 1):
+        add_consumer(label, (0, i))
+
+    deco: dict[int, Symbol] = {}
+    vid = 2
+    for f in term.factors:
+        if f.name in deltas:
+            sym = NEUTRAL
+            if len(f.sups) != 1 or len(f.subs) != 1:
+                raise AinError("ArityMismatch", "delta takes one superscript and one subscript")
+        elif f.name in sig:
+            sym = sig[f.name]
+            if len(f.sups) != sym.coarity or len(f.subs) != sym.arity:
+                raise AinError(
+                    "ArityMismatch",
+                    f"{f.name!r} wants {sym.coarity} superscripts and {sym.arity} subscripts",
+                )
+        else:
+            raise AinError("UnknownSymbol", f"{f.name!r} not in signature")
+        deco[vid] = sym
+        for i, label in enumerate(f.sups, 1):
+            add_producer(label, (vid, i))
+        for i, label in enumerate(f.subs, 1):
+            add_consumer(label, (vid, i))
+        vid += 1
+
+    if set(producers) != set(consumers):
+        only_p = sorted(set(producers) - set(consumers))
+        only_c = sorted(set(consumers) - set(producers))
+        raise AinError(
+            "RepeatedLabel",
+            f"unbalanced labels (produced only: {only_p}, consumed only: {only_c})",
+        )
+
+    edges = {}
+    for eid, label in enumerate(sorted(producers)):
+        tail, tindex = producers[label]
+        head, hindex = consumers[label]
+        edges[eid] = Edge(head, hindex, tail, tindex)
+    return [0, 1, *deco], edges, deco
+
+
+
 def _reference_parse_chunk(chunk: str) -> Term:
     s = chunk.strip()
     coeff = Fraction(1)
@@ -1209,18 +1397,18 @@ def _reference_parse_chunk(chunk: str) -> Term:
         parts = inner.split("|")
         if len(parts) != 3:
             raise AinError("Syntax", "closed term needs two bars")
-        outs = _parse_leglist(parts[0])
-        ins = _parse_leglist(parts[2])
+        outs = reference_parse_leglist(parts[0])
+        ins = reference_parse_leglist(parts[2])
         body = parts[1].strip()
         if body == "1":
             c2, factors = Fraction(1), []
         else:
-            c2, factors = _parse_product(parts[1])
+            c2, factors = reference_parse_product(parts[1])
         return Term(coeff * c2, True, outs, ins, factors)
     body = s.strip()
     if body == "1" or body == "":
         return Term(coeff, False, None, None, [])
-    c2, factors = _parse_product(s)
+    c2, factors = reference_parse_product(s)
     return Term(coeff * c2, False, None, None, factors)
 
 
@@ -1229,7 +1417,7 @@ def _reference_build_term(term: Term, sig: Signature, outs: list[str], ins: list
     """The class of a term's network.  Only a cycle can make the parts
     invalid, so they are validated only when a topological order misses a
     vertex, for the message that names the cycle's edges."""
-    vertices, edges, deco = _term_parts(term, sig, outs, ins)
+    vertices, edges, deco = reference_term_parts(term, sig, outs, ins)
     if len(_topological_order(deco, edges.values())) < len(deco):
         try:
             validate(vertices, edges, deco)
@@ -1250,7 +1438,7 @@ def _reference_parse_combination(
         if term.closed:
             outs, ins = term.outs, term.ins
         else:
-            outs, ins = _term_label_roles(term, sig)
+            outs, ins = reference_term_label_roles(term, sig)
             if lead_outs is None:
                 lead_outs, lead_ins = outs, ins
             else:
@@ -1272,6 +1460,11 @@ def _reference_parse_combination(
             result = result + mono
     assert result is not None and lead_outs is not None and lead_ins is not None
     return result, lead_outs, lead_ins
+
+
+def reference_parse_term(text: str, sig: Signature) -> LinComb:
+    """The two-pass parser's ``parse_term``, each class canonicalized at once."""
+    return _reference_parse_combination(text, sig, None, None)[0]
 
 
 

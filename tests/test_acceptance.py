@@ -13,7 +13,7 @@ import pytest
 
 from netrw.ainparse import parse_rules, parse_term
 from netrw.ambiguity import confluence_report, enumerate_decisive, resolve
-from netrw.core import NEUTRAL, BoolMat, Perm, Symbol, cross, parse_signature, same
+from netrw.core import BoolMat, Perm, Symbol, cross, parse_signature, same
 from netrw.freeprop import (
     LinComb,
     annex,

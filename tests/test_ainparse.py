@@ -16,6 +16,7 @@ from netrw.freeprop import (
     LinComb,
     class_of,
     compose,
+    generator,
     lc_sym_join,
     phi,
     sym_join,
@@ -25,11 +26,15 @@ from netrw.network import InvalidNetworkError, _components, smoothen, transferen
 from netrw.rewrite import RuleError, normalize
 
 from conftest import (
+    NEUTRAL,
     computed,
     exact_shape_class,
     random_class,
     random_network,
     reference_parse_rules,
+    reference_parse_term,
+    reference_term_label_roles,
+    reference_term_parts,
     swap_everywhere,
 )
 
@@ -107,6 +112,21 @@ class TestParse:
         with pytest.raises(AinError, match="RepeatedLabel"):
             parse_term("S^a_b S^a_c", hsig)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("S^a_b S^a_c", "label 'a' produced twice"),
+            ("S^a_b S^c_b", "label 'b' consumed twice"),
+            ("d^a_b S^a_c", "label 'a' produced twice"),
+            ("[a|S^a_b|b a]", "label 'a' produced twice"),
+            ("[a|S^c_b|b]", "unbalanced labels (produced only: ['c'], consumed only: ['a'])"),
+        ],
+    )
+    def test_repeated_label_message(self, hsig, text, message):
+        with pytest.raises(AinError) as exc:
+            parse_term(text, hsig)
+        assert str(exc.value) == f"RepeatedLabel: {message}"
+
     def test_cycle(self, hsig):
         with pytest.raises(AinError, match="CycleInTerm"):
             parse_term("[|S^a_b S^b_a|]", hsig)
@@ -117,6 +137,7 @@ class TestParse:
             ("[|S^a_b S^b_a|]", "(0, 1)"),  # two vertices
             ("S^a_a", "(0,)"),  # a self-loop
             ("d^a_b d^b_a", "(0, 1)"),  # deltas only
+            ("[x|S^x_y d^a_a|y]", "(0,)"),  # a delta on itself, beside a wire
             ("S^d_c D^ac_b S^b_a", "(0, 1, 2)"),  # a vertex above the cycle
         ],
     )
@@ -130,22 +151,61 @@ class TestParse:
                     parse_term(text, hsig)
             assert str(exc.value) == f"CycleInTerm: CycleFound{witness}"
 
+    @pytest.mark.parametrize(
+        "text, witness",
+        [
+            ("S^a_b d^b_a", "(0,)"),
+            ("[|S^a_b d^b_c d^c_a|]", "(0,)"),
+            ("S^a_b d^b_c S^c_a", "(0, 2)"),
+            ("S^e_a d^a_b D^bc_d d^d_e", "(1, 4)"),
+        ],
+    )
+    def test_cycle_through_deltas(self, hsig, text, witness):
+        # a wire through deltas is one edge, with its tailmost label's id
+        with pytest.raises(AinError) as exc:
+            parse_term(text, hsig)
+        assert str(exc.value) == f"CycleInTerm: CycleFound{witness}"
+
+    @pytest.mark.parametrize(
+        "decl, text", [("gen delta 1 1", "delta^a_b"), ("gen delta 2 1", "delta^ab_c"), ("gen d 2 1", "d^ab_c")]
+    )
+    def test_declared_delta_is_the_generator(self, decl, text):
+        sig = parse_signature(decl)
+        x = parse_term(text, sig)
+        assert x == LinComb.monomial(generator(next(iter(sig))))
+        assert parse_term(format_term(x), sig) == x
+        # the name the signature leaves free is still the delta
+        other = "d" if "delta" in sig else "delta"
+        assert parse_term(f"{other}^a_b", sig) == LinComb.monomial(phi(same(1)))
+
     def test_leg_mismatch_across_terms(self, hsig):
         with pytest.raises(AinError, match="LegOrderMismatchAcrossTerms"):
             parse_term("S^a_b + S^a_c", hsig)
 
 
-def validated_build(term, sig, outs, ins, typed):
-    """The parser's term builder as it was before it trusted its own parts:
-    every network axiom checked by ``validate``, then smoothening.  The
-    class is canonicalized at once and, ``typed`` or not, its transference
-    is traversed on its first read."""
-    vertices, edges, deco = ainparse._term_parts(term, sig, outs, ins)
+def validated_build(term, sig, legs, typed):
+    """The two-pass term builder (``conftest.reference_term_parts``),
+    which built each delta as a neutral vertex, with every network axiom
+    checked by ``validate``, then smoothening.  The class is canonicalized
+    at once and, ``typed`` or not, its transference is traversed on its
+    first read."""
+    if term.closed:
+        outs, ins = term.outs, term.ins
+    else:
+        outs, ins = reference_term_label_roles(term, sig)
+        if legs is not None:
+            if sorted(outs) != sorted(legs[0]) or sorted(ins) != sorted(legs[1]):
+                raise AinError(
+                    "LegOrderMismatchAcrossTerms",
+                    "additive terms have different unmatched label sets",
+                )
+            outs, ins = legs
+    vertices, edges, deco = reference_term_parts(term, sig, outs, ins)
     try:
         net = validate(vertices, edges, deco)
     except InvalidNetworkError as exc:
         raise AinError("CycleInTerm", str(exc)) from None
-    return class_of(smoothen(net))
+    return class_of(smoothen(net)), (outs, ins)
 
 
 def assert_same_classes(x: LinComb, y: LinComb) -> None:
@@ -174,16 +234,49 @@ def term_text(rng: random.Random, net) -> str:
     return f"[{outs}| {' '.join(factors) or '1'} |{ins}]"
 
 
+def no_neutral_vertex(x: LinComb) -> bool:
+    """Whether no class of x holds a neutral vertex in the network it was
+    built as; read before anything canonicalizes it."""
+    return not any(NEUTRAL in cls.net.deco.values() for cls in x.terms)
+
+
 class TestTermBuilding:
     """The parser builds a term's network without validating it: only a
-    cycle can break the axioms once the labels pair up.  The validating
-    builder is the oracle."""
+    cycle can break the axioms once the labels pair up.  The two-pass
+    builder, which made each delta a neutral vertex, validated and
+    smoothened, is the oracle."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[a|d^a_b|b]",  # a stray wire through a delta
+            "[a|d^a_b d^b_c d^c_e|e]",  # a chain of deltas
+            "[a|d^c_e d^a_b d^b_c|e]",  # the chain written out of order
+            "[a b|d^a_c delta^b_e|e c]",  # crossing wires
+            "[|d^a_b eps_a eta^b|]",  # a wire between two vertices
+            "[a|S^a_b d^b_c d^c_e S^e_f|f]",
+            "D^ab_c d^c_e S^e_f d^f_g m^g_hi",
+            "d^a_b S^b_c d^c_e",  # deltas on the legs of a naked term
+            "m^a_bc d^b_e d^c_x",
+            "d^x_a m^a_bc d^b_e d^c_y eta^z",
+            "d^a_b + S^a_b",
+            "d^b_e d^a_c - [b a|d^a_c d^b_e|e c]",
+            "[b a|d^a_c d^b_e|c e] + 2 d^b_e d^a_c",
+        ],
+    )
+    def test_deltas(self, monkeypatch, hsig, text):
+        fast = parse_term(text, hsig)
+        assert no_neutral_vertex(fast)
+        monkeypatch.setattr(ainparse, "_build_term", validated_build)
+        assert_same_classes(fast, parse_term(text, hsig))
 
     @pytest.mark.parametrize("system", CORPUS_SYSTEMS)
     def test_corpus_rule_sides(self, monkeypatch, system):
         sig = parse_signature((CORPUS / f"{system}.sig").read_text(encoding="utf-8"))
         text = (CORPUS / f"{system}.rules").read_text(encoding="utf-8")
         fast = parse_rules(text, sig)
+        assert all(no_neutral_vertex(r.rhs) for r in fast)
+        assert all(NEUTRAL not in r.lhs.net.deco.values() for r in fast)
         monkeypatch.setattr(ainparse, "_build_term", validated_build)
         slow = parse_rules(text, sig)
         assert len(fast) == len(slow) > 0
@@ -200,6 +293,7 @@ class TestTermBuilding:
             net = random_network(rng, list(hopf_sig), max_inner=8, max_strays=2, min_inner=3)
             text = term_text(rng, net)
             fast = parse_term(text, hopf_sig)
+            assert no_neutral_vertex(fast)
             with monkeypatch.context() as m:
                 m.setattr(ainparse, "_build_term", validated_build)
                 slow = parse_term(text, hopf_sig)
@@ -210,6 +304,105 @@ class TestTermBuilding:
             with_strays += bool(strays)
             with_deltas += "d^" in text
         assert several > 100 and with_strays > 50 and with_deltas > 100
+
+
+FACTOR_NAMES = ("m", "S", "D", "eta", "eps", "d", "delta")
+
+
+def random_script(rng: random.Random, labels: list[str]) -> str:
+    """A script's labels as a bare run or a group, braced tight or spaced."""
+    roll = rng.random()
+    if roll < 0.6:
+        return "".join(labels)
+    return "{" + ("" if roll < 0.8 else " ").join(labels) + "}"
+
+
+def random_label(rng: random.Random, alphabet: str, used: list[str]) -> str:
+    """A label, mostly one not yet used in its role."""
+    fresh = [label for label in alphabet if label not in used]
+    return rng.choice(fresh if fresh and rng.random() < 0.99 else alphabet)
+
+
+def random_product(rng: random.Random, sig) -> tuple[str, bool]:
+    """A syntactically valid product over the Hopf signature, naked or
+    closed, and whether it has a delta.  Its labels come from a small
+    alphabet, so that they repeat, go unmatched and close cycles, and one
+    factor in twenty has a wrong number of superscripts."""
+    count = rng.randint(0, 5)
+    alphabet = "abcdefghijkl"[: rng.randint(1, 2 + 2 * count)]
+    factors, sups, subs, deltas = [], [], [], False
+    for _ in range(count):
+        name = rng.choice(FACTOR_NAMES)
+        delta = name in ("d", "delta")
+        deltas |= delta
+        coarity, arity = (1, 1) if delta else (sig[name].coarity, sig[name].arity)
+        if rng.random() < 0.05:
+            coarity = rng.randint(0, 2)
+        up, down = [], []
+        for _ in range(coarity):
+            up.append(random_label(rng, alphabet, sups + up))
+        for _ in range(arity):
+            down.append(random_label(rng, alphabet, subs + down))
+        sups += up
+        subs += down
+        scripts = [mark + random_script(rng, labels) for mark, labels in (("^", up), ("_", down)) if labels]
+        rng.shuffle(scripts)
+        factors.append(name + "".join(scripts))
+    body = " ".join(factors) or "1"
+    if rng.random() < 0.6:
+        return body, deltas
+    outs = [label for label in dict.fromkeys(sups) if label not in subs]
+    ins = [label for label in dict.fromkeys(subs) if label not in sups]
+    if rng.random() < 0.1:
+        outs = rng.sample(alphabet, rng.randint(0, min(2, len(alphabet))))
+    rng.shuffle(outs)
+    rng.shuffle(ins)
+    return f"[{' '.join(outs)}|{body}|{' '.join(ins)}]", deltas
+
+
+TERM_ALPHABET = "mSDdeltapsab12^_{}[]|+-/ "
+
+
+def parses_alike(text: str, sig, deltas: bool = True) -> bool:
+    """``parse_term`` against the two-pass parser on one text: both accept,
+    with identical classes and no neutral vertex, or both reject, the new
+    one with AinError or RuleError, and with the same message for a cycle
+    when the text has no delta.  Returns whether the text parsed."""
+    try:
+        want = reference_parse_term(text, sig)
+    except (AinError, RuleError) as exc:
+        with pytest.raises((AinError, RuleError)) as raised:
+            parse_term(text, sig)
+        if not deltas and exc.kind == "CycleInTerm":
+            assert str(raised.value) == str(exc)
+        return False
+    got = parse_term(text, sig)
+    assert no_neutral_vertex(got)
+    assert_same_classes(got, want)
+    return True
+
+
+class TestAgainstTwoPassParser:
+    """The one-pass builder and the label reader accept exactly what the
+    two-pass parser accepted, and give the same classes
+    (``conftest.reference_parse_term``)."""
+
+    def test_random_products(self, rng, hsig):
+        kinds = Counter()
+        for _ in range(5000):
+            text, deltas = random_product(rng, hsig)
+            if rng.random() < 0.2:
+                more, also = random_product(rng, hsig)
+                text, deltas = f"{text} {rng.choice(('+', '-', '+ 2'))} {more}", deltas or also
+            kinds[parses_alike(text, hsig, deltas), deltas] += 1
+        assert all(kinds[key] > 300 for key in itertools.product((True, False), repeat=2))
+
+    def test_random_strings(self, rng, hsig):
+        parsed = 0
+        for _ in range(20000):
+            text = "".join(rng.choices(TERM_ALPHABET, k=rng.randint(1, 12)))
+            parsed += parses_alike(text, hsig)
+        assert parsed > 100
 
 
 class TestRules:
@@ -448,11 +641,19 @@ class TestLoadTransferences:
     def test_hopf_load_orders_each_term_once(self, monkeypatch, hsig):
         text = (CORPUS / "hopf.rules").read_text(encoding="utf-8")
         counts = self.count_calls(monkeypatch, network._topological_order, network.transference)
+        built = network.Network.__init__
+
+        def counting_init(net, *args):
+            counts["Network"] += 1
+            built(net, *args)
+
+        monkeypatch.setattr(network.Network, "__init__", counting_init)
         rules = parse_rules(text, hsig)
         terms = len(rules) + sum(len(r.summands) for r in rules)
         assert terms == 28
-        # every Hopf type is all ones, so only the lhs's are typed
-        assert counts == {"_topological_order": 28, "transference": 14}
+        # every Hopf type is all ones, so only the lhs's are typed; the four
+        # terms with a delta are built as one network too, smoothened by none
+        assert counts == {"_topological_order": 28, "transference": 14, "Network": 28}
         assert all(computed(r.lhs, "tr") for r in rules)
 
     @pytest.mark.parametrize("system", CORPUS_SYSTEMS)
@@ -480,12 +681,12 @@ class TestLoadTransferences:
 
     def test_transference_along_parse_order(self, rng, hopf_sig):
         # random Hopf networks with deltas spliced into their edges: the
-        # transference computed before smoothening is the network's own
+        # transference computed as the term is built is the network's own
         with_deltas = 0
         for _ in range(150):
             net = random_network(rng, list(hopf_sig), max_inner=8, max_strays=2)
             text = term_text(rng, net)
-            [(cls, _)] = ainparse._parse_summands(text, hopf_sig, None, None, True)[0]
+            [(cls, _)] = ainparse._parse_summands(text, hopf_sig, None, True)[0]
             assert computed(cls, "tr") and cls.tr == transference(net)
             assert cls.tr == transference(cls.net)
             with_deltas += "d^" in text

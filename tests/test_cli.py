@@ -391,6 +391,13 @@ class TestSubcommands:
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
 
+    @pytest.mark.parametrize("name", ["m^", "1", "x_y"])
+    def test_sig_name_no_term_can_write_exit_2(self, tmp_path, capsys, name):
+        (tmp_path / "bad.sig").write_text(f"gen {name} 1 1\n", encoding="utf-8")
+        code, out, err = run(capsys, "validate", "--sig", str(tmp_path / "bad.sig"), "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: symbol name {name!r} is not a letter then letters and digits\n"
+
     def test_sig_directory_exit_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "validate", "--sig", str(tmp_path), "m^a_bc")
         assert code == 2 and err.startswith("error:") and "Traceback" not in err

@@ -2,6 +2,8 @@
 
 import itertools
 
+import re
+
 import pytest
 
 from netrw.core import (
@@ -296,6 +298,16 @@ class TestSignature:
     def test_reserved_neutral(self):
         with pytest.raises(SignatureError):
             Signature([Symbol("~", 1, 1)])
+
+    @pytest.mark.parametrize("name", ["m^", "1", "x_y", "~", "2m"])
+    def test_name_no_term_can_write(self, name):
+        # the term scanner reads a name as a letter, then letters and digits
+        with pytest.raises(SignatureError, match=rf"^symbol name '{re.escape(name)}' is not a letter"):
+            parse_signature(f"gen {name} 1 1")
+
+    def test_names_a_term_can_write(self):
+        sig = parse_signature("gen m2 1 2\ngen Delta 1 1\ngen d 1 1\ngen delta 1 1")
+        assert [s.name for s in sig] == ["m2", "Delta", "d", "delta"]
 
     def test_empty_name(self):
         with pytest.raises(SignatureError):

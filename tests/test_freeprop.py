@@ -6,11 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from netrw.core import NEUTRAL, BoolMat, Perm, cross, same
+from netrw.core import BoolMat, Perm, cross, same
+from netrw.network import perm_network
 from netrw.freeprop import (
     JoinUndefinedError,
     _join_network,
     LinComb,
+    NetClass,
     annex,
     class_of,
     compose,
@@ -28,6 +30,7 @@ from netrw.freeprop import (
 )
 
 from conftest import (
+    NEUTRAL,
     FreePropTarget,
     act_class,
     check_prop_axioms,
@@ -108,6 +111,23 @@ class TestPropOperations:
                 with_empty += not a.rep.deco or not b.rep.deco
         assert tensored >= 300 and composed >= 300
         assert with_stray >= 100 and with_empty >= 30
+
+    def test_empty_interface_reads_no_transference(self, rng, hopf_sig):
+        # a cycle through the joined ports needs ports joined both ways, so
+        # compose and tensor traverse neither deferred operand for its type
+        composed = 0
+        for _ in range(200):
+            nets = [random_network(rng, list(hopf_sig), max_inner=4, max_strays=2) for _ in range(2)]
+            a, b = (NetClass(net) for net in nets)
+            assert tensor(a, b) == reference_tensor(*map(class_of, nets))
+            if a.arity == b.coarity:
+                assert compose(a, b) == reference_compose(*map(class_of, nets))
+                composed += 1
+            assert not computed(a, "tr") and not computed(b, "tr")
+        assert composed >= 20
+        wire = NetClass(perm_network(same(1)))
+        with pytest.raises(JoinUndefinedError):
+            sym_join(wire, 1, 1, wire)
 
     def test_compose_shape_error(self, hopf_sig):
         # a join^0_1 eta is defined, with shape (1, 1): compose refuses it

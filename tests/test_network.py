@@ -24,9 +24,9 @@ from netrw.network import (
     validate,
 )
 from netrw.props import BOOL_MATRIX, NAT_MATRIX, Mat
-from netrw.core import NEUTRAL
 
 from conftest import (
+    NEUTRAL,
     all_cuts,
     all_ones_assignment,
     cut,

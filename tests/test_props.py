@@ -352,7 +352,7 @@ class TestFeedbackJoin:
         from conftest import random_network
         from netrw.freeprop import class_of
         from netrw.network import evaluate
-        from netrw.core import NEUTRAL
+        from conftest import NEUTRAL
 
         t = NAT_MATRIX
         cases = 0

@@ -124,8 +124,8 @@ class TestMakeRule:
         # a class lhs is not canonicalized, and under the all-ones type no
         # rhs transference is read; under the sharp type it is
         sig, _ = zig
-        [(lhs, _)] = ainparse._parse_summands("cup_12 cap^23", sig, None, None, True)[0]
-        [(rhs, _)] = ainparse._parse_summands("d^3_1", sig, None, None, False)[0]
+        [(lhs, _)] = ainparse._parse_summands("cup_12 cap^23", sig, None, True)[0]
+        [(rhs, _)] = ainparse._parse_summands("d^3_1", sig, None, False)[0]
         rule = make_rule("z", lhs, rhs, [])
         assert rule.lhs is lhs and not computed(lhs, "code")
         assert rule.qtype.is_ones() and not computed(rhs, "tr")
@@ -485,6 +485,8 @@ class TestReplacement:
             assert counts["join_condition"] == before
             assert got == lc_annex(ctx, rule.rhs)
             counts["redexes"] += 1
+            # the oracle tests nilpotence only for ports joined both ways
+            counts["joined both ways"] += bool(rule.rhs.terms and rule.qtype.rows and rule.qtype.cols)
 
     @staticmethod
     def count_join_conditions(monkeypatch, counts):
@@ -511,7 +513,7 @@ class TestReplacement:
         assert all(counts[system] for system in SYSTEMS)
         assert counts["redexes"] > 300
         # the oracle's joins were counted, so the wrapper is in place
-        assert counts["join_condition"] >= counts["redexes"]
+        assert counts["join_condition"] >= counts["joined both ways"] > 100
 
     def test_random_hopf_monomials(self, monkeypatch, rng, hopf_sig):
         rules = sorted(
@@ -525,7 +527,7 @@ class TestReplacement:
             for q in (nu.tr, BoolMat.ones(nu.coarity, nu.arity)):
                 self.check_redexes(nu, q, rules, counts)
         assert counts["redexes"] > 150
-        assert counts["join_condition"] >= counts["redexes"]
+        assert counts["join_condition"] >= counts["joined both ways"] > 50
 
 
 class TestRedexMemo:
