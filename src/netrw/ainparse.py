@@ -7,10 +7,15 @@ appearance) become the outputs and its unmatched subscripts the inputs.
 
 Labels are single characters; braces are grouping only, so ``m^a_bc``,
 ``m^a_{bc}``, and ``m^a_{b c}`` all have subscripts b and c.
-Coefficients are rationals ``p/q``.  ``delta`` and ``d`` are the
+Coefficients are rationals ``p/q``, written before a term or inside a
+closed term's bars.  A term with no factors is its coefficient times the
+empty product: ``1`` alone is the (0, 0) unit, ``[a b|1|b a]`` the wire
+crossing, and ``[a||a]`` the wire.  ``delta`` and ``d`` are the
 Kronecker delta, a wire with no vertex, each unless the signature
-declares a symbol of that name; the factor ``1`` denotes the empty
-product.
+declares a symbol of that name.
+
+The text is read in one left-to-right pass, one reader per production of
+the grammar that README states.
 """
 
 from __future__ import annotations
@@ -66,77 +71,61 @@ _ONE = Fraction(1)
 
 _BARE_LABEL_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789")
 
-
-_ADDITIVE_MARKS = re.compile(r"[][+-]")
-
-
-def _split_additive(text: str) -> list[tuple[int, str]]:
-    """Split at top-level +/- into (sign, chunk) pieces.  One sign may
-    stand between two terms or before the first; the text after the last
-    sign, or the whole text when there is none, must be a term.  Only
-    brackets and signs are visited."""
-    pieces = []
-    depth = 0
-    sign = 0  # the sign since the last term; 0 before any
-    start = 0
-    for mark in _ADDITIVE_MARKS.finditer(text):
-        ch = mark.group()
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        elif depth == 0:
-            chunk = text[start : mark.start()]
-            if chunk.strip():
-                pieces.append((sign or 1, chunk))
-            elif sign:
-                raise AinError("Syntax", f"two signs in a row in {text!r}")
-            sign = -1 if ch == "-" else 1
-            start = mark.end()
-    chunk = text[start:]
-    if not chunk.strip():
-        raise AinError("Syntax", f"dangling sign or empty expression in {text!r}")
-    pieces.append((sign or 1, chunk))
-    return pieces
-
-
+# Each reader below reads one production of README's grammar at
+# ``text[i]`` and returns what it read and the position after it.
+# Whitespace may stand between tokens but not inside a factor or a
+# rational, so every reader but ``_labels``, which reads a script, skips
+# the whitespace after what it read.
+_SPACE = re.compile(r"\s*")
 _LABEL_RUN = re.compile(r"[0-9A-Za-z]*")
+_LEGLIST = re.compile(r"(?:\{[0-9A-Za-z\s]*\}|[0-9A-Za-z\s]+)*")
+_NAME = re.compile(r"[^\W\d_][^\W_]*")  # a letter, then letters and digits
+_RATIONAL = re.compile(r"([0-9][0-9/]*)\s*")
 
 
-def _read_labels(text: str, i: int) -> tuple[list[str], int]:
-    """The labels of the braced group, whose labels whitespace may
-    separate, or of the run of bare labels that starts at ``text[i]``, and
-    the position after it: no labels and ``i`` when neither starts there."""
-    if text.startswith("{", i):
-        j = text.find("}", i)
-        if j < 0:
-            raise AinError("Syntax", f"unterminated brace in {text!r}")
-        labels = []
-        for ch in text[i + 1 : j]:
-            if ch in _BARE_LABEL_CHARS:
-                labels.append(ch)
-            elif not ch.isspace():
-                raise AinError("Syntax", f"bad label character {ch!r}")
-        return labels, j + 1
-    j = _LABEL_RUN.match(text, i).end()
-    return list(text[i:j]), j
+def _expression(text: str) -> list[tuple[int, Term]]:
+    """``expr := [sign] term (sign term)*``, as (sign, term) pairs."""
+    terms = []
+    i = _SPACE.match(text).end()
+    while True:
+        sign = -1 if text.startswith("-", i) else 1
+        if text.startswith(("+", "-"), i):
+            i = _SPACE.match(text, i + 1).end()
+        term, i = _term(text, i)
+        terms.append((sign, term))
+        if i == len(text):
+            return terms
+        if text[i] not in "+-":
+            raise _unexpected(text, i)
 
 
-def _leg_list(text: str) -> list[str]:
-    """The labels of a closed term's leg list: the label reader repeated,
-    with whitespace or nothing between its groups and runs."""
-    labels = []
-    i = 0
-    while i < len(text):
-        if text[i].isspace():
-            i += 1
-            continue
-        found, j = _read_labels(text, i)
-        if j == i:
-            raise AinError("Syntax", f"unexpected {text[i]!r} in label list")
-        labels += found
-        i = j
-    return labels
+def _term(text: str, i: int) -> tuple[Term, int]:
+    """``term := [rational] (closed | factor*)``, not empty, where
+    ``closed := '[' leglist '|' [rational] factor* '|' leglist ']'``."""
+    coeff, j = _rational(text, i)
+    if text.startswith("[", j):
+        outs, j = _leglist(text, j + 1)
+        inner, j = _rational(text, _expect(text, j, "|"))
+        factors, j = _factors(text, j)
+        ins, j = _leglist(text, _expect(text, j, "|"))
+        coeff = inner if coeff is _ONE else coeff * inner
+        return Term(coeff, True, outs, ins, factors), _expect(text, j, "]")
+    factors, j = _factors(text, j)
+    if j == i:
+        if i == len(text):
+            raise AinError("Syntax", f"dangling sign or empty expression in {text!r}")
+        if text[i] in "+-":
+            raise AinError("Syntax", f"two signs in a row in {text!r}")
+        raise _unexpected(text, i)
+    return Term(coeff, False, None, None, factors), j
+
+
+def _rational(text: str, i: int) -> tuple[Fraction, int]:
+    """``rational := digit+ ['/' digit+]``, or 1 where none is written."""
+    found = _RATIONAL.match(text, i)
+    if found is None:
+        return _ONE, i
+    return _coefficient(found.group(1)), found.end()
 
 
 def _coefficient(text: str) -> Fraction:
@@ -148,85 +137,65 @@ def _coefficient(text: str) -> Fraction:
         raise AinError("Syntax", f"bad coefficient {text!r}") from None
 
 
-def _parse_product(text: str) -> tuple[Fraction, list[Factor]]:
-    """Parse ``[coefficient] factor*`` (the part between bars, or a naked term)."""
-    i = 0
-    n = len(text)
-    coeff = _ONE
-    factors: list[Factor] = []
-    seen_coeff = False
-    while i < n:
-        if text[i].isspace():
-            i += 1
-            continue
-        if text[i].isdigit():
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "/"):
-                j += 1
-            if seen_coeff or factors:
-                raise AinError("Syntax", f"unexpected number at {text[i:j]!r}")
-            coeff = _coefficient(text[i:j])
-            seen_coeff = True
-            i = j
-            continue
-        if not text[i].isalpha():
-            raise AinError("Syntax", f"unexpected {text[i]!r} in term")
-        j = i
-        while j < n and (text[j].isalnum()):
-            j += 1
-        name = text[i:j]
-        i = j
-        sups: list[str] = []
-        subs: list[str] = []
-        while i < n and text[i] in "^_":
-            marker = text[i]
-            labels, j = _read_labels(text, i + 1)
+def _factors(text: str, i: int) -> tuple[list[Factor], int]:
+    """``factor*``, where ``factor := name script*`` with at most one
+    ``'^'`` and one ``'_'`` script, and ``script := ('^' | '_') labels``
+    with at least one label or braces."""
+    factors = []
+    while found := _NAME.match(text, i):
+        name = found.group()
+        i = found.end()
+        scripts: dict[str, list[str]] = {}
+        while (mark := text[i : i + 1]) in ("^", "_"):
+            labels, j = _labels(text, i + 1)
             if j == i + 1:
                 raise AinError("Syntax", "empty script")
+            if mark in scripts:
+                which = "superscripts" if mark == "^" else "subscripts"
+                raise AinError("Syntax", f"two {which} on {name!r}")
+            scripts[mark] = labels
             i = j
-            if marker == "^":
-                if sups:
-                    raise AinError("Syntax", f"two superscripts on {name!r}")
-                sups = labels
-            else:
-                if subs:
-                    raise AinError("Syntax", f"two subscripts on {name!r}")
-                subs = labels
-        factors.append(Factor(name, sups, subs))
-    return coeff, factors
+        factors.append(Factor(name, scripts.get("^", []), scripts.get("_", [])))
+        i = _SPACE.match(text, i).end()
+    return factors, i
 
 
-def _parse_chunk(chunk: str) -> Term:
-    s = chunk.strip()
-    coeff = _ONE
-    # leading coefficient before a bracket
-    i = 0
-    while i < len(s) and (s[i].isdigit() or s[i] == "/"):
-        i += 1
-    if i and i < len(s) and s[i:].lstrip().startswith("["):
-        coeff = _coefficient(s[:i])
-        s = s[i:].lstrip()
-    if s.startswith("["):
-        if not s.endswith("]"):
-            raise AinError("Syntax", f"unterminated bracket in {chunk!r}")
-        inner = s[1:-1]
-        parts = inner.split("|")
-        if len(parts) != 3:
-            raise AinError("Syntax", "closed term needs two bars")
-        outs = _leg_list(parts[0])
-        ins = _leg_list(parts[2])
-        body = parts[1].strip()
-        if body == "1":
-            c2, factors = _ONE, []
-        else:
-            c2, factors = _parse_product(parts[1])
-        return Term(c2 if coeff is _ONE else coeff * c2, True, outs, ins, factors)
-    # a leading coefficient was taken above only before a bracket
-    body = s.strip()
-    if body == "1" or body == "":
-        return Term(_ONE, False, None, None, [])
-    c2, factors = _parse_product(s)
-    return Term(c2, False, None, None, factors)
+def _leglist(text: str, i: int) -> tuple[list[str], int]:
+    """``leglist := labels*``, whitespace between the groups or not."""
+    found = _LEGLIST.match(text, i)
+    return [ch for ch in found.group() if ch in _BARE_LABEL_CHARS], found.end()
+
+
+def _labels(text: str, i: int) -> tuple[list[str], int]:
+    """``labels := label* | '{' (label | whitespace)* '}'``: a run of bare
+    labels, maybe empty, or a braced group."""
+    if not text.startswith("{", i):
+        j = _LABEL_RUN.match(text, i).end()
+        return list(text[i:j]), j
+    j = text.find("}", i)
+    if j < 0:
+        raise AinError("Syntax", f"unterminated brace in {text!r}")
+    labels = "".join(text[i + 1 : j].split())
+    for ch in labels:
+        if ch not in _BARE_LABEL_CHARS:
+            raise AinError("Syntax", f"bad label character {ch!r}")
+    return list(labels), j + 1
+
+
+def _expect(text: str, i: int, mark: str) -> int:
+    """The position after ``mark`` at ``text[i]`` and the whitespace after it."""
+    if text.startswith(mark, i):
+        return _SPACE.match(text, i + 1).end()
+    if i == len(text):
+        raise AinError("Syntax", f"unterminated bracket in {text!r}")
+    raise _unexpected(text, i)
+
+
+def _unexpected(text: str, i: int) -> AinError:
+    """The error for the number or character at ``text[i]``."""
+    if number := _RATIONAL.match(text, i):
+        return AinError("Syntax", f"unexpected number at {number.group(1)!r}")
+    return AinError("Syntax", f"unexpected {text[i]!r} in {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +346,7 @@ def _parse_summands(
     written, each class deferred, and the legs that order its naked terms:
     ``legs`` when given, else the first term's own.  When ``typed``, each
     class's transference is computed as it is built."""
-    terms = [(sign, _parse_chunk(chunk)) for sign, chunk in _split_additive(text)]
+    terms = _expression(text)
     summands: list[tuple[NetClass, Fraction]] = []
     for sign, term in terms:
         cls, own = _build_term(term, sig, legs, typed)

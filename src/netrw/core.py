@@ -83,7 +83,10 @@ def parse_signature(text: str) -> Signature:
             coarity, arity = int(parts[2]), int(parts[3])
         except ValueError:
             raise SignatureError(f"line {lineno}: arities must be integers") from None
-        sig.declare(Symbol(name, coarity, arity))
+        try:
+            sig.declare(Symbol(name, coarity, arity))
+        except SignatureError as exc:
+            raise SignatureError(f"line {lineno}: {exc}") from None
     return sig
 
 

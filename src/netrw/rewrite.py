@@ -427,6 +427,16 @@ def joinable(
     if nx == ny:
         return JoinResult("yes", nx)
 
+    def expand(frontier: list[LinComb], seen: set[LinComb]) -> list[LinComb]:
+        """The one-step reducts of the frontier not seen before, now seen."""
+        new = []
+        for z in frontier:
+            for w in all_single_steps(z, q, rules, memo):
+                if w not in seen:
+                    seen.add(w)
+                    new.append(w)
+        return new
+
     seen_x = {x, nx}
     seen_y = {y, ny}
     frontier_x = [x]
@@ -436,22 +446,11 @@ def joinable(
         if max_steps is not None and depth >= max_steps:
             return JoinResult("unknown")
         depth += 1
-        new_x = []
-        for z in frontier_x:
-            for w in all_single_steps(z, q, rules, memo):
-                if w not in seen_x:
-                    seen_x.add(w)
-                    new_x.append(w)
-        new_y = []
-        for z in frontier_y:
-            for w in all_single_steps(z, q, rules, memo):
-                if w not in seen_y:
-                    seen_y.add(w)
-                    new_y.append(w)
+        frontier_x = expand(frontier_x, seen_x)
+        frontier_y = expand(frontier_y, seen_y)
         common = seen_x & seen_y
         if common:
             return JoinResult("yes", min(common, key=_lc_key))
-        frontier_x, frontier_y = new_x, new_y
     return JoinResult("no", difference=nx - ny)
 
 

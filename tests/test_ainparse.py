@@ -93,6 +93,18 @@ class TestParse:
             ("1// [a|m^a_bc|b c]", "bad coefficient '1//'"),
             ("- - m^a_bc", "two signs in a row in '- - m^a_bc'"),
             ("m^a_bc +- + m^a_bc", "two signs in a row"),
+            # at most one script of each kind, even after an empty one
+            ("m^{}^a_bc", "two superscripts on 'm'"),
+            ("m^a_{ }_bc", "two subscripts on 'm'"),
+            # no whitespace inside a factor or a rational
+            ("m^a _bc", "unexpected '_' in 'm^a _bc'"),
+            ("m ^a_bc", "unexpected '^' in 'm ^a_bc'"),
+            ("1 /2 m^a_bc", "unexpected '/' in '1 /2 m^a_bc'"),
+            # a term ends at its closing bracket
+            ("[a|m^a_bc|b c] [x|1|x]", "unexpected '[' in '[a|m^a_bc|b c] [x|1|x]'"),
+            ("[a|1|a", "unterminated bracket in '[a|1|a'"),
+            ("[a|m^a_bc 1|b c]", "unexpected number at '1'"),
+            ("2 1", "unexpected number at '1'"),
         ],
     )
     def test_syntax_errors(self, hsig, text, message):
@@ -181,6 +193,29 @@ class TestParse:
     def test_leg_mismatch_across_terms(self, hsig):
         with pytest.raises(AinError, match="LegOrderMismatchAcrossTerms"):
             parse_term("S^a_b + S^a_c", hsig)
+
+
+class TestGrammar:
+    """The examples of README's grammar section, each as README reads it."""
+
+    @pytest.mark.parametrize(
+        "texts",
+        [
+            ("m^a_bc", "m^a_{bc}", "m^a_{b c}", "m_{\tb c}^a", "2m^a_bc - m^a_bc"),
+            ("[ab|1|ba]", "[a b|1|b a]", "[{a b}|1|{b}a]", "[ab|\t1 |ba]"),
+            ("[a||a]", "[a|1|a]", "[a| |a]", "d^a_b", "delta^{a}_{ b }"),
+            ("[a|2|a]", "2 [a|1|a]", "2[a||a]", "[a|1|a] + [a||a]", "4 [a|1/2|a]"),
+            ("1", "[|1|]", "[||]", "2 - 1", "+ 1"),
+            ("2", "1 + 1", "2 [|1|]", "[|2|]", "4/2"),
+        ],
+    )
+    def test_spellings_of_one_combination(self, hsig, texts):
+        first = parse_term(texts[0], hsig)
+        assert [parse_term(text, hsig) for text in texts[1:]] == [first] * (len(texts) - 1)
+
+    @pytest.mark.parametrize("text, coeff", [("1", 1), ("2", 2), ("1/3", Fraction(1, 3)), ("- 2/7", Fraction(-2, 7))])
+    def test_a_rational_alone_is_a_multiple_of_the_unit(self, hsig, text, coeff):
+        assert parse_term(text, hsig) == LinComb.monomial(phi(same(0)), coeff)
 
 
 def validated_build(term, sig, legs, typed):
@@ -360,14 +395,20 @@ def random_product(rng: random.Random, sig) -> tuple[str, bool]:
     return f"[{' '.join(outs)}|{body}|{' '.join(ins)}]", deltas
 
 
-TERM_ALPHABET = "mSDdeltapsab12^_{}[]|+-/ "
+TERM_ALPHABET = "mSDdeltapsab012^_{}[]|+-/ \t"
+
+# a factor's script that follows an empty braced script of its kind, as in
+# m^{}^a_bc, which the two-pass parser took as the factor's only one
+REPEATED_SCRIPT = re.compile(r"([\^_])\{\s*\}(?:[\^_](?:\{[^}]*\}|[0-9A-Za-z]*))*?\1")
 
 
 def parses_alike(text: str, sig, deltas: bool = True) -> bool:
     """``parse_term`` against the two-pass parser on one text: both accept,
     with identical classes and no neutral vertex, or both reject, the new
     one with AinError or RuleError, and with the same message for a cycle
-    when the text has no delta.  Returns whether the text parsed."""
+    when the text has no delta.  A text that repeats a script after an
+    empty one is rejected although the two-pass parser accepts it.
+    Returns whether the text parsed."""
     try:
         want = reference_parse_term(text, sig)
     except (AinError, RuleError) as exc:
@@ -375,6 +416,10 @@ def parses_alike(text: str, sig, deltas: bool = True) -> bool:
             parse_term(text, sig)
         if not deltas and exc.kind == "CycleInTerm":
             assert str(raised.value) == str(exc)
+        return False
+    if REPEATED_SCRIPT.search(text):
+        with pytest.raises(AinError, match=r"^Syntax: two (super|sub)scripts on "):
+            parse_term(text, sig)
         return False
     got = parse_term(text, sig)
     assert no_neutral_vertex(got)
@@ -403,6 +448,14 @@ class TestAgainstTwoPassParser:
             text = "".join(rng.choices(TERM_ALPHABET, k=rng.randint(1, 12)))
             parsed += parses_alike(text, hsig)
         assert parsed > 100
+
+    @pytest.mark.parametrize("text", ["m^{}^a_bc", "S_{ }^a_b", "m^{\t}_bc^a", "m^a_{}_bc", "D^{}_a^bc"])
+    def test_repeated_script_after_an_empty_one(self, hsig, text):
+        # the two-pass parser read only a script's labels, so it took an
+        # empty first script as none; one of each kind is all a factor has
+        assert REPEATED_SCRIPT.search(text)
+        reference_parse_term(text, hsig)
+        assert not parses_alike(text, hsig)
 
 
 class TestRules:

@@ -396,7 +396,7 @@ class TestSubcommands:
         (tmp_path / "bad.sig").write_text(f"gen {name} 1 1\n", encoding="utf-8")
         code, out, err = run(capsys, "validate", "--sig", str(tmp_path / "bad.sig"), "1")
         assert (code, out) == (2, "")
-        assert err == f"error: symbol name {name!r} is not a letter then letters and digits\n"
+        assert err == f"error: line 1: symbol name {name!r} is not a letter then letters and digits\n"
 
     def test_sig_directory_exit_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "validate", "--sig", str(tmp_path), "m^a_bc")

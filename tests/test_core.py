@@ -292,8 +292,12 @@ class TestSignature:
             parse_signature("gen m 1 2")["q"]
 
     def test_duplicate(self):
-        with pytest.raises(SignatureError):
+        with pytest.raises(SignatureError, match=r"^line 2: duplicate symbol 'm'$"):
             parse_signature("gen m 1 2\ngen m 2 1")
+
+    def test_negative_arity_names_its_line(self):
+        with pytest.raises(SignatureError, match=r"^line 3: negative arity for symbol 'S'$"):
+            parse_signature("gen m 1 2\n# the antipode\ngen S 1 -1")
 
     def test_reserved_neutral(self):
         with pytest.raises(SignatureError):
@@ -302,7 +306,7 @@ class TestSignature:
     @pytest.mark.parametrize("name", ["m^", "1", "x_y", "~", "2m"])
     def test_name_no_term_can_write(self, name):
         # the term scanner reads a name as a letter, then letters and digits
-        with pytest.raises(SignatureError, match=rf"^symbol name '{re.escape(name)}' is not a letter"):
+        with pytest.raises(SignatureError, match=rf"^line 1: symbol name '{re.escape(name)}' is not a letter"):
             parse_signature(f"gen {name} 1 1")
 
     def test_names_a_term_can_write(self):
