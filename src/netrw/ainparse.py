@@ -42,6 +42,7 @@ class AinError(ValueError):
     def __init__(self, kind: str, message: str):
         super().__init__(f"{kind}: {message}")
         self.kind = kind
+        self.message = message
 
 
 @dataclass
@@ -317,14 +318,13 @@ def _build_term(
         )
         raise AinError("CycleInTerm", str(Violation("CycleFound", witness)))
 
-    vertices = [0, 1, *deco]
     order = _topological_order(deco, edges.values())
     if len(order) < len(deco):
         try:
-            validate(vertices, edges, deco)
+            validate([0, 1, *deco], edges, deco)
         except InvalidNetworkError as exc:
             raise AinError("CycleInTerm", str(exc)) from None
-    net = Network(vertices, edges, deco)
+    net = Network(edges, deco)
     return NetClass(net, transference(net, order) if typed else None), (outs, ins)
 
 
@@ -384,60 +384,66 @@ def parse_rules(text: str, sig: Signature) -> list[Rule]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if not line.startswith("rule "):
-            raise AinError("Syntax", f"line {lineno}: expected 'rule'")
-        head, _, rest = line[5:].partition(":")
-        head_words = head.split()
-        if not head_words:
-            raise AinError("Syntax", f"line {lineno}: missing rule id")
-        rule_id = head_words[0]
-        sharp = head_words[1:] == ["sharp"]
-        if head_words[1:] not in ([], ["sharp"]):
-            raise AinError("Syntax", f"line {lineno}: bad rule header")
-        if rule_id in seen:
-            raise AinError("Syntax", f"line {lineno}: duplicate rule id {rule_id!r}")
-        seen.add(rule_id)
-
-        body, _, where = rest.partition(" where ")
-        lhs_text, arrow, rhs_text = body.partition("->")
-        if not arrow:
-            raise AinError("Syntax", f"line {lineno}: missing '->'")
-        lhs_summands, legs = _parse_summands(lhs_text, sig, None, True)
-        if len(lhs_summands) == 1 and lhs_summands[0][1] == 1:
-            lhs = mu = lhs_summands[0][0]
-        else:
-            lhs = _combination(lhs_summands)
-            if not lhs.is_monomial():
-                raise RuleError(f"rule {rule_id!r}: LhsNotMonomial")
-            mu = lhs.monomials()[0]
-        # make_rule reads the rhs transferences only under a type that is
-        # not all ones: tr(lhs) for a sharp rule, one with a zero for a
-        # where clause
-        typed = bool(where.strip()) or (sharp and not mu.tr.is_ones())
-        rhs = _parse_summands(rhs_text, sig, legs, typed)[0]
-        outs, ins = legs
-
-        if where.strip():
-            if sharp:
-                raise AinError("Syntax", f"line {lineno}: sharp rule with a where clause")
-            zeros = []
-            for clause in where.split(","):
-                out_label, arrow2, in_label = clause.partition("~>")
-                if not arrow2:
-                    raise AinError("Syntax", f"line {lineno}: bad where clause")
-                out_label, in_label = out_label.strip(), in_label.strip()
-                if out_label not in outs or in_label not in ins:
-                    raise AinError(
-                        "Syntax", f"line {lineno}: where clause labels not legs"
-                    )
-                zeros.append((outs.index(out_label), ins.index(in_label)))
-            typespec = zeros
-        elif sharp:
-            typespec = "sharp"
-        else:
-            typespec = []
-        rules.append(make_rule(rule_id, lhs, rhs, typespec))
+        try:
+            rules.append(_parse_rule(line, sig, seen))
+        except AinError as exc:
+            raise AinError(exc.kind, f"line {lineno}: {exc.message}") from None
     return rules
+
+
+def _parse_rule(line: str, sig: Signature, seen: set[str]) -> Rule:
+    """The rule on one stripped line of a rule file; its id joins ``seen``."""
+    if not line.startswith("rule "):
+        raise AinError("Syntax", "expected 'rule'")
+    head, _, rest = line[5:].partition(":")
+    head_words = head.split()
+    if not head_words:
+        raise AinError("Syntax", "missing rule id")
+    rule_id = head_words[0]
+    sharp = head_words[1:] == ["sharp"]
+    if head_words[1:] not in ([], ["sharp"]):
+        raise AinError("Syntax", "bad rule header")
+    if rule_id in seen:
+        raise AinError("Syntax", f"duplicate rule id {rule_id!r}")
+    seen.add(rule_id)
+
+    body, _, where = rest.partition(" where ")
+    lhs_text, arrow, rhs_text = body.partition("->")
+    if not arrow:
+        raise AinError("Syntax", "missing '->'")
+    lhs_summands, legs = _parse_summands(lhs_text, sig, None, True)
+    if len(lhs_summands) == 1 and lhs_summands[0][1] == 1:
+        lhs = mu = lhs_summands[0][0]
+    else:
+        lhs = _combination(lhs_summands)
+        if not lhs.is_monomial():
+            raise RuleError(f"rule {rule_id!r}: LhsNotMonomial")
+        mu = lhs.monomials()[0]
+    # make_rule reads the rhs transferences only under a type that is
+    # not all ones: tr(lhs) for a sharp rule, one with a zero for a
+    # where clause
+    typed = bool(where.strip()) or (sharp and not mu.tr.is_ones())
+    rhs = _parse_summands(rhs_text, sig, legs, typed)[0]
+    outs, ins = legs
+
+    if where.strip():
+        if sharp:
+            raise AinError("Syntax", "sharp rule with a where clause")
+        zeros = []
+        for clause in where.split(","):
+            out_label, arrow2, in_label = clause.partition("~>")
+            if not arrow2:
+                raise AinError("Syntax", "bad where clause")
+            out_label, in_label = out_label.strip(), in_label.strip()
+            if out_label not in outs or in_label not in ins:
+                raise AinError("Syntax", "where clause labels not legs")
+            zeros.append((outs.index(out_label), ins.index(in_label)))
+        typespec = zeros
+    elif sharp:
+        typespec = "sharp"
+    else:
+        typespec = []
+    return make_rule(rule_id, lhs, rhs, typespec)
 
 
 # ---------------------------------------------------------------------------
@@ -459,17 +465,14 @@ def _edge_names(n: int) -> list[str]:
 def format_class(cls: NetClass) -> str:
     """Deterministic closed-form AIN for one monomial."""
     rep = cls.rep
-    order = []
-    for i in range(1, rep.coarity + 1):
-        order.append(rep.in_edge(0, i))
-    for j in range(1, rep.arity + 1):
-        e = rep.out_edge(1, j)
+    order = list(rep.in_edges(0))
+    for e in rep.out_edges(1):
         if e not in order:
             order.append(e)
     order.extend(e for e in sorted(rep.edges) if e not in order)
     names = {e: n for e, n in zip(order, _edge_names(len(rep.edges)))}
-    outs = [names[rep.in_edge(0, i)] for i in range(1, rep.coarity + 1)]
-    ins = [names[rep.out_edge(1, j)] for j in range(1, rep.arity + 1)]
+    outs = [names[e] for e in rep.in_edges(0)]
+    ins = [names[e] for e in rep.out_edges(1)]
     parts = []
     for v in rep.inner_vertices():
         sym = rep.deco[v]

@@ -34,6 +34,8 @@ from .order import LT, OrderSpec, compare, rule_compatible
 from .rewrite import Rule, RuleError, _replacement, joinable, make_rule
 
 _RELABELING_CAP = 64  # leg relabelings listed per site at most
+_MAX_ROUNDS = 8  # confluence reports per completion at most
+_MAX_NEW_RULES = 32  # a completion stops once it has added more rules
 
 
 @dataclass(frozen=True)
@@ -572,15 +574,13 @@ class LimitReachedError(RuntimeError):
 def complete(
     rules: Sequence[Rule],
     spec: OrderSpec,
-    max_rounds: int = 8,
-    max_new_rules: int = 32,
     max_steps: int | None = None,
 ) -> tuple[list[Rule], ConfluenceReport]:
     """Standard completion: orient unresolved differences into new rules
-    until the system is confluent or a limit is hit."""
+    until the system is confluent or a limit is hit (LimitReachedError)."""
     current = list(rules)
     added = 0
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         report = confluence_report(current, spec, max_steps)
         bad = [r for r in report.results if r.status == "unresolved"]
         if not bad:
@@ -596,7 +596,7 @@ def complete(
             current.append(rule)
             added += 1
             progressed = True
-            if added > max_new_rules:
+            if added > _MAX_NEW_RULES:
                 raise LimitReachedError("too many generated rules")
         if not progressed:
             raise OrientationFailedError(bad[0].difference or LinComb.zero(0, 0))

@@ -37,13 +37,14 @@ class NetClass:
     ``net`` is the network the class was built from.  ``tr`` (the
     transference), ``code`` (the canonical code), ``rep`` and the hash are
     deferred: each is computed on its first read and kept, so a class whose
-    identity is never asked for is never canonicalized, and one whose type
-    is never asked for is never traversed.  ``tr`` is read off whichever
-    network ``net`` is then, since a leg-preserving isomorphism keeps it,
-    unless the caller already has it and passes it in.  ``rep`` is always
-    the canonical representative, rebuilt from ``code``; once it is built,
+    identity is never asked for is never canonicalized, one whose type is
+    never asked for is never traversed, and one whose representative is
+    never asked for is never rebuilt.  ``tr`` is read off whichever network
+    ``net`` is then, since a leg-preserving isomorphism keeps it, unless
+    the caller already has it and passes it in.  ``rep`` is always the
+    canonical representative, rebuilt from ``code``; once it is built,
     ``net`` is ``rep``.  Equality, hashing and order go by code, and
-    :func:`class_of` returns a class already canonicalized.
+    :func:`class_of` returns a class whose code is already computed.
     """
 
     __slots__ = ("net", "tr", "code", "rep", "_hash")
@@ -89,9 +90,9 @@ class NetClass:
 
 def class_of(net: Network) -> NetClass:
     """The isomorphism class of a network: an element of the free PROP,
-    canonicalized at once."""
+    its code computed at once and its representative on the first read."""
     cls = NetClass(net)
-    cls.rep  # the first read builds code and rep
+    cls.code  # the first read builds code and hash
     return cls
 
 
@@ -203,7 +204,7 @@ def _join_network(ka: Network, hb: Network, r: int, q: int) -> Network:
             edges[2 * e + 1] = Edge(*head(ends, False), 2 * ends.tail + 1, ends.tindex)
         elif ends.tindex > r:
             edges[2 * e + 1] = Edge(*head(ends, False), 1, l + ends.tindex - r)
-    return Network(deco.keys() | {0, 1}, edges, deco)
+    return Network(edges, deco)
 
 
 def _require_join_shape(a: NetClass | LinComb, r: int, q: int, b: NetClass | LinComb) -> None:

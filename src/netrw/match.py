@@ -258,7 +258,7 @@ def complement(subject: Network, pattern: Network, se: StrongEmbedding) -> NetCl
     """
     psi = se.psi_prime()
     m = se.modulus
-    keep = subject.vertices - set(se.base.chi().values())
+    gone = set(se.base.chi().values())
 
     # the pattern's legs on each subject edge, tail to head, as (label, leg)
     segments: dict[int, list[tuple[int, int]]] = {}
@@ -272,15 +272,15 @@ def complement(subject: Network, pattern: Network, se: StrongEmbedding) -> NetCl
     for x, ends in subject.edges.items():
         seg = segments.get(x)
         if seg is None:
-            if ends.head in keep and ends.tail in keep:
+            if ends.head not in gone and ends.tail not in gone:
                 edges[x] = ends
             continue
-        if ends.head in keep:
+        if ends.head not in gone:
             label, donor = seg[-1]
             edges[m + label] = Edge(
                 ends.head, ends.hindex, 1, alpha_g + pattern.edges[donor].hindex
             )
-        if ends.tail in keep:
+        if ends.tail not in gone:
             label, leg = seg[0]
             edges[label] = Edge(
                 0, omega_g + pattern.edges[leg].tindex, ends.tail, ends.tindex
@@ -292,8 +292,8 @@ def complement(subject: Network, pattern: Network, se: StrongEmbedding) -> NetCl
                 1,
                 alpha_g + pattern.edges[donor].hindex,
             )
-    deco = {v: subject.deco[v] for v in keep - {0, 1}}
-    return NetClass(Network(keep, edges, deco))
+    deco = {v: sym for v, sym in subject.deco.items() if v not in gone}
+    return NetClass(Network(edges, deco))
 
 
 def context_type_ok(k_tr: BoolMat, q_rule: BoolMat, q_ambient: BoolMat) -> bool:

@@ -40,58 +40,62 @@ class InvalidNetworkError(ValueError):
 
 
 class Network:
-    """An immutable validated network.
+    """An immutable validated network: its edges, and the decorations of
+    its inner vertices, which are the keys of ``deco``.
 
     Use :func:`validate` to construct one from raw data; the constructor
-    itself trusts its arguments.
+    itself trusts its arguments and keeps both dicts, which nothing may
+    change afterwards.  Each vertex's ports are stored once, as lists in
+    index order, which the port reads return and callers must not change.
     """
 
-    __slots__ = ("vertices", "edges", "deco", "_in", "_out", "coarity", "arity")
+    __slots__ = ("edges", "deco", "_in", "_out", "coarity", "arity")
 
-    def __init__(
-        self,
-        vertices: Iterable[int],
-        edges: Mapping[int, Edge],
-        deco: Mapping[int, Symbol],
-    ):
-        self.vertices = frozenset(vertices)
-        self.edges = dict(edges)
-        self.deco = dict(deco)
-        inp: dict[int, dict[int, int]] = {v: {} for v in self.vertices}
-        out: dict[int, dict[int, int]] = {v: {} for v in self.vertices}
-        for e, ends in self.edges.items():
-            inp[ends.head][ends.hindex] = e
-            out[ends.tail][ends.tindex] = e
+    def __init__(self, edges: dict[int, Edge], deco: dict[int, Symbol]):
+        self.edges = edges
+        self.deco = deco
+        n = len(edges)
+        inp = {v: [None] * sym.arity for v, sym in deco.items()}
+        out = {v: [None] * sym.coarity for v, sym in deco.items()}
+        inp[0], inp[1], out[0], out[1] = [None] * n, [], [], [None] * n
+        for e, ends in edges.items():
+            inp[ends.head][ends.hindex - 1] = e
+            out[ends.tail][ends.tindex - 1] = e
+        # the legs fill a prefix of the n slots of vertices 0 and 1
+        self.coarity = n - inp[0].count(None)
+        self.arity = n - out[1].count(None)
+        del inp[0][self.coarity :], out[1][self.arity :]
         self._in = inp
         self._out = out
-        self.coarity = len(inp[0])
-        self.arity = len(out[1])
+
+    @property
+    def vertices(self) -> frozenset[int]:
+        """0, 1 and the inner vertices."""
+        return frozenset(self.deco.keys() | {0, 1})
 
     # -- port access ---------------------------------------------------------
 
     def in_edges(self, v: int) -> list[int]:
         """Edges with head v, in head-index order."""
-        ports = self._in[v]
-        return [ports[i] for i in range(1, len(ports) + 1)]
+        return self._in[v]
 
     def out_edges(self, v: int) -> list[int]:
         """Edges with tail v, in tail-index order."""
-        ports = self._out[v]
-        return [ports[i] for i in range(1, len(ports) + 1)]
+        return self._out[v]
 
     def in_edge(self, v: int, index: int) -> int:
-        return self._in[v][index]
+        return self._in[v][index - 1]
 
     def out_edge(self, v: int, index: int) -> int:
-        return self._out[v][index]
+        return self._out[v][index - 1]
 
     def inner_vertices(self) -> list[int]:
-        return sorted(self.vertices - {0, 1})
+        return sorted(self.deco)
 
     def __repr__(self) -> str:
         return (
             f"Network({self.coarity},{self.arity};"
-            f" {len(self.vertices) - 2} inner, {len(self.edges)} edges)"
+            f" {len(self.deco)} inner, {len(self.edges)} edges)"
         )
 
 
@@ -224,11 +228,10 @@ def validate(
     deco: Mapping[int, Symbol],
 ) -> Network:
     """The network with these parts; InvalidNetworkError lists every axiom broken."""
-    vertices = list(vertices)
     violations = check(vertices, edges, deco)
     if violations:
         raise InvalidNetworkError(violations)
-    return Network(vertices, edges, deco)
+    return Network(edges, deco)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +242,7 @@ def validate(
 def perm_network(p: Perm) -> Network:
     """The network of phi(p): edge j runs from input port j to output port p(j)."""
     edges = {j - 1: Edge(0, p(j), 1, j) for j in range(1, p.n + 1)}
-    return Network({0, 1}, edges, {})
+    return Network(edges, {})
 
 
 def generator_network(sym: Symbol) -> Network:
@@ -252,7 +255,7 @@ def generator_network(sym: Symbol) -> Network:
     for j in range(1, sym.arity + 1):
         edges[eid] = Edge(2, j, 1, j)
         eid += 1
-    return Network({0, 1, 2}, edges, {2: sym})
+    return Network(edges, {2: sym})
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +282,7 @@ def transference(net: Network, order: list[int] | None = None) -> BoolMat:
         for e in net.in_edges(v):
             acc |= reach_of(e)
         reach[v] = acc
-    bits = tuple(reach_of(net.in_edge(0, i)) for i in range(1, net.coarity + 1))
+    bits = tuple(reach_of(e) for e in net.in_edges(0))
     return BoolMat(net.coarity, net.arity, bits)
 
 
@@ -318,7 +321,7 @@ def evaluate(net: Network, target, assign: Mapping[str, object]):
     order = _topological_order(inner, net.edges.values())
     if len(order) != len(inner):
         raise InvalidNetworkError([Violation("CycleFound", ())])
-    frontier: list[int] = [net.out_edge(1, j) for j in range(1, net.arity + 1)]
+    frontier = net.out_edges(1)
     value = target.phi(same(net.arity))
     for v in order:
         ins = net.in_edges(v)
@@ -334,8 +337,7 @@ def evaluate(net: Network, target, assign: Mapping[str, object]):
         value = target.compose(slice_elem, value)
         frontier = others + net.out_edges(v)
 
-    target_order = [net.in_edge(0, i) for i in range(1, net.coarity + 1)]
-    pos = {e: i for i, e in enumerate(target_order, 1)}
+    pos = {e: i for i, e in enumerate(net.in_edges(0), 1)}
     sigma = Perm(tuple(pos[e] for e in frontier))
     if sigma == same(sigma.n):
         return value
@@ -364,7 +366,7 @@ def act(sigma: Perm | None, net: Network, tau: Perm | None = None) -> Network:
         if tau_inv is not None and ends.tail == 1:
             tindex = tau_inv(ends.tindex)
         edges[e] = Edge(ends.head, hindex, ends.tail, tindex)
-    return Network(net.vertices, edges, net.deco)
+    return Network(edges, net.deco)
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +389,7 @@ def smoothen(net: Network) -> Network:
         sym = net.deco[v]
         if sym.arity != 1 or sym.coarity != 1:
             raise InvalidNetworkError([Violation("ArityMismatch", (v,))])
-    keep_vertices = net.vertices - drop
-    keep_edges = {e for e, ends in net.edges.items() if ends.tail in keep_vertices}
+    keep_edges = {e for e, ends in net.edges.items() if ends.tail not in drop}
 
     # headmost edge of the neutral chain starting at e
     head_of: dict[int, int] = {}
@@ -398,7 +399,7 @@ def smoothen(net: Network) -> Network:
         cur = e
         while cur not in head_of:
             ends = net.edges[cur]
-            if ends.head in keep_vertices:
+            if ends.head not in drop:
                 head_of[cur] = cur
                 break
             seen.append(cur)
@@ -413,8 +414,8 @@ def smoothen(net: Network) -> Network:
         ends = net.edges[e]
         top = net.edges[headmost(e)]
         edges[e] = Edge(top.head, top.hindex, ends.tail, ends.tindex)
-    deco = {v: s for v, s in net.deco.items() if v in keep_vertices - {0, 1}}
-    return Network(keep_vertices, edges, deco)
+    deco = {v: s for v, s in net.deco.items() if v not in drop}
+    return Network(edges, deco)
 
 
 # ---------------------------------------------------------------------------
@@ -540,38 +541,27 @@ def canonical_code(net: Network) -> tuple:
 
 def from_code(code: tuple) -> Network:
     """Rebuild the canonical representative from a canonical code."""
-    coarity, arity, comps = code
-    vertices = {0, 1}
-    edges: dict[int, Edge] = {}
+    comps = code[2]
+    edges: list[Edge] = []  # edge ids are list positions
     deco: dict[int, Symbol] = {}
-    next_v = 2
-    next_e = 0
-
-    def fresh_edge(ends: Edge) -> None:
-        nonlocal next_e
-        edges[next_e] = ends
-        next_e += 1
-
     for entry in comps:
         if entry[0] == "S":
             _, tindex, hindex = entry
-            fresh_edge(Edge(0, hindex, 1, tindex))
+            edges.append(Edge(0, hindex, 1, tindex))
             continue
         _, seq = entry
-        base = next_v
+        base = len(deco) + 2
         for k, (name, co, ar, _ins, _outs) in enumerate(seq):
             deco[base + k] = Symbol(name, co, ar)
-            vertices.add(base + k)
-        next_v += len(seq)
         for k, (_name, _co, _ar, ins, outs) in enumerate(seq):
             v = base + k
             for i, item in enumerate(ins, 1):
                 if item[0] == "I":
-                    fresh_edge(Edge(v, i, 1, item[1]))
+                    edges.append(Edge(v, i, 1, item[1]))
                 else:
-                    fresh_edge(Edge(v, i, base + item[1], item[2]))
+                    edges.append(Edge(v, i, base + item[1], item[2]))
             for i, item in enumerate(outs, 1):
                 if item[0] == "O":
-                    fresh_edge(Edge(0, item[1], v, i))
+                    edges.append(Edge(0, item[1], v, i))
                 # inner heads are created from the head side scan above
-    return Network(vertices, edges, deco)
+    return Network(dict(enumerate(edges)), deco)

@@ -4,8 +4,8 @@ embedding search, the unindexed redex search, context admissibility,
 evaluation, the command line parser, the term parser that built deltas as
 neutral vertices, cuts and splits, smoothening and gluing enumeration, the
 neutral symbol, and test-only helpers for permutation actions on
-classes, boolean evaluation, union-find copies, reduction-step text and
-connectivity data."""
+classes, boolean evaluation, union-find copies, reduction-step text,
+connectivity data and the corpus's rule pairs."""
 
 from __future__ import annotations
 
@@ -15,13 +15,14 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 from typing import Mapping
 
 import pytest
 from hypothesis import settings
 
 from netrw.cli import UsageError
-from netrw.core import BoolMat, Perm, Signature, Symbol, UnionFind, cross, same
+from netrw.core import BoolMat, Perm, Signature, Symbol, UnionFind, cross, parse_signature, same
 from netrw.ainparse import (
     _BARE_LABEL_CHARS,
     _ONE,
@@ -30,6 +31,7 @@ from netrw.ainparse import (
     Term,
     _coefficient,
     _delta_names,
+    parse_rules,
 )
 from netrw.freeprop import LinComb, NetClass, class_of, join_condition, join_transference
 from netrw.match import (
@@ -160,7 +162,7 @@ def relabel(net: Network, vmap: Mapping[int, int], emap: Mapping[int, int]) -> N
         for e, ends in net.edges.items()
     }
     deco = {vmap[v]: s for v, s in net.deco.items()}
-    return Network({vmap[v] for v in net.vertices}, edges, deco)
+    return Network(edges, deco)
 
 
 def random_relabel(rng: random.Random, net: Network) -> Network:
@@ -365,9 +367,8 @@ def reference_compose(a: NetClass, b: NetClass) -> NetClass:
     for e, ends in upper.edges.items():
         if ends.tail != 1:
             edges[e] = ends
-    vertices = upper.vertices | lower.vertices
     deco = {**lower.deco, **upper.deco}
-    return class_of(Network(vertices, edges, deco))
+    return class_of(Network(edges, deco))
 
 
 def reference_tensor(a: NetClass, b: NetClass) -> NetClass:
@@ -379,7 +380,7 @@ def reference_tensor(a: NetClass, b: NetClass) -> NetClass:
         tindex = ends.tindex + a.arity if ends.tail == 1 else ends.tindex
         edges[e] = Edge(ends.head, hindex, ends.tail, tindex)
     deco = {**left.deco, **right.deco}
-    return class_of(Network(left.vertices | right.vertices, edges, deco))
+    return class_of(Network(edges, deco))
 
 
 def reference_join_network(ka: Network, hb: Network, r: int, q: int) -> Network:
@@ -389,13 +390,10 @@ def reference_join_network(ka: Network, hb: Network, r: int, q: int) -> Network:
     k = ka.coarity - r
     l = ka.arity - q
     edges: dict[int, Edge] = {}
-    vertices = {0, 1} | {2 + i for i in range(1, r + q + 1)}
     deco = {2 + i: NEUTRAL for i in range(1, r + q + 1)}
     for v in ka.inner_vertices():
-        vertices.add(r + q + 2 * v)
         deco[r + q + 2 * v] = ka.deco[v]
     for v in hb.inner_vertices():
-        vertices.add(r + q + 2 * v + 1)
         deco[r + q + 2 * v + 1] = hb.deco[v]
 
     for e, ends in ka.edges.items():
@@ -426,7 +424,7 @@ def reference_join_network(ka: Network, hb: Network, r: int, q: int) -> Network:
         else:
             tail, tindex = 1, l + ends.tindex - r
         edges[2 * e + 1] = Edge(head, hindex, tail, tindex)
-    return Network(vertices, edges, deco)
+    return Network(edges, deco)
 
 
 def reference_sym_join(a: NetClass, r: int, q: int, b: NetClass) -> NetClass:
@@ -608,6 +606,21 @@ def reference_parser() -> argparse.ArgumentParser:
     return parser
 
 
+CORPUS = Path(__file__).resolve().parent.parent / "src" / "netrw" / "corpus"
+
+
+def corpus_rule_pairs():
+    """Every pair (s1, s2) of rules of one corpus system with s1's id at
+    most s2's, as ``confluence_report`` pairs them."""
+    pairs = []
+    for system in ("assoc", "circle", "bridge", "zigzag", "frobenius", "hopf"):
+        sig = parse_signature((CORPUS / f"{system}.sig").read_text(encoding="utf-8"))
+        text = (CORPUS / f"{system}.rules").read_text(encoding="utf-8")
+        rules = sorted(parse_rules(text, sig), key=lambda r: r.rule_id)
+        pairs += [(s1, s2) for i, s1 in enumerate(rules) for s2 in rules[i:]]
+    return pairs
+
+
 def swap_everywhere(monkeypatch, real, replacement):
     """Replace every binding of ``real`` in the netrw modules, as the
     benchmark's tracer does."""
@@ -735,8 +748,8 @@ def cut(net: Network, w0: set[int], w1: set[int], ordering: Mapping[int, int]) -
             lower_edges[e] = Edge(0, ordering[e], ends.tail, ends.tindex)
         else:
             lower_edges[e] = ends
-    upper = Network(w0 | {0, 1}, upper_edges, {v: net.deco[v] for v in w0})
-    lower = Network(w1 | {0, 1}, lower_edges, {v: net.deco[v] for v in w1})
+    upper = Network(upper_edges, {v: net.deco[v] for v in w0})
+    lower = Network(lower_edges, {v: net.deco[v] for v in w1})
     return upper, lower
 
 
@@ -778,8 +791,8 @@ def split(
         hindex = ends.hindex - k if ends.head == 0 else ends.hindex
         tindex = ends.tindex - l if ends.tail == 1 else ends.tindex
         right_edges[e] = Edge(ends.head, hindex, ends.tail, tindex)
-    left = Network(wl | {0, 1}, left_edges, {v: net.deco[v] for v in wl})
-    right = Network(wr | {0, 1}, right_edges, {v: net.deco[v] for v in wr})
+    left = Network(left_edges, {v: net.deco[v] for v in wl})
+    right = Network(right_edges, {v: net.deco[v] for v in wr})
     return left, right
 
 
@@ -1423,7 +1436,7 @@ def _reference_build_term(term: Term, sig: Signature, outs: list[str], ins: list
             validate(vertices, edges, deco)
         except InvalidNetworkError as exc:
             raise AinError("CycleInTerm", str(exc)) from None
-    return class_of(smoothen(Network(vertices, edges, deco)))
+    return class_of(smoothen(Network(edges, deco)))
 
 
 

@@ -484,8 +484,21 @@ class TestRules:
 
     def test_rule_rhs_trailing_sign(self, hsig):
         for sign in "+-":
-            with pytest.raises(AinError, match="^Syntax: dangling sign"):
+            with pytest.raises(AinError, match="^Syntax: line 1: dangling sign"):
                 parse_rules(f"rule r: m^a_bc -> m^a_bc {sign}", hsig)
+
+    @pytest.mark.parametrize(
+        "second, message",
+        [
+            ("m^a _bc -> m^a_bc", "Syntax: line 2: unexpected '_' in ' m^a _bc '"),
+            ("m^a_bb -> m^a_bb", "RepeatedLabel: line 2: label 'b' consumed twice"),
+            ("m^a_bc -> m^a_b", "ArityMismatch: line 2: 'm' wants 1 superscripts and 2 subscripts"),
+        ],
+    )
+    def test_term_error_names_its_line(self, hsig, second, message):
+        with pytest.raises(AinError) as exc:
+            parse_rules(f"rule a: m^a_bc -> m^a_bc\nrule b: {second}", hsig)
+        assert str(exc.value) == message
 
     def test_rhs_inherits_lhs_legs(self, hsig):
         rule = parse_rules("rule r: m^a_bc eta^b -> d^a_c", hsig)[0]
@@ -518,11 +531,21 @@ class TestRules:
 
 
 
+def eager_rejects(lines: list[str], sig) -> bool:
+    """Whether the eager loader rejects a rule file of these lines."""
+    try:
+        reference_parse_rules("\n".join(lines), sig)
+    except Exception:
+        return True
+    return False
+
+
 def assert_loads_alike(text: str, sig) -> str:
     """``parse_rules`` against the eager loader on one rule file: the same
     rules, or the same error, whose kind is returned.  Only the term that
     ``RhsOutsideType`` names may differ, as the eager loader counted it in
-    code order from 0."""
+    code order from 0, and an error inside a term, which the eager loader
+    does not place, names its line."""
     try:
         expected = reference_parse_rules(text, sig)
     except Exception as exc:
@@ -530,6 +553,12 @@ def assert_loads_alike(text: str, sig) -> str:
             parse_rules(text, sig)
         assert type(raised.value) is type(exc)
         got, want = str(raised.value), str(exc)
+        if isinstance(exc, AinError) and not exc.message.startswith("line "):
+            # an error inside a term: parse_rules names the line the
+            # eager loader stopped at, the first whose prefix fails
+            lines = text.splitlines()
+            lineno = next(k for k in range(1, len(lines) + 1) if eager_rejects(lines[:k], sig))
+            want = f"{exc.kind}: line {lineno}: {exc.message}"
         if "RhsOutsideType" in want:
             got, want = (re.sub(r"\(term \d+\)$", "", m) for m in (got, want))
         assert got == want

@@ -30,7 +30,7 @@ from netrw.order import OrderSpec, Stage
 from netrw.props import BAFF_NAT, parse_assignment
 from netrw.rewrite import all_single_steps, is_irreducible, joinable, make_rule, normalize
 
-from conftest import random_class, random_network, reference_sites
+from conftest import corpus_rule_pairs, random_class, random_network, reference_sites
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "netrw" / "corpus"
 
@@ -167,16 +167,6 @@ class TestEnumerate:
             assert annex(amb.context2, rules[0].lhs) == amb.site
             assert lc_annex(amb.context1, rules[0].rhs) == amb.reduct1
             assert lc_annex(amb.context2, rules[0].rhs) == amb.reduct2
-
-
-def corpus_rule_pairs():
-    pairs = []
-    for system in ("assoc", "circle", "bridge", "zigzag", "frobenius", "hopf"):
-        sig = parse_signature((CORPUS / f"{system}.sig").read_text(encoding="utf-8"))
-        text = (CORPUS / f"{system}.rules").read_text(encoding="utf-8")
-        rules = sorted(parse_rules(text, sig), key=lambda r: r.rule_id)
-        pairs += [(s1, s2) for i, s1 in enumerate(rules) for s2 in rules[i:]]
-    return pairs
 
 
 class TestDecisiveSites:

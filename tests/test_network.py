@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 
+from netrw.ambiguity import _decisive_sites
 from netrw.core import BoolMat, Perm, Symbol, cross, same
 from netrw.network import (
     Edge,
@@ -29,6 +30,7 @@ from conftest import (
     NEUTRAL,
     all_cuts,
     all_ones_assignment,
+    corpus_rule_pairs,
     cut,
     is_homeomorphism,
     obvious_ordering,
@@ -104,6 +106,49 @@ class TestValidate:
         assert any(v.kind == "GapInIndices" for v in violations)
 
 
+def assert_ports_scanned(net: Network) -> None:
+    """Every port read agrees with a scan of ``net.edges`` sorted by port
+    index, and the vertices and leg counts with the edges and decorations."""
+    assert net.vertices == {0, 1} | net.deco.keys()
+    assert not check(net.vertices, net.edges, net.deco)
+    for v in net.vertices:
+        ins = [e for _, e in sorted((x.hindex, e) for e, x in net.edges.items() if x.head == v)]
+        outs = [e for _, e in sorted((x.tindex, e) for e, x in net.edges.items() if x.tail == v)]
+        assert net.in_edges(v) == ins and net.out_edges(v) == outs
+        assert [net.in_edge(v, i) for i in range(1, len(ins) + 1)] == ins
+        assert [net.out_edge(v, j) for j in range(1, len(outs) + 1)] == outs
+    assert net.coarity == sum(x.head == 0 for x in net.edges.values())
+    assert net.arity == sum(x.tail == 1 for x in net.edges.values())
+
+
+class TestPorts:
+    """A network stores each vertex's ports once, in index order."""
+
+    def test_corpus_rule_sides(self):
+        rules = {id(rule): rule for pair in corpus_rule_pairs() for rule in pair}.values()
+        for rule in rules:
+            for cls in (rule.lhs, *(t for t, _ in rule.summands)):
+                assert_ports_scanned(cls.net)
+                assert_ports_scanned(cls.rep)
+
+    def test_corpus_ambiguity_sites(self):
+        sites = [site for s1, s2 in corpus_rule_pairs() for site, *_ in _decisive_sites(s1, s2)]
+        assert len(sites) == 111
+        for site in sites:
+            assert_ports_scanned(site)
+
+    def test_random_hopf_networks(self, rng, hopf_sig):
+        strays = several = 0
+        for _ in range(200):
+            net = random_network(rng, list(hopf_sig), max_inner=8, max_strays=3, min_inner=2)
+            comps, stray_edges = _components(net)
+            strays += bool(stray_edges)
+            several += len(comps) > 1
+            assert_ports_scanned(net)
+            assert_ports_scanned(from_code(canonical_code(net)))
+        assert strays > 50 and several > 50
+
+
 class TestTransference:
     def test_cross_permutation_matrix(self):
         net = perm_network(cross(1, 1))
@@ -167,7 +212,7 @@ class TestEvaluate:
     def test_cycle_raises(self):
         s, t = Symbol("s", 1, 1), Symbol("t", 1, 2)
         edges = {0: Edge(4, 1, 1, 1), 1: Edge(2, 1, 4, 1), 2: Edge(3, 1, 2, 1), 3: Edge(2, 2, 3, 1)}
-        net = Network({0, 1, 2, 3, 4}, edges, {2: t, 3: s, 4: s})
+        net = Network(edges, {2: t, 3: s, 4: s})
         assign = {"s": Mat.from_rows([[1]]), "t": Mat.from_rows([[1, 1]])}
         with pytest.raises(InvalidNetworkError) as exc:
             evaluate(net, NAT_MATRIX, assign)

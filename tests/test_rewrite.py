@@ -973,6 +973,52 @@ class TestDeferredContexts:
         assert codes == {"canonical_code": 12, "complement": 9}
 
 
+class TestDeferredReps:
+    """A reduct's class computes its code at once and its representative
+    only on the first read, so a reduct that merges into a monomial the
+    combination already holds rebuilds none."""
+
+    @pytest.fixture
+    def circle_corpus(self):
+        sig = parse_signature((CORPUS / "circle.sig").read_text(encoding="utf-8"))
+        return sig, parse_rules((CORPUS / "circle.rules").read_text(encoding="utf-8"), sig)
+
+    def test_reduct_merging_into_a_held_monomial(self, monkeypatch, circle_corpus):
+        # y y -> d - x x, into a combination that holds x x already
+        sig, rules = circle_corpus
+        x = parse_term("y^a_b y^b_c + 2 x^a_b x^b_c", sig)
+        expected = parse_term("d^a_b + x^a_c x^c_b", sig)
+        made = []
+        real = netrw.freeprop.class_of
+
+        def recording(net):
+            made.append(real(net))
+            return made[-1]
+
+        swap_everywhere(monkeypatch, real, recording)
+        after, _ = reduce_once(x, BoolMat.ones(1, 1), rules)
+        assert after == expected
+        merged = [cls for cls in made if cls in x.terms]
+        assert len(merged) == 1 and not computed(merged[0], "rep")
+
+    def test_circle_power_reps(self, monkeypatch, circle_corpus):
+        # the circle order's normal form of y^14: 59 codes, and a rep for
+        # each class read; rebuilding every reduct's rep made 58
+        sig, rules = circle_corpus
+        x = parse_term(circle_power_text(14), sig)
+        counts = Counter()
+        for real in (netrw.network.canonical_code, netrw.network.from_code):
+
+            def counting(*args, real=real):
+                counts[real.__name__] += 1
+                return real(*args)
+
+            swap_everywhere(monkeypatch, real, counting)
+        normalize(x, BoolMat.ones(1, 1), rules, order_backed=True)
+        assert counts["canonical_code"] == 59
+        assert counts["from_code"] <= 29
+
+
 # ---------------------------------------------------------------------------
 # The entry point the benchmark traces
 # ---------------------------------------------------------------------------
