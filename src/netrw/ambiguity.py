@@ -31,7 +31,7 @@ from .network import (
     validate,
 )
 from .order import LT, OrderSpec, compare, rule_compatible
-from .rewrite import Rule, RuleError, _replacement, joinable, make_rule
+from .rewrite import Rule, _replacement, joinable, make_rule
 
 _RELABELING_CAP = 64  # leg relabelings listed per site at most
 _MAX_ROUNDS = 8  # confluence reports per completion at most
@@ -435,10 +435,20 @@ def enumerate_decisive(s1: Rule, s2: Rule) -> list[Ambiguity]:
     found: dict[tuple, Ambiguity] = {}
     for site, emb1, emb2, terse in _decisive_sites(s1, s2):
         amb_type = transference(site) if both_sharp else BoolMat.ones(site.coarity, site.arity)
-        ks1 = [k for k in contexts(emb1, s1.lhs.rep, site) if context_type_ok(k.tr, s1.qtype, amb_type)]
+        # a sharp rule's contexts are admissible unchecked, as in
+        # rewrite._monomial_redexes: the site is acyclic and tr(site) <= amb_type
+        ks1 = [
+            k
+            for k in contexts(emb1, s1.lhs.rep, site)
+            if s1.sharp or context_type_ok(k.tr, s1.qtype, amb_type)
+        ]
         if not ks1:
             continue
-        ks2 = [k for k in contexts(emb2, s2.lhs.rep, site) if context_type_ok(k.tr, s2.qtype, amb_type)]
+        ks2 = [
+            k
+            for k in contexts(emb2, s2.lhs.rep, site)
+            if s2.sharp or context_type_ok(k.tr, s2.qtype, amb_type)
+        ]
         if not ks2:
             continue
         site_cls = class_of(site)
@@ -590,7 +600,7 @@ def complete(
             diff = res.difference
             if diff is None or diff.is_zero():
                 continue
-            rule = _orient(diff, spec, f"c{added}", current)
+            rule = _orient(diff, spec, f"c{added}")
             if rule is None:
                 raise OrientationFailedError(diff)
             current.append(rule)
@@ -603,20 +613,19 @@ def complete(
     raise LimitReachedError("completion did not converge")
 
 
-def _orient(diff: LinComb, spec: OrderSpec, rule_id: str, current: Sequence[Rule]) -> Rule | None:
+def _orient(diff: LinComb, spec: OrderSpec, rule_id: str) -> Rule | None:
+    """A rule mu -> rest from the difference, mu being its greatest
+    monomial, compatible with the order; None if there is none.  The rule
+    is sharp when every rhs term's transference lies within tr(mu), and
+    has the all-ones type otherwise."""
     items = diff.items()
     for mu, coeff in items:
         if all(
             compare(nu, mu, spec) == LT for nu, _ in items if nu != mu
         ):
             rhs = LinComb.monomial(mu) - diff.scale(1 / coeff)
-            try:
-                rule = make_rule(rule_id, mu, rhs, "sharp")
-            except RuleError:
-                try:
-                    rule = make_rule(rule_id, mu, rhs, [])
-                except RuleError:
-                    return None
+            sharp = all(t.tr.leq(mu.tr) for t in rhs.terms)
+            rule = make_rule(rule_id, mu, rhs, "sharp" if sharp else [])
             ok, _ = rule_compatible(rule, spec)
             if ok:
                 return rule

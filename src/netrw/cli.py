@@ -117,7 +117,7 @@ def cmd_eval(args) -> int:
         raise UsageError("eval needs --map for this target")
     pieces = []
     for cls, coeff in term.items():
-        value = evaluate(cls.rep, target, assign)
+        value = evaluate(cls.net, target, assign)
         pieces.append(f"{coeff} * {value}")
     text = "\n".join(pieces) if pieces else "0"
     _emit(args, {"values": pieces}, text)

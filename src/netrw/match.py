@@ -1,8 +1,8 @@
 """Redex location: the features a pattern needs of its subject;
 embeddings of a pattern network into a subject, one search per image of
-the pattern's first anchor; strong embeddings (segment labelings),
-complement extraction, one context per labeling of an embedding, and
-context-type admissibility."""
+the pattern's first anchor; strong embeddings (the order of the legs on
+each subject edge), complement extraction, one context per labeling of
+an embedding, and context-type admissibility."""
 
 from __future__ import annotations
 
@@ -27,23 +27,16 @@ class Embedding:
     vertex_map: tuple[tuple[int, int], ...]  # sorted (pattern vertex, subject vertex)
     edge_map: tuple[tuple[int, int], ...]  # sorted (pattern edge, subject edge)
 
-    def chi(self) -> dict[int, int]:
-        return dict(self.vertex_map)
-
-    def psi(self) -> dict[int, int]:
-        return dict(self.edge_map)
-
 
 @dataclass(frozen=True)
 class StrongEmbedding:
-    """An embedding enriched with injective segment labels (mod m)."""
+    """An embedding with an injective segment labeling, held as the order
+    of the pattern's legs on each subject edge they share: ``stacks`` is
+    ``(subject edge, legs from tail to head)`` for each subject edge that
+    carries a leg, by subject edge."""
 
     base: Embedding
-    modulus: int
-    segment_map: tuple[tuple[int, int], ...]  # (pattern edge, segment label)
-
-    def psi_prime(self) -> dict[int, int]:
-        return dict(self.segment_map)
+    stacks: tuple[tuple[int, tuple[int, ...]], ...]
 
 
 def _grow_component(
@@ -188,52 +181,32 @@ def embeddings(
             yield from find_embeddings(pattern, subject, w, parts)
 
 
-def strong_embeddings(
-    emb: Embedding, pattern: Network, subject: Network
-) -> list[StrongEmbedding]:
-    """All segment labelings of an embedding.
+def strong_embeddings(emb: Embedding, pattern: Network) -> list[StrongEmbedding]:
+    """All segment labelings of an embedding, in the product order over
+    subject edges.
 
-    Pattern edges sharing a subject edge are ordered tail to head: an edge
-    with an inner tail is the tailmost segment, one with an inner head is
-    the headmost, and stray edges fill the remaining slots in every
-    possible order.
+    The legs sharing a subject edge are ordered tail to head: an output
+    leg (one with an inner tail) is the tailmost segment, an input leg
+    (one with an inner head) the headmost, and the stray edges fill the
+    slots between them in every order.  An edge between two inner
+    vertices shares its image with no other edge and carries no leg.
     """
-    psi = emb.psi()
-    m = max(subject.edges, default=0) + 1
-    classes: dict[int, list[int]] = {}
-    for e in sorted(psi):
-        classes.setdefault(psi[e], []).append(e)
-
-    per_class: list[list[dict[int, int]]] = []
-    for x, members in sorted(classes.items()):
-        first = [e for e in members if pattern.edges[e].tail != 1]
-        last = [e for e in members if pattern.edges[e].head != 0]
-        middle = [e for e in members if e not in first and e not in last]
-        assignments = []
-        if len(members) == 1:
-            assignments.append({members[0]: 0})
-        else:
-            slots = list(range(len(members)))
-            fixed: dict[int, int] = {}
-            if first:
-                fixed[first[0]] = slots.pop(0)
-            if last:
-                fixed[last[0]] = slots.pop()
-            for order in itertools.permutations(middle):
-                theta = dict(fixed)
-                for slot, e in zip(slots, order):
-                    theta[e] = slot
-                assignments.append(theta)
-        per_class.append(assignments)
-
-    out = []
-    for combo in itertools.product(*per_class):
-        theta: dict[int, int] = {}
-        for part in combo:
-            theta.update(part)
-        seg = {e: psi[e] + m * theta[e] for e in psi}
-        out.append(StrongEmbedding(emb, m, tuple(sorted(seg.items()))))
-    return out
+    parts: dict[int, tuple[list[int], list[int], list[int]]] = {}
+    for e, x in emb.edge_map:
+        ends = pattern.edges[e]
+        if ends.head == 0 or ends.tail == 1:
+            outs, strays, ins = parts.setdefault(x, ([], [], []))
+            if ends.tail != 1:
+                outs.append(e)
+            elif ends.head != 0:
+                ins.append(e)
+            else:
+                strays.append(e)
+    per_edge = [
+        [(x, (*outs, *order, *ins)) for order in itertools.permutations(strays)]
+        for x, (outs, strays, ins) in sorted(parts.items())
+    ]
+    return [StrongEmbedding(emb, stacks) for stacks in itertools.product(*per_edge)]
 
 
 def contexts(emb: Embedding, pattern: Network, subject: Network) -> list[NetClass]:
@@ -245,53 +218,38 @@ def contexts(emb: Embedding, pattern: Network, subject: Network) -> list[NetClas
     the input leg of the donor's ``hindex`` to the output leg of the leg's
     ``tindex``; the consecutive pairs of a sequence of distinct items fix
     the sequence; and a leg-preserving isomorphism keeps each wire's legs."""
-    return [complement(subject, pattern, se) for se in strong_embeddings(emb, pattern, subject)]
+    return [complement(subject, pattern, se) for se in strong_embeddings(emb, pattern)]
 
 
 def complement(subject: Network, pattern: Network, se: StrongEmbedding) -> NetClass:
     """The context K with class(subject) = annex(class(K), class(pattern)),
     as a class held by the complement network, not yet canonicalized.
 
-    Follows the padding construction: segment labels donate edge ids, the
-    context keeps the subject vertices outside the embedding, and the
-    extra legs of K line up with the pattern's legs.
+    K keeps the subject vertices outside the embedding and the subject
+    edges between them.  On a subject edge that carries legs, K's input
+    leg for the headmost leg takes the edge's head, K's output leg for
+    the tailmost leg takes its tail, and each consecutive pair of legs
+    becomes a wire; new edges are numbered after the subject's.
     """
-    psi = se.psi_prime()
-    m = se.modulus
-    gone = set(se.base.chi().values())
-
-    # the pattern's legs on each subject edge, tail to head, as (label, leg)
-    segments: dict[int, list[tuple[int, int]]] = {}
-    for label, e in sorted((label, e) for e, label in psi.items()):
-        ends = pattern.edges[e]
-        if ends.head == 0 or ends.tail == 1:
-            segments.setdefault(label % m, []).append((label, e))
+    gone = {w for _, w in se.base.vertex_map}
+    stacks = dict(se.stacks)
+    fresh = itertools.count(max(subject.edges, default=0) + 1)
+    omega_g, alpha_g = subject.coarity, subject.arity
+    ends_of = pattern.edges
 
     edges: dict[int, Edge] = {}
-    omega_g, alpha_g = subject.coarity, subject.arity
     for x, ends in subject.edges.items():
-        seg = segments.get(x)
-        if seg is None:
+        stack = stacks.get(x)
+        if stack is None:
             if ends.head not in gone and ends.tail not in gone:
                 edges[x] = ends
             continue
         if ends.head not in gone:
-            label, donor = seg[-1]
-            edges[m + label] = Edge(
-                ends.head, ends.hindex, 1, alpha_g + pattern.edges[donor].hindex
-            )
+            edges[next(fresh)] = Edge(ends.head, ends.hindex, 1, alpha_g + ends_of[stack[-1]].hindex)
         if ends.tail not in gone:
-            label, leg = seg[0]
-            edges[label] = Edge(
-                0, omega_g + pattern.edges[leg].tindex, ends.tail, ends.tindex
-            )
-        for (_, donor), (label, leg) in zip(seg, seg[1:]):
-            edges[label] = Edge(
-                0,
-                omega_g + pattern.edges[leg].tindex,
-                1,
-                alpha_g + pattern.edges[donor].hindex,
-            )
+            edges[next(fresh)] = Edge(0, omega_g + ends_of[stack[0]].tindex, ends.tail, ends.tindex)
+        for donor, leg in zip(stack, stack[1:]):
+            edges[next(fresh)] = Edge(0, omega_g + ends_of[leg].tindex, 1, alpha_g + ends_of[donor].hindex)
     deco = {v: sym for v, sym in subject.deco.items() if v not in gone}
     return NetClass(Network(edges, deco))
 

@@ -49,7 +49,7 @@ class Stage:
     assignment: Mapping[str, BaffElem | ConnElem]
 
     def value(self, a: NetClass) -> BaffElem | ConnElem:
-        return evaluate(a.rep, self.target, self.assignment)
+        return evaluate(a.net, self.target, self.assignment)
 
     def compare(self, a: NetClass, b: NetClass) -> str:
         va, vb = self.value(a), self.value(b)

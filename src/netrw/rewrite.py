@@ -153,24 +153,23 @@ class ReductionStep:
 
 def _monomial_redexes(nu: NetClass, q: BoolMat, rules: Sequence[Rule]):
     """Yield (rule, context K) pairs admissible at ambient type q, in the
-    deterministic redex order; ``rules`` are sorted by id.
+    deterministic redex order; ``rules`` are sorted by id, and tr(nu) <= q,
+    which :meth:`_Redexes._see` checks.
 
     A rule whose ``lhs_needs`` are not all features of nu has no
     embedding into nu, so it is passed over before its lhs is
-    canonicalized.  Each context K of a sharp rule is admissible under the
-    all-ones type unchecked: annexing the lhs to K gives nu, which is
-    acyclic, so K annexes the rule's type tr(lhs) without a cycle, and the
-    all-ones type admits every transference."""
+    canonicalized.  Each context K of a sharp rule is admissible
+    unchecked: annexing the lhs to K gives nu, which is acyclic, so K
+    annexes the rule's type tr(lhs) without a cycle, and by the block
+    formula the result's transference is tr(nu) <= q."""
     have = features(nu.net)
-    any_type = q.is_ones()
     for rule in rules:
         if not rule.lhs_needs <= have:
             continue
         pattern, subject = rule.lhs.rep, nu.rep
-        unchecked = any_type and rule.sharp
         for emb in embeddings(pattern, subject, rule.lhs_parts):
             for ctx in contexts(emb, pattern, subject):
-                if unchecked or context_type_ok(ctx.tr, rule.qtype, q):
+                if rule.sharp or context_type_ok(ctx.tr, rule.qtype, q):
                     yield rule, ctx
 
 

@@ -1,11 +1,12 @@
 """Shared fixtures: signatures, random generators, the PROP axiom suite,
 test-only oracles for composition, tensor, the symmetric join, the
-embedding search, the unindexed redex search, context admissibility,
-evaluation, the command line parser, the term parser that built deltas as
-neutral vertices, cuts and splits, smoothening and gluing enumeration, the
-neutral symbol, and test-only helpers for permutation actions on
-classes, boolean evaluation, union-find copies, reduction-step text,
-connectivity data and the corpus's rule pairs."""
+embedding search, contexts from mod-m segment labels, the unindexed redex
+search, context admissibility, evaluation, the command line parser, the
+term parser that built deltas as neutral vertices, cuts and splits,
+smoothening and gluing enumeration, the neutral symbol, and test-only
+helpers for permutation actions on classes, boolean evaluation,
+union-find copies, reduction-step text, connectivity data and the
+corpus's rule pairs."""
 
 from __future__ import annotations
 
@@ -475,6 +476,129 @@ def reference_find_embeddings(pattern: Network, subject: Network) -> list[Embedd
 
 
 # ---------------------------------------------------------------------------
+# Context oracle: segment labels psi(e) + m * slot modulo m, decoded by the
+# complement with % m and a sort, which the per-edge leg order replaced
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ReferenceStrongEmbedding:
+    """An embedding enriched with injective segment labels (mod m)."""
+
+    base: Embedding
+    modulus: int
+    segment_map: tuple[tuple[int, int], ...]  # (pattern edge, segment label)
+
+    def psi_prime(self) -> dict[int, int]:
+        return dict(self.segment_map)
+
+
+def reference_strong_embeddings(
+    emb: Embedding, pattern: Network, subject: Network
+) -> list[ReferenceStrongEmbedding]:
+    """All segment labelings of an embedding.
+
+    Pattern edges sharing a subject edge are ordered tail to head: an edge
+    with an inner tail is the tailmost segment, one with an inner head is
+    the headmost, and stray edges fill the remaining slots in every
+    possible order.
+    """
+    psi = dict(emb.edge_map)
+    m = max(subject.edges, default=0) + 1
+    classes: dict[int, list[int]] = {}
+    for e in sorted(psi):
+        classes.setdefault(psi[e], []).append(e)
+
+    per_class: list[list[dict[int, int]]] = []
+    for x, members in sorted(classes.items()):
+        first = [e for e in members if pattern.edges[e].tail != 1]
+        last = [e for e in members if pattern.edges[e].head != 0]
+        middle = [e for e in members if e not in first and e not in last]
+        assignments = []
+        if len(members) == 1:
+            assignments.append({members[0]: 0})
+        else:
+            slots = list(range(len(members)))
+            fixed: dict[int, int] = {}
+            if first:
+                fixed[first[0]] = slots.pop(0)
+            if last:
+                fixed[last[0]] = slots.pop()
+            for order in itertools.permutations(middle):
+                theta = dict(fixed)
+                for slot, e in zip(slots, order):
+                    theta[e] = slot
+                assignments.append(theta)
+        per_class.append(assignments)
+
+    out = []
+    for combo in itertools.product(*per_class):
+        theta: dict[int, int] = {}
+        for part in combo:
+            theta.update(part)
+        seg = {e: psi[e] + m * theta[e] for e in psi}
+        out.append(ReferenceStrongEmbedding(emb, m, tuple(sorted(seg.items()))))
+    return out
+
+
+def reference_complement(subject: Network, pattern: Network, se: ReferenceStrongEmbedding) -> NetClass:
+    """The context K with class(subject) = annex(class(K), class(pattern)),
+    as a class held by the complement network, not yet canonicalized.
+
+    Follows the padding construction: segment labels donate edge ids, the
+    context keeps the subject vertices outside the embedding, and the
+    extra legs of K line up with the pattern's legs.
+    """
+    psi = se.psi_prime()
+    m = se.modulus
+    gone = set(dict(se.base.vertex_map).values())
+
+    # the pattern's legs on each subject edge, tail to head, as (label, leg)
+    segments: dict[int, list[tuple[int, int]]] = {}
+    for label, e in sorted((label, e) for e, label in psi.items()):
+        ends = pattern.edges[e]
+        if ends.head == 0 or ends.tail == 1:
+            segments.setdefault(label % m, []).append((label, e))
+
+    edges: dict[int, Edge] = {}
+    omega_g, alpha_g = subject.coarity, subject.arity
+    for x, ends in subject.edges.items():
+        seg = segments.get(x)
+        if seg is None:
+            if ends.head not in gone and ends.tail not in gone:
+                edges[x] = ends
+            continue
+        if ends.head not in gone:
+            label, donor = seg[-1]
+            edges[m + label] = Edge(
+                ends.head, ends.hindex, 1, alpha_g + pattern.edges[donor].hindex
+            )
+        if ends.tail not in gone:
+            label, leg = seg[0]
+            edges[label] = Edge(
+                0, omega_g + pattern.edges[leg].tindex, ends.tail, ends.tindex
+            )
+        for (_, donor), (label, leg) in zip(seg, seg[1:]):
+            edges[label] = Edge(
+                0,
+                omega_g + pattern.edges[leg].tindex,
+                1,
+                alpha_g + pattern.edges[donor].hindex,
+            )
+    deco = {v: sym for v, sym in subject.deco.items() if v not in gone}
+    return NetClass(Network(edges, deco))
+
+
+def reference_contexts(emb: Embedding, pattern: Network, subject: Network) -> list[NetClass]:
+    """``match.contexts`` from mod-m segment labels: one context per
+    labeling of ``emb``, in labeling order."""
+    return [
+        reference_complement(subject, pattern, se)
+        for se in reference_strong_embeddings(emb, pattern, subject)
+    ]
+
+
+# ---------------------------------------------------------------------------
 # Context admissibility oracle
 # ---------------------------------------------------------------------------
 
@@ -652,7 +776,7 @@ def eager_contexts(emb: Embedding, pattern: Network, subject: Network) -> list[N
     """``match.contexts`` with every context canonicalized as it is taken:
     the eager class of each labeling's complement network, repeats
     dropped, so that a list as long as ``contexts``' shows it has none."""
-    labelings = strong_embeddings(emb, pattern, subject)
+    labelings = strong_embeddings(emb, pattern)
     return list(dict.fromkeys(eager_class(complement(subject, pattern, se).net) for se in labelings))
 
 

@@ -440,7 +440,7 @@ class TestPropertySuites:
                 continue
             sub_cls, pat_cls = class_of(subject), class_of(pattern)
             for emb in embs[:2]:
-                for se in strong_embeddings(emb, pattern, subject)[:2]:
+                for se in strong_embeddings(emb, pattern)[:2]:
                     k = complement(subject, pattern, se)
                     assert annex(k, pat_cls) == sub_cls
                     cases += 1

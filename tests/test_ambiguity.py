@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import netrw.network
 from netrw.ainparse import parse_rules, parse_term
 from netrw import ambiguity
 from netrw.ambiguity import (
@@ -30,7 +31,14 @@ from netrw.order import OrderSpec, Stage
 from netrw.props import BAFF_NAT, parse_assignment
 from netrw.rewrite import all_single_steps, is_irreducible, joinable, make_rule, normalize
 
-from conftest import corpus_rule_pairs, random_class, random_network, reference_sites
+from conftest import (
+    computed,
+    corpus_rule_pairs,
+    random_class,
+    random_network,
+    reference_sites,
+    swap_everywhere,
+)
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "netrw" / "corpus"
 
@@ -167,6 +175,30 @@ class TestEnumerate:
             assert annex(amb.context2, rules[0].lhs) == amb.site
             assert lc_annex(amb.context1, rules[0].rhs) == amb.reduct1
             assert lc_annex(amb.context2, rules[0].rhs) == amb.reduct2
+
+    def test_sharp_pairs_read_only_site_types(self, monkeypatch):
+        # an all-sharp pair's ambiguity type is its site's transference,
+        # and neither rule's contexts are checked against it: transference
+        # runs once per site and on no context
+        pairs = [(s1, s2) for s1, s2 in corpus_rule_pairs() if s1.sharp and s2.sharp]
+        sites, traversed = [], []
+        real_sites, real_tr = ambiguity._decisive_sites, netrw.network.transference
+
+        def recording_sites(s1, s2):
+            for found in real_sites(s1, s2):
+                sites.append(found[0])
+                yield found
+
+        def recording_tr(net, *order):
+            traversed.append(net)
+            return real_tr(net, *order)
+
+        monkeypatch.setattr(ambiguity, "_decisive_sites", recording_sites)
+        swap_everywhere(monkeypatch, real_tr, recording_tr)
+        ambs = [amb for s1, s2 in pairs for amb in enumerate_decisive(s1, s2)]
+        assert [id(net) for net in traversed] == [id(site) for site in sites]
+        assert len(sites) >= 50 and len(ambs) >= 45, (len(sites), len(ambs))
+        assert not any(computed(k, "tr") for amb in ambs for k in (amb.context1, amb.context2))
 
 
 class TestDecisiveSites:
@@ -519,6 +551,28 @@ class TestComplete:
         done, report = complete(rules, spec)
         assert done == list(rules)
         assert report.verdict == "confluent"
+
+    def test_orient_types(self):
+        # an oriented rule is sharp when every rhs term's transference lies
+        # within tr(lhs), and of the all-ones type otherwise; f's value
+        # has a zero matrix part, so f lies below eta eps although it
+        # connects its input to its output and eta eps does not
+        sig = parse_signature("gen eta 1 0\ngen eps 0 1\ngen e 0 1\ngen f 1 1\n")
+        assignment = parse_assignment(
+            "map eta = 1 1 ; 0 1 ; 0 1\n"
+            "map eps = 1 1 1 ; 0 1 0\n"
+            "map e = 1 0 0 ; 0 1 0\n"
+            "map f = 1 0 0 ; 0 1 0 ; 0 0 0",
+            sig,
+            BAFF_NAT,
+        )
+        spec = OrderSpec((Stage(BAFF_NAT, assignment),))
+        mu = parse_term("eta^a eps_b", sig)
+        within = ambiguity._orient(mu - parse_term("eta^a e_b", sig), spec, "c0")
+        beyond = ambiguity._orient(mu - parse_term("f^a_b", sig), spec, "c1")
+        assert within.lhs == beyond.lhs == mu.monomials()[0]
+        assert within.sharp and within.qtype == BoolMat.zeros(1, 1)
+        assert not beyond.sharp and beyond.qtype == BoolMat.ones(1, 1)
 
     def test_orientation_failed(self):
         # the self-overlap of f.f |-> g.h leaves a difference whose two

@@ -2,11 +2,13 @@
 
 import collections
 import itertools
+import math
 from pathlib import Path
 
 import pytest
 
 from netrw.ainparse import parse_rules
+from netrw.ambiguity import _decisive_sites
 from netrw.core import BoolMat, Symbol, cross, parse_signature, same
 from netrw.freeprop import (
     JoinUndefinedError,
@@ -32,10 +34,12 @@ from netrw.network import Edge, Network, validate
 
 from conftest import (
     computed,
+    corpus_rule_pairs,
     eager_contexts,
     exact_shape_class,
     random_class,
     random_network,
+    reference_contexts,
     reference_find_embeddings,
     same_network,
 )
@@ -187,7 +191,7 @@ class TestEmbeddingWalk:
                 images = subject.inner_vertices() if anchors else [None]
                 for w in images:
                     got = find_embeddings(pattern, subject, w)
-                    assert got == [e for e in want if w is None or e.chi()[anchors[0]] == w]
+                    assert got == [e for e in want if w is None or dict(e.vertex_map)[anchors[0]] == w]
                 comps = len(anchors)
                 strays = len(pattern_parts(pattern)[1])
                 counts[system, "several components"] += bool(want) and comps > 1
@@ -197,12 +201,24 @@ class TestEmbeddingWalk:
         assert min(counts.values()) >= 20, counts
 
 
+def assert_reference_contexts(emb, pattern, subject) -> int:
+    """``contexts`` against ``conftest.reference_contexts``: the same
+    order, and equal code, transference and representative; the number of
+    contexts."""
+    got = contexts(emb, pattern, subject)
+    want = reference_contexts(emb, pattern, subject)
+    assert [k.code for k in got] == [k.code for k in want]
+    assert [k.tr for k in got] == [k.tr for k in want]
+    assert all(same_network(k.rep, w.rep) for k, w in zip(got, want))
+    return len(got)
+
+
 class TestStrongEmbeddings:
     def test_no_strays_unique(self, rng, sig2):
         for _ in range(50):
             g = random_class(rng, list(sig2), max_inner=3, max_strays=0)
             for emb in embeddings(g.rep, g.rep):
-                ses = strong_embeddings(emb, g.rep, g.rep)
+                ses = strong_embeddings(emb, g.rep)
                 if not any(
                     ends.head == 0 and ends.tail == 1 for ends in g.rep.edges.values()
                 ):
@@ -220,18 +236,37 @@ class TestStrongEmbeddings:
             if e.edge_map[0][1] == e.edge_map[1][1]
         ]
         assert embs
-        ses = strong_embeddings(embs[0], pattern, subject)
+        ses = strong_embeddings(embs[0], pattern)
         assert len(ses) == 2
 
-    def test_mod_m_reproduces_base(self, rng, sig2):
-        for _ in range(100):
+    def test_stacks_order_the_legs(self, rng, sig2):
+        # every leg lies once in the stack of its base image, stacks by
+        # subject edge; a stack lists an output leg first and an input leg
+        # last; and there is one labeling per order of the strays on each
+        # subject edge
+        several = 0
+        for _ in range(200):
             subject = random_network(rng, list(sig2), max_inner=3)
-            pattern = random_network(rng, list(sig2), max_inner=2)
+            pattern = random_network(rng, list(sig2), max_inner=2, max_strays=3)
+            ends = pattern.edges
+            legs = sorted(e for e in ends if ends[e].head == 0 or ends[e].tail == 1)
             for emb in list(embeddings(pattern, subject))[:3]:
-                for se in strong_embeddings(emb, pattern, subject):
-                    base = emb.psi()
-                    for e, label in se.psi_prime().items():
-                        assert label % se.modulus == base[e]
+                psi = dict(emb.edge_map)
+                strays = collections.Counter(psi[e] for e in legs if ends[e].head == 0 and ends[e].tail == 1)
+                labelings = strong_embeddings(emb, pattern)
+                assert len(labelings) == math.prod(map(math.factorial, strays.values()))
+                assert len({se.stacks for se in labelings}) == len(labelings)
+                several += len(labelings) > 1
+                for se in labelings:
+                    assert se.base is emb
+                    edges = [x for x, _ in se.stacks]
+                    assert edges == sorted(set(edges))
+                    assert sorted(e for _, stack in se.stacks for e in stack) == legs
+                    for x, stack in se.stacks:
+                        assert all(psi[e] == x for e in stack)
+                        assert all(ends[e].tail == 1 for e in stack[1:])
+                        assert all(ends[e].head == 0 for e in stack[:-1])
+        assert several >= 50, several
 
 
 class TestContexts:
@@ -242,13 +277,24 @@ class TestContexts:
             subject = random_network(rng, list(sig2), max_inner=3)
             pattern = random_network(rng, list(sig2), max_inner=1, max_strays=3)
             for emb in list(embeddings(pattern, subject))[:4]:
-                labelings = strong_embeddings(emb, pattern, subject)
+                labelings = strong_embeddings(emb, pattern)
                 several += len(labelings) > 1
                 want = [complement(subject, pattern, se).code for se in labelings]
                 got = [k.code for k in contexts(emb, pattern, subject)]
                 assert got == want
                 assert len(set(got)) == len(got)
+                assert_reference_contexts(emb, pattern, subject)
         assert several >= 50
+
+    def test_corpus_sites_match_reference(self):
+        # both rules' contexts at every decisive site of every corpus rule pair
+        counts = collections.Counter()
+        for s1, s2 in corpus_rule_pairs():
+            for site, emb1, emb2, _ in _decisive_sites(s1, s2):
+                counts["contexts"] += assert_reference_contexts(emb1, s1.lhs.rep, site)
+                counts["contexts"] += assert_reference_contexts(emb2, s2.lhs.rep, site)
+                counts["sites"] += 1
+        assert counts["sites"] >= 100 and counts["contexts"] >= 200, counts
 
 
 class TestDeferredContexts:
@@ -267,7 +313,7 @@ class TestDeferredContexts:
                 stray = random_network(rng, list(sig), max_inner=1, max_strays=3)
                 for pattern in [stray, rng.choice(lhs)]:
                     for emb in list(embeddings(pattern, subject))[:4]:
-                        several = len(strong_embeddings(emb, pattern, subject)) > 1
+                        several = len(strong_embeddings(emb, pattern)) > 1
                         got = contexts(emb, pattern, subject)
                         want = eager_contexts(emb, pattern, subject)
                         assert len(got) == len(want)
@@ -291,7 +337,7 @@ class TestComplement:
                 if all(v == w for v, w in e.vertex_map)
                 and all(a == b for a, b in e.edge_map)
             ][0]
-            se = strong_embeddings(ident, g.rep, g.rep)[0]
+            se = strong_embeddings(ident, g.rep)[0]
             k = complement(g.rep, g.rep, se)
             assert k == phi(cross(g.arity, g.coarity))
             assert annex(k, g) == g
@@ -307,7 +353,7 @@ class TestComplement:
                 continue
             pat_cls = class_of(pattern)
             for emb in embs[:2]:
-                for se in strong_embeddings(emb, pattern, subject)[:2]:
+                for se in strong_embeddings(emb, pattern)[:2]:
                     k = complement(subject, pattern, se)
                     assert annex(k, pat_cls) == sub_cls
                     cases += 1
@@ -319,7 +365,7 @@ class TestComplement:
             pattern = random_network(rng, list(sig2), max_inner=2)
             embs = list(embeddings(pattern, subject))
             if embs:
-                ses = strong_embeddings(embs[0], pattern, subject)
+                ses = strong_embeddings(embs[0], pattern)
                 assert ses
                 k = complement(subject, pattern, ses[0])
                 assert annex(k, class_of(pattern)) == class_of(subject)

@@ -18,7 +18,10 @@ from pathlib import Path
 
 import pytest
 
+import netrw.network
 from netrw import cli
+
+from conftest import swap_everywhere
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -56,3 +59,22 @@ def test_round_matches_reference(workloads, reference, monkeypatch, workload):
     jobs = workloads.round_jobs(workload, 1)
     changed = [job.key for job in jobs if digest(job.argv) != reference[job.key]]
     assert not changed, f"{len(changed)} of {len(jobs)} outputs differ: {changed[:5]}"
+
+
+def test_circle_powers_rebuilds_few_reps(workloads, monkeypatch):
+    """A class is evaluated on the network it holds, so an order
+    comparison rebuilds no representative: one seed-1 round of
+    circle-powers calls ``from_code`` 551 times, where evaluating each
+    compared class's representative made 591 calls."""
+    monkeypatch.chdir(ROOT)
+    calls = []
+    real = netrw.network.from_code
+
+    def counting(code):
+        calls.append(code)
+        return real(code)
+
+    swap_everywhere(monkeypatch, real, counting)
+    for job in workloads.round_jobs("circle-powers", 1):
+        digest(job.argv)
+    assert len(calls) == 551

@@ -225,3 +225,30 @@ def test_public_api_documented():
 
     bare = [name for name in netrw.__all__ if not documented(name)]
     assert not bare, f"exported names without a docstring: {bare}"
+
+
+def test_no_unused_parameters():
+    """Every parameter of every function in the package, lambdas and
+    nested functions included, is read in the function's body, a nested
+    function's body counting: a parameter that nothing reads is an input
+    no caller can use.  ``self`` and ``cls`` are exempt."""
+    unused = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                sub.id
+                for stmt in body
+                for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+            }
+            unused += [
+                f"{path.name}:{node.lineno} {getattr(node, 'name', 'lambda')}({arg.arg})"
+                for arg in params
+                if arg is not None and arg.arg not in ("self", "cls") and arg.arg not in read
+            ]
+    assert not unused, f"parameters their function never reads: {unused}"
