@@ -321,7 +321,7 @@ def _build_term(
     order = _topological_order(deco, edges.values())
     if len(order) < len(deco):
         try:
-            validate([0, 1, *deco], edges, deco)
+            validate(edges, deco)
         except InvalidNetworkError as exc:
             raise AinError("CycleInTerm", str(exc)) from None
     net = Network(edges, deco)

@@ -16,9 +16,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .core import BoolMat, Perm, same
+from .core import BoolMat, Perm
 from .freeprop import LinComb, NetClass, class_of
-from .match import Embedding, context_type_ok, contexts
+from .match import Embedding
 from .network import (
     Edge,
     Network,
@@ -31,7 +31,7 @@ from .network import (
     validate,
 )
 from .order import LT, OrderSpec, compare, rule_compatible
-from .rewrite import Rule, _replacement, joinable, make_rule
+from .rewrite import Rule, _admitted_contexts, _replacement, joinable, make_rule
 
 _RELABELING_CAP = 64  # leg relabelings listed per site at most
 _MAX_ROUNDS = 8  # confluence reports per completion at most
@@ -60,65 +60,71 @@ class Ambiguity:
         )
 
 
-def _shift(nodes: list[int | None], offset: int) -> list[int | None]:
-    return [None if n is None else n + offset for n in nodes]
-
-
 class _PairTables:
-    """Both left hand sides of a rule pair as integer node tables.
+    """Both left hand sides of a rule pair as integer node tables, read
+    off their representatives.
 
     Nodes are numbered in the sorted order of the tuples ("e"|"v", side,
     id): the edges of side 1 and of side 2, then the inner vertices of each
     side.  A class of nodes is named by its least member, so the seed order
-    and the numbering of a site follow the order of the tuples.  Each
-    side's tables are its rule's ``lhs_nodes``, numbered from 0, so they
-    are joined here by shifting each number by its block's offset.
+    and the numbering of a site follow the order of the tuples.  A
+    representative's ids are dense (see ``from_code``), so a node is an id
+    plus its block's offset.
     """
 
     def __init__(self, s1: Rule, s2: Rule):
-        t1, t2 = s1.lhs_nodes, s2.lhs_nodes
-        e1, v1 = len(t1.eids), len(t1.vids)
-        self.n_edges = ne = e1 + len(t2.eids)
-        # the id of each node, and the nodes of each kind and side
-        self.ids = t1.eids + t2.eids + t1.vids + t2.vids
-        n = len(self.ids)
+        reps = s1.lhs.rep, s2.lhs.rep
+        e1, v1 = len(reps[0].edges), len(reps[0].deco)
+        self.n_edges = ne = e1 + len(reps[1].edges)
+        n = ne + v1 + len(reps[1].deco)
         self.part = {
             ("e", 1): range(e1),
             ("e", 2): range(e1, ne),
             ("v", 1): range(ne, ne + v1),
             ("v", 2): range(ne + v1, n),
         }
-        self.side = [1] * e1 + [2] * (ne - e1) + [1] * v1 + [2] * (n - ne - v1)
-        self.symbol = [None] * ne + t1.symbol + t2.symbol
-        # per vertex: its in-edges and its out-edges by port
-        self.ports = [None] * ne + t1.ports + [
-            (tuple(e + e1 for e in ins), tuple(e + e1 for e in outs)) for ins, outs in t2.ports
-        ]
-        # per edge: its head and tail vertex (None at a leg) with their port index
-        self.head = _shift(t1.head, ne) + _shift(t2.head, ne + v1)
-        self.tail = _shift(t1.tail, ne) + _shift(t2.tail, ne + v1)
-        self.hindex = t1.hindex + t2.hindex
-        self.tindex = t1.tindex + t2.tindex
-        self.internal = t1.internal + t2.internal
-        self.headed = [(e, h) for e, h in enumerate(self.head) if h is not None]
-        self.tailed = [(e, t) for e, t in enumerate(self.tail) if t is not None]
         # the montage test's wiring runs from an output leg (a row of
         # q1 (+) q2) to an input leg (a column)
         q1, q2 = s1.qtype, s2.qtype
         self.qtype = q1.tensor(q2)
-        self.out_pos = [i - 1 for i in t1.hindex] + [i - 1 + q1.rows for i in t2.hindex]
-        self.in_pos = [i - 1 for i in t1.tindex] + [i - 1 + q1.cols for i in t2.tindex]
+        # per node: its id and side; per vertex: its symbol, and its
+        # in-edges and its out-edges by port; per edge: its head and tail
+        # vertex (None at a leg) with their port index, and the position
+        # of its legs in the montage wiring
+        ids, side, symbol, ports = ([None] * n for _ in range(4))
+        head, tail, hindex, tindex, out_pos, in_pos = ([None] * ne for _ in range(6))
+        for s, rep, rows, cols in (1, reps[0], 0, 0), (2, reps[1], q1.rows, q1.cols):
+            e0, v0 = self.part["e", s].start, self.part["v", s].start - 2
+            for e, ends in rep.edges.items():
+                x = e0 + e
+                ids[x], side[x], hindex[x], tindex[x] = e, s, ends.hindex, ends.tindex
+                head[x] = None if ends.head == 0 else v0 + ends.head
+                tail[x] = None if ends.tail == 1 else v0 + ends.tail
+                out_pos[x], in_pos[x] = ends.hindex - 1 + rows, ends.tindex - 1 + cols
+            for v, sym in rep.deco.items():
+                ids[v0 + v], side[v0 + v], symbol[v0 + v] = v, s, sym
+                ports[v0 + v] = (
+                    tuple(e0 + e for e in rep.in_edges(v)),
+                    tuple(e0 + e for e in rep.out_edges(v)),
+                )
+        self.ids, self.side, self.symbol, self.ports = ids, side, symbol, ports
+        self.head, self.tail, self.hindex, self.tindex = head, tail, hindex, tindex
+        self.out_pos, self.in_pos = out_pos, in_pos
+        self.internal = internal = [h is not None and t is not None for h, t in zip(head, tail)]
+        self.headed = [(e, h) for e, h in enumerate(head) if h is not None]
+        self.tailed = [(e, t) for e, t in enumerate(tail) if t is not None]
 
+        verts1, verts2 = self.part["v", 1], self.part["v", 2]
+        edges1, edges2 = self.part["e", 1], self.part["e", 2]
         # two vertices of one symbol
-        seeds = [
-            (ne + a, ne + v1 + b) for a, sym in enumerate(t1.symbol) for b in t2.by_symbol.get(sym, ())
-        ]
+        seeds = [(a, b) for a in verts1 for b in verts2 if symbol[a] == symbol[b]]
         # a stray edge over an internal edge
-        seeds += [(a, e1 + b) for a in t1.strays for b in t2.inner]
-        seeds += [(e1 + a, b) for a in t2.strays for b in t1.inner]
+        stray = [h is None and t is None for h, t in zip(head, tail)]
+        for xs, ys in (edges1, edges2), (edges2, edges1):
+            seeds += [(a, b) for a in xs if stray[a] for b in ys if internal[b]]
         # an output leg wired to an input leg
-        seeds += [(a, e1 + b) for a in t1.outs for b in t2.ins]
-        seeds += [(e1 + a, b) for a in t2.outs for b in t1.ins]
+        for xs, ys in (edges1, edges2), (edges2, edges1):
+            seeds += [(a, b) for a in xs if head[a] is None for b in ys if tail[b] is None]
         self.seeds = seeds
 
     def class_ok(self, members: list[int], forced: list[tuple[int, int]]) -> bool:
@@ -222,7 +228,7 @@ class _PairTables:
         for pos, i in enumerate(in_legs, 1):
             edges[i] = edges[i]._replace(tail=1, tindex=pos)
 
-        site = validate(set(deco) | {0, 1}, edges, deco)
+        site = validate(edges, deco)
         emb1, emb2 = (
             Embedding(
                 tuple((self.ids[n], vid[cls[n]]) for n in self.part["v", s]),
@@ -401,27 +407,27 @@ def _leg_relabelings(site: Network) -> list[tuple[Perm, Perm]]:
     return out
 
 
-def _is_identity(sigma: Perm, tau: Perm) -> bool:
-    return sigma == same(sigma.n) and tau == same(tau.n)
+def _code_under(cls: NetClass, sigma: Perm, tau: Perm) -> tuple:
+    """The code of sigma . cls . tau: the class's own under the identity
+    relabeling.  It acts on the held network, since a leg-preserving
+    isomorphism commutes with ``act``."""
+    if sigma.images == tuple(range(1, sigma.n + 1)) and tau.images == tuple(range(1, tau.n + 1)):
+        return cls.code
+    return canonical_code(act(sigma, cls.net, tau))
 
 
 def _reducts(
     rule: Rule, ks: list[NetClass], relabelings: list[tuple[Perm, Perm]]
 ) -> list[tuple[NetClass, LinComb, list[tuple]]]:
     """Each admitted context K with its reduct annex(K, rhs) and the
-    reduct's key under each relabeling of the site; under the identity
-    relabeling a term's code is its class's own."""
-    identity = [_is_identity(sigma, tau) for sigma, tau in relabelings]
+    reduct's key under each relabeling of the site."""
     out = []
     for k in ks:
         reduct = _replacement(rule, k)
         keys = []
-        for (sigma, tau), same_legs in zip(relabelings, identity):
-            if same_legs:
-                codes = [t.code for t in reduct.terms]
-            else:
-                codes = [canonical_code(act(sigma, t.rep, tau)) for t in reduct.terms]
-            keys.append((rule.rule_id, tuple(sorted(zip(codes, reduct.terms.values())))))
+        for sigma, tau in relabelings:
+            terms = ((_code_under(t, sigma, tau), c) for t, c in reduct.terms.items())
+            keys.append((rule.rule_id, tuple(sorted(terms))))
         out.append((k, reduct, keys))
     return out
 
@@ -435,29 +441,16 @@ def enumerate_decisive(s1: Rule, s2: Rule) -> list[Ambiguity]:
     found: dict[tuple, Ambiguity] = {}
     for site, emb1, emb2, terse in _decisive_sites(s1, s2):
         amb_type = transference(site) if both_sharp else BoolMat.ones(site.coarity, site.arity)
-        # a sharp rule's contexts are admissible unchecked, as in
-        # rewrite._monomial_redexes: the site is acyclic and tr(site) <= amb_type
-        ks1 = [
-            k
-            for k in contexts(emb1, s1.lhs.rep, site)
-            if s1.sharp or context_type_ok(k.tr, s1.qtype, amb_type)
-        ]
+        ks1 = list(_admitted_contexts(s1, emb1, site, amb_type))
         if not ks1:
             continue
-        ks2 = [
-            k
-            for k in contexts(emb2, s2.lhs.rep, site)
-            if s2.sharp or context_type_ok(k.tr, s2.qtype, amb_type)
-        ]
+        ks2 = list(_admitted_contexts(s2, emb2, site, amb_type))
         if not ks2:
             continue
         site_cls = class_of(site)
         relabelings = _leg_relabelings(site)
-        sigma, tau = relabelings[0]  # every relabeling gives the same code
-        if _is_identity(sigma, tau):
-            site_code = site_cls.code
-        else:
-            site_code = canonical_code(act(sigma, site, tau))
+        # every relabeling gives the same code
+        site_code = _code_under(site_cls, *relabelings[0])
         side1 = _reducts(s1, ks1, relabelings)
         side2 = _reducts(s2, ks2, relabelings)
         for k1, r1, keys1 in side1:

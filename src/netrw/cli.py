@@ -17,10 +17,10 @@ from .ambiguity import (
     enumerate_decisive,
 )
 from .core import BoolMat, SignatureError, parse_signature
-from .freeprop import JoinUndefinedError, lc_sym_join
+from .freeprop import JoinUndefinedError, ShapeError, lc_sym_join
 from .network import evaluate
-from .order import check_strictness, parse_order, rule_compatible
-from .props import connectivity_assignment, get_target, parse_assignment
+from .order import OrderError, check_strictness, parse_order, rule_compatible
+from .props import TargetValueError, connectivity_assignment, get_target, parse_assignment
 from .rewrite import BudgetExceededError, RuleError, normalize
 
 USAGE_ERROR = 2
@@ -130,6 +130,8 @@ def cmd_join(args) -> int:
     b = parse_term(args.b, sig)
     try:
         result = lc_sym_join(a, args.r, args.q, b)
+    except ShapeError as exc:  # --r and --q do not fit the operands
+        raise UsageError(str(exc)) from None
     except JoinUndefinedError as exc:
         _emit(args, {"defined": False, "witness": str(exc)}, f"undefined: {exc}")
         return NEGATIVE
@@ -248,6 +250,8 @@ def cmd_complete(args) -> int:
     spec = _admissible_order(args, sig)
     try:
         new_rules, report = complete(rules, spec, max_steps=args.max_steps)
+    except IncompatibleRuleError as exc:
+        raise UsageError(str(exc)) from None
     except (OrientationFailedError, LimitReachedError) as exc:
         print(f"completion failed: {exc}", file=sys.stderr)
         return NEGATIVE
@@ -304,6 +308,20 @@ def cmd_order_check(args) -> int:
 
 class UsageError(Exception):
     """A malformed command line; :func:`main` prints it and returns 2."""
+
+
+# The errors of bad input, which main reports in one line with exit 2.  Any
+# other exception is a fault of the program and ends in a traceback.
+_INPUT_ERRORS = (
+    UsageError,
+    AinError,
+    SignatureError,
+    RuleError,
+    OrderError,
+    TargetValueError,
+    UnicodeDecodeError,
+    OSError,
+)
 
 
 # An option is (flag, required, kind, nargs, help).  Its value is a string,
@@ -499,7 +517,7 @@ def main(argv=None) -> int:
         if args.command in ("normalize", "confluence") and not args.order and args.max_steps is None:
             raise UsageError(f"{args.command} needs --order or --max-steps")
         return _COMMANDS[args.command][1](args)
-    except (UsageError, AinError, SignatureError, RuleError, ValueError, OSError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

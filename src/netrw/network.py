@@ -118,58 +118,16 @@ def _topological_order(inner: Iterable[int], edges: Iterable[Edge]) -> list[int]
     return order
 
 
-class NodeTables:
-    """A network's edges and inner vertices as integer tables: edges are
-    numbered from 0 in id order, inner vertices from 0 in id order, and
-    each table lists them in that order.  A leg's missing end is None."""
-
-    def __init__(self, net: Network):
-        self.eids = eids = sorted(net.edges)
-        self.vids = vids = net.inner_vertices()
-        enum = {e: i for i, e in enumerate(eids)}
-        vnum = {v: j for j, v in enumerate(vids)}
-        # per vertex: its symbol, and its in-edges and its out-edges by port
-        self.symbol = [net.deco[v] for v in vids]
-        self.ports = [
-            (tuple(enum[e] for e in net.in_edges(v)), tuple(enum[e] for e in net.out_edges(v)))
-            for v in vids
-        ]
-        # the vertices of each symbol
-        self.by_symbol: dict[Symbol, list[int]] = {}
-        for j, sym in enumerate(self.symbol):
-            self.by_symbol.setdefault(sym, []).append(j)
-        # per edge: its head and tail vertex with their port index
-        ends = [net.edges[e] for e in eids]
-        self.head = [vnum.get(x.head) for x in ends]
-        self.tail = [vnum.get(x.tail) for x in ends]
-        self.hindex = [x.hindex for x in ends]
-        self.tindex = [x.tindex for x in ends]
-        self.internal = [h is not None and t is not None for h, t in zip(self.head, self.tail)]
-        # edges between inner vertices, strays, output legs and input legs
-        self.inner = [e for e, x in enumerate(self.internal) if x]
-        self.strays = [e for e, x in enumerate(ends) if x.head == 0 and x.tail == 1]
-        self.outs = [e for e, x in enumerate(ends) if x.head == 0]
-        self.ins = [e for e, x in enumerate(ends) if x.tail == 1]
-
-
-def check(
-    vertices: Iterable[int],
-    edges: Mapping[int, Edge],
-    deco: Mapping[int, Symbol],
-) -> list[Violation]:
-    """Return the list of network axiom violations (empty when valid)."""
+def check(edges: Mapping[int, Edge], deco: Mapping[int, Symbol]) -> list[Violation]:
+    """Return the list of network axiom violations (empty when valid).
+    The inner vertices are the keys of ``deco``, each at least 2."""
     violations: list[Violation] = []
-    vset = set(vertices)
-    if 0 not in vset or 1 not in vset:
-        violations.append(Violation("BadVertex", ("missing 0 or 1",)))
+    low = min(deco, default=2)
+    if low < 2:
+        violations.append(Violation("BadVertex", ("decorated", low)))
         return violations
-    if any(v < 0 for v in vset):
-        violations.append(Violation("BadVertex", ("negative id",)))
-        return violations
-    inner = vset - {0, 1}
-    if set(deco) != inner:
-        violations.append(Violation("BadVertex", ("decoration domain mismatch",)))
-        return violations
+    inner = set(deco)
+    vset = inner | {0, 1}
 
     heads: dict[tuple[int, int], int] = {}
     tails: dict[tuple[int, int], int] = {}
@@ -222,13 +180,9 @@ def check(
     return violations
 
 
-def validate(
-    vertices: Iterable[int],
-    edges: Mapping[int, Edge],
-    deco: Mapping[int, Symbol],
-) -> Network:
+def validate(edges: Mapping[int, Edge], deco: Mapping[int, Symbol]) -> Network:
     """The network with these parts; InvalidNetworkError lists every axiom broken."""
-    violations = check(vertices, edges, deco)
+    violations = check(edges, deco)
     if violations:
         raise InvalidNetworkError(violations)
     return Network(edges, deco)
@@ -540,7 +494,13 @@ def canonical_code(net: Network) -> tuple:
 
 
 def from_code(code: tuple) -> Network:
-    """Rebuild the canonical representative from a canonical code."""
+    """Rebuild the canonical representative from a canonical code.
+
+    Its ids are dense: the E edges are 0..E-1 and the V inner vertices
+    2..V+1, both numbered component by component in code order, so that
+    ``edges`` and ``deco`` list them by id.  The gluing search of
+    :mod:`netrw.ambiguity` reads a representative's ids as its node
+    numbers and relies on this."""
     comps = code[2]
     edges: list[Edge] = []  # edge ids are list positions
     deco: dict[int, Symbol] = {}

@@ -7,12 +7,20 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .core import BoolMat
 from .freeprop import LinComb, NetClass, _join_network, _summands, class_of
-from .match import PatternParts, context_type_ok, contexts, embeddings, features, pattern_parts
-from .network import NodeTables
+from .match import (
+    Embedding,
+    PatternParts,
+    context_type_ok,
+    contexts,
+    embeddings,
+    features,
+    pattern_parts,
+)
+from .network import Network
 
 
 class RuleError(ValueError):
@@ -71,12 +79,6 @@ class Rule:
     def lhs_parts(self) -> PatternParts:
         """``pattern_parts`` of the lhs representative, found once per rule."""
         return pattern_parts(self.lhs.rep)
-
-    @cached_property
-    def lhs_nodes(self) -> NodeTables:
-        """``NodeTables`` of the lhs representative, built once per rule
-        on the first ambiguity search that reads it."""
-        return NodeTables(self.lhs.rep)
 
 
 def make_rule(
@@ -151,6 +153,24 @@ class ReductionStep:
     coefficient: Fraction
 
 
+def _admitted_contexts(
+    rule: Rule, emb: Embedding, subject: Network, q: BoolMat
+) -> Iterator[NetClass]:
+    """The contexts K of the embedding of rule's lhs representative into
+    ``subject`` that are admissible for the rule at ambient type q, for a
+    subject with tr(subject) <= q.
+
+    Each context of a sharp rule is admissible unchecked: annexing the
+    lhs to K gives the subject, which is acyclic, so K annexes the rule's
+    type tr(lhs) without a cycle, and by the block formula the result's
+    transference is tr(subject) <= q."""
+    return (
+        k
+        for k in contexts(emb, rule.lhs.rep, subject)
+        if rule.sharp or context_type_ok(k.tr, rule.qtype, q)
+    )
+
+
 def _monomial_redexes(nu: NetClass, q: BoolMat, rules: Sequence[Rule]):
     """Yield (rule, context K) pairs admissible at ambient type q, in the
     deterministic redex order; ``rules`` are sorted by id, and tr(nu) <= q,
@@ -158,19 +178,15 @@ def _monomial_redexes(nu: NetClass, q: BoolMat, rules: Sequence[Rule]):
 
     A rule whose ``lhs_needs`` are not all features of nu has no
     embedding into nu, so it is passed over before its lhs is
-    canonicalized.  Each context K of a sharp rule is admissible
-    unchecked: annexing the lhs to K gives nu, which is acyclic, so K
-    annexes the rule's type tr(lhs) without a cycle, and by the block
-    formula the result's transference is tr(nu) <= q."""
+    canonicalized."""
     have = features(nu.net)
     for rule in rules:
         if not rule.lhs_needs <= have:
             continue
-        pattern, subject = rule.lhs.rep, nu.rep
-        for emb in embeddings(pattern, subject, rule.lhs_parts):
-            for ctx in contexts(emb, pattern, subject):
-                if rule.sharp or context_type_ok(ctx.tr, rule.qtype, q):
-                    yield rule, ctx
+        subject = nu.rep
+        for emb in embeddings(rule.lhs.rep, subject, rule.lhs_parts):
+            for ctx in _admitted_contexts(rule, emb, subject, q):
+                yield rule, ctx
 
 
 def _replacement(rule: Rule, ctx: NetClass) -> LinComb:

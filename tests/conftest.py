@@ -3,7 +3,8 @@ test-only oracles for composition, tensor, the symmetric join, the
 embedding search, contexts from mod-m segment labels, the unindexed redex
 search, context admissibility, evaluation, the command line parser, the
 term parser that built deltas as neutral vertices, cuts and splits,
-smoothening and gluing enumeration, the neutral symbol, and test-only
+smoothening, gluing enumeration and the gluing's node tables, the neutral
+symbol, every network of a shape over given generators, and test-only
 helpers for permutation actions on classes, boolean evaluation,
 union-find copies, reduction-step text, connectivity data and the
 corpus's rule pairs."""
@@ -17,7 +18,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import pytest
 from hypothesis import settings
@@ -110,7 +111,6 @@ def random_network(
     leg, and leftover outputs become output legs.
     """
     n_inner = rng.randint(min_inner, max_inner)
-    vertices = {0, 1}
     deco = {}
     edges: dict[int, Edge] = {}
     eid = 0
@@ -120,7 +120,6 @@ def random_network(
     for k in range(n_inner):
         v = 2 + k
         sym = rng.choice(symbols)
-        vertices.add(v)
         deco[v] = sym
         for i in range(1, sym.arity + 1):
             if dangling and rng.random() < 0.6:
@@ -153,7 +152,7 @@ def random_network(
     for pos, e in enumerate(out_stubs, 1):
         ends = edges[e]
         edges[e] = Edge(0, pos, ends.tail, ends.tindex)
-    return validate(vertices, edges, deco)
+    return validate(edges, deco)
 
 
 def relabel(net: Network, vmap: Mapping[int, int], emap: Mapping[int, int]) -> Network:
@@ -1218,7 +1217,7 @@ def _build_site(state: _GlueState) -> tuple[Network, Embedding, Embedding, bool]
         ends = edges[eid]
         edges[eid] = Edge(ends.head, ends.hindex, 1, pos)
 
-    site = validate(set(deco) | {0, 1}, edges, deco)
+    site = validate(edges, deco)
     emb1, emb2 = (
         Embedding(
             tuple((v, vid_of[("v", side, v)]) for v in net.inner_vertices()),
@@ -1289,6 +1288,106 @@ def reference_sites(s1, s2):
 
     rec(_GlueState({1: s1.lhs.rep, 2: s2.lhs.rep}))
     return [_build_site(st) for st in states if not _is_montage(st, s1.qtype, s2.qtype)]
+
+
+# The node tables that ambiguity._PairTables read from a per-rule layer,
+# kept here unchanged: a network renumbered from 0 whatever its ids, and
+# both sides joined by shifting each number by its block's offset.
+
+
+class NodeTables:
+    """A network's edges and inner vertices as integer tables: edges are
+    numbered from 0 in id order, inner vertices from 0 in id order, and
+    each table lists them in that order.  A leg's missing end is None."""
+
+    def __init__(self, net: Network):
+        self.eids = eids = sorted(net.edges)
+        self.vids = vids = net.inner_vertices()
+        enum = {e: i for i, e in enumerate(eids)}
+        vnum = {v: j for j, v in enumerate(vids)}
+        # per vertex: its symbol, and its in-edges and its out-edges by port
+        self.symbol = [net.deco[v] for v in vids]
+        self.ports = [
+            (tuple(enum[e] for e in net.in_edges(v)), tuple(enum[e] for e in net.out_edges(v)))
+            for v in vids
+        ]
+        # the vertices of each symbol
+        self.by_symbol: dict[Symbol, list[int]] = {}
+        for j, sym in enumerate(self.symbol):
+            self.by_symbol.setdefault(sym, []).append(j)
+        # per edge: its head and tail vertex with their port index
+        ends = [net.edges[e] for e in eids]
+        self.head = [vnum.get(x.head) for x in ends]
+        self.tail = [vnum.get(x.tail) for x in ends]
+        self.hindex = [x.hindex for x in ends]
+        self.tindex = [x.tindex for x in ends]
+        self.internal = [h is not None and t is not None for h, t in zip(self.head, self.tail)]
+        # edges between inner vertices, strays, output legs and input legs
+        self.inner = [e for e, x in enumerate(self.internal) if x]
+        self.strays = [e for e, x in enumerate(ends) if x.head == 0 and x.tail == 1]
+        self.outs = [e for e, x in enumerate(ends) if x.head == 0]
+        self.ins = [e for e, x in enumerate(ends) if x.tail == 1]
+
+
+def _shift(nodes: list[int | None], offset: int) -> list[int | None]:
+    return [None if n is None else n + offset for n in nodes]
+
+
+class _ReferencePairTables:
+    """The tables of ``ambiguity._PairTables`` from each side's
+    ``NodeTables``, by the constructor that read them."""
+
+    def __init__(self, s1, s2):
+        t1, t2 = NodeTables(s1.lhs.rep), NodeTables(s2.lhs.rep)
+        e1, v1 = len(t1.eids), len(t1.vids)
+        self.n_edges = ne = e1 + len(t2.eids)
+        # the id of each node, and the nodes of each kind and side
+        self.ids = t1.eids + t2.eids + t1.vids + t2.vids
+        n = len(self.ids)
+        self.part = {
+            ("e", 1): range(e1),
+            ("e", 2): range(e1, ne),
+            ("v", 1): range(ne, ne + v1),
+            ("v", 2): range(ne + v1, n),
+        }
+        self.side = [1] * e1 + [2] * (ne - e1) + [1] * v1 + [2] * (n - ne - v1)
+        self.symbol = [None] * ne + t1.symbol + t2.symbol
+        # per vertex: its in-edges and its out-edges by port
+        self.ports = [None] * ne + t1.ports + [
+            (tuple(e + e1 for e in ins), tuple(e + e1 for e in outs)) for ins, outs in t2.ports
+        ]
+        # per edge: its head and tail vertex (None at a leg) with their port index
+        self.head = _shift(t1.head, ne) + _shift(t2.head, ne + v1)
+        self.tail = _shift(t1.tail, ne) + _shift(t2.tail, ne + v1)
+        self.hindex = t1.hindex + t2.hindex
+        self.tindex = t1.tindex + t2.tindex
+        self.internal = t1.internal + t2.internal
+        self.headed = [(e, h) for e, h in enumerate(self.head) if h is not None]
+        self.tailed = [(e, t) for e, t in enumerate(self.tail) if t is not None]
+        # the montage test's wiring runs from an output leg (a row of
+        # q1 (+) q2) to an input leg (a column)
+        q1, q2 = s1.qtype, s2.qtype
+        self.qtype = q1.tensor(q2)
+        self.out_pos = [i - 1 for i in t1.hindex] + [i - 1 + q1.rows for i in t2.hindex]
+        self.in_pos = [i - 1 for i in t1.tindex] + [i - 1 + q1.cols for i in t2.tindex]
+
+        # two vertices of one symbol
+        seeds = [
+            (ne + a, ne + v1 + b) for a, sym in enumerate(t1.symbol) for b in t2.by_symbol.get(sym, ())
+        ]
+        # a stray edge over an internal edge
+        seeds += [(a, e1 + b) for a in t1.strays for b in t2.inner]
+        seeds += [(e1 + a, b) for a in t2.strays for b in t1.inner]
+        # an output leg wired to an input leg
+        seeds += [(a, e1 + b) for a in t1.outs for b in t2.ins]
+        seeds += [(e1 + a, b) for a in t2.outs for b in t1.ins]
+        self.seeds = seeds
+
+
+def reference_pair_tables(s1, s2) -> dict:
+    """Every table of a rule pair's ``_PairTables``, by name, as the
+    per-rule node tables gave them."""
+    return vars(_ReferencePairTables(s1, s2))
 
 
 # ---------------------------------------------------------------------------
@@ -1554,10 +1653,10 @@ def _reference_build_term(term: Term, sig: Signature, outs: list[str], ins: list
     """The class of a term's network.  Only a cycle can make the parts
     invalid, so they are validated only when a topological order misses a
     vertex, for the message that names the cycle's edges."""
-    vertices, edges, deco = reference_term_parts(term, sig, outs, ins)
+    _, edges, deco = reference_term_parts(term, sig, outs, ins)
     if len(_topological_order(deco, edges.values())) < len(deco):
         try:
-            validate(vertices, edges, deco)
+            validate(edges, deco)
         except InvalidNetworkError as exc:
             raise AinError("CycleInTerm", str(exc)) from None
     return class_of(smoothen(Network(edges, deco)))
@@ -1707,3 +1806,34 @@ def _reference_make_rule(
         if not term.tr.leq(q):
             raise RuleError(f"rule {rule_id!r}: RhsOutsideType(term {pos})")
     return ReferenceRule(rule_id, q, mu, rhs_lc, sharp)
+
+
+# ---------------------------------------------------------------------------
+# Every network of a shape over a multiset of generators, for counts
+# against closed forms
+# ---------------------------------------------------------------------------
+
+
+def all_wirings(symbols: Sequence[Symbol], m: int, n: int) -> list[NetClass]:
+    """One class for each isomorphism class of acyclic networks of shape
+    (m, n) whose inner vertices carry exactly these symbols, in order of
+    first appearance.
+
+    The producers are the vertex outputs and the n input legs, and the
+    consumers the vertex inputs and the m output legs; each bijection
+    from producers to consumers wires one edge from each producer to its
+    image.  Cyclic wirings are dropped and the rest deduplicated by code."""
+    deco = dict(enumerate(symbols, 2))
+    producers = [(1, j) for j in range(1, n + 1)]
+    producers += [(v, i) for v, sym in deco.items() for i in range(1, sym.coarity + 1)]
+    consumers = [(0, i) for i in range(1, m + 1)]
+    consumers += [(v, j) for v, sym in deco.items() for j in range(1, sym.arity + 1)]
+    if len(producers) != len(consumers):
+        return []
+    classes: dict[tuple, NetClass] = {}
+    for image in itertools.permutations(consumers):
+        edges = {e: Edge(*head, *tail) for e, (tail, head) in enumerate(zip(producers, image))}
+        if len(_topological_order(deco, edges.values())) == len(deco):
+            cls = class_of(Network(edges, deco))
+            classes.setdefault(cls.code, cls)
+    return list(classes.values())

@@ -94,7 +94,6 @@ def test_matrix_evaluation_golden():
         8: Edge(0, 3, VC, 2),
     }
     net = validate(
-        {0, 1, VA, VB, VC},
         edges,
         {VA: Symbol("A", 2, 2), VB: Symbol("B", 2, 2), VC: Symbol("C", 2, 2)},
     )
@@ -283,7 +282,7 @@ class TestPropertySuites:
             for v, s in right.deco.items():
                 deco[v + voff] = s
                 wr.add(v + voff)
-            whole = validate(set(deco) | {0, 1}, edges, deco)
+            whole = validate(edges, deco)
             l2, r2 = split(whole, set(left.edges), {e + eoff for e in right.edges}, wl, wr)
             assign = nat_assign(rng, list(sig2))
             assert evaluate(whole, NAT_MATRIX, assign) == NAT_MATRIX.tensor(

@@ -235,9 +235,9 @@ def validated_build(term, sig, legs, typed):
                     "additive terms have different unmatched label sets",
                 )
             outs, ins = legs
-    vertices, edges, deco = reference_term_parts(term, sig, outs, ins)
+    _, edges, deco = reference_term_parts(term, sig, outs, ins)
     try:
-        net = validate(vertices, edges, deco)
+        net = validate(edges, deco)
     except InvalidNetworkError as exc:
         raise AinError("CycleInTerm", str(exc)) from None
     return class_of(smoothen(net)), (outs, ins)

@@ -36,6 +36,7 @@ from conftest import (
     corpus_rule_pairs,
     random_class,
     random_network,
+    reference_pair_tables,
     reference_sites,
     swap_everywhere,
 )
@@ -223,7 +224,7 @@ class TestDecisiveSites:
         assert cyclic > 500
 
     def test_only_cycles_are_dropped(self, frob_setup, monkeypatch):
-        def invalid(vertices, edges, deco):
+        def invalid(edges, deco):
             raise InvalidNetworkError([Violation("DuplicatePort", (2, 1))])
 
         monkeypatch.setattr(ambiguity, "validate", invalid)
@@ -325,6 +326,26 @@ class TestDecisiveSites:
                     assert tables.build_site(nxt) is None
                     cyclic += 1
         assert failed > 1000 and cyclic > 1000
+
+
+class TestPairTables:
+    def test_matches_node_table_layer(self, rng, hopf_sig):
+        # every table read off both representatives equals the one the
+        # per-rule node tables gave, on the corpus pairs in both orders
+        # and on random Hopf pairs
+        pairs = corpus_rule_pairs()
+        pairs += [(s2, s1) for s1, s2 in pairs]
+        n_corpus = len(pairs)
+        while len(pairs) < n_corpus + 200:
+            lhs = [random_class(rng, list(hopf_sig), max_inner=4, min_inner=1) for _ in range(2)]
+            typespecs = ["sharp" if rng.random() < 0.5 else [] for _ in lhs]
+            pairs.append([make_rule(f"r{i}", h, h, t) for i, (h, t) in enumerate(zip(lhs, typespecs))])
+        seeds = 0
+        for s1, s2 in pairs:
+            tables = vars(ambiguity._PairTables(s1, s2))
+            assert tables == reference_pair_tables(s1, s2)
+            seeds += len(tables["seeds"])
+        assert seeds > 2000, seeds
 
 
 class TestKeys:

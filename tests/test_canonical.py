@@ -34,7 +34,7 @@ def right_comb(n: int, top_down: bool = True) -> Network:
         edges[len(edges)] = Edge(v, 1, 1, k + 1)
         below = (ids[k + 1], 1) if k + 1 < n else (1, n + 1)
         edges[len(edges)] = Edge(v, 2, *below)
-    return validate({0, 1, *ids}, edges, {v: m for v in ids})
+    return validate(edges, {v: m for v in ids})
 
 
 def circle_chain(n: int, top_down: bool = True) -> Network:
@@ -45,7 +45,7 @@ def circle_chain(n: int, top_down: bool = True) -> Network:
     for k, v in enumerate(ids):
         below = (ids[k + 1], 1) if k + 1 < n else (1, 1)
         edges[len(edges)] = Edge(v, 1, *below)
-    return validate({0, 1, *ids}, edges, {v: y for v in ids})
+    return validate(edges, {v: y for v in ids})
 
 
 def crossed_bialgebra() -> Network:
@@ -62,7 +62,7 @@ def crossed_bialgebra() -> Network:
         Edge(0, 1, 4, 1),
         Edge(0, 2, 5, 1),
     ]
-    return validate({0, 1, 2, 3, 4, 5}, dict(enumerate(edges)), {2: d, 3: d, 4: m, 5: m})
+    return validate(dict(enumerate(edges)), {2: d, 3: d, 4: m, 5: m})
 
 
 def wide_relabel(rng: random.Random, net: Network) -> Network:

@@ -11,6 +11,7 @@ import pytest
 
 from netrw import cli
 from netrw.cli import OK, USAGE_ERROR, UsageError, main
+from netrw.freeprop import ShapeError
 
 from conftest import REFERENCE_COMMANDS, reference_parser
 
@@ -402,6 +403,25 @@ class TestSubcommands:
         code, _, err = run(capsys, "validate", "--sig", str(tmp_path), "m^a_bc")
         assert code == 2 and err.startswith("error:") and "Traceback" not in err
 
+    def test_sig_not_utf8_exit_2(self, tmp_path, capsys):
+        (tmp_path / "bad.sig").write_bytes(b"gen m 1 2\ngen \xff 1 1\n")
+        code, out, err = run(capsys, "validate", "--sig", str(tmp_path / "bad.sig"), "m^a_bc")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("fault", [ValueError, ShapeError], ids=["ValueError", "ShapeError"])
+    def test_program_fault_propagates(self, monkeypatch, corpus, fault):
+        # a fault of the program is no input error: a bare ValueError, as a
+        # shape mismatch inside the engine raises, or an engine ShapeError
+        # (only join's --r and --q make one an input error) ends in a traceback
+        def faulty(args):
+            raise fault("shape mismatch in boolean matrix product")
+
+        about, _, options, positionals = cli._COMMANDS["validate"]
+        monkeypatch.setitem(cli._COMMANDS, "validate", (about, faulty, options, positionals))
+        with pytest.raises(fault, match="shape mismatch"):
+            main(["validate", "--sig", str(corpus / "assoc.sig"), "m^a_bc"])
+
 
 # Command lines that each end in one error line; "{name}" stands for the
 # corpus file of that name.
@@ -424,6 +444,7 @@ BAD_INPUT_ARGV = [
     ["normalize", "--sig", "{assoc.sig}", "--rules", "{rev.rules}", "--order", "{assoc.order}", "m^a_bc"],
     ["ambiguities", "--sig", "{assoc.sig}", "--rules", "{assoc.rules}", "--pair", "assoc", "nope"],
     ["confluence", "--sig", "{assoc.sig}", "--rules", "{rev.rules}", "--order", "{assoc.order}"],
+    ["complete", "--sig", "{assoc.sig}", "--rules", "{rev.rules}", "--order", "{assoc.order}"],
     ["order-check", "--sig", "{circle.sig}", "--order", "{neg.order}", "--rules", "{grow.rules}"],
     ["normalize", "--sig", "{circle.sig}", "--rules", "{grow.rules}", "--order", "{neg.order}", "y^a_b"],
     ["eval", "--sig", "{circle.sig}", "--target", "nat-matrix", "--map", "{half.map}", "x^a_b y^b_c"],
@@ -437,7 +458,7 @@ BAD_INPUT_ARGV = [
     ["validate", "--sig", "{assoc.sig}", "- - m^a_bc"],
     ["normalize", "--sig", "{assoc.sig}", "--rules", "{assoc.rules}", "--max-steps", "0", "m^a_bc +- + m^a_bc"],
 ]
-BAD_INPUT_IDS = ["no-rules", "no-order", "order-check-no-order", "negative-r", "r-too-big-zero-operand", "r-too-big", "term-zero-denominator", "map-zero-denominator", "tr-not-monomial", "eval-no-map", "normalize-incompatible-rule", "unknown-rule", "confluence-incompatible-rule", "order-check-negative-entry", "normalize-negative-entry", "eval-nat-fraction", "eval-baff-negative-entry", "stage-without-kind", "normalize-inadmissible", "confluence-inadmissible", "complete-inadmissible", "term-bad-coefficient", "map-duplicate", "term-two-signs", "term-sign-pair"]
+BAD_INPUT_IDS = ["no-rules", "no-order", "order-check-no-order", "negative-r", "r-too-big-zero-operand", "r-too-big", "term-zero-denominator", "map-zero-denominator", "tr-not-monomial", "eval-no-map", "normalize-incompatible-rule", "unknown-rule", "confluence-incompatible-rule", "complete-incompatible-rule", "order-check-negative-entry", "normalize-negative-entry", "eval-nat-fraction", "eval-baff-negative-entry", "stage-without-kind", "normalize-inadmissible", "confluence-inadmissible", "complete-inadmissible", "term-bad-coefficient", "map-duplicate", "term-two-signs", "term-sign-pair"]
 NO_BOUND_ARGV = [
     ["normalize", "--sig", "{assoc.sig}", "--rules", "{assoc.rules}", "m^a_bc m^c_de"],
     ["confluence", "--sig", "{zigzag.sig}", "--rules", "{zigzag.rules}"],

@@ -226,10 +226,8 @@ class TestStrongEmbeddings:
 
     def test_two_strays_two_orderings(self):
         # pattern: two stray edges; subject: one wire
-        pattern = validate(
-            {0, 1}, {0: Edge(0, 1, 1, 1), 1: Edge(0, 2, 1, 2)}, {}
-        )
-        subject = validate({0, 1}, {0: Edge(0, 1, 1, 1)}, {})
+        pattern = validate({0: Edge(0, 1, 1, 1), 1: Edge(0, 2, 1, 2)}, {})
+        subject = validate({0: Edge(0, 1, 1, 1)}, {})
         embs = [
             e
             for e in embeddings(pattern, subject)

@@ -55,12 +55,19 @@ def nat_assign(rng, sig_symbols, top=4):
 
 class TestValidate:
     def test_single_wire(self):
-        net = validate({0, 1}, {0: Edge(0, 1, 1, 1)}, {})
+        net = validate({0: Edge(0, 1, 1, 1)}, {})
         assert (net.coarity, net.arity) == (1, 1)
 
     def test_head_cannot_be_input_vertex(self):
-        violations = check({0, 1}, {0: Edge(1, 1, 1, 1)}, {})
+        violations = check({0: Edge(1, 1, 1, 1)}, {})
         assert violations and violations[0].kind == "BadVertex"
+
+    @pytest.mark.parametrize("v", [1, 0, -3])
+    def test_decorated_id_below_2(self, v):
+        s = Symbol("s", 1, 1)
+        edges = {0: Edge(v, 1, 1, 1), 1: Edge(0, 1, v, 1)}
+        assert check(edges, {v: s}) == [Violation("BadVertex", ("decorated", v))]
+        assert check({0: Edge(2, 1, 1, 1), 1: Edge(0, 1, 2, 1)}, {2: s}) == []
 
     def test_arity_mismatch(self):
         m = Symbol("m", 1, 2)
@@ -70,13 +77,13 @@ class TestValidate:
             2: Edge(2, 3, 1, 3),
             3: Edge(0, 1, 2, 1),
         }
-        violations = check({0, 1, 2}, edges, {2: m})
+        violations = check(edges, {2: m})
         assert any(v.kind == "ArityMismatch" for v in violations)
 
     def test_cycle_found(self):
         s = Symbol("s", 1, 1)
         edges = {0: Edge(2, 1, 3, 1), 1: Edge(3, 1, 2, 1)}
-        violations = check({0, 1, 2, 3}, edges, {2: s, 3: s})
+        violations = check(edges, {2: s, 3: s})
         assert any(v.kind == "CycleFound" for v in violations)
 
     def test_cycle_witness(self):
@@ -85,24 +92,24 @@ class TestValidate:
         # or above the cycle; the vertex below it is not one of them
         s, t, d = Symbol("s", 1, 1), Symbol("t", 1, 2), Symbol("d", 2, 1)
         edges = {0: Edge(4, 1, 1, 1), 1: Edge(2, 1, 4, 1), 2: Edge(3, 1, 2, 1), 3: Edge(2, 2, 3, 1)}
-        assert check({0, 1, 2, 3, 4}, edges, {2: t, 3: s, 4: s}) == [
+        assert check(edges, {2: t, 3: s, 4: s}) == [
             Violation("CycleFound", (2, 3))
         ]
         # a vertex above the cycle: vertex 3 becomes d and also feeds 5
         edges[4] = Edge(5, 1, 3, 2)
         edges[5] = Edge(0, 1, 5, 1)
-        assert check({0, 1, 2, 3, 4, 5}, edges, {2: t, 3: d, 4: s, 5: s}) == [
+        assert check(edges, {2: t, 3: d, 4: s, 5: s}) == [
             Violation("CycleFound", (2, 3, 4))
         ]
 
     def test_duplicate_port(self):
         edges = {0: Edge(0, 1, 1, 1), 1: Edge(0, 1, 1, 2)}
-        violations = check({0, 1}, edges, {})
+        violations = check(edges, {})
         assert any(v.kind == "DuplicatePort" for v in violations)
 
     def test_gap_in_indices(self):
         edges = {0: Edge(0, 2, 1, 1)}
-        violations = check({0, 1}, edges, {})
+        violations = check(edges, {})
         assert any(v.kind == "GapInIndices" for v in violations)
 
 
@@ -110,7 +117,7 @@ def assert_ports_scanned(net: Network) -> None:
     """Every port read agrees with a scan of ``net.edges`` sorted by port
     index, and the vertices and leg counts with the edges and decorations."""
     assert net.vertices == {0, 1} | net.deco.keys()
-    assert not check(net.vertices, net.edges, net.deco)
+    assert not check(net.edges, net.deco)
     for v in net.vertices:
         ins = [e for _, e in sorted((x.hindex, e) for e, x in net.edges.items() if x.head == v)]
         outs = [e for _, e in sorted((x.tindex, e) for e, x in net.edges.items() if x.tail == v)]
@@ -161,7 +168,7 @@ class TestTransference:
     def test_bridge_zero(self):
         eta, eps = Symbol("eta", 1, 0), Symbol("eps", 0, 1)
         edges = {0: Edge(0, 1, 2, 1), 1: Edge(3, 1, 1, 1)}
-        net = validate({0, 1, 2, 3}, edges, {2: eta, 3: eps})
+        net = validate(edges, {2: eta, 3: eps})
         assert transference(net) == BoolMat.zeros(1, 1)
 
     def test_matches_networkx_reachability(self, rng, hopf_sig):
@@ -299,7 +306,7 @@ class TestCutSplit:
             for v, s in right.deco.items():
                 deco[v + voff] = s
                 wr.add(v + voff)
-            whole = validate(set(deco) | {0, 1}, edges, deco)
+            whole = validate(edges, deco)
             fl = set(left.edges)
             fr = {e + eoff for e in right.edges}
             l2, r2 = split(whole, fl, fr, wl, wr)
@@ -321,25 +328,23 @@ class TestCutSplit:
             3: Edge(3, 1, 1, 2),
             4: Edge(3, 2, 1, 3),
         }
-        net = validate({0, 1, 2, 3}, edges, {2: m, 3: m})
+        net = validate(edges, {2: m, 3: m})
         with pytest.raises(Exception):
             cut(net, {3}, {2}, {})
 
 
 class TestSmoothen:
     def chain_network(self, n_neutral):
-        vertices = {0, 1}
         edges = {}
         deco = {}
         prev, pidx = 1, 1
         for k in range(n_neutral):
             v = 2 + k
-            vertices.add(v)
             deco[v] = NEUTRAL
             edges[k] = Edge(v, 1, prev, pidx)
             prev, pidx = v, 1
         edges[n_neutral] = Edge(0, 1, prev, pidx)
-        return validate(vertices, edges, deco)
+        return validate(edges, deco)
 
     def test_chain_collapses_to_wire(self):
         net = self.chain_network(3)
@@ -360,7 +365,7 @@ class TestSmoothen:
             1: Edge(0, 1, 2, 1),
             2: Edge(0, 2, 2, 2),
         }
-        net = validate({0, 1, 2}, edges, {2: bad})
+        net = validate(edges, {2: bad})
         with pytest.raises(InvalidNetworkError):
             smoothen(net)
 
@@ -413,7 +418,6 @@ class TestCanonicalCode:
         m = sig2["m"]
         # right comb vs left comb on three inputs
         right = validate(
-            {0, 1, 2, 3},
             {
                 0: Edge(0, 1, 2, 1),
                 1: Edge(2, 1, 1, 1),
@@ -424,7 +428,6 @@ class TestCanonicalCode:
             {2: m, 3: m},
         )
         left = validate(
-            {0, 1, 2, 3},
             {
                 0: Edge(0, 1, 2, 1),
                 1: Edge(2, 1, 3, 1),
@@ -441,10 +444,9 @@ class TestCanonicalCode:
         eta, eps = Symbol("eta", 1, 0), Symbol("eps", 0, 1)
         # two disjoint eps.eta loops, built in both tensor orders
         def loops(flip):
-            vs = {0, 1, 2, 3, 4, 5}
             a, b, c, d = (2, 3, 4, 5) if not flip else (4, 5, 2, 3)
             edges = {0: Edge(b, 1, a, 1), 1: Edge(d, 1, c, 1)}
-            return validate(vs, edges, {a: eta, b: eps, c: eta, d: eps})
+            return validate(edges, {a: eta, b: eps, c: eta, d: eps})
 
         assert canonical_code(loops(False)) == canonical_code(loops(True))
 
@@ -461,3 +463,14 @@ class TestCanonicalCode:
             net = random_network(rng, list(sig2))
             code = canonical_code(net)
             assert canonical_code(from_code(code)) == code
+
+    def test_from_code_ids_are_dense(self, rng, hopf_sig):
+        # the numbering the gluing search reads a representative by: edges
+        # 0..E-1 and inner vertices 2..V+1, each listed by id
+        nets = [random_network(rng, list(hopf_sig), max_inner=6, max_strays=2) for _ in range(200)]
+        reps = [s.lhs.rep for pair in corpus_rule_pairs() for s in pair]
+        reps += [from_code(canonical_code(net)) for net in nets]
+        for rep in reps:
+            assert list(rep.edges) == list(range(len(rep.edges)))
+            assert list(rep.deco) == list(range(2, len(rep.deco) + 2))
+        assert sum(len(_components(net)[0]) > 1 for net in nets) > 20

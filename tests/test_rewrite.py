@@ -9,7 +9,7 @@ import pytest
 import netrw.freeprop
 import netrw.match
 import netrw.network
-from netrw import ainparse, ambiguity, cli, rewrite
+from netrw import ainparse, cli, rewrite
 from netrw.ainparse import parse_rules, parse_term
 from netrw.ambiguity import enumerate_decisive
 from netrw.core import BoolMat, cross, parse_signature, same
@@ -927,7 +927,7 @@ class TestDeferredContexts:
         assert min(steps.values()) >= 60, steps
 
     def test_ambiguities_match_eager_contexts(self, monkeypatch, corpus_ambiguities):
-        monkeypatch.setattr(ambiguity, "contexts", eager_contexts)
+        monkeypatch.setattr(rewrite, "contexts", eager_contexts)
         eager = []
         for system in SYSTEMS:
             sig = parse_signature((CORPUS / f"{system}.sig").read_text(encoding="utf-8"))
