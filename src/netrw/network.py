@@ -276,7 +276,16 @@ def evaluate(net: Network, target, assign: Mapping[str, object]):
     if len(order) != len(inner):
         raise InvalidNetworkError([Violation("CycleFound", ())])
     frontier = net.out_edges(1)
-    value = target.phi(same(net.arity))
+    # phi of the identity of n things, by n; a permutation is tested for
+    # the identity by its images, and a Perm is built only for one that is not
+    units: dict[int, object] = {}
+
+    def unit(n: int):
+        if n not in units:
+            units[n] = target.phi(same(n))
+        return units[n]
+
+    value = unit(net.arity)
     for v in order:
         ins = net.in_edges(v)
         consumed = set(ins)
@@ -284,18 +293,18 @@ def evaluate(net: Network, target, assign: Mapping[str, object]):
         arranged = others + ins
         # route frontier position j to arranged position of frontier[j-1]
         pos = {e: i for i, e in enumerate(arranged, 1)}
-        sigma = Perm(tuple(pos[e] for e in frontier))
-        if sigma != same(sigma.n):  # phi of the identity is the unit
-            value = target.compose(target.phi(sigma), value)
-        slice_elem = target.tensor(target.phi(same(len(others))), images[v])
+        routed = tuple(pos[e] for e in frontier)
+        if routed != tuple(range(1, len(routed) + 1)):  # phi of the identity is the unit
+            value = target.compose(target.phi(Perm(routed)), value)
+        slice_elem = target.tensor(unit(len(others)), images[v])
         value = target.compose(slice_elem, value)
         frontier = others + net.out_edges(v)
 
     pos = {e: i for i, e in enumerate(net.in_edges(0), 1)}
-    sigma = Perm(tuple(pos[e] for e in frontier))
-    if sigma == same(sigma.n):
+    routed = tuple(pos[e] for e in frontier)
+    if routed == tuple(range(1, len(routed) + 1)):
         return value
-    return target.compose(target.phi(sigma), value)
+    return target.compose(target.phi(Perm(routed)), value)
 
 
 # ---------------------------------------------------------------------------

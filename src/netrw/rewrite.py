@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
+from operator import attrgetter
 from typing import Iterator, Sequence
 
 from .core import BoolMat
@@ -32,6 +32,15 @@ class BudgetExceededError(RuntimeError):
         super().__init__(f"reduction budget exhausted after {steps} steps")
         self.partial = partial
         self.steps = steps
+
+
+class ReductionCycleError(RuntimeError):
+    """A monomial recurs inside its own order-backed reduction, so no
+    well-founded order is compatible with the rules."""
+
+    def __init__(self, monomial: NetClass):
+        super().__init__("a monomial recurs in its own reduction")
+        self.monomial = monomial
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,10 +212,13 @@ def _replacement(rule: Rule, ctx: NetClass) -> LinComb:
     )
 
 
+_ONE = Fraction(1)
+
+
 class _Redexes:
-    """The admissible redexes of each monomial at one ambient type, and the
-    agenda of the combination last reduced, kept for one call of
-    :func:`normalize` or :func:`joinable`.
+    """The admissible redexes and the normal forms of monomials at one
+    ambient type, kept for one call of :func:`normalize` or
+    :func:`joinable`.
 
     A simple reduction is fixed by its monomial and redex, so the search
     for a monomial's redexes runs once per call however often the monomial
@@ -215,16 +227,12 @@ class _Redexes:
     order of :func:`_monomial_redexes`, and the rest of that search, None
     once it is exhausted.
 
-    The agenda lets a step touch only the monomials it changes.  ``last``
-    is the combination the last step produced, ``fresh`` the monomials that
-    step brought in, and ``heap`` a heap by code of ``(code, monomial)``
-    holding every monomial of ``last`` not yet known to be irreducible;
-    ``queued`` is the set of monomials on the heap or known to be
-    irreducible.  Entries whose monomial has left the combination stay on
-    the heap until they reach its top.
+    ``nf`` maps a monomial to the terms of its normal form, found by
+    :func:`monomial_normal_form`, for each monomial that is irreducible or
+    whose first replacement has other than one term.
     """
 
-    __slots__ = ("q", "any_type", "rules", "found", "last", "fresh", "heap", "queued")
+    __slots__ = ("q", "any_type", "rules", "found", "nf")
 
     def __init__(self, q: BoolMat, rules: Sequence[Rule]):
         self.q = q
@@ -232,10 +240,7 @@ class _Redexes:
         self.any_type = q.is_ones()
         self.rules = sorted(rules, key=lambda r: r.rule_id)
         self.found: dict[NetClass, list] = {}
-        self.last: LinComb | None = None
-        self.fresh: list[NetClass] = []
-        self.heap: list[tuple] = []
-        self.queued: set[NetClass] = set()
+        self.nf: dict[NetClass, dict[NetClass, Fraction]] = {}
 
     def admit(self, x: LinComb) -> None:
         """Check x's shape, and each monomial's type the first time it is
@@ -269,41 +274,98 @@ class _Redexes:
 
     def first_step(self, x: LinComb) -> tuple[LinComb, ReductionStep] | None:
         """The first simple reduction of x: the least monomial by code that
-        has a redex, at its first redex; None if x is irreducible.
-
-        For the combination the last step produced, the agenda goes on
-        from that step; for any other it starts afresh from x."""
-        heap, queued = self.heap, self.queued
-        last, self.last = self.last, None
-        if x is last:
-            for t in self.fresh:
-                self._see(t)
-                if t not in queued:
-                    queued.add(t)
-                    heappush(heap, (t.code, t))
-        else:
-            self.admit(x)
-            heap[:] = [(t.code, t) for t in x.terms]
-            heapify(heap)
-            queued.clear()
-            queued.update(x.terms)
-        terms = x.terms
-        while heap:
-            nu = heap[0][1]
-            if nu not in terms:
-                queued.discard(nu)
-            elif first := self.redexes(nu, False):
+        has a redex, at its first redex; None if x is irreducible.  A
+        monomial whose search ended with no redex is left out of the sort."""
+        self.admit(x)
+        terms, found = x.terms, self.found
+        candidates = (nu for nu in terms if found[nu][0] or found[nu][1] is not None)
+        for nu in sorted(candidates, key=attrgetter("code")):
+            if first := self.redexes(nu, False):
                 break
-            heappop(heap)
         else:
-            self.last, self.fresh = x, []
             return None
         rule, ctx, replacement = first[0]
         coeff = terms[nu]
         out = _reduct(x, nu, coeff, replacement)
-        self.last = out
-        self.fresh = [t for t in replacement.terms if t not in terms]
         return out, ReductionStep(rule.rule_id, ctx, nu, replacement, coeff)
+
+    def follow(self, t: NetClass, c: Fraction) -> tuple[NetClass, Fraction]:
+        """Follow c*t down its chain, while the first replacement is a single
+        term: ``(end, c')`` with c*NF(t) = c'*NF(end), where end's normal
+        form is known or its first replacement has other than one term.
+
+        A link's normal form is not kept and its search is dropped once its
+        first redex is taken, so that its memory is free for reuse; an
+        irreducible end is kept as its own normal form.  Raises
+        :class:`ReductionCycleError` if the chain returns to one of its
+        links, found as Brent's cycle search does: by comparing each link
+        with the one saved at the last power of two, the only link held."""
+        nf, found = self.nf, self.found
+        saved, power, run = None, 1, 0
+        while t not in nf:
+            self._see(t)
+            first = self.redexes(t, False)
+            if not first:
+                nf[t] = {t: _ONE}
+                break
+            replacement = first[0][2].terms
+            if len(replacement) != 1:
+                break
+            del found[t]
+            ((t, d),) = replacement.items()
+            c *= d
+            if t == saved:
+                raise ReductionCycleError(t)
+            run += 1
+            if run == power:
+                saved, power, run = t, 2 * power, 0
+        return t, c
+
+
+def _add_scaled(acc: dict[NetClass, Fraction], terms: dict[NetClass, Fraction], c: Fraction) -> None:
+    """acc += c*terms, dropping terms that cancel."""
+    for t, d in terms.items():
+        v = acc.get(t, 0) + c * d
+        if v:
+            acc[t] = v
+        else:
+            del acc[t]
+
+
+def monomial_normal_form(nu: NetClass, memo: _Redexes) -> dict[NetClass, Fraction]:
+    """The terms of nu's normal form NF(nu): nu if it is irreducible, else
+    sum c*NF(t) over the terms c*t of its first replacement.
+
+    The monomials below nu are walked in post-order on an explicit stack,
+    and each normal form is kept in ``memo.nf`` once found, so each is
+    found once per memo; chains of single-term replacements are followed
+    by :meth:`_Redexes.follow`.  Raises :class:`ReductionCycleError` if a
+    monomial recurs inside its own reduction."""
+    nf = memo.nf
+    root: dict[NetClass, Fraction] = {}
+    # frames (monomial, rest of its first replacement's terms, its normal
+    # form so far, its coefficient in the frame below); the root's one term is nu
+    stack = [(None, iter(((nu, _ONE),)), root, _ONE)]
+    under_way = set()
+    while True:
+        mu, rest, acc, coeff = stack[-1]
+        for t, c in rest:
+            t, c = memo.follow(t, c)
+            if t in nf:
+                _add_scaled(acc, nf[t], c)
+                continue
+            if t in under_way:
+                raise ReductionCycleError(t)
+            under_way.add(t)
+            stack.append((t, iter(memo.redexes(t, False)[0][2].terms.items()), {}, c))
+            break
+        else:
+            stack.pop()
+            if not stack:
+                return root
+            under_way.discard(mu)
+            nf[mu] = acc
+            _add_scaled(stack[-1][2], acc, coeff)
 
 
 def _reduct(x: LinComb, nu: NetClass, coeff: Fraction, replacement: LinComb) -> LinComb:
@@ -311,12 +373,7 @@ def _reduct(x: LinComb, nu: NetClass, coeff: Fraction, replacement: LinComb) -> 
     copy of x's terms; terms that cancel are dropped."""
     terms = dict(x.terms)
     del terms[nu]
-    for t, c in replacement.terms.items():
-        c = terms.get(t, 0) + coeff * c
-        if c:
-            terms[t] = c
-        else:
-            del terms[t]
+    _add_scaled(terms, replacement.terms, coeff)
     return LinComb._unchecked(x.coarity, x.arity, terms)
 
 
@@ -327,7 +384,7 @@ def reduce_once(
 
     Monomials are tried by canonical code, rules by id, occurrences by
     canonical order.  ``memo`` holds the redexes already found for the
-    same q and rules, and the agenda of the combination it last produced."""
+    same q and rules."""
     return (memo or _Redexes(q, rules)).first_step(x)
 
 
@@ -368,25 +425,38 @@ def normalize(
     ``max_steps`` steps are applied, and when the result is still
     reducible :class:`BudgetExceededError` carries it.
 
-    The first redex of each monomial of a combination with two or more
-    terms is searched once per call and kept in a memo that every step
-    reads; the memo is dropped when the call returns.  ``memo`` lets
-    :func:`joinable` share its own, which keeps lone monomials too.
+    Each monomial nu is always reduced by its own first replacement T(nu),
+    so under a well-founded order its normal form NF(nu) = sum c*NF(t) over
+    the terms c*t of T(nu), and nu itself when it is irreducible, is well
+    defined.  A step of :func:`reduce_once` replaces c*nu by c*T(nu), which
+    keeps the sum of NF over the combination, and stops only where every
+    monomial is its own normal form; so the fixpoint is that sum, on every
+    system, confluent or not.
 
-    The memo also keeps an agenda of the combination each step produced:
-    its monomials not yet known to be irreducible, on a heap by code.  A
-    step takes the least of them that is present and reducible, moves its
-    coefficient onto the replacement, type-checks monomials it has not
-    seen, and copies the terms once, so it touches only the monomials it
-    changes rather than re-sorting the whole combination.  Steps, trace
-    and errors are those of repeated :func:`reduce_once` calls without a
-    memo.
+    An order-backed call with neither ``max_steps`` nor ``trace`` computes
+    the sum directly, finding each monomial's normal form once by
+    :func:`monomial_normal_form`; it applies no step, and raises
+    :class:`ReductionCycleError` if a monomial recurs inside its own
+    reduction.  Every other call applies the steps of :func:`reduce_once`
+    one at a time, appends each to ``trace``, and counts them against
+    ``max_steps``: a budget counts steps of that deterministic strategy.
+    The redexes of each monomial of a combination with two or more terms
+    are searched once per call, in a memo that every step reads.
+
+    ``memo`` lets :func:`joinable` share its redexes and normal forms
+    between calls; the memo is dropped when its owner returns.
     """
     if not order_backed and max_steps is None:
         raise ValueError("normalize needs either order_backed or max_steps")
     shared = memo is not None
     if memo is None:
         memo = _Redexes(q, rules)
+    if max_steps is None and trace is None:
+        memo.admit(x)
+        terms: dict[NetClass, Fraction] = {}
+        for nu, c in x.terms.items():
+            _add_scaled(terms, monomial_normal_form(nu, memo), c)
+        return LinComb._unchecked(x.coarity, x.arity, terms)
     steps = 0
     cur = x
     while True:
@@ -428,8 +498,9 @@ def joinable(
     fully explored, and carries the difference of the normal forms.
 
     Both normalizations and every breadth-first expansion share one memo
-    of each monomial's redexes, dropped when the call returns; results are
-    those of the same search without it.
+    of each monomial's redexes, and order-backed normalizations share its
+    normal forms; the memo is dropped when the call returns, and results
+    are those of the same search without it.
     """
     if x == y:
         return JoinResult("yes", x)

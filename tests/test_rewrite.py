@@ -5,13 +5,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import netrw.freeprop
 import netrw.match
 import netrw.network
 from netrw import ainparse, cli, rewrite
 from netrw.ainparse import parse_rules, parse_term
-from netrw.ambiguity import enumerate_decisive
+from netrw.ambiguity import confluence_report, enumerate_decisive
 from netrw.core import BoolMat, cross, parse_signature, same
 from netrw.freeprop import (
     LinComb,
@@ -26,11 +28,12 @@ from netrw.freeprop import (
 )
 from netrw.match import features, find_embeddings, pattern_parts
 from netrw.network import _components, canonical_code
-from netrw.order import LT, OrderSpec, Stage, compare
+from netrw.order import LT, OrderSpec, Stage, compare, parse_order
 from netrw.props import BAFF_NAT, parse_assignment
 from netrw.rewrite import (
     BudgetExceededError,
     JoinResult,
+    ReductionCycleError,
     ReductionStep,
     Rule,
     RuleError,
@@ -1027,6 +1030,197 @@ class TestDeferredReps:
 
 
 # ---------------------------------------------------------------------------
+# Order-backed normal forms, one per monomial
+# ---------------------------------------------------------------------------
+
+LABELS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
+
+def circle_word(letters: str) -> str:
+    """A word in x and y as a naked path; the empty word is a wire."""
+    if not letters:
+        return "d^a_b"
+    return " ".join(f"{g}^{a}_{b}" for g, a, b in zip(letters, LABELS, LABELS[1:]))
+
+
+def right_comb_text(n: int) -> str:
+    """m(x1, m(x2, ... m(xn, x_{n+1}))) with its legs in that order."""
+    return " ".join(f"m^{LABELS[2 * i]}_{LABELS[2 * i + 1]}{LABELS[2 * i + 2]}" for i in range(n))
+
+
+def stepped(x, q, rules, **kwargs):
+    """normalize by the step path: the same call with a trace."""
+    return normalize(x, q, rules, order_backed=True, trace=[], **kwargs)
+
+
+@pytest.fixture(scope="module")
+def circle_corpus_rules():
+    sig = parse_signature((CORPUS / "circle.sig").read_text(encoding="utf-8"))
+    return sig, parse_rules((CORPUS / "circle.rules").read_text(encoding="utf-8"), sig)
+
+
+class TestNormalForms:
+    """An order-backed normalization without budget or trace sums each
+    monomial's normal form, found once; it must give exactly the fixpoint
+    that the step path reaches."""
+
+    def test_circle_powers(self, circle_corpus_rules):
+        sig, rules = circle_corpus_rules
+        q = BoolMat.ones(1, 1)
+        for n in range(1, 17):
+            x = parse_term(circle_word("y" * n), sig)
+            assert normalize(x, q, rules, order_backed=True) == stepped(x, q, rules), n
+
+    @settings(max_examples=60)
+    @given(
+        st.lists(
+            st.tuples(
+                st.fractions(min_value=-4, max_value=4, max_denominator=6),
+                st.text(alphabet="xy", max_size=9),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_circle_combinations(self, circle_corpus_rules, summands):
+        sig, rules = circle_corpus_rules
+        q = BoolMat.ones(1, 1)
+        x = LinComb.zero(1, 1)
+        for c, letters in summands:
+            x += parse_term(circle_word(letters), sig).scale(c)
+        assert normalize(x, q, rules, order_backed=True) == stepped(x, q, rules)
+
+    @settings(max_examples=60)
+    @given(
+        st.lists(
+            st.tuples(
+                st.fractions(min_value=-4, max_value=4, max_denominator=6),
+                st.text(alphabet="xyz", max_size=7),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    def test_chains_with_coefficients(self, summands):
+        # x -> 2y and zz -> -1/2 y are links of chains whose coefficients
+        # multiply; yy -> 3z - d is not.  Under the weights x 7, y 3, z 2
+        # and d 0 every rule lowers each word's total, so the rules terminate
+        sig = parse_signature("gen x 1 1\ngen y 1 1\ngen z 1 1\n")
+        rules = parse_rules(
+            "rule a: x^a_b -> 2 y^a_b\n"
+            "rule b: y^a_b y^b_c -> 3 z^a_c - d^a_c\n"
+            "rule c: z^a_b z^b_c -> -1/2 y^a_c\n",
+            sig,
+        )
+        q = BoolMat.ones(1, 1)
+        x = LinComb.zero(1, 1)
+        for c, letters in summands:
+            x += parse_term(circle_word(letters), sig).scale(c)
+        assert normalize(x, q, rules, order_backed=True) == stepped(x, q, rules)
+
+    def test_right_combs(self, msig, assoc):
+        for n in range(1, 13):
+            x = parse_term(right_comb_text(n), msig)
+            q = BoolMat.ones(1, n + 1)
+            nf = normalize(x, q, assoc, order_backed=True)
+            assert nf == stepped(x, q, assoc) and nf.is_monomial(), n
+
+    @pytest.mark.parametrize("system", ["assoc", "circle"])
+    def test_confluence_report_reducts(self, system):
+        # every reduct of the ordered report, alone and summed, fresh and
+        # through one memo shared as joinable shares it
+        sig = parse_signature((CORPUS / f"{system}.sig").read_text(encoding="utf-8"))
+        rules = parse_rules((CORPUS / f"{system}.rules").read_text(encoding="utf-8"), sig)
+        spec = parse_order(
+            (CORPUS / f"{system}.order").read_text(encoding="utf-8"),
+            sig,
+            lambda name: (CORPUS / name).read_text(encoding="utf-8"),
+        )
+        report = confluence_report(rules, spec)
+        assert report.results
+        for result in report.results:
+            amb = result.ambiguity
+            q, memo = amb.amb_type, _Redexes(amb.amb_type, rules)
+            for x in (amb.reduct1, amb.reduct2, amb.reduct1 - amb.reduct2):
+                expected = stepped(x, q, rules)
+                assert normalize(x, q, rules, order_backed=True) == expected
+                assert normalize(x, q, rules, order_backed=True, memo=memo) == expected
+
+    def test_corpus_ambiguities(self, corpus_ambiguities):
+        # every site and reduct of every corpus system, the unordered ones
+        # too: each of these normalizes within 100 steps
+        systems = set()
+        for system, rules, amb in corpus_ambiguities:
+            q = amb.amb_type
+            for x in (LinComb.monomial(amb.site), amb.reduct1, amb.reduct2, amb.reduct1 - amb.reduct2):
+                assert normalize(x, q, rules, order_backed=True) == stepped(x, q, rules, max_steps=100)
+            systems.add(system)
+        assert systems == set(SYSTEMS)
+
+    def test_swap_rules_cycle(self):
+        # x -> y -> x is a chain of single-term replacements; x -> y + d,
+        # y -> x returns to a monomial whose reduction is under way; and
+        # x -> 2x is a chain of one link
+        sig = parse_signature("gen x 1 1\ngen y 1 1\n")
+        x, y = (parse_term(f"{g}^a_b", sig) for g in "xy")
+        q = BoolMat.ones(1, 1)
+        systems = (
+            "rule a: x^a_b -> y^a_b\nrule b: y^a_b -> x^a_b\n",
+            "rule a: x^a_b -> y^a_b + d^a_b\nrule b: y^a_b -> x^a_b\n",
+            "rule a: x^a_b -> 2 x^a_b\n",
+        )
+        for text in systems:
+            rules = parse_rules(text, sig)
+            for start in (x, y.scale(3) - x):
+                with pytest.raises(ReductionCycleError) as info:
+                    normalize(start, q, rules, order_backed=True)
+                assert info.value.monomial in (*x.terms, *y.terms)
+
+    @pytest.fixture
+    def work(self, monkeypatch):
+        """Calls of _replacement, which finds a monomial's first
+        replacement, of _reduct, which applies one step, and of
+        _Redexes.follow, which the walk makes once per replacement term."""
+        counts = Counter()
+        for real in (rewrite._replacement, rewrite._reduct):
+
+            def counting(*args, real=real):
+                counts[real.__name__] += 1
+                return real(*args)
+
+            swap_everywhere(monkeypatch, real, counting)
+        real_follow = _Redexes.follow
+
+        def counting_follow(*args):
+            counts["follow"] += 1
+            return real_follow(*args)
+
+        monkeypatch.setattr(_Redexes, "follow", counting_follow)
+        return counts
+
+    def test_circle_power_growth(self, work, circle_corpus_rules):
+        # ROADMAP item 18: y^n finds k(k+1)/2 first replacements,
+        # k = n/2, each of two terms, and walks each term once (plus the
+        # input's one); it applies no step.  The step path applies 2^k - 1
+        # steps (127 at n = 14, 16,383 at n = 28), so doubling n multiplies
+        # the work by about 4 rather than by 2^k
+        sig, rules = circle_corpus_rules
+        q = BoolMat.ones(1, 1)
+        counts = {}
+        for n in (14, 28):
+            work.clear()
+            normalize(parse_term(circle_word("y" * n), sig), q, rules, order_backed=True)
+            counts[n] = dict(work)
+        assert counts == {
+            14: {"_replacement": 28, "follow": 57},
+            28: {"_replacement": 105, "follow": 211},
+        }
+        work.clear()
+        stepped(parse_term(circle_word("y" * 14), sig), q, rules)
+        assert work == {"_replacement": 28, "_reduct": 127}
+
+
+# ---------------------------------------------------------------------------
 # The entry point the benchmark traces
 # ---------------------------------------------------------------------------
 
@@ -1034,20 +1228,24 @@ class TestDeferredReps:
 class TestTracedEntryPoint:
     """The benchmark's tracer swaps every binding of ``reduce_once`` for a
     wrapper and counts the calls that return a step as a job's steps, and
-    the redex searches inside them per step; so normalize has to reach
-    the module-level function once per step and once to stop."""
+    the redex searches inside them per step; so a budgeted normalization
+    has to reach the module-level function once per step and once to
+    stop.  An order-backed one applies no step: it reaches
+    ``monomial_normal_form``, the module-level name the tracer can wrap,
+    once per monomial of the input."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        real = rewrite.reduce_once
         calls = []
+        for real in (rewrite.reduce_once, rewrite.monomial_normal_form):
 
-        def counting(*args, **kwargs):
-            result = real(*args, **kwargs)
-            calls.append(result is not None)
-            return result
+            def counting(*args, real=real, **kwargs):
+                result = real(*args, **kwargs)
+                stepped = real.__name__ == "reduce_once"
+                calls.append(result is not None if stepped else real.__name__)
+                return result
 
-        swap_everywhere(monkeypatch, real, counting)
+            swap_everywhere(monkeypatch, real, counting)
         return calls
 
     def normalize_cli(self, capsys, *argv):
@@ -1058,7 +1256,7 @@ class TestTracedEntryPoint:
     def test_ordered_circle_power(self, calls, capsys):
         code, out = self.normalize_cli(capsys, f"--order={CORPUS}/circle.order")
         assert code == cli.OK and out.strip()
-        assert calls == [True] * 31 + [False]
+        assert calls == ["monomial_normal_form"]
 
     def test_budget_stop(self, calls, capsys):
         code, out = self.normalize_cli(capsys, "--max-steps=7")
