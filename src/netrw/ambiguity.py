@@ -30,7 +30,7 @@ from .network import (
     transference,
     validate,
 )
-from .order import LT, OrderSpec, compare, rule_compatible
+from .order import LT, OrderSpec, check_compatible, compare, rule_compatible
 from .rewrite import Rule, _admitted_contexts, _replacement, joinable, make_rule
 
 _RELABELING_CAP = 64  # leg relabelings listed per site at most
@@ -532,12 +532,6 @@ def resolve(
     return AmbiguityResult(amb, "unresolved", result.difference)
 
 
-class IncompatibleRuleError(ValueError):
-    def __init__(self, rule_id: str):
-        super().__init__(f"rule {rule_id!r} is not compatible with the order")
-        self.rule_id = rule_id
-
-
 def confluence_report(
     rules: Sequence[Rule],
     spec: OrderSpec | None = None,
@@ -550,10 +544,7 @@ def confluence_report(
     """
     rules = sorted(rules, key=lambda r: r.rule_id)
     if spec is not None:
-        for rule in rules:
-            ok, _ = rule_compatible(rule, spec)
-            if not ok:
-                raise IncompatibleRuleError(rule.rule_id)
+        check_compatible(rules, spec)
     results: list[AmbiguityResult] = []
     for i, s1 in enumerate(rules):
         for s2 in rules[i:]:
@@ -588,21 +579,14 @@ def complete(
         bad = [r for r in report.results if r.status == "unresolved"]
         if not bad:
             return current, report
-        progressed = False
         for res in bad:
-            diff = res.difference
-            if diff is None or diff.is_zero():
-                continue
-            rule = _orient(diff, spec, f"c{added}")
+            rule = _orient(res.difference, spec, f"c{added}")
             if rule is None:
-                raise OrientationFailedError(diff)
+                raise OrientationFailedError(res.difference)
             current.append(rule)
             added += 1
-            progressed = True
             if added > _MAX_NEW_RULES:
                 raise LimitReachedError("too many generated rules")
-        if not progressed:
-            raise OrientationFailedError(bad[0].difference or LinComb.zero(0, 0))
     raise LimitReachedError("completion did not converge")
 
 

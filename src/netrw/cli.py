@@ -9,7 +9,6 @@ from types import SimpleNamespace
 
 from .ainparse import AinError, format_class, format_term, parse_rules, parse_term
 from .ambiguity import (
-    IncompatibleRuleError,
     LimitReachedError,
     OrientationFailedError,
     complete,
@@ -19,7 +18,7 @@ from .ambiguity import (
 from .core import BoolMat, SignatureError, parse_signature
 from .freeprop import JoinUndefinedError, ShapeError, lc_sym_join
 from .network import evaluate
-from .order import OrderError, check_strictness, parse_order, rule_compatible
+from .order import OrderError, check_compatible, check_strictness, parse_order, rule_compatible
 from .props import TargetValueError, connectivity_assignment, get_target, parse_assignment
 from .rewrite import BudgetExceededError, RuleError, normalize
 
@@ -145,11 +144,7 @@ def cmd_normalize(args) -> int:
     term = parse_term(args.term, sig)
     q = _ambient(term, args)
     if args.order:
-        spec = _admissible_order(args, sig)
-        for rule in rules:
-            ok, _ = rule_compatible(rule, spec)
-            if not ok:
-                raise UsageError(f"rule {rule.rule_id} not compatible with the order")
+        check_compatible(rules, _admissible_order(args, sig))
     try:
         nf = normalize(
             term, q, rules, max_steps=args.max_steps, order_backed=bool(args.order)
@@ -204,10 +199,7 @@ def cmd_confluence(args) -> int:
     sig = _load_sig(args)
     rules = _load_rules(args, sig)
     spec = _admissible_order(args, sig) if args.order else None
-    try:
-        report = confluence_report(rules, spec, max_steps=args.max_steps)
-    except IncompatibleRuleError as exc:
-        raise UsageError(str(exc)) from None
+    report = confluence_report(rules, spec, max_steps=args.max_steps)
     rows = [
         {
             **_ambiguity_row(res.ambiguity),
@@ -250,8 +242,6 @@ def cmd_complete(args) -> int:
     spec = _admissible_order(args, sig)
     try:
         new_rules, report = complete(rules, spec, max_steps=args.max_steps)
-    except IncompatibleRuleError as exc:
-        raise UsageError(str(exc)) from None
     except (OrientationFailedError, LimitReachedError) as exc:
         print(f"completion failed: {exc}", file=sys.stderr)
         return NEGATIVE

@@ -15,9 +15,12 @@ class SignatureError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Symbol:
-    """A generator with a name, a number of outputs and a number of inputs."""
+    """A generator with a name, a number of outputs and a number of inputs.
+
+    Symbols order by (name, coarity, arity), so a canonical code can hold
+    them as they are."""
 
     name: str
     coarity: int
@@ -96,17 +99,12 @@ def parse_signature(text: str) -> Signature:
 
 
 class UnionFind:
-    """Disjoint sets over a fixed universe.
+    """Disjoint sets over a fixed universe, kept as parent links only."""
 
-    ``members`` maps each root to the frozenset of its class, so a class
-    is read without a pass over the universe.
-    """
-
-    __slots__ = ("parent", "members")
+    __slots__ = ("parent",)
 
     def __init__(self, items: Iterable = ()):
         self.parent = {x: x for x in items}
-        self.members = {x: frozenset((x,)) for x in self.parent}
 
     def find(self, x):
         p = self.parent
@@ -120,8 +118,15 @@ class UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self.parent[ra] = rb
-            self.members[rb] = self.members[rb] | self.members.pop(ra)
         return rb
+
+    def classes(self) -> list[list]:
+        """The classes, in universe order of their first member, each
+        listing its members in universe order."""
+        groups: dict = {}
+        for x in self.parent:
+            groups.setdefault(self.find(x), []).append(x)
+        return list(groups.values())
 
 
 # ---------------------------------------------------------------------------

@@ -108,7 +108,7 @@ def pattern_parts(pattern: Network) -> PatternParts:
     vertex; the stray edges, by id; and the edges between inner vertices."""
     comps, strays = _components(pattern)
     inner = [e for e, ends in pattern.edges.items() if ends.head != 0 and ends.tail != 1]
-    return [min(comp) for comp in comps], strays, inner
+    return [comp[0] for comp in comps], strays, inner
 
 
 def find_embeddings(

@@ -386,10 +386,12 @@ def smoothen(net: Network) -> Network:
 # ---------------------------------------------------------------------------
 
 
-def _components(net: Network) -> tuple[list[frozenset[int]], list[int]]:
-    """Connected components of inner vertices, listed by least vertex,
-    plus the stray edges in id order.  The capped leg relabelings of an
-    ambiguity site break ties between equal components in this order."""
+def _components(net: Network) -> tuple[list[list[int]], list[int]]:
+    """Connected components of inner vertices, each in ascending order and
+    listed by least vertex, as the union-find reads them off the sorted
+    inner vertices; plus the stray edges in id order.  The capped leg
+    relabelings of an ambiguity site break ties between equal components
+    in this order."""
     uf = UnionFind(net.inner_vertices())
     strays = []
     for e, ends in net.edges.items():
@@ -397,22 +399,21 @@ def _components(net: Network) -> tuple[list[frozenset[int]], list[int]]:
             strays.append(e)
         elif ends.head != 0 and ends.tail != 1:
             uf.union(ends.head, ends.tail)
-    return sorted(uf.members.values(), key=min), sorted(strays)
+    return uf.classes(), sorted(strays)
 
 
 def _component_records(
     net: Network, root: int, legs: tuple[list[int], list[int]] | None = None
 ) -> Iterator[tuple]:
     """The records of the breadth-first serialization of root's component,
-    one per vertex, with ports in index order.  Legs carry their own
-    indices; when ``legs`` is a pair of lists (outs, ins), legs are instead
-    numbered by first appearance, and their own indices are appended to
-    those lists in that order."""
+    one per vertex: its symbol, as ``deco`` holds it, then its ports in
+    index order.  Legs carry their own indices; when ``legs`` is a pair of
+    lists (outs, ins), legs are instead numbered by first appearance, and
+    their own indices are appended to those lists in that order."""
     outs_seen, ins_seen = legs if legs is not None else (None, None)
     order = {root: 0}
     queue = [root]
     for v in queue:
-        sym = net.deco[v]
         ins = []
         for e in net.in_edges(v):
             ends = net.edges[e]
@@ -443,15 +444,15 @@ def _component_records(
                     order[u] = len(order)
                     queue.append(u)
                 outs.append(("V", order[u], ends.hindex))
-        yield (sym.name, sym.coarity, sym.arity, tuple(ins), tuple(outs))
+        yield (net.deco[v], tuple(ins), tuple(outs))
 
 
 def _least_code(
-    net: Network, comp: Iterable[int], legs: bool = False
+    net: Network, comp: Sequence[int], legs: bool = False
 ) -> tuple[tuple, list[tuple[list[int], list[int]] | None]]:
-    """The least serialization of a component over all its roots, and, in
-    root order, the leg numbering (outs, ins) of each root that gives it
-    (None for each when ``legs`` is false).
+    """The least serialization of a component, given in ascending order,
+    over all its roots, and, in root order, the leg numbering (outs, ins)
+    of each root that gives it (None for each when ``legs`` is false).
 
     Roots are compared record by record with the least serialization so
     far, which is itself built only as far as a comparison needs it: a
@@ -460,7 +461,7 @@ def _least_code(
     length, so this is tuple order, and a root whose own first record
     loses costs one record.
     """
-    first, *others = sorted(comp)
+    first, *others = comp
     seen = ([], []) if legs else None
     best: list[tuple] = []
     rest = _component_records(net, first, seen)  # continues ``best``
@@ -503,27 +504,25 @@ def canonical_code(net: Network) -> tuple:
 
 
 def from_code(code: tuple) -> Network:
-    """Rebuild the canonical representative from a canonical code.
+    """Rebuild the canonical representative from a canonical code, in one
+    pass over its records, decorating each vertex by the record's own
+    symbol.
 
     Its ids are dense: the E edges are 0..E-1 and the V inner vertices
     2..V+1, both numbered component by component in code order, so that
     ``edges`` and ``deco`` list them by id.  The gluing search of
     :mod:`netrw.ambiguity` reads a representative's ids as its node
     numbers and relies on this."""
-    comps = code[2]
     edges: list[Edge] = []  # edge ids are list positions
     deco: dict[int, Symbol] = {}
-    for entry in comps:
+    for entry in code[2]:
         if entry[0] == "S":
             _, tindex, hindex = entry
             edges.append(Edge(0, hindex, 1, tindex))
             continue
-        _, seq = entry
         base = len(deco) + 2
-        for k, (name, co, ar, _ins, _outs) in enumerate(seq):
-            deco[base + k] = Symbol(name, co, ar)
-        for k, (_name, _co, _ar, ins, outs) in enumerate(seq):
-            v = base + k
+        for v, (sym, ins, outs) in enumerate(entry[1], base):
+            deco[v] = sym
             for i, item in enumerate(ins, 1):
                 if item[0] == "I":
                     edges.append(Edge(v, i, 1, item[1]))

@@ -161,6 +161,14 @@ def rule_compatible(rule: Rule, spec: OrderSpec) -> tuple[bool, list[tuple[NetCl
     return all(verdict == LT for _, verdict in witnesses), witnesses
 
 
+def check_compatible(rules: Sequence[Rule], spec: OrderSpec) -> None:
+    """Raise OrderError at the first rule, in the order given, that
+    :func:`rule_compatible` rejects."""
+    for rule in rules:
+        if not rule_compatible(rule, spec)[0]:
+            raise OrderError(f"rule {rule.rule_id!r} is not compatible with the order")
+
+
 # ---------------------------------------------------------------------------
 # Order preset files
 # ---------------------------------------------------------------------------

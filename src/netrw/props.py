@@ -308,7 +308,7 @@ class ConnectivityTarget:
             items = [((2, i) if s == 0 else (1, i)) for s, i in block]
             for x in items[1:]:
                 uf.union(items[0], x)
-        merged = uf.members.values()
+        merged = uf.classes()
         cyc = a.cyc + m + len(merged) - len(a.blocks) - len(b.blocks) + b.cyc
         outer = []
         for block in merged:

@@ -6,7 +6,7 @@ term parser that built deltas as neutral vertices, cuts and splits,
 smoothening, gluing enumeration and the gluing's node tables, the neutral
 symbol, every network of a shape over given generators, and test-only
 helpers for permutation actions on classes, boolean evaluation,
-union-find copies, reduction-step text, connectivity data and the
+a member-keeping union-find and its copies, reduction-step text, connectivity data and the
 corpus's rule pairs."""
 
 from __future__ import annotations
@@ -18,13 +18,13 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import pytest
 from hypothesis import settings
 
 from netrw.cli import UsageError
-from netrw.core import BoolMat, Perm, Signature, Symbol, UnionFind, cross, parse_signature, same
+from netrw.core import BoolMat, Perm, Signature, Symbol, cross, parse_signature, same
 from netrw.ainparse import (
     _BARE_LABEL_CHARS,
     _ONE,
@@ -794,9 +794,38 @@ def same_network(a: Network, b: Network) -> bool:
     return (a.vertices, a.edges, a.deco) == (b.vertices, b.edges, b.deco)
 
 
-def copy_union_find(uf: UnionFind) -> UnionFind:
+class ReferenceUnionFind:
+    """Disjoint sets over a fixed universe.
+
+    ``members`` maps each root to the frozenset of its class, so a class
+    is read without a pass over the universe.
+    """
+
+    __slots__ = ("parent", "members")
+
+    def __init__(self, items: Iterable = ()):
+        self.parent = {x: x for x in items}
+        self.members = {x: frozenset((x,)) for x in self.parent}
+
+    def find(self, x):
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, a, b):
+        """Merge the classes of a and b; return the root of the result."""
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+            self.members[rb] = self.members[rb] | self.members.pop(ra)
+        return rb
+
+
+def copy_union_find(uf: ReferenceUnionFind) -> ReferenceUnionFind:
     """An independent copy that shares the member sets with its source."""
-    twin = UnionFind()
+    twin = ReferenceUnionFind()
     twin.parent = dict(uf.parent)
     twin.members = dict(uf.members)
     return twin
@@ -1023,14 +1052,14 @@ Node = tuple[str, int, int]  # ("v"|"e", side, id)
 class _GlueState:
     """A gluing of both patterns: the classes of their vertices and edges."""
 
-    def __init__(self, nets: dict[int, Network], uf: UnionFind | None = None):
+    def __init__(self, nets: dict[int, Network], uf: ReferenceUnionFind | None = None):
         self.nets = nets
         if uf is None:
             nodes: list[Node] = []
             for side, net in nets.items():
                 nodes += [("v", side, v) for v in net.inner_vertices()]
                 nodes += [("e", side, e) for e in net.edges]
-            uf = UnionFind(nodes)
+            uf = ReferenceUnionFind(nodes)
         self.uf = uf
 
     def copy(self) -> "_GlueState":

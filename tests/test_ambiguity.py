@@ -13,7 +13,6 @@ from netrw.ainparse import parse_rules, parse_term
 from netrw import ambiguity
 from netrw.ambiguity import (
     Ambiguity,
-    IncompatibleRuleError,
     _decisive_sites,
     _leg_relabelings,
     OrientationFailedError,
@@ -23,11 +22,11 @@ from netrw.ambiguity import (
     resolve,
 )
 from netrw.cli import main
-from netrw.core import BoolMat, parse_signature
+from netrw.core import BoolMat, Symbol, parse_signature
 from netrw.freeprop import LinComb, annex, lc_annex
 from netrw.match import embeddings
 from netrw.network import InvalidNetworkError, Violation, _components, act, canonical_code
-from netrw.order import OrderSpec, Stage
+from netrw.order import OrderError, OrderSpec, Stage, parse_order
 from netrw.props import BAFF_NAT, parse_assignment
 from netrw.rewrite import all_single_steps, is_irreducible, joinable, make_rule, normalize
 
@@ -348,6 +347,20 @@ class TestPairTables:
         assert seeds > 2000, seeds
 
 
+def flat_symbols(obj):
+    """``obj`` with each symbol in a tuple spelled out in place as its
+    name, coarity and arity."""
+    if not isinstance(obj, tuple):
+        return obj
+    out = []
+    for x in obj:
+        if isinstance(x, Symbol):
+            out += [x.name, x.coarity, x.arity]
+        else:
+            out.append(flat_symbols(x))
+    return tuple(out)
+
+
 class TestKeys:
     # (ambiguities, digest of their keys, confluence exit code, digest of
     # its stdout), recorded before keys were built once per site; the
@@ -363,6 +376,9 @@ class TestKeys:
 
     @pytest.mark.parametrize("system", sorted(CORPUS_DIGESTS))
     def test_corpus_digests(self, system):
+        """The digests were recorded when a code record spelled its symbol
+        out as name, coarity, arity; ``flat_symbols`` spells it out again,
+        so equal digests say the keys are the same up to that layout."""
         def digest(text):
             return hashlib.sha256(text.encode()).hexdigest()[:16]
 
@@ -370,7 +386,7 @@ class TestKeys:
         sig = parse_signature(sig_path.read_text(encoding="utf-8"))
         rules = sorted(parse_rules(rules_path.read_text(encoding="utf-8"), sig), key=lambda r: r.rule_id)
         keys = [
-            repr(amb.key)
+            repr(flat_symbols(amb.key))
             for i, s1 in enumerate(rules)
             for s2 in rules[i:]
             for amb in enumerate_decisive(s1, s2)
@@ -476,8 +492,30 @@ class TestConfluenceReport:
         sig, _, spec = assoc_setup
         m = parse_term("m^a_bc", sig)
         noop = make_rule("noop", m, m, "sharp")
-        with pytest.raises(IncompatibleRuleError):
+        with pytest.raises(OrderError, match="^rule 'noop' is not compatible with the order$"):
             confluence_report([noop], spec)
+
+    def test_unresolved_differences_nonzero(self):
+        # joinable answers "no" only for unequal normal forms, so completion
+        # always has a nonzero difference to orient
+        unresolved = 0
+        for system in ("assoc", "circle", "bridge", "zigzag", "frobenius", "hopf"):
+            sig = parse_signature((CORPUS / f"{system}.sig").read_text(encoding="utf-8"))
+            rules = parse_rules((CORPUS / f"{system}.rules").read_text(encoding="utf-8"), sig)
+            if system in ("assoc", "circle"):
+                spec = parse_order(
+                    (CORPUS / f"{system}.order").read_text(encoding="utf-8"),
+                    sig,
+                    lambda name: (CORPUS / name).read_text(encoding="utf-8"),
+                )
+                report = confluence_report(rules, spec)
+            else:
+                report = confluence_report(rules, max_steps=25)
+            for res in report.results:
+                if res.status == "unresolved":
+                    unresolved += 1
+                    assert res.difference is not None and not res.difference.is_zero()
+        assert unresolved > 0
 
     @pytest.mark.parametrize("system", ["bridge", "frobenius", "circle"])
     def test_difference_of_normal_forms(self, system):

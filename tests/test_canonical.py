@@ -9,7 +9,8 @@ import pytest
 import netrw.ambiguity
 import netrw.network
 from netrw.ambiguity import _leg_relabelings
-from netrw.core import Symbol
+from netrw.ainparse import parse_term
+from netrw.core import Symbol, parse_signature
 from netrw.network import (
     Edge,
     Network,
@@ -169,11 +170,43 @@ def test_leg_relabelings_match_brute_force_ties(rng, hopf_sig, monkeypatch):
     assert all(len(pairs) == 2 for pairs in got[-5:])
 
 
+LABELS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
+
+
+def parsed_comb(n: int, rng: random.Random) -> Network:
+    """The right comb of n products as closed text, with random labels and
+    its factors shuffled, parsed."""
+    labels = rng.sample(LABELS, 2 * n + 1)
+    factors = [f"m^{labels[2 * k]}_{labels[2 * k + 1]}{labels[2 * k + 2]}" for k in range(n)]
+    rng.shuffle(factors)
+    ins = [labels[2 * k + 1] for k in range(n)] + [labels[2 * n]]
+    return parsed(f"[{labels[0]}|{' '.join(factors)}|{' '.join(ins)}]")
+
+
+def parsed_chain(n: int, rng: random.Random) -> Network:
+    """y^n as text with random labels, its factors written from the top or
+    from the bottom, parsed."""
+    labels = rng.sample(LABELS, n + 1)
+    factors = [f"y^{labels[k]}_{labels[k + 1]}" for k in range(n)]
+    if rng.random() < 0.5:
+        factors.reverse()
+    return parsed(" ".join(factors))
+
+
+def parsed(text: str) -> Network:
+    """The network that the parser builds for a monomial's text."""
+    (cls,) = parse_term(text, parse_signature("gen m 1 2\ngen y 1 1\n")).terms
+    return cls.net
+
+
 def test_records_per_call_at_most_twice_the_vertices(rng, monkeypatch):
     # a deterministic work guard: every start serialized in full costs V^2
     # records; abandoning starts at their first losing record costs 2V - 1
-    # here.  A chain numbered at random can cost a little more, because
-    # starts in its middle tie with each other until one reaches an end.
+    # on combs, whatever the order of their factors, and on chains written
+    # from either end.  A comb numbered at random costs at most 2V.  (A
+    # chain numbered at random can cost far more, because starts in its
+    # middle tie with each other until one reaches an end: 113 records
+    # for the worst of 30 shuffles at V = 20.)
     counted = [0]
 
     def counting_records(*args):
@@ -181,10 +214,18 @@ def test_records_per_call_at_most_twice_the_vertices(rng, monkeypatch):
             counted[0] += 1
             yield rec
 
-    monkeypatch.setattr(netrw.network, "_component_records", counting_records)
-    nets = [right_comb(25, True), right_comb(25, False), circle_chain(14, True), circle_chain(14, False)]
-    nets += [wide_relabel(rng, right_comb(25)) for _ in range(5)]
-    for net in nets:
+    def records(net):
         counted[0] = 0
         canonical_code(net)
-        assert counted[0] <= 2 * len(net.deco)
+        return counted[0]
+
+    monkeypatch.setattr(netrw.network, "_component_records", counting_records)
+    exact = [right_comb(25, True), right_comb(25, False), circle_chain(14, True), circle_chain(14, False)]
+    for n in (4, 8, 14, 20):
+        for seed in range(30):
+            text_rng = random.Random(f"{n}/{seed}")
+            exact += [parsed_comb(n, text_rng), parsed_chain(n, text_rng)]
+    for net in exact:
+        assert records(net) == 2 * len(net.deco) - 1
+    for net in [wide_relabel(rng, right_comb(25)) for _ in range(5)]:
+        assert records(net) <= 2 * len(net.deco)

@@ -514,6 +514,14 @@ class TestUsageErrors:
         assert code == 2 and out == "" and "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_incompatible_rule_same_line(self, corpus, capsys):
+        # normalize, confluence and complete name the first rule that the
+        # order does not decrease in the same words
+        for command, term in (("normalize", ["m^a_bc"]), ("confluence", []), ("complete", [])):
+            argv = [command, "--sig", "{assoc.sig}", "--rules", "{rev.rules}", "--order", "{assoc.order}"]
+            got = run(capsys, *bad_input(corpus, argv + term))
+            assert got == (2, "", "error: rule 'rev' is not compatible with the order\n")
+
     @pytest.mark.parametrize("argv", NO_BOUND_ARGV)
     def test_no_step_bound(self, corpus, capsys, argv):
         # zigzag's confluence never normalizes, yet it needs a bound too
@@ -675,6 +683,14 @@ class TestLazyParser:
     @pytest.mark.parametrize("argv", BAD_INPUT_ARGV, ids=BAD_INPUT_IDS)
     def test_bad_input(self, capsys, argv):
         assert_as_argparse(capsys, argv)
+
+    def test_incompatible_rule_same_line(self, corpus, capsys):
+        # normalize, confluence and complete name the first rule that the
+        # order does not decrease in the same words
+        for command, term in (("normalize", ["m^a_bc"]), ("confluence", []), ("complete", [])):
+            argv = [command, "--sig", "{assoc.sig}", "--rules", "{rev.rules}", "--order", "{assoc.order}"]
+            got = run(capsys, *bad_input(corpus, argv + term))
+            assert got == (2, "", "error: rule 'rev' is not compatible with the order\n")
 
     @pytest.mark.parametrize("argv", NO_BOUND_ARGV)
     def test_no_step_bound(self, capsys, argv):

@@ -22,7 +22,7 @@ from netrw.core import (
 
 from netrw.network import _components
 
-from conftest import copy_union_find, random_network, random_perm
+from conftest import random_network, random_perm
 
 
 def rand_bm(rng, rows, cols, density=0.4):
@@ -322,24 +322,42 @@ class TestUnionFind:
     def test_copy_is_independent(self):
         uf = UnionFind(range(6))
         uf.union(0, 1)
-        twin = copy_union_find(uf)
+        twin = UnionFind()
+        twin.parent = dict(uf.parent)
         uf.union(1, 2)
         twin.union(3, 4)
-        assert sorted(map(sorted, uf.members.values())) == [[0, 1, 2], [3], [4], [5]]
-        assert sorted(map(sorted, twin.members.values())) == [[0, 1], [2], [3, 4], [5]]
+        assert uf.classes() == [[0, 1, 2], [3], [4], [5]]
+        assert twin.classes() == [[0, 1], [2], [3, 4], [5]]
         assert uf.find(2) == uf.find(0) and twin.find(2) != twin.find(0)
         assert twin.find(3) == twin.find(4) and uf.find(3) != uf.find(4)
 
-    def test_members_partition_by_root(self, rng):
+    def test_classes_partition_by_root(self, rng):
         for _ in range(200):
             n = rng.randint(1, 12)
             uf = UnionFind(range(n))
             for _ in range(rng.randint(0, n)):
                 uf.union(rng.randrange(n), rng.randrange(n))
-            for root, members in uf.members.items():
-                assert uf.find(root) == root
+            classes = uf.classes()
+            roots = [uf.find(c[0]) for c in classes]
+            assert len(set(roots)) == len(classes)
+            for root, members in zip(roots, classes):
                 assert all(uf.find(x) == root for x in members)
-            assert sorted(x for c in uf.members.values() for x in c) == list(range(n))
+            assert sorted(x for c in classes for x in c) == list(range(n))
+
+    def test_classes_in_universe_order(self, rng):
+        """Classes come by their first member in the universe's order, and
+        list their members in that order, whatever order the unions ran."""
+        for _ in range(200):
+            n = rng.randint(1, 12)
+            universe = rng.sample(range(100), n)
+            uf = UnionFind(universe)
+            for _ in range(rng.randint(0, n)):
+                uf.union(rng.choice(universe), rng.choice(universe))
+            classes = uf.classes()
+            rank = {x: i for i, x in enumerate(universe)}
+            assert [rank[c[0]] for c in classes] == sorted(rank[c[0]] for c in classes)
+            for members in classes:
+                assert [rank[x] for x in members] == sorted(rank[x] for x in members)
 
     def test_components_match_networkx(self, rng, hopf_sig):
         nx = pytest.importorskip("networkx")
@@ -353,7 +371,7 @@ class TestUnionFind:
                 for ends in net.edges.values()
                 if ends.head != 0 and ends.tail != 1
             )
-            want = sorted(nx.connected_components(graph), key=min)
+            want = sorted(map(sorted, nx.connected_components(graph)))
             strays = sorted(
                 e for e, ends in net.edges.items() if ends.head == 0 and ends.tail == 1
             )

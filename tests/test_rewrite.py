@@ -14,7 +14,7 @@ import netrw.network
 from netrw import ainparse, cli, rewrite
 from netrw.ainparse import parse_rules, parse_term
 from netrw.ambiguity import confluence_report, enumerate_decisive
-from netrw.core import BoolMat, cross, parse_signature, same
+from netrw.core import BoolMat, Symbol, cross, parse_signature, same
 from netrw.freeprop import (
     LinComb,
     NetClass,
@@ -1027,6 +1027,40 @@ class TestDeferredReps:
         normalize(x, BoolMat.ones(1, 1), rules, order_backed=True)
         assert counts["canonical_code"] == 59
         assert counts["from_code"] <= 29
+
+    def test_representatives_build_no_symbol(self, monkeypatch):
+        # a representative is decorated by the symbols its code holds, so
+        # once the files are loaded, normalizing validates no new Symbol
+        def load(system, text):
+            sig = parse_signature((CORPUS / f"{system}.sig").read_text(encoding="utf-8"))
+            rules = parse_rules((CORPUS / f"{system}.rules").read_text(encoding="utf-8"), sig)
+            return parse_term(text, sig), rules
+
+        # D(m^8): D^yz_a over the right comb m^a_bc m^c_de ... m^o_pq
+        labels = "abcdefghijklmnopq"
+        comb = " ".join(f"m^{labels[i]}_{labels[i + 1]}{labels[i + 2]}" for i in range(0, 16, 2))
+        y14, circle_rules = load("circle", circle_power_text(14))
+        d_m8, hopf_rules = load("hopf", f"D^yz_a {comb}")
+        assert (d_m8.coarity, d_m8.arity) == (2, 9)
+        built = Counter()
+        real = Symbol.__post_init__
+
+        def counting(self):
+            built[self.name] += 1
+            real(self)
+
+        monkeypatch.setattr(Symbol, "__post_init__", counting)
+        froms = Counter()
+        real_from = netrw.network.from_code
+
+        def counting_from(code):
+            froms["from_code"] += 1
+            return real_from(code)
+
+        swap_everywhere(monkeypatch, real_from, counting_from)
+        normalize(y14, BoolMat.ones(1, 1), circle_rules, order_backed=True)
+        normalize(d_m8, BoolMat.ones(2, 9), hopf_rules, max_steps=400)
+        assert froms["from_code"] > 0 and not built
 
 
 # ---------------------------------------------------------------------------

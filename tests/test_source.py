@@ -56,6 +56,23 @@ def test_no_environment_reads():
     assert not reads, f"environment reads: {reads}"
 
 
+def test_symbols_built_only_in_core():
+    """A signature's symbols are built once, by ``core``, when it is read;
+    a network, a canonical code and a representative all hold those same
+    objects, so no other module calls ``Symbol(...)``."""
+    calls = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path == SRC / "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "Symbol":
+                    calls.append(f"{path.name}:{node.lineno}")
+    assert not calls, f"Symbol built outside core: {calls}"
+
+
 def _assigned_names(node: ast.stmt) -> list[str]:
     """The names a top-level assignment binds, tuple targets unpacked."""
     if isinstance(node, ast.Assign):
