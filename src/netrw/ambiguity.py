@@ -24,13 +24,12 @@ from .network import (
     Network,
     _components,
     _least_code,
-    _topological_order,
     act,
     canonical_code,
     transference,
     validate,
 )
-from .order import LT, OrderSpec, check_compatible, compare, rule_compatible
+from .order import LT, OrderSpec, check_compatible, compare
 from .rewrite import Rule, _admitted_contexts, _replacement, joinable, make_rule
 
 _RELABELING_CAP = 64  # leg relabelings listed per site at most
@@ -111,8 +110,6 @@ class _PairTables:
         self.head, self.tail, self.hindex, self.tindex = head, tail, hindex, tindex
         self.out_pos, self.in_pos = out_pos, in_pos
         self.internal = internal = [h is not None and t is not None for h, t in zip(head, tail)]
-        self.headed = [(e, h) for e, h in enumerate(head) if h is not None]
-        self.tailed = [(e, t) for e, t in enumerate(tail) if t is not None]
 
         verts1, verts2 = self.part["v", 1], self.part["v", 2]
         edges1, edges2 = self.part["e", 1], self.part["e", 2]
@@ -188,9 +185,9 @@ class _PairTables:
                             wiring[self.in_pos[n]] |= 1 << self.out_pos[o]
         return BoolMat(len(wiring), self.qtype.rows, tuple(wiring)).mul(self.qtype).is_nilpotent()
 
-    def build_site(self, g: "_Gluing") -> tuple[Network, Embedding, Embedding, bool] | None:
-        """The glued network with the embedding of each pattern and its
-        terseness; None when it is cyclic."""
+    def build_site(self, g: "_Gluing") -> tuple[Network, Embedding, Embedding, bool]:
+        """The glued network of an acyclic gluing, with the embedding of
+        each pattern and its terseness."""
         cls, members, ne = g.cls, g.members, self.n_edges
         roots = [n for n, ms in enumerate(members) if ms is not None]
         vid = {r: 2 + i for i, r in enumerate(r for r in roots if r >= ne)}
@@ -221,8 +218,6 @@ class _PairTables:
             if tail is None:
                 in_legs.append(i)
             edges[i] = Edge(head, hindex, tail, tindex)
-        if len(_topological_order(deco, edges.values())) < len(deco):
-            return None
         for pos, i in enumerate(out_legs, 1):
             edges[i] = edges[i]._replace(head=0, hindex=pos)
         for pos, i in enumerate(in_legs, 1):
@@ -238,63 +233,62 @@ class _PairTables:
         )
         return site, emb1, emb2, terse
 
-    def reach(self, g: "_Gluing") -> tuple[list[int], list[int]]:
-        """Two bit sets over class names at each class name: the vertex
-        classes that a path beginning at the class ends at, and the vertex
-        class that such a path begins at.  A path from a vertex class is
-        nonempty; a path from an edge class begins with the edge, so it
-        reaches the head class and all that it reaches, and begins at the
-        tail class.  Gluing two classes of an acyclic gluing closes a
-        directed cycle when the union of their first sets meets the union
-        of their second sets."""
-        cls = g.cls
-        heads = {cls[e]: cls[v] for e, v in self.headed}
-        tails = {cls[e]: cls[v] for e, v in self.tailed}
-        reach = [0] * len(cls)
-        start = [0] * len(cls)
-        succ: dict[int, int] = {}  # per vertex class: its out-edges' head classes
-        for r, t in tails.items():
-            start[r] = 1 << t
-            if r in heads:
-                succ[t] = succ.get(t, 0) | 1 << heads[r]
-        for v in range(self.n_edges, len(cls)):
-            if cls[v] == v:
-                start[v] = 1 << v
-        for v, todo in succ.items():
-            seen = 0
-            while todo:  # each class enters todo at most once
-                seen |= todo
-                nxt = 0
-                while todo:
-                    low = todo & -todo
-                    nxt |= succ.get(low.bit_length() - 1, 0)
-                    todo ^= low
-                todo = nxt & ~seen
-            reach[v] = seen
-        for r, h in heads.items():
-            reach[r] = 1 << h | reach[h]
-        return reach, start
-
 
 class _Gluing:
     """A gluing of both patterns as a partition of the node numbers: each
     node's class, named by its least member, and at each class name the
-    list of its members (None at other numbers).  A member list is never
-    changed in place, so copies share them."""
+    list of its members (None at other numbers), and two bit sets over
+    class names.  ``reach`` holds the vertex classes that a path beginning
+    at the class ends at, and ``start`` the vertex class that such a path
+    begins at.  A path from a vertex class is nonempty; a path from an
+    edge class begins with the edge, from any of its tail classes to any
+    of its head classes.  A member list is never changed in place, so
+    copies share them."""
 
-    __slots__ = ("cls", "members")
+    __slots__ = ("cls", "members", "reach", "start")
 
-    def __init__(self, cls: list[int], members: list[list[int] | None]):
-        self.cls = cls
-        self.members = members
+    def __init__(
+        self, cls: list[int], members: list[list[int] | None], reach: list[int], start: list[int]
+    ):
+        self.cls, self.members, self.reach, self.start = cls, members, reach, start
+
+    @staticmethod
+    def root(tables: _PairTables) -> "_Gluing":
+        """The gluing that glues nothing, with the arcs of its internal edges."""
+        n, ne = len(tables.ids), tables.n_edges
+        reach = [0 if h is None else 1 << h for h in tables.head] + [0] * (n - ne)
+        start = [0 if t is None else 1 << t for t in tables.tail] + [1 << v for v in range(ne, n)]
+        g = _Gluing(list(range(n)), [[v] for v in range(n)], reach, start)
+        for e, internal in enumerate(tables.internal):
+            if internal:
+                g._add_arcs(e)
+        return g
 
     def copy(self) -> "_Gluing":
-        return _Gluing(self.cls[:], self.members[:])
+        return _Gluing(self.cls[:], self.members[:], self.reach[:], self.start[:])
+
+    def closes_cycle(self, x: int, y: int) -> bool:
+        """Whether gluing the classes x and y of this acyclic gluing closes
+        a directed cycle: a path from one of them reaches where a path from
+        one of them begins."""
+        return bool((self.reach[x] | self.reach[y]) & (self.start[x] | self.start[y]))
+
+    def _add_arcs(self, e: int) -> None:
+        """Record the arcs of edge class e, from each of its tail classes to
+        each of its head classes: every class that is a tail class, or
+        reaches one, reaches all that e reaches."""
+        reach, tails, gained = self.reach, self.start[e], self.reach[e]
+        if gained and tails:
+            for c, rc in enumerate(reach):
+                if (rc | 1 << c) & tails:
+                    reach[c] = rc | gained
 
     def merge(self, tables: _PairTables, a: int, b: int) -> bool:
-        """Glue a to b and close under port consistency; False when the
-        gluing is inconsistent, which leaves the state unusable."""
-        cls, members = self.cls, self.members
+        """Glue a to b and close under port consistency, keeping ``reach``
+        and ``start`` exact at each union; False when the gluing is
+        inconsistent or closes a directed cycle, which leaves the state
+        unusable."""
+        cls, members, reach, start = self.cls, self.members, self.reach, self.start
         pending = [(a, b)]
         while pending:
             x, y = pending.pop()
@@ -304,35 +298,43 @@ class _Gluing:
             if hi < lo:
                 lo, hi = hi, lo
             merged = members[lo] + members[hi]
-            if not tables.class_ok(merged, pending):
+            if self.closes_cycle(lo, hi) or not tables.class_ok(merged, pending):
                 return False
             for n in members[hi]:
                 cls[n] = lo
             members[lo], members[hi] = merged, None
+            reach[lo] |= reach[hi]
+            if lo < tables.n_edges:
+                start[lo] |= start[hi]
+                self._add_arcs(lo)
+                continue
+            # a set that holds lo or hi now holds lo and all that lo reaches
+            lo_bit, hi_bit = 1 << lo, 1 << hi
+            gained = lo_bit | reach[lo]
+            for c, rc in enumerate(reach):
+                if rc & (lo_bit | hi_bit):
+                    reach[c] = rc & ~hi_bit | gained
+            for c, sc in enumerate(start):
+                if sc & hi_bit:
+                    start[c] = sc ^ hi_bit | lo_bit
         return True
 
 
 def _decisive_sites(
     s1: Rule, s2: Rule
 ) -> Iterator[tuple[Network, Embedding, Embedding, bool]]:
-    """The acyclic sites of the non-montage gluings of both left hand
+    """The sites of the acyclic non-montage gluings of both left hand
     sides, each with the two embeddings and its terseness, in depth-first
     preorder of the gluings.
 
     A directed cycle survives every refinement of a gluing: gluing more
     nodes maps it onto a closed walk.  So a cyclic gluing and all that
-    refine it give no site, and the search drops them.  For each gluing it
-    extends, the search finds once which vertex classes each class reaches
-    (``reach``), and drops before the state is copied a seed whose gluing
-    closes a cycle outright: two vertex classes of which one reaches the
-    other, or two edge classes whose glued edge would have its head class
-    equal to, or reaching, its tail class.  Such a seed's gluing and all
-    its refinements are cyclic, so the sites and their order do not
-    change.  A cycle that only the closure of a seed makes is found by
-    ``build_site``'s topological test."""
+    refine it give no site.  Each gluing carries its reach sets, and
+    ``closes_cycle`` rejects a gluing at the union that closes a cycle:
+    before the state is copied for a seed, and at each union of the
+    closure in ``merge``.  No cyclic site is assembled."""
     tables = _PairTables(s1, s2)
-    nodes = range(len(tables.ids))
-    root = _Gluing(list(nodes), [[n] for n in nodes])
+    root = _Gluing.root(tables)
     seen: set[tuple[int, ...]] = set()
     stack = [root]
     while stack:
@@ -343,12 +345,8 @@ def _decisive_sites(
         seen.add(key)
         # the root glues nothing, so it is no site
         if state is not root and not tables.is_montage(state):
-            built = tables.build_site(state)
-            if built is None:  # so is every refinement
-                continue
-            yield built
+            yield tables.build_site(state)
         cls, members = state.cls, state.members
-        reach, start = tables.reach(state)
         children = []
         for a, b in tables.seeds:
             ca, cb = cls[a], cls[b]
@@ -356,7 +354,7 @@ def _decisive_sites(
             # cannot form one class, is dropped before the state is copied
             if (
                 ca != cb
-                and not (reach[ca] | reach[cb]) & (start[ca] | start[cb])
+                and not state.closes_cycle(ca, cb)
                 and tables.class_ok(members[ca] + members[cb], [])
             ):
                 nxt = state.copy()
@@ -591,10 +589,11 @@ def complete(
 
 
 def _orient(diff: LinComb, spec: OrderSpec, rule_id: str) -> Rule | None:
-    """A rule mu -> rest from the difference, mu being its greatest
-    monomial, compatible with the order; None if there is none.  The rule
-    is sharp when every rhs term's transference lies within tr(mu), and
-    has the all-ones type otherwise."""
+    """A rule mu -> rest from the difference, mu being the monomial that
+    every other one lies below; None if there is none.  The rest is those
+    others, so the rule is compatible with the order.  The rule is sharp
+    when every rhs term's transference lies within tr(mu), and has the
+    all-ones type otherwise."""
     items = diff.items()
     for mu, coeff in items:
         if all(
@@ -602,8 +601,5 @@ def _orient(diff: LinComb, spec: OrderSpec, rule_id: str) -> Rule | None:
         ):
             rhs = LinComb.monomial(mu) - diff.scale(1 / coeff)
             sharp = all(t.tr.leq(mu.tr) for t in rhs.terms)
-            rule = make_rule(rule_id, mu, rhs, "sharp" if sharp else [])
-            ok, _ = rule_compatible(rule, spec)
-            if ok:
-                return rule
+            return make_rule(rule_id, mu, rhs, "sharp" if sharp else [])
     return None

@@ -1391,8 +1391,6 @@ class _ReferencePairTables:
         self.hindex = t1.hindex + t2.hindex
         self.tindex = t1.tindex + t2.tindex
         self.internal = t1.internal + t2.internal
-        self.headed = [(e, h) for e, h in enumerate(self.head) if h is not None]
-        self.tailed = [(e, t) for e, t in enumerate(self.tail) if t is not None]
         # the montage test's wiring runs from an output leg (a row of
         # q1 (+) q2) to an input leg (a column)
         q1, q2 = s1.qtype, s2.qtype
@@ -1417,6 +1415,50 @@ def reference_pair_tables(s1, s2) -> dict:
     """Every table of a rule pair's ``_PairTables``, by name, as the
     per-rule node tables gave them."""
     return vars(_ReferencePairTables(s1, s2))
+
+
+def reference_reach(tables, g) -> tuple[list[int], list[int]]:
+    """Two bit sets over class names at each class name: the vertex
+    classes that a path beginning at the class ends at, and the vertex
+    class that such a path begins at.  A path from a vertex class is
+    nonempty; a path from an edge class begins with the edge, so it
+    reaches the head class and all that it reaches, and begins at the
+    tail class.  Gluing two classes of an acyclic gluing closes a
+    directed cycle when the union of their first sets meets the union
+    of their second sets.
+
+    A walk from scratch, the reference for the sets that each
+    ``ambiguity._Gluing`` carries; it reads a closed gluing, whose edge
+    classes have at most one head class and one tail class."""
+    cls = g.cls
+    headed = [(e, h) for e, h in enumerate(tables.head) if h is not None]
+    tailed = [(e, t) for e, t in enumerate(tables.tail) if t is not None]
+    heads = {cls[e]: cls[v] for e, v in headed}
+    tails = {cls[e]: cls[v] for e, v in tailed}
+    reach = [0] * len(cls)
+    start = [0] * len(cls)
+    succ: dict[int, int] = {}  # per vertex class: its out-edges' head classes
+    for r, t in tails.items():
+        start[r] = 1 << t
+        if r in heads:
+            succ[t] = succ.get(t, 0) | 1 << heads[r]
+    for v in range(tables.n_edges, len(cls)):
+        if cls[v] == v:
+            start[v] = 1 << v
+    for v, todo in succ.items():
+        seen = 0
+        while todo:  # each class enters todo at most once
+            seen |= todo
+            nxt = 0
+            while todo:
+                low = todo & -todo
+                nxt |= succ.get(low.bit_length() - 1, 0)
+                todo ^= low
+            todo = nxt & ~seen
+        reach[v] = seen
+    for r, h in heads.items():
+        reach[r] = 1 << h | reach[h]
+    return reach, start
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from netrw.core import BoolMat, Symbol, parse_signature
 from netrw.freeprop import LinComb, annex, lc_annex
 from netrw.match import embeddings
 from netrw.network import InvalidNetworkError, Violation, _components, act, canonical_code
-from netrw.order import OrderError, OrderSpec, Stage, parse_order
+from netrw.order import OrderError, OrderSpec, Stage, parse_order, rule_compatible
 from netrw.props import BAFF_NAT, parse_assignment
 from netrw.rewrite import all_single_steps, is_irreducible, joinable, make_rule, normalize
 
@@ -36,6 +36,7 @@ from conftest import (
     random_class,
     random_network,
     reference_pair_tables,
+    reference_reach,
     reference_sites,
     swap_everywhere,
 )
@@ -201,6 +202,34 @@ class TestEnumerate:
         assert not any(computed(k, "tr") for amb in ambs for k in (amb.context1, amb.context2))
 
 
+def oracle_pairs(rng, hopf_sig, extra=120):
+    """The corpus rule pairs, then ``extra`` pairs of random Hopf left
+    hand sides with at most 8 edges in all, each sharp or not at random."""
+    pairs = corpus_rule_pairs()
+    n_corpus = len(pairs)
+    while len(pairs) < n_corpus + extra:
+        lhs = [random_class(rng, list(hopf_sig), max_inner=3, min_inner=1) for _ in range(2)]
+        if sum(len(h.rep.edges) for h in lhs) > 8:
+            continue
+        typespecs = ["sharp" if rng.random() < 0.5 else [] for _ in lhs]
+        pairs.append([make_rule(f"r{i}", h, h, t) for i, (h, t) in enumerate(zip(lhs, typespecs))])
+    return pairs
+
+
+def class_graph(nx, tables, cls):
+    """The class graph of a gluing given by each node's class: a node per
+    class, and arcs from each tail class of an edge class to it and from
+    it to each of its head classes."""
+    graph = nx.DiGraph()
+    graph.add_nodes_from(cls)
+    for e in range(tables.n_edges):
+        if tables.head[e] is not None:
+            graph.add_edge(cls[e], cls[tables.head[e]])
+        if tables.tail[e] is not None:
+            graph.add_edge(cls[tables.tail[e]], cls[e])
+    return graph
+
+
 class TestDecisiveSites:
     def test_matches_unpruned_recursion(self, rng, hopf_sig):
         pairs = corpus_rule_pairs()
@@ -249,10 +278,11 @@ class TestDecisiveSites:
     def test_closure_work(self, monkeypatch):
         # a seed whose two classes cannot form one class, or whose gluing
         # closes a directed cycle outright, is dropped before any closure
-        # starts: over the corpus pairs 838 closures are attempted and 744
-        # succeed, the enumeration visits 642 gluings, roots included, and
-        # 11 of the 122 sites built are cyclic (without the cycle test:
-        # 1,986, 1,698, 1,112, and 481 of 592)
+        # starts, and a closure stops at the union that closes a cycle:
+        # over the corpus pairs 838 closures are attempted and 722
+        # succeed, the enumeration visits 631 gluings, roots included, and
+        # each of the 111 sites built is acyclic (without the cycle test:
+        # 1,986, 1,698, 1,112, and 481 of 592 sites cyclic)
         attempted = succeeded = built = cyclic = 0
         gluings = set()
         real_merge = ambiguity._Gluing.merge
@@ -279,52 +309,73 @@ class TestDecisiveSites:
         pairs = corpus_rule_pairs()
         for pair, (s1, s2) in enumerate(pairs):
             list(_decisive_sites(s1, s2))
-        assert (attempted, succeeded, len(gluings) + len(pairs)) == (838, 744, 642)
-        assert (built, cyclic) == (122, 11)
+        assert (attempted, succeeded, len(gluings) + len(pairs)) == (838, 722, 631)
+        assert (built, cyclic) == (111, 0)
+
+    def test_carried_reach_sets(self, rng, hopf_sig, monkeypatch):
+        # at every gluing a closure gives, the reach sets it carries are
+        # those that networkx and the from-scratch walk find on its class
+        # graph, which is acyclic
+        nx = pytest.importorskip("networkx")
+        real_merge = ambiguity._Gluing.merge
+        classes = 0
+
+        def checked_merge(self, tables, a, b):
+            nonlocal classes
+            if not real_merge(self, tables, a, b):
+                return False
+            graph = class_graph(nx, tables, self.cls)
+            assert nx.is_directed_acyclic_graph(graph)
+            ref_reach, ref_start = reference_reach(tables, self)
+            for c in set(self.cls):
+                reach = sum(1 << v for v in nx.descendants(graph, c) if v >= tables.n_edges)
+                if c < tables.n_edges:
+                    start = sum(1 << v for v in graph.predecessors(c))
+                else:
+                    start = 1 << c
+                assert self.reach[c] == reach == ref_reach[c]
+                assert self.start[c] == start == ref_start[c]
+                classes += 1
+            return True
+
+        monkeypatch.setattr(ambiguity._Gluing, "merge", checked_merge)
+        for s1, s2 in oracle_pairs(rng, hopf_sig):
+            list(_decisive_sites(s1, s2))
+        assert classes > 70000, classes
 
     def test_cycle_test_drops_only_cyclic_gluings(self, rng, hopf_sig, monkeypatch):
-        # reach runs once for each gluing the search extends, before any
-        # of its seeds is merged; a seed of that gluing that passes the
-        # class test but is never merged was dropped by the cycle test,
-        # and merged anyway it must fail its closure or give a cyclic site
-        pairs = corpus_rule_pairs()
-        n_corpus = len(pairs)
-        while len(pairs) < n_corpus + 120:
-            lhs = [random_class(rng, list(hopf_sig), max_inner=3, min_inner=1) for _ in range(2)]
-            if sum(len(h.rep.edges) for h in lhs) > 8:
-                continue
-            typespecs = ["sharp" if rng.random() < 0.5 else [] for _ in lhs]
-            pairs.append([make_rule(f"r{i}", h, h, t) for i, (h, t) in enumerate(zip(lhs, typespecs))])
-        extended = []  # (tables, gluing, the seeds merged from it)
-        real_reach = ambiguity._PairTables.reach
-        real_merge = ambiguity._Gluing.merge
+        # each union that the cycle test stops, before a seed's state is
+        # copied or inside a closure, is of two classes of an acyclic
+        # gluing whose class graph turns cyclic when they are glued; with
+        # the test switched off, the closure of that union gives a cyclic
+        # gluing or fails the class test
+        nx = pytest.importorskip("networkx")
+        stops = []
+        real_closes = ambiguity._Gluing.closes_cycle
 
-        def recording_reach(tables, state):
-            extended.append((tables, state, set()))
-            return real_reach(tables, state)
+        def recording_closes(self, x, y):
+            closes = real_closes(self, x, y)
+            if closes:
+                stops.append((self.copy(), x, y))
+            return closes
 
-        def recording_merge(self, tables, a, b):
-            extended[-1][2].add((a, b))
-            return real_merge(self, tables, a, b)
-
-        monkeypatch.setattr(ambiguity._PairTables, "reach", recording_reach)
-        monkeypatch.setattr(ambiguity._Gluing, "merge", recording_merge)
-        for s1, s2 in pairs:
-            list(_decisive_sites(s1, s2))
-        failed = cyclic = 0
-        for tables, state, merged in extended:
-            cls, members = state.cls, state.members
-            for a, b in tables.seeds:
-                ca, cb = cls[a], cls[b]
-                if ca == cb or (a, b) in merged or not tables.class_ok(members[ca] + members[cb], []):
-                    continue
-                nxt = state.copy()
-                if not real_merge(nxt, tables, a, b):
-                    failed += 1
-                else:
-                    assert tables.build_site(nxt) is None
-                    cyclic += 1
-        assert failed > 1000 and cyclic > 1000
+        checks = []
+        for s1, s2 in oracle_pairs(rng, hopf_sig):
+            stops.clear()
+            with monkeypatch.context() as m:
+                m.setattr(ambiguity._Gluing, "closes_cycle", recording_closes)
+                list(_decisive_sites(s1, s2))
+            checks += [(ambiguity._PairTables(s1, s2), *stop) for stop in stops]
+        monkeypatch.setattr(ambiguity._Gluing, "closes_cycle", lambda self, x, y: False)
+        closed = 0
+        for tables, g, x, y in checks:
+            assert nx.is_directed_acyclic_graph(class_graph(nx, tables, g.cls))
+            glued = [x if c == y else c for c in g.cls]
+            assert not nx.is_directed_acyclic_graph(class_graph(nx, tables, glued))
+            if g.merge(tables, x, y):
+                assert not nx.is_directed_acyclic_graph(class_graph(nx, tables, g.cls))
+                closed += 1
+        assert len(checks) > 6000 and closed > 3000, (len(checks), closed)
 
 
 class TestPairTables:
@@ -584,18 +635,23 @@ class TestUniqueNormalForms:
             assert cur == nf
 
 
+@pytest.fixture
+def circle_setup():
+    sig = parse_signature("gen x 1 1\ngen y 1 1\n")
+    rules = parse_rules(
+        "rule circ sharp: y^a_b y^b_c -> d^a_c - x^a_b x^b_c", sig
+    )
+    assignment = parse_assignment(
+        "map x = 1 0 0 ; 0 1 0 ; 0 1 2\nmap y = 1 0 0 ; 0 1 0 ; 0 1 3",
+        sig,
+        BAFF_NAT,
+    )
+    return rules, OrderSpec((Stage(BAFF_NAT, assignment),))
+
+
 class TestComplete:
-    def test_circle_completion(self):
-        sig = parse_signature("gen x 1 1\ngen y 1 1\n")
-        rules = parse_rules(
-            "rule circ sharp: y^a_b y^b_c -> d^a_c - x^a_b x^b_c", sig
-        )
-        assignment = parse_assignment(
-            "map x = 1 0 0 ; 0 1 0 ; 0 1 2\nmap y = 1 0 0 ; 0 1 0 ; 0 1 3",
-            sig,
-            BAFF_NAT,
-        )
-        spec = OrderSpec((Stage(BAFF_NAT, assignment),))
+    def test_circle_completion(self, circle_setup):
+        rules, spec = circle_setup
         done, report = complete(rules, spec)
         assert report.verdict == "confluent"
         new = [r for r in done if r.rule_id not in {"circ"}]
@@ -604,6 +660,14 @@ class TestComplete:
         lhs = new[0].lhs
         names = sorted(s.name for s in lhs.rep.deco.values())
         assert names == ["x", "x", "y"]
+
+    def test_added_rules_compatible(self, circle_setup):
+        # an oriented rule's rhs holds only monomials found below its lhs,
+        # so complete adds no rule that the order check would refuse
+        rules, spec = circle_setup
+        done, _ = complete(rules, spec)
+        added = done[len(rules):]
+        assert added and all(rule_compatible(rule, spec)[0] for rule in added)
 
     def test_already_confluent_unchanged(self, assoc_setup):
         _, rules, spec = assoc_setup

@@ -269,3 +269,39 @@ def test_no_unused_parameters():
                 if arg is not None and arg.arg not in ("self", "cls") and arg.arg not in read
             ]
     assert not unused, f"parameters their function never reads: {unused}"
+
+
+# fields of the package's exceptions, which the callers that catch them read
+EXCEPTION_FIELDS = {
+    ("BudgetExceededError", "steps"),
+    ("InvalidNetworkError", "violations"),
+    ("JoinUndefinedError", "witness"),
+    ("ReductionCycleError", "monomial"),
+}
+
+
+def test_no_unread_attributes():
+    """Every attribute that a class of the package assigns on ``self`` is
+    read somewhere in the package: data that nothing reads is work thrown
+    away.  A read is an attribute of the same name whose receiver is of
+    the assigning class or of no known class (see ``_attribute_reads``).
+    ``EXCEPTION_FIELDS`` are exempt."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.rglob("*.py"))}
+    classes = {
+        node.name for tree in trees.values() for node in tree.body if isinstance(node, ast.ClassDef)
+    }
+    reads = sum((_attribute_reads(tree, classes) for tree in trees.values()), Counter())
+    unread = {
+        f"{path.name}:{sub.lineno} {node.name}.{sub.attr}"
+        for path, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute)
+        and isinstance(sub.ctx, ast.Store)
+        and isinstance(sub.value, ast.Name)
+        and sub.value.id == "self"
+        and not reads[node.name, sub.attr] + reads[None, sub.attr]
+        and (node.name, sub.attr) not in EXCEPTION_FIELDS
+    }
+    assert not unread, f"attributes nothing in the package reads: {sorted(unread)}"
