@@ -465,12 +465,9 @@ def _edge_names(n: int) -> list[str]:
 def format_class(cls: NetClass) -> str:
     """Deterministic closed-form AIN for one monomial."""
     rep = cls.rep
-    order = list(rep.in_edges(0))
-    for e in rep.out_edges(1):
-        if e not in order:
-            order.append(e)
-    order.extend(e for e in sorted(rep.edges) if e not in order)
-    names = {e: n for e, n in zip(order, _edge_names(len(rep.edges)))}
+    # edges named outputs first, then inputs, then the rest by id
+    order = dict.fromkeys([*rep.in_edges(0), *rep.out_edges(1), *sorted(rep.edges)])
+    names = dict(zip(order, _edge_names(len(rep.edges))))
     outs = [names[e] for e in rep.in_edges(0)]
     ins = [names[e] for e in rep.out_edges(1)]
     parts = []

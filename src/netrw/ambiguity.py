@@ -242,8 +242,8 @@ class _Gluing:
     at the class ends at, and ``start`` the vertex class that such a path
     begins at.  A path from a vertex class is nonempty; a path from an
     edge class begins with the edge, from any of its tail classes to any
-    of its head classes.  A member list is never changed in place, so
-    copies share them."""
+    of its head classes.  ``glued`` changes only the copy it makes, and a
+    member list is never changed in place, so copies share them."""
 
     __slots__ = ("cls", "members", "reach", "start")
 
@@ -283,11 +283,13 @@ class _Gluing:
                 if (rc | 1 << c) & tails:
                     reach[c] = rc | gained
 
-    def merge(self, tables: _PairTables, a: int, b: int) -> bool:
-        """Glue a to b and close under port consistency, keeping ``reach``
-        and ``start`` exact at each union; False when the gluing is
-        inconsistent or closes a directed cycle, which leaves the state
-        unusable."""
+    def glued(self, tables: _PairTables, a: int, b: int) -> "_Gluing | None":
+        """The gluing of a to b closed under port consistency, with ``reach``
+        and ``start`` exact at each union; None when the closure is
+        inconsistent or closes a directed cycle.  Each union's tests run
+        once, on the gluing it extends: this one, unchanged, until the
+        first union passes them and it is copied."""
+        g = self
         cls, members, reach, start = self.cls, self.members, self.reach, self.start
         pending = [(a, b)]
         while pending:
@@ -298,15 +300,18 @@ class _Gluing:
             if hi < lo:
                 lo, hi = hi, lo
             merged = members[lo] + members[hi]
-            if self.closes_cycle(lo, hi) or not tables.class_ok(merged, pending):
-                return False
+            if g.closes_cycle(lo, hi) or not tables.class_ok(merged, pending):
+                return None
+            if g is self:
+                g = self.copy()
+                cls, members, reach, start = g.cls, g.members, g.reach, g.start
             for n in members[hi]:
                 cls[n] = lo
             members[lo], members[hi] = merged, None
             reach[lo] |= reach[hi]
             if lo < tables.n_edges:
                 start[lo] |= start[hi]
-                self._add_arcs(lo)
+                g._add_arcs(lo)
                 continue
             # a set that holds lo or hi now holds lo and all that lo reaches
             lo_bit, hi_bit = 1 << lo, 1 << hi
@@ -317,7 +322,7 @@ class _Gluing:
             for c, sc in enumerate(start):
                 if sc & hi_bit:
                     start[c] = sc ^ hi_bit | lo_bit
-        return True
+        return g
 
 
 def _decisive_sites(
@@ -330,9 +335,9 @@ def _decisive_sites(
     A directed cycle survives every refinement of a gluing: gluing more
     nodes maps it onto a closed walk.  So a cyclic gluing and all that
     refine it give no site.  Each gluing carries its reach sets, and
-    ``closes_cycle`` rejects a gluing at the union that closes a cycle:
-    before the state is copied for a seed, and at each union of the
-    closure in ``merge``.  No cyclic site is assembled."""
+    ``glued`` rejects a gluing at the union that closes a cycle, testing
+    a seed's first union before the state is copied.  No cyclic site is
+    assembled."""
     tables = _PairTables(s1, s2)
     root = _Gluing.root(tables)
     seen: set[tuple[int, ...]] = set()
@@ -346,20 +351,15 @@ def _decisive_sites(
         # the root glues nothing, so it is no site
         if state is not root and not tables.is_montage(state):
             yield tables.build_site(state)
-        cls, members = state.cls, state.members
+        cls = state.cls
         children = []
         for a, b in tables.seeds:
-            ca, cb = cls[a], cls[b]
-            # a seed whose gluing closes a cycle, or whose two classes
-            # cannot form one class, is dropped before the state is copied
-            if (
-                ca != cb
-                and not state.closes_cycle(ca, cb)
-                and tables.class_ok(members[ca] + members[cb], [])
-            ):
-                nxt = state.copy()
-                if nxt.merge(tables, a, b):
-                    children.append(nxt)
+            # a seed already glued gives no child; testing it here saves
+            # the call
+            if cls[a] != cls[b]:
+                child = state.glued(tables, a, b)
+                if child is not None:
+                    children.append(child)
         # popped in seed order: the first site to give a key supplies
         # its ambiguity, so the order is part of the result
         stack.extend(reversed(children))

@@ -135,15 +135,12 @@ def tensor(a: NetClass, b: NetClass) -> NetClass:
 # ---------------------------------------------------------------------------
 
 
-def join_condition(tr_a: BoolMat, tr_b: BoolMat, r: int, q: int) -> BoolMat | None:
-    """The boolean product a22*b22 whose nilpotence makes the join defined,
-    or None on a shape mismatch."""
+def join_condition(tr_a: BoolMat, tr_b: BoolMat, r: int, q: int) -> BoolMat:
+    """The boolean product a22*b22 whose nilpotence makes the join defined.
+    The shapes must admit the join: ``sym_join`` checks them first, and a
+    context that annexes a rule's type has them by construction."""
     k = tr_a.rows - r
     l = tr_a.cols - q
-    m = tr_b.rows - q
-    n = tr_b.cols - r
-    if min(k, l, m, n) < 0:
-        return None
     a22 = tr_a.submatrix(range(k, k + r), range(l, l + q))
     b22 = tr_b.submatrix(range(0, q), range(0, r))
     return a22.mul(b22)

@@ -45,7 +45,11 @@ def _grow_component(
     anchor: int,
     image: int,
 ) -> tuple[dict[int, int], dict[int, int]] | None:
-    """Propagate an equally decorated anchor image through ordered ports; None on clash."""
+    """Propagate an equally decorated anchor image through ordered ports;
+    None on clash.  Each pattern edge's image is read once, at the first end
+    the walk reaches: mapping it checks the far end's decoration, port index
+    and image, so the far end's port on its image holds that same edge, and
+    the walk skips it there."""
     chi = {anchor: image}
     psi: dict[int, int] = {}
     queue = [anchor]
@@ -53,15 +57,13 @@ def _grow_component(
         v = queue.pop()
         w = chi[v]
         for e in pattern.in_edges(v) + pattern.out_edges(v):
+            if e in psi:
+                continue
             ends = pattern.edges[e]
             if ends.head == v:
                 x = subject.in_edge(w, ends.hindex)
             else:
                 x = subject.out_edge(w, ends.tindex)
-            if e in psi:
-                if psi[e] != x:
-                    return None
-                continue
             psi[e] = x
             sub = subject.edges[x]
             for pv, sv, sidx, pidx in (

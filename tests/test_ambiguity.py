@@ -277,25 +277,36 @@ class TestDecisiveSites:
 
     def test_closure_work(self, monkeypatch):
         # a seed whose two classes cannot form one class, or whose gluing
-        # closes a directed cycle outright, is dropped before any closure
-        # starts, and a closure stops at the union that closes a cycle:
-        # over the corpus pairs 838 closures are attempted and 722
+        # closes a directed cycle outright, is dropped before the state is
+        # copied, and a closure stops at the union that closes a cycle:
+        # over the corpus pairs 838 gluings are copied and 722 closures
         # succeed, the enumeration visits 631 gluings, roots included, and
         # each of the 111 sites built is acyclic (without the cycle test:
-        # 1,986, 1,698, 1,112, and 481 of 592 sites cyclic)
-        attempted = succeeded = built = cyclic = 0
+        # 1,986, 1,698, 1,112, and 481 of 592 sites cyclic).  Each union's
+        # tests run once, on the gluing it extends: 2,385 class tests and
+        # 3,763 cycle tests; glued never changes the gluing it is given
+        copies = children = built = cyclic = class_tests = cycle_tests = 0
         gluings = set()
-        real_merge = ambiguity._Gluing.merge
+        real_copy = ambiguity._Gluing.copy
+        real_glued = ambiguity._Gluing.glued
         real_build = ambiguity._PairTables.build_site
+        real_class_ok = ambiguity._PairTables.class_ok
+        real_closes = ambiguity._Gluing.closes_cycle
 
-        def counting_merge(self, tables, a, b):
-            nonlocal attempted, succeeded
-            attempted += 1
-            ok = real_merge(self, tables, a, b)
-            if ok:
-                succeeded += 1
-                gluings.add((pair, tuple(self.cls)))
-            return ok
+        def counting_copy(self):
+            nonlocal copies
+            copies += 1
+            return real_copy(self)
+
+        def counting_glued(self, tables, a, b):
+            nonlocal children
+            before = (self.cls[:], self.members[:], self.reach[:], self.start[:])
+            child = real_glued(self, tables, a, b)
+            assert (self.cls, self.members, self.reach, self.start) == before
+            if child is not None:
+                children += 1
+                gluings.add((pair, tuple(child.cls)))
+            return child
 
         def counting_build(self, g):
             nonlocal built, cyclic
@@ -304,41 +315,56 @@ class TestDecisiveSites:
             cyclic += site is None
             return site
 
-        monkeypatch.setattr(ambiguity._Gluing, "merge", counting_merge)
+        def counting_class_ok(self, members, forced):
+            nonlocal class_tests
+            class_tests += 1
+            return real_class_ok(self, members, forced)
+
+        def counting_closes(self, x, y):
+            nonlocal cycle_tests
+            cycle_tests += 1
+            return real_closes(self, x, y)
+
+        monkeypatch.setattr(ambiguity._Gluing, "copy", counting_copy)
+        monkeypatch.setattr(ambiguity._Gluing, "glued", counting_glued)
         monkeypatch.setattr(ambiguity._PairTables, "build_site", counting_build)
+        monkeypatch.setattr(ambiguity._PairTables, "class_ok", counting_class_ok)
+        monkeypatch.setattr(ambiguity._Gluing, "closes_cycle", counting_closes)
         pairs = corpus_rule_pairs()
         for pair, (s1, s2) in enumerate(pairs):
             list(_decisive_sites(s1, s2))
-        assert (attempted, succeeded, len(gluings) + len(pairs)) == (838, 722, 631)
+        assert (copies, children, len(gluings) + len(pairs)) == (838, 722, 631)
         assert (built, cyclic) == (111, 0)
+        assert (class_tests, cycle_tests) == (2385, 3763)
 
     def test_carried_reach_sets(self, rng, hopf_sig, monkeypatch):
         # at every gluing a closure gives, the reach sets it carries are
         # those that networkx and the from-scratch walk find on its class
         # graph, which is acyclic
         nx = pytest.importorskip("networkx")
-        real_merge = ambiguity._Gluing.merge
+        real_glued = ambiguity._Gluing.glued
         classes = 0
 
-        def checked_merge(self, tables, a, b):
+        def checked_glued(self, tables, a, b):
             nonlocal classes
-            if not real_merge(self, tables, a, b):
-                return False
-            graph = class_graph(nx, tables, self.cls)
+            g = real_glued(self, tables, a, b)
+            if g is None:
+                return None
+            graph = class_graph(nx, tables, g.cls)
             assert nx.is_directed_acyclic_graph(graph)
-            ref_reach, ref_start = reference_reach(tables, self)
-            for c in set(self.cls):
+            ref_reach, ref_start = reference_reach(tables, g)
+            for c in set(g.cls):
                 reach = sum(1 << v for v in nx.descendants(graph, c) if v >= tables.n_edges)
                 if c < tables.n_edges:
                     start = sum(1 << v for v in graph.predecessors(c))
                 else:
                     start = 1 << c
-                assert self.reach[c] == reach == ref_reach[c]
-                assert self.start[c] == start == ref_start[c]
+                assert g.reach[c] == reach == ref_reach[c]
+                assert g.start[c] == start == ref_start[c]
                 classes += 1
-            return True
+            return g
 
-        monkeypatch.setattr(ambiguity._Gluing, "merge", checked_merge)
+        monkeypatch.setattr(ambiguity._Gluing, "glued", checked_glued)
         for s1, s2 in oracle_pairs(rng, hopf_sig):
             list(_decisive_sites(s1, s2))
         assert classes > 70000, classes
@@ -372,8 +398,9 @@ class TestDecisiveSites:
             assert nx.is_directed_acyclic_graph(class_graph(nx, tables, g.cls))
             glued = [x if c == y else c for c in g.cls]
             assert not nx.is_directed_acyclic_graph(class_graph(nx, tables, glued))
-            if g.merge(tables, x, y):
-                assert not nx.is_directed_acyclic_graph(class_graph(nx, tables, g.cls))
+            closure = g.glued(tables, x, y)
+            if closure is not None:
+                assert not nx.is_directed_acyclic_graph(class_graph(nx, tables, closure.cls))
                 closed += 1
         assert len(checks) > 6000 and closed > 3000, (len(checks), closed)
 
@@ -464,6 +491,16 @@ class TestKeys:
             with_strays += bool(strays)
             many_components += len(comps) > 1
         assert several > 100 and with_strays > 50 and many_components > 50
+
+    def test_relabeling_cap(self):
+        # five equal components have 5! = 120 orders, more than the cap of
+        # 64: one order of each group is kept, and every relabeling listed
+        # gives the site one code
+        sig = parse_signature("gen x 1 1\ngen y 1 1\n")
+        site = parse_term("y^a_b y^c_d y^e_f y^g_h y^i_j", sig).monomials()[0]
+        relabelings = _leg_relabelings(site.net)
+        assert 1 <= len(relabelings) <= ambiguity._RELABELING_CAP < 120
+        assert len({ambiguity._code_under(site, *r) for r in relabelings}) == 1
 
 
 class TestStrayRules:

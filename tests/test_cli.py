@@ -535,6 +535,122 @@ class TestUsageErrors:
         assert (code, err) == (0, "") and "--max-steps" in out
 
 
+# 32 wires: joined side by side with themselves they need 64 edge names
+WIRES_32 = "[{0}|1|{0}]".format(" ".join("abcdefghijklmnopqrstuvwxyzABCDEF"))
+
+# (extra files, argv, the one error line) of input paths ending in exit 2
+INPUT_PATH_ERRORS = {
+    "outside-zero-type": (
+        {},
+        ["normalize", "--sig", "{hopf.sig}", "--rules", "{hopf.rules}", "--max-steps", "5", "--type", "zero", "S^a_b"],
+        "combination outside ambient type",
+    ),
+    "order-without-stage": (
+        {"empty.order": "order { }\n"},
+        ["order-check", "--sig", "{assoc.sig}", "--order", "{empty.order}"],
+        "an order needs at least one stage",
+    ),
+    "connectivity-stage-argument": (
+        {"cx.order": "order { stage connectivity x }\n"},
+        ["order-check", "--sig", "{assoc.sig}", "--order", "{cx.order}"],
+        "stage connectivity takes no arguments",
+    ),
+    "baff-stage-without-file": (
+        {"baff.order": "order { stage baff }\n"},
+        ["order-check", "--sig", "{assoc.sig}", "--order", "{baff.order}"],
+        "stage baff needs an assignment file",
+    ),
+    "map-line-without-map": (
+        {"mop.map": "mop m = 1\n"},
+        ["eval", "--sig", "{assoc.sig}", "--target", "nat-matrix", "--map", "{mop.map}", "m^a_bc"],
+        "line 1: expected 'map <symbol> = <rows>'",
+    ),
+    "map-unknown-symbol": (
+        {"unknown.map": "map q = 1\n"},
+        ["eval", "--sig", "{assoc.sig}", "--target", "nat-matrix", "--map", "{unknown.map}", "m^a_bc"],
+        "line 1: unknown symbol 'q'",
+    ),
+    "connectivity-with-map": (
+        {},
+        ["eval", "--sig", "{assoc.sig}", "--target", "connectivity", "--map", "{assoc.map}", "m^a_bc"],
+        "connectivity target needs no assignment file",
+    ),
+    "map-missing-symbol": (
+        {"half.map": "map x = 1\n"},
+        ["eval", "--sig", "{circle.sig}", "--target", "nat-matrix", "--map", "{half.map}", "x^a_b"],
+        "no assignment for symbols: y",
+    ),
+    "rule-without-id": (
+        {"noid.rules": "rule : m^a_bc -> m^a_bc\n"},
+        ["ambiguities", "--sig", "{assoc.sig}", "--rules", "{noid.rules}"],
+        "Syntax: line 1: missing rule id",
+    ),
+    "bad-where-clause": (
+        {"where.rules": "rule w: m^a_bc -> m^a_bc where a b\n"},
+        ["ambiguities", "--sig", "{assoc.sig}", "--rules", "{where.rules}"],
+        "Syntax: line 1: bad where clause",
+    ),
+    "print-cap": (
+        {},
+        ["join", "--sig", "{assoc.sig}", "--r", "0", "--q", "0", WIRES_32, WIRES_32],
+        "Syntax: cannot print a monomial with 64 edges",
+    ),
+}
+
+
+class TestInputPaths:
+    """Input paths of the command line that no other test takes: each ends
+    in its exit code, and an error in one ``error:`` line."""
+
+    @pytest.mark.parametrize("name", INPUT_PATH_ERRORS)
+    def test_error(self, corpus, capsys, name):
+        files, argv, message = INPUT_PATH_ERRORS[name]
+        for file, text in files.items():
+            (corpus / file).write_text(text, encoding="utf-8")
+        assert run(capsys, *in_corpus(corpus, argv)) == (2, "", f"error: {message}\n")
+
+    def test_zero_type_normal_form(self, corpus, capsys):
+        argv = ["normalize", "--sig", "{hopf.sig}", "--rules", "{hopf.rules}", "--max-steps", "5"]
+        got = run(capsys, *in_corpus(corpus, argv), "--type", "zero", "eps_a eta^a")
+        assert got == (0, "[|1|]\n", "")
+
+    def test_ambiguities_of_every_pair(self, corpus, capsys):
+        code, out, err = run(
+            capsys, *in_corpus(corpus, ["ambiguities", "--sig", "{circle.sig}", "--rules", "{circle.rules}"])
+        )
+        assert (code, err) == (0, "")
+        assert out == (
+            "circ / circ [terse, trivial] at [a|y^c_b y^a_c|b]\n"
+            "circ / circ [terse] at [a|y^c_b y^d_c y^a_d|b]\n"
+        )
+
+    @pytest.mark.parametrize("order", ["order { stage baff assoc.map }\n", "order { ; stage baff assoc.map ;; }\n"])
+    def test_order_check_without_rules(self, corpus, capsys, order):
+        # empty chunks between semicolons are passed over
+        (corpus / "semi.order").write_text(order, encoding="utf-8")
+        argv = ["order-check", "--sig", "{assoc.sig}", "--order", "{semi.order}"]
+        assert run(capsys, *in_corpus(corpus, argv)) == (0, "stage 1 (baff): ok\norder admissible\n", "")
+
+    def test_complete_cannot_orient(self, corpus, capsys):
+        # x and y have one image, so the difference y x - x y of the two
+        # reducts of x x x is in neither orientation a descent
+        (corpus / "same.map").write_text(
+            "map x = 1 0 0 ; 0 1 0 ; 0 1 2\nmap y = 1 0 0 ; 0 1 0 ; 0 1 2\n", encoding="utf-8"
+        )
+        (corpus / "same.order").write_text("order { stage baff same.map }\n", encoding="utf-8")
+        (corpus / "sq.rules").write_text("rule sq sharp: x^a_b x^b_c -> y^a_c\n", encoding="utf-8")
+        argv = ["complete", "--sig", "{circle.sig}", "--rules", "{sq.rules}", "--order", "{same.order}"]
+        got = run(capsys, *in_corpus(corpus, argv))
+        assert got == (1, "", "completion failed: cannot orient an unresolved difference\n")
+
+    def test_complete_adds_too_many_rules(self, corpus, capsys):
+        # completing x x x -> y x under the circle order adds more than 32 rules
+        (corpus / "cube.rules").write_text("rule c sharp: x^a_b x^b_c x^c_d -> y^a_p x^p_d\n", encoding="utf-8")
+        argv = ["complete", "--sig", "{circle.sig}", "--rules", "{cube.rules}", "--order", "{circle.order}"]
+        got = run(capsys, *in_corpus(corpus, argv))
+        assert got == (1, "", "completion failed: too many generated rules\n")
+
+
 # Concrete instances of README's synopsis lines, each alternative and
 # optional part taken once.
 SYNOPSIS_ARGV = [

@@ -1,13 +1,15 @@
 """Embeddings, strong embeddings, complements, and context types."""
 
 import collections
+import importlib.util
 import itertools
 import math
+import sys
 from pathlib import Path
 
 import pytest
 
-from netrw.ainparse import parse_rules
+from netrw.ainparse import parse_rules, parse_term
 from netrw.ambiguity import _decisive_sites
 from netrw.core import BoolMat, Symbol, cross, parse_signature, same
 from netrw.freeprop import (
@@ -45,6 +47,7 @@ from conftest import (
 )
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "netrw" / "corpus"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def brute_force_embeddings(pattern: Network, subject: Network):
@@ -199,6 +202,38 @@ class TestEmbeddingWalk:
                 counts[system, "no inner vertex"] += bool(want) and comps == 0
                 counts[system, "found"] += bool(want)
         assert min(counts.values()) >= 20, counts
+
+    def test_port_reads(self, monkeypatch):
+        # every assoc and Hopf rule searched in every input monomial of the
+        # benchmark's large-terms workload: 503 embeddings, and 2,687 reads
+        # of a subject port, each pattern edge's image read once, at the
+        # first end the walk reaches
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = workloads  # its dataclass looks its module up
+        try:
+            spec.loader.exec_module(workloads)
+        finally:
+            del sys.modules[spec.name]
+        searches = []
+        for job in workloads.round_jobs("large-terms", 1):
+            system = "assoc" if job.key[0] == "comb" else "hopf"
+            sig = parse_signature((CORPUS / f"{system}.sig").read_text(encoding="utf-8"))
+            rules = parse_rules((CORPUS / f"{system}.rules").read_text(encoding="utf-8"), sig)
+            subject = parse_term(job.argv[-1], sig).monomials()[0].rep
+            searches += [(rule.lhs.rep, subject, rule.lhs_parts) for rule in rules]
+        reads = collections.Counter()
+        for name in ("in_edge", "out_edge"):
+            real = getattr(Network, name)
+
+            def counting(net, v, index, real=real):
+                reads[net] += 1
+                return real(net, v, index)
+
+            monkeypatch.setattr(Network, name, counting)
+        found = sum(len(list(embeddings(*search))) for search in searches)
+        assert (found, sum(reads.values())) == (503, 2687)
+        assert set(reads) <= {subject for _, subject, _ in searches}
 
 
 def assert_reference_contexts(emb, pattern, subject) -> int:

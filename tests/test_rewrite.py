@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import netrw.ambiguity
 import netrw.freeprop
 import netrw.match
 import netrw.network
@@ -330,6 +331,55 @@ class TestJoinable:
         assert len(steps) == 2
         res = joinable(steps[0], steps[1], q, assoc, max_steps=10)
         assert res.status == "yes"
+
+    def test_budget_runs_out_inside_joinable(self, monkeypatch):
+        # with one step allowed, 19 of the Hopf ambiguities are unknown,
+        # each because a normalization inside joinable ran out of budget
+        sig = parse_signature((CORPUS / "hopf.sig").read_text(encoding="utf-8"))
+        rules = parse_rules((CORPUS / "hopf.rules").read_text(encoding="utf-8"), sig)
+        real_normalize, real_joinable = rewrite.normalize, joinable
+        ran_out = []
+        calls = []  # per joinable call: its status, and whether the budget ran out
+
+        def recording_normalize(*args, **kwargs):
+            try:
+                return real_normalize(*args, **kwargs)
+            except BudgetExceededError:
+                ran_out.append(True)
+                raise
+
+        def recording_joinable(*args, **kwargs):
+            ran_out.clear()
+            result = real_joinable(*args, **kwargs)
+            calls.append((result.status, bool(ran_out)))
+            return result
+
+        monkeypatch.setattr(rewrite, "normalize", recording_normalize)
+        monkeypatch.setattr(netrw.ambiguity, "joinable", recording_joinable)
+        report = confluence_report(rules, max_steps=1)
+        assert report.counts() == {"resolved": 27, "unresolved": 0, "unknown": 19}
+        assert Counter(status for status, out in calls if out) == {"unknown": 19}
+        assert all(out for status, out in calls if status == "unknown")
+
+    def test_breadth_first_join(self, monkeypatch, circle):
+        # y^3 and its second one-step reduct have different order-backed
+        # normal forms, yet the breadth-first search finds the reduct among
+        # y^3's own one-step reducts, and takes the least common form
+        rules, _, q = circle
+        sig = parse_signature("gen x 1 1\ngen y 1 1\n")
+        x = parse_term(circle_power_text(3), sig)
+        reduct = all_single_steps(x, q, rules)[1]
+        assert normalize(x, q, rules, order_backed=True) != normalize(reduct, q, rules, order_backed=True)
+        keyed = []
+        real_key = rewrite._lc_key
+
+        def recording_key(c):
+            keyed.append(c)
+            return real_key(c)
+
+        monkeypatch.setattr(rewrite, "_lc_key", recording_key)
+        assert joinable(x, reduct, q, rules, order_backed=True) == JoinResult("yes", reduct)
+        assert keyed == [reduct]
 
 
 # ---------------------------------------------------------------------------
