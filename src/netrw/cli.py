@@ -322,7 +322,7 @@ _SIG = ("--sig", True, str, 1, "signature file")
 _RULES = ("--rules", True, str, 1, "rules file")
 _ORDER = ("--order", True, str, 1, "order preset file")
 _MAYBE_ORDER = ("--order", False, str, 1, "order preset file")
-_STEPS = ("--max-steps", False, int, 1, "at most this many reduction steps")
+_STEPS = ("--max-steps", False, int, 1, "at most this many first replacements per normalization")
 
 # name -> (help, handler, options, positionals), in the order ``netrw --help``
 # lists them

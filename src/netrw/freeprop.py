@@ -81,9 +81,6 @@ class NetClass:
     def __hash__(self) -> int:
         return self._hash
 
-    def __lt__(self, other: "NetClass") -> bool:
-        return self.code < other.code
-
     def __repr__(self) -> str:
         return f"NetClass({self.coarity},{self.arity};{len(self.net.deco)}v)"
 
@@ -349,9 +346,6 @@ class LinComb:
     def scale(self, r) -> "LinComb":
         r = _as_fraction(r)
         return LinComb(self.coarity, self.arity, {t: r * c for t, c in self.terms.items()})
-
-    def __rmul__(self, r) -> "LinComb":
-        return self.scale(r)
 
 
 def _summands(x: NetClass | LinComb) -> list[tuple[NetClass, Fraction]]:

@@ -123,9 +123,6 @@ class BoolMatrixTarget:
     def phi(self, p: Perm) -> BoolMat:
         return BoolMat.from_perm(p)
 
-    def identity(self, n: int) -> BoolMat:
-        return BoolMat.eye(n)
-
     def from_rows(self, rows, cols: int) -> BoolMat:
         return BoolMat.from_rows(rows, cols)
 

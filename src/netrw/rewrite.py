@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from operator import attrgetter
 from typing import Iterator, Sequence
 
 from .core import BoolMat
@@ -28,15 +27,19 @@ class RuleError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
+    """:func:`normalize` stopped after ``steps`` first replacements at the
+    reduct ``partial``."""
+
     def __init__(self, partial: LinComb, steps: int):
-        super().__init__(f"reduction budget exhausted after {steps} steps")
+        super().__init__(f"reduction budget exhausted after {steps} replacements")
         self.partial = partial
         self.steps = steps
 
 
 class ReductionCycleError(RuntimeError):
-    """A monomial recurs inside its own order-backed reduction, so no
-    well-founded order is compatible with the rules."""
+    """A monomial recurs inside its own reduction in a normalization
+    without a budget, so no well-founded order is compatible with the
+    rules."""
 
     def __init__(self, monomial: NetClass):
         super().__init__("a monomial recurs in its own reduction")
@@ -155,6 +158,9 @@ def make_rule(
 
 @dataclass(frozen=True)
 class ReductionStep:
+    """coefficient*before replaced by coefficient*after, the reduct of rule
+    ``rule_id`` at ``context``, by :func:`reduce_once` or :func:`normalize`."""
+
     rule_id: str
     context: NetClass
     before: NetClass
@@ -215,32 +221,44 @@ def _replacement(rule: Rule, ctx: NetClass) -> LinComb:
 _ONE = Fraction(1)
 
 
+class _Stop(Exception):
+    """``(t, c)``: the walk stops at the term c*t, whose first replacement
+    the budget does not allow, or which recurs inside its own reduction."""
+
+
 class _Redexes:
     """The admissible redexes and the normal forms of monomials at one
     ambient type, kept for one call of :func:`normalize` or
-    :func:`joinable`.
+    :func:`joinable`, with the budget, count and trace of the
+    normalization under way.
 
     A simple reduction is fixed by its monomial and redex, so the search
-    for a monomial's redexes runs once per call however often the monomial
-    recurs.  ``found`` maps a monomial to ``[redexes, rest]``: the
-    ``(rule, ctx, _replacement(rule, ctx))`` found so far, in the redex
-    order of :func:`_monomial_redexes`, and the rest of that search, None
-    once it is exhausted.
+    for a monomial's redexes runs once per memo, resumed, never repeated.
+    ``found`` maps a monomial to ``[redexes, rest]``: the ``(rule, ctx,
+    _replacement(rule, ctx))`` found so far, in the redex order of
+    :func:`_monomial_redexes`, and the rest of that search, None once it
+    is exhausted.  Unless ``keep_links``, a chain link's search is dropped
+    once its first replacement is taken, so that its memory is free for
+    reuse; :func:`joinable` keeps them for its breadth-first search.
 
-    ``nf`` maps a monomial to the terms of its normal form, found by
-    :func:`monomial_normal_form`, for each monomial that is irreducible or
-    whose first replacement has other than one term.
+    ``nf`` maps a monomial to the terms of its normal form, for each
+    monomial that is irreducible or whose first replacement has other than
+    one term.
     """
 
-    __slots__ = ("q", "any_type", "rules", "found", "nf")
+    __slots__ = ("q", "any_type", "rules", "found", "nf", "keep_links", "budget", "steps", "trace")
 
-    def __init__(self, q: BoolMat, rules: Sequence[Rule]):
+    def __init__(self, q: BoolMat, rules: Sequence[Rule], keep_links: bool = True):
         self.q = q
         # under the all-ones type every transference fits
         self.any_type = q.is_ones()
         self.rules = sorted(rules, key=lambda r: r.rule_id)
         self.found: dict[NetClass, list] = {}
         self.nf: dict[NetClass, dict[NetClass, Fraction]] = {}
+        self.keep_links = keep_links
+        self.budget: int | None = None
+        self.steps = 0
+        self.trace: list[ReductionStep] | None = None
 
     def admit(self, x: LinComb) -> None:
         """Check x's shape, and each monomial's type the first time it is
@@ -272,34 +290,19 @@ class _Redexes:
                 entry[1] = None
         return done if every else done[:1]
 
-    def first_step(self, x: LinComb) -> tuple[LinComb, ReductionStep] | None:
-        """The first simple reduction of x: the least monomial by code that
-        has a redex, at its first redex; None if x is irreducible.  A
-        monomial whose search ended with no redex is left out of the sort."""
-        self.admit(x)
-        terms, found = x.terms, self.found
-        candidates = (nu for nu in terms if found[nu][0] or found[nu][1] is not None)
-        for nu in sorted(candidates, key=attrgetter("code")):
-            if first := self.redexes(nu, False):
-                break
-        else:
-            return None
-        rule, ctx, replacement = first[0]
-        coeff = terms[nu]
-        out = _reduct(x, nu, coeff, replacement)
-        return out, ReductionStep(rule.rule_id, ctx, nu, replacement, coeff)
+    def follow(self, t: NetClass, c: Fraction, under_way: set) -> tuple[NetClass, Fraction]:
+        """Follow c*t down its chain, taking first replacements while they
+        are single terms: ``(end, c')`` with c*NF(t) = c'*NF(end), where
+        end's normal form is known or end's first replacement, taken, has
+        other than one term.
 
-    def follow(self, t: NetClass, c: Fraction) -> tuple[NetClass, Fraction]:
-        """Follow c*t down its chain, while the first replacement is a single
-        term: ``(end, c')`` with c*NF(t) = c'*NF(end), where end's normal
-        form is known or its first replacement has other than one term.
-
-        A link's normal form is not kept and its search is dropped once its
-        first redex is taken, so that its memory is free for reuse; an
-        irreducible end is kept as its own normal form.  Raises
-        :class:`ReductionCycleError` if the chain returns to one of its
-        links, found as Brent's cycle search does: by comparing each link
-        with the one saved at the last power of two, the only link held."""
+        Each replacement taken counts against ``budget``, which raises
+        :class:`_Stop` where it runs out, and goes to ``trace``.  A link's
+        normal form is not kept; an irreducible end is kept as its own.  A
+        link ``under_way`` in the walk raises :class:`_Stop` before its
+        replacement is taken again, and so does a chain that returns to one
+        of its links, found as Brent's cycle search does: by comparing each
+        link with the one saved at the last power of two, the only one held."""
         nf, found = self.nf, self.found
         saved, power, run = None, 1, 0
         while t not in nf:
@@ -308,14 +311,20 @@ class _Redexes:
             if not first:
                 nf[t] = {t: _ONE}
                 break
-            replacement = first[0][2].terms
-            if len(replacement) != 1:
+            if self.steps == self.budget or t in under_way:
+                raise _Stop(t, c)
+            self.steps += 1
+            rule, ctx, replacement = first[0]
+            if self.trace is not None:
+                self.trace.append(ReductionStep(rule.rule_id, ctx, t, replacement, c))
+            if len(replacement.terms) != 1:
                 break
-            del found[t]
-            ((t, d),) = replacement.items()
+            if not self.keep_links:
+                del found[t]
+            ((t, d),) = replacement.terms.items()
             c *= d
             if t == saved:
-                raise ReductionCycleError(t)
+                raise _Stop(t, c)
             run += 1
             if run == power:
                 saved, power, run = t, 2 * power, 0
@@ -332,40 +341,54 @@ def _add_scaled(acc: dict[NetClass, Fraction], terms: dict[NetClass, Fraction], 
             del acc[t]
 
 
-def monomial_normal_form(nu: NetClass, memo: _Redexes) -> dict[NetClass, Fraction]:
-    """The terms of nu's normal form NF(nu): nu if it is irreducible, else
-    sum c*NF(t) over the terms c*t of its first replacement.
+def _normal_form(x: LinComb, memo: _Redexes) -> dict[NetClass, Fraction]:
+    """The terms of x's normal form, sum c*NF(nu) over the terms c*nu of
+    x, where NF(nu) is nu if it is irreducible, else sum d*NF(t) over the
+    terms d*t of its first replacement.
 
-    The monomials below nu are walked in post-order on an explicit stack,
+    The monomials below x are walked in post-order on an explicit stack,
     and each normal form is kept in ``memo.nf`` once found, so each is
     found once per memo; chains of single-term replacements are followed
-    by :meth:`_Redexes.follow`.  Raises :class:`ReductionCycleError` if a
-    monomial recurs inside its own reduction."""
+    by :meth:`_Redexes.follow`.  A monomial that recurs inside its own
+    reduction raises :class:`ReductionCycleError` without a budget.  A
+    walk that stops raises :class:`BudgetExceededError` with its stack
+    unwound: from the top, each frame's finished normal forms, the term it
+    stopped at (the frame above, unwound) and the terms it has not walked
+    yet, summed in the root frame."""
     nf = memo.nf
     root: dict[NetClass, Fraction] = {}
     # frames (monomial, rest of its first replacement's terms, its normal
-    # form so far, its coefficient in the frame below); the root's one term is nu
-    stack = [(None, iter(((nu, _ONE),)), root, _ONE)]
+    # form so far, its coefficient in the frame below); the root's terms are x's
+    stack = [(None, iter(x.terms.items()), root, _ONE)]
     under_way = set()
-    while True:
-        mu, rest, acc, coeff = stack[-1]
-        for t, c in rest:
-            t, c = memo.follow(t, c)
-            if t in nf:
-                _add_scaled(acc, nf[t], c)
-                continue
-            if t in under_way:
-                raise ReductionCycleError(t)
-            under_way.add(t)
-            stack.append((t, iter(memo.redexes(t, False)[0][2].terms.items()), {}, c))
-            break
-        else:
-            stack.pop()
-            if not stack:
-                return root
-            under_way.discard(mu)
-            nf[mu] = acc
-            _add_scaled(stack[-1][2], acc, coeff)
+    try:
+        while True:
+            mu, rest, acc, coeff = stack[-1]
+            for t, c in rest:
+                t, c = memo.follow(t, c, under_way)
+                if t in nf:
+                    _add_scaled(acc, nf[t], c)
+                    continue
+                under_way.add(t)
+                stack.append((t, iter(memo.found[t][0][0][2].terms.items()), {}, c))
+                break
+            else:
+                stack.pop()
+                if not stack:
+                    return root
+                under_way.discard(mu)
+                nf[mu] = acc
+                _add_scaled(stack[-1][2], acc, coeff)
+    except _Stop as stop:
+        t, c = stop.args
+        if memo.budget is None:
+            raise ReductionCycleError(t) from None
+        above, scale = {t: _ONE}, c
+        for _, rest, acc, coeff in reversed(stack):
+            _add_scaled(acc, above, scale)
+            _add_scaled(acc, dict(rest), _ONE)
+            above, scale = acc, coeff
+        raise BudgetExceededError(LinComb._unchecked(x.coarity, x.arity, above), memo.steps) from None
 
 
 def _reduct(x: LinComb, nu: NetClass, coeff: Fraction, replacement: LinComb) -> LinComb:
@@ -377,15 +400,19 @@ def _reduct(x: LinComb, nu: NetClass, coeff: Fraction, replacement: LinComb) -> 
     return LinComb._unchecked(x.coarity, x.arity, terms)
 
 
-def reduce_once(
-    x: LinComb, q: BoolMat, rules: Sequence[Rule], memo: _Redexes | None = None
-) -> tuple[LinComb, ReductionStep] | None:
+def reduce_once(x: LinComb, q: BoolMat, rules: Sequence[Rule]) -> tuple[LinComb, ReductionStep] | None:
     """Apply the first admissible simple reduction, or None if irreducible.
 
     Monomials are tried by canonical code, rules by id, occurrences by
-    canonical order.  ``memo`` holds the redexes already found for the
-    same q and rules."""
-    return (memo or _Redexes(q, rules)).first_step(x)
+    canonical order."""
+    memo = _Redexes(q, rules)
+    memo.admit(x)
+    for nu, coeff in x.items():
+        if first := memo.redexes(nu, False):
+            rule, ctx, replacement = first[0]
+            step = ReductionStep(rule.rule_id, ctx, nu, replacement, coeff)
+            return _reduct(x, nu, coeff, replacement), step
+    return None
 
 
 def all_single_steps(
@@ -418,61 +445,37 @@ def normalize(
     trace: list[ReductionStep] | None = None,
     memo: _Redexes | None = None,
 ) -> LinComb:
-    """Reduce to a fixpoint of :func:`reduce_once`.
-
-    With ``order_backed`` the caller asserts the rules are compatible with
-    a well-founded order, so no step bound is needed; otherwise at most
-    ``max_steps`` steps are applied, and when the result is still
-    reducible :class:`BudgetExceededError` carries it.
+    """x's normal form, sum c*NF(nu) over its terms c*nu.
 
     Each monomial nu is always reduced by its own first replacement T(nu),
-    so under a well-founded order its normal form NF(nu) = sum c*NF(t) over
-    the terms c*t of T(nu), and nu itself when it is irreducible, is well
-    defined.  A step of :func:`reduce_once` replaces c*nu by c*T(nu), which
-    keeps the sum of NF over the combination, and stops only where every
-    monomial is its own normal form; so the fixpoint is that sum, on every
-    system, confluent or not.
+    the reduct of its first redex, so where the rules terminate NF(nu) =
+    sum d*NF(t) over the terms d*t of T(nu), nu itself when irreducible,
+    is well defined.  A step replaces c*nu by c*T(nu), which keeps the sum
+    of NF, so the fixpoint of :func:`reduce_once` is that sum, on every
+    system, confluent or not.  One post-order walk, :func:`_normal_form`,
+    finds each monomial's normal form once.
 
-    An order-backed call with neither ``max_steps`` nor ``trace`` computes
-    the sum directly, finding each monomial's normal form once by
-    :func:`monomial_normal_form`; it applies no step, and raises
-    :class:`ReductionCycleError` if a monomial recurs inside its own
-    reduction.  Every other call applies the steps of :func:`reduce_once`
-    one at a time, appends each to ``trace``, and counts them against
-    ``max_steps``: a budget counts steps of that deterministic strategy.
-    The redexes of each monomial of a combination with two or more terms
-    are searched once per call, in a memo that every step reads.
+    With ``order_backed`` the caller asserts the rules are compatible with
+    a well-founded order; a monomial that recurs inside its own reduction
+    then raises :class:`ReductionCycleError`.  ``max_steps`` caps the first
+    replacements the walk takes, chain links included; an irreducible or
+    memoized monomial costs none.  A walk that needs more, or meets a
+    recurring monomial, raises :class:`BudgetExceededError` with the
+    replacements taken and its partial reduct of x: the normal forms it
+    finished, the replacement terms it had not walked yet, and x's terms
+    it had not reached.  ``trace`` receives one :class:`ReductionStep` per
+    replacement taken, in that order, with the walk's running coefficient.
 
     ``memo`` lets :func:`joinable` share its redexes and normal forms
     between calls; the memo is dropped when its owner returns.
     """
     if not order_backed and max_steps is None:
         raise ValueError("normalize needs either order_backed or max_steps")
-    shared = memo is not None
     if memo is None:
-        memo = _Redexes(q, rules)
-    if max_steps is None and trace is None:
-        memo.admit(x)
-        terms: dict[NetClass, Fraction] = {}
-        for nu, c in x.terms.items():
-            _add_scaled(terms, monomial_normal_form(nu, memo), c)
-        return LinComb._unchecked(x.coarity, x.arity, terms)
-    steps = 0
-    cur = x
-    while True:
-        # A lone monomial cannot recur in a terminating normalization of its
-        # own, as all that follows descends from its reducts.  Keeping it in
-        # the memo would only hold its memory from reuse, which measurably
-        # slows the normalization of large single monomials.
-        hit = reduce_once(cur, q, rules, memo if shared or len(cur.terms) > 1 else None)
-        if hit is None:
-            return cur
-        if max_steps is not None and steps >= max_steps:
-            raise BudgetExceededError(cur, steps)
-        cur, step = hit
-        if trace is not None:
-            trace.append(step)
-        steps += 1
+        memo = _Redexes(q, rules, keep_links=False)
+    memo.admit(x)
+    memo.budget, memo.steps, memo.trace = max_steps, 0, trace
+    return LinComb._unchecked(x.coarity, x.arity, _normal_form(x, memo))
 
 
 @dataclass(frozen=True)
@@ -498,9 +501,11 @@ def joinable(
     fully explored, and carries the difference of the normal forms.
 
     Both normalizations and every breadth-first expansion share one memo
-    of each monomial's redexes, and order-backed normalizations share its
-    normal forms; the memo is dropped when the call returns, and results
-    are those of the same search without it.
+    of each monomial's redexes and normal forms, which keeps the searches
+    of chain links for the breadth-first search to resume; the memo is
+    dropped when the call returns.  A budget does not count the normal
+    forms the memo holds, so y's normalization is charged only beyond x's,
+    and can finish where a fresh one, or joinable(y, x)'s, would stop.
     """
     if x == y:
         return JoinResult("yes", x)

@@ -221,6 +221,27 @@ class TestSubcommands:
         )
         assert code == 1 and out.startswith("budget exceeded; partial: ")
 
+    def test_budget_stop_partial(self, corpus, capsys):
+        # circle y^6 at two first replacements: y^6 -> y^4 - x^2 y^4 and
+        # y^4 -> y^2 - x^2 y^2; the partial holds y^2 and x^2 y^2, the terms
+        # of y^4's replacement, and x^2 y^4, the term not reached
+        code, out, _ = run(
+            capsys,
+            "normalize",
+            "--sig",
+            str(corpus / "circle.sig"),
+            "--rules",
+            str(corpus / "circle.rules"),
+            "--max-steps",
+            "2",
+            "y^a_b y^b_c y^c_d y^d_e y^e_f y^f_g",
+        )
+        assert code == 1
+        assert out == (
+            "budget exceeded; partial: - [a|x^c_b x^d_c y^e_d y^a_e|b]"
+            " - [a|x^c_b x^d_c y^e_d y^f_e y^g_f y^a_g|b] + [a|y^c_b y^a_c|b]\n"
+        )
+
     def test_order_backed_zero_budget(self, corpus, capsys):
         # --max-steps bounds an ordered run too
         code, out, _ = run(

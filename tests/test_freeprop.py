@@ -193,7 +193,7 @@ class TestSymJoin:
             r = rng.randint(0, min(a.coarity, b.arity))
             q = rng.randint(0, min(a.arity, b.coarity))
             cond = join_condition(a.tr, b.tr, r, q)
-            if cond is None or not cond.is_nilpotent():
+            if not cond.is_nilpotent():
                 continue
             joined = sym_join(a, r, q, b)
             assert joined.tr == join_transference(a.tr, b.tr, r, q)
@@ -227,7 +227,7 @@ class TestSymJoin:
             k_, l_ = kc.coarity - r, kc.arity - q
             m_, n_ = hc.coarity - q, hc.arity - r
             cond = join_condition(kc.tr, hc.tr, r, q)
-            if cond is None or not cond.is_nilpotent():
+            if not cond.is_nilpotent():
                 continue
             lhs = act_class(cross(k_, m_), sym_join(kc, r, q, hc), cross(n_, l_))
             rhs = sym_join(

@@ -243,8 +243,8 @@ def value(x: LinComb, model, memo=None) -> dict:
 
 
 def normalization(x: LinComb, rules, max_steps):
-    """The steps that normalize x, and the normal form (or the partial
-    result at the budget)."""
+    """The first replacements that normalizing x takes, and the normal form
+    (or the partial result at the budget)."""
     q = BoolMat.ones(x.coarity, x.arity)
     trace = []
     try:
@@ -255,9 +255,10 @@ def normalization(x: LinComb, rules, max_steps):
 
 
 def check_steps(x: LinComb, trace, result, model):
-    """Require every step of x's normalization, and its result, to keep
-    x's value.  A step's monomial is a term of an earlier one's result, so
-    each is evaluated once."""
+    """Require every first replacement that x's normalization takes to keep
+    its monomial's value, and the result to keep x's value.  A
+    replacement's monomial is a term of x or of an earlier replacement,
+    so each is evaluated once."""
     memo = {}
     for step in trace:
         assert value(LinComb.monomial(step.before), model, memo) == value(step.after, model, memo)
@@ -265,8 +266,9 @@ def check_steps(x: LinComb, trace, result, model):
 
 
 def check_preserved(x: LinComb, rules, model, max_steps):
-    """Normalize x and require every step, and the normal form (or the
-    partial result at the budget), to keep x's value."""
+    """Normalize x and require every replacement to keep its monomial's
+    value, and the normal form (or the partial result at the budget) to
+    keep x's value."""
     check_steps(x, *normalization(x, rules, max_steps), model)
 
 
@@ -358,8 +360,8 @@ def hopf_annexations(seed, k, l):
 def check_hopf_annexation(seed, k, l, model):
     # a context K annexes a rule's sides: K's last outputs feed the rule's
     # inputs and the rule's outputs K's last inputs; where K admits the
-    # rule, both annexations have the same value, and so does every step
-    # that normalizes the annexed lhs, so each rule also runs inside a
+    # rule, both annexations have the same value, and so does every
+    # replacement that normalizing the annexed lhs takes, so each rule also runs inside a
     # random context, not only on its own
     for rule_id, lhs, rhs, (trace, result) in hopf_annexations(seed, k, l):
         assert value(lhs, MODELS[model]) == value(rhs, MODELS[model]), rule_id
@@ -393,7 +395,7 @@ def hopf_coproduct_sums():
 
 
 def check_coproduct_sums(model):
-    # every step of each sum keeps its value, and other redexes of the
+    # every replacement of each sum keeps its value, and other redexes of the
     # sum, reduced first, leave r06 and r10 enough of theirs to fire
     fired = Counter()
     for x, (trace, result) in hopf_coproduct_sums():

@@ -363,7 +363,7 @@ class TestFeedbackJoin:
             r = rng.randint(0, min(kc.coarity, hc.arity))
             q = rng.randint(0, min(kc.arity, hc.coarity))
             cond = join_condition(kc.tr, hc.tr, r, q)
-            if cond is None or not cond.is_nilpotent():
+            if not cond.is_nilpotent():
                 continue
             k_, l_ = kc.coarity - r, kc.arity - q
             m_, n_ = hc.coarity - q, hc.arity - r

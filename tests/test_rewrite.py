@@ -29,7 +29,7 @@ from netrw.freeprop import (
 )
 from netrw.match import features, find_embeddings, pattern_parts
 from netrw.network import _components, canonical_code
-from netrw.order import LT, OrderSpec, Stage, compare, parse_order
+from netrw.order import LT, OrderSpec, Stage, check_compatible, compare, parse_order
 from netrw.props import BAFF_NAT, parse_assignment
 from netrw.rewrite import (
     BudgetExceededError,
@@ -62,9 +62,22 @@ from conftest import (
     same_network,
     swap_everywhere,
 )
+from test_models import MODELS, value
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "netrw" / "corpus"
 SYSTEMS = ("assoc", "circle", "bridge", "zigzag", "frobenius", "hopf")
+
+
+def corpus_system(system: str):
+    """A corpus system's signature, rules and order."""
+    sig = parse_signature((CORPUS / f"{system}.sig").read_text(encoding="utf-8"))
+    rules = parse_rules((CORPUS / f"{system}.rules").read_text(encoding="utf-8"), sig)
+    spec = parse_order(
+        (CORPUS / f"{system}.order").read_text(encoding="utf-8"),
+        sig,
+        lambda name: (CORPUS / name).read_text(encoding="utf-8"),
+    )
+    return sig, rules, spec
 
 
 def circle_power_text(n: int) -> str:
@@ -232,14 +245,16 @@ class TestNormalize:
         assert normalize(m, BoolMat.ones(1, 2), assoc, max_steps=0) == m
 
     def test_budget_counts_steps(self, circle):
+        # the budget counts first replacements: y^8 takes 10, where the
+        # step path takes 15 steps
         rules, y8, q = circle
-        nf = normalize(y8, q, rules, max_steps=15)
-        for k in (1, 7, 14):
+        nf = normalize(y8, q, rules, max_steps=10)
+        for k in (1, 5, 9):
             trace = []
             with pytest.raises(BudgetExceededError) as info:
                 normalize(y8, q, rules, max_steps=k, trace=trace)
             assert info.value.steps == k == len(trace)
-            assert normalize(info.value.partial, q, rules, max_steps=15 - k) == nf
+            assert normalize(info.value.partial, q, rules, max_steps=10) == nf
 
     def test_one_complement_per_labeling(self, monkeypatch, circle):
         # each context is computed once: strong_embeddings returns the
@@ -391,7 +406,7 @@ GROWN_ON_COMB_20 = 210
 
 
 def normalize_traced(x, q, rules):
-    """The steps of an order-backed normalization."""
+    """The first replacements an order-backed normalization takes."""
     trace = []
     normalize(x, q, rules, order_backed=True, trace=trace)
     return trace
@@ -456,6 +471,73 @@ def reference_joinable(x, y, q, rules, max_steps):
             key = lambda z: tuple((t.code, c) for t, c in z.items())
             return JoinResult("yes", min(common, key=key))
     return JoinResult("unknown") if any(frontiers) else JoinResult("no", difference=nx - ny)
+
+
+# a budget no normalization in these tests comes near
+UNBOUNDED = 10**4
+
+
+def replacement_map(trace, rules):
+    """Each traced monomial's replacement, checked: every entry is its
+    rule's reduct at its context, and no monomial has two replacements."""
+    by_id = {rule.rule_id: rule for rule in rules}
+    after = {}
+    for step in trace:
+        rule = by_id[step.rule_id]
+        assert annex(step.context, rule.lhs) == step.before
+        assert lc_annex(step.context, rule.rhs) == step.after
+        assert after.setdefault(step.before, step.after) == step.after
+    return after
+
+
+def replayed(x, trace, rules):
+    """x's normal form rebuilt from a normalization's trace alone: each
+    monomial that is some entry's ``before`` is replaced by that entry's
+    ``after``, until none is left."""
+    after = replacement_map(trace, rules)
+    # each round shortens every chain of replacements left by one
+    for _ in range(len(after) + 1):
+        if not after.keys() & x.terms.keys():
+            return x
+        y = LinComb.zero(x.coarity, x.arity)
+        for t, c in x.terms.items():
+            y += after[t].scale(c) if t in after else LinComb.monomial(t, c)
+        x = y
+    raise AssertionError("the trace's replacements reach no fixpoint")
+
+
+def check_one_route(x, q, rules, budgets, model=None) -> int:
+    """normalize against the step path, reference_normalize, at each
+    budget; returns how many of the normalizations stopped.
+
+    Where normalize finishes, it gives the step path's fixpoint NF(x), and
+    its trace replays to it.  Where it stops, it has taken exactly the
+    budget's replacements, each its rule's reduct; its partial keeps x's
+    value in ``model``, if one is given, and normalizing the partial with a
+    larger budget gives NF(x), with fewer replacements than x needs where
+    the walk took any, so the partial holds the work done; at budget 0 the
+    partial is x."""
+    nf = reference_normalize(x, q, rules, UNBOUNDED, [])
+    total = []
+    normalize(x, q, rules, max_steps=UNBOUNDED, trace=total)
+    stops = 0
+    for budget in budgets:
+        trace = []
+        try:
+            got = normalize(x, q, rules, max_steps=budget, trace=trace)
+        except BudgetExceededError as exc:
+            assert exc.steps == budget == len(trace)
+            replacement_map(trace, rules)
+            rest = []
+            assert normalize(exc.partial, q, rules, max_steps=UNBOUNDED, trace=rest) == nf
+            assert len(rest) < len(total) if budget else exc.partial == x
+            if model is not None:
+                assert value(exc.partial, model) == value(x, model)
+            stops += 1
+        else:
+            assert len(trace) <= budget
+            assert got == nf == replayed(x, trace, rules)
+    return stops
 
 
 def outcome(run, *args):
@@ -586,19 +668,21 @@ class TestReplacement:
 
 class TestRedexMemo:
     def test_corpus_normalizations_match_reference(self, corpus_ambiguities):
-        systems = set()
+        # every site and reduct of the corpus, at budgets that stop the
+        # walk and one that does not; a partial keeps its value in the
+        # circle and Hopf models
+        systems, stops = set(), 0
         for system, rules, amb in corpus_ambiguities:
             site, r1, r2 = LinComb.monomial(amb.site), amb.reduct1, amb.reduct2
             for x in (site, r1, r2, r1 + r2, r1.scale(2) - r2 + site):
-                for budget in (0, 1, 2, 25):
-                    args = (x, amb.amb_type, rules, budget)
-                    assert outcome(memo_normalize, *args) == outcome(reference_normalize, *args)
+                stops += check_one_route(x, amb.amb_type, rules, (0, 1, 2, 25), MODELS.get(system))
             systems.add(system)
         assert systems == set(SYSTEMS)
+        assert stops >= 300, stops
 
     def test_random_hopf_combinations_match_reference(self, rng, hopf_sig):
         rules = parse_rules((CORPUS / "hopf.rules").read_text(encoding="utf-8"), hopf_sig)
-        checked = repeats = budget_stops = 0
+        checked = repeats = stops = 0
         while checked < 200:
             m, n = rng.randint(0, 2), rng.randint(0, 2)
             a, b = (LinComb.monomial(exact_shape_class(rng, hopf_sig, m, n)) for _ in "ab")
@@ -610,20 +694,19 @@ class TestRedexMemo:
             if len(x.terms) < 2:
                 continue
             checked += 1
-            for budget in (rng.randint(0, 3), 400):
-                args = (x, q, rules, budget)
-                expected = outcome(reference_normalize, *args)
-                assert outcome(memo_normalize, *args) == expected
-                budget_stops += expected[0][0] == "budget"
-            trace = expected[1]
+            stops += check_one_route(x, q, rules, (rng.randint(0, 3), 400), MODELS["hopf"])
+            # monomials the step path reduces more than once, where the
+            # walk finds their normal form once
+            trace = outcome(reference_normalize, x, q, rules, 400)[1]
             repeats += len(trace) - len({step.before for step in trace})
-        assert repeats > 50 and budget_stops > 50
+        assert repeats > 50 and stops > 50, (repeats, stops)
 
     def test_agenda_matches_plain_steps(self, rng, hopf_sig):
-        # normalize's agenda against loops that sort, search and rebuild the
-        # whole combination on every step, on inputs where a step cancels a
-        # monomial other than the one it reduces, where a monomial reduced
-        # away comes back, and where the budget stops the normalization
+        # the step path over reduce_once against loops that sort, search
+        # and rebuild the whole combination on every step, and normalize
+        # against both, on inputs where a step cancels a monomial other
+        # than the one it reduces, where a monomial reduced away comes
+        # back, and where the budget stops the normalization
         hopf = parse_rules((CORPUS / "hopf.rules").read_text(encoding="utf-8"), hopf_sig)
         circle_sig = parse_signature((CORPUS / "circle.sig").read_text(encoding="utf-8"))
         circle = parse_rules((CORPUS / "circle.rules").read_text(encoding="utf-8"), circle_sig)
@@ -641,22 +724,23 @@ class TestRedexMemo:
             if len(x.terms) < 2:
                 continue
             counts[system] += 1
-            for budget in (rng.randint(0, 6), 400):
+            budgets = (rng.randint(0, 6), 400)
+            for budget in budgets:
                 args = (x, q, rules, budget)
                 expected = outcome(plain_normalize, *args)
                 assert outcome(reference_normalize, *args) == expected
-                assert outcome(memo_normalize, *args) == expected
                 counts["budget stops"] += expected[0][0] == "budget"
+            counts["walk stops"] += check_one_route(x, q, rules, budgets, MODELS[system])
             cancels, returns = agenda_events(x, expected[1])
             counts[system, "cancels"] += cancels
             counts[system, "returns"] += returns
         assert counts["hopf", "cancels"] >= 15 and counts["hopf", "returns"] >= 20, counts
         assert counts["circle", "cancels"] >= 40 and counts["circle", "returns"] >= 100, counts
-        assert counts["budget stops"] >= 60, counts
+        assert counts["budget stops"] >= 60 and counts["walk stops"] >= 60, counts
 
     def test_shared_memo_matches_fresh_calls(self, corpus_ambiguities):
-        # a memo filled with first redexes by normalize answers
-        # all_single_steps, and then reduce_once, as fresh calls do
+        # a memo filled with first redexes and normal forms by normalize
+        # answers all_single_steps, and then normalize, as fresh calls do
         for system, rules, amb in corpus_ambiguities:
             q, memo, trace = amb.amb_type, _Redexes(amb.amb_type, rules), []
             try:
@@ -667,7 +751,8 @@ class TestRedexMemo:
                 step.after for step in trace
             ]:
                 assert all_single_steps(z, q, rules, memo) == all_single_steps(z, q, rules)
-                assert reduce_once(z, q, rules, memo) == reduce_once(z, q, rules)
+                nf = normalize(z, q, rules, max_steps=UNBOUNDED)
+                assert normalize(z, q, rules, max_steps=UNBOUNDED, memo=memo) == nf
 
     def test_types_checked_before_any_step(self, hopf_sig):
         # S eta eps is reducible at the zero type and sorts before the
@@ -696,7 +781,9 @@ class TestRedexMemo:
     def test_joinable_resumes_redex_searches(self, monkeypatch, corpus_ambiguities):
         # the breadth-first search resumes each search that the
         # normalizations left after a monomial's first redex, instead of
-        # running it again from the first rule or the first anchor image
+        # running it again from the first rule or the first anchor image;
+        # and the second normalization resumes the searches of the chain
+        # links that the first one followed
         searches = Counter()
         real_find = netrw.match.find_embeddings
 
@@ -709,12 +796,48 @@ class TestRedexMemo:
             searches.clear()
             joinable(amb.reduct1, amb.reduct2, amb.amb_type, rules, max_steps=25)
             assert max(searches.values(), default=1) == 1, (system, amb.key)
+        # order-backed: assoc right combs, whose replacements are all chain
+        # links, and circle powers, whose normal forms differ from those of
+        # some one-step reducts, each against its one-step reducts
+        statuses = Counter()
+        for system, n, term in [("assoc", n, right_comb_text(n)) for n in range(3, 9)] + [
+            ("circle", n, circle_word("y" * n)) for n in range(2, 9)
+        ]:
+            sig, rules, spec = corpus_system(system)
+            check_compatible(rules, spec)
+            x = parse_term(term, sig)
+            q = BoolMat.ones(x.coarity, x.arity)
+            for y in all_single_steps(x, q, rules):
+                searches.clear()
+                result = joinable(x, y, q, rules, order_backed=True)
+                assert max(searches.values()) == 1, (system, n)
+                statuses[system, result.status] += 1
+        assert statuses[("assoc", "yes")] >= 20 and statuses[("circle", "yes")] >= 10, statuses
+
+    def test_joinable_charges_only_new_replacements(self):
+        # joinable's second normalization reuses the normal forms the first
+        # found, and a budget counts only the replacements it takes beyond
+        # them: y^8 takes 10, after which three of its one-step reducts take
+        # 6 more, where each alone takes 12.  At a budget of 10 joinable
+        # answers from y^8's side but not from the reduct's
+        sig, rules, _ = corpus_system("circle")
+        x, q = parse_term(circle_word("y" * 8), sig), BoolMat.ones(1, 1)
+        over = 0
+        for r in all_single_steps(x, q, rules):
+            assert joinable(x, r, q, rules, max_steps=10).status == "yes"
+            try:
+                normalize(r, q, rules, max_steps=10)
+            except BudgetExceededError:
+                assert joinable(r, x, q, rules, max_steps=10).status == "unknown"
+                over += 1
+        assert over == 3
 
     def test_one_search_per_monomial_and_rule(self, monkeypatch):
-        # circle y^12 takes 63 steps; without the memo every step searches
-        # every monomial of the growing combination again (about 6 calls a
-        # step), with it each distinct monomial is searched once per rule,
-        # each image of the rule's first anchor at most once
+        # circle y^12 takes 21 first replacements, where the step path
+        # takes 63 steps and, searching afresh, looks at every monomial of
+        # the growing combination again (about 6 calls a step); the walk
+        # searches each distinct monomial once per rule, each image of the
+        # rule's first anchor at most once
         sig = parse_signature("gen x 1 1\ngen y 1 1\n")
         rules = parse_rules("rule circ sharp: y^a_b y^b_c -> d^a_c - x^a_b x^b_c", sig)
         y12 = parse_term(circle_power_text(12), sig)
@@ -729,10 +852,10 @@ class TestRedexMemo:
         trace = []
         normalize(y12, BoolMat.ones(1, 1), rules, max_steps=100, trace=trace)
         monomials = set(y12.terms).union(*(step.after.terms for step in trace))
-        assert len(trace) == 63
+        assert len(trace) == 21
         assert max(searches.values()) == 1
         searched = {(pattern, subject) for pattern, subject, _ in searches}
-        assert len(searched) <= len(monomials) * len(rules) < len(trace)
+        assert len(searched) <= len(monomials) * len(rules) < 63
         assert sum(searches.values()) <= sum(len(t.rep.deco) for t in monomials) * len(rules)
 
     def test_search_stops_at_first_redex(self, monkeypatch, msig, assoc):
@@ -779,7 +902,7 @@ class TestRedexMemo:
         swap_everywhere(monkeypatch, real_tr, recording_tr)
         swap_everywhere(monkeypatch, real_complement, recording_complement)
         trace = normalize_traced(y8, q, circle_rules) + normalize_traced(comb, BoolMat.ones(1, 5), assoc)
-        assert len(trace) == 15 + 3 and not traversed
+        assert len(trace) == 10 + 3 and not traversed
         assert not any(rule.sharp for rule in zig_rules)
         assert len(normalize_traced(snake, q, zig_rules)) == 2 and traversed
         context_nets = {id(net) for net in contexts_taken}
@@ -969,7 +1092,7 @@ class TestDeferredContexts:
                 q, rules, system = BoolMat.ones(1, 1), circle, "circle"
             args = (x, q, rules, 40)
             deferred = outcome(memo_normalize, *args)
-            assert outcome(plain_normalize, *args) == deferred
+            check_one_route(x, q, rules, (40,))
             with monkeypatch.context() as patch:
                 patch.setattr(rewrite, "contexts", eager_contexts)
                 eager = outcome(memo_normalize, *args)
@@ -1132,9 +1255,9 @@ def right_comb_text(n: int) -> str:
     return " ".join(f"m^{LABELS[2 * i]}_{LABELS[2 * i + 1]}{LABELS[2 * i + 2]}" for i in range(n))
 
 
-def stepped(x, q, rules, **kwargs):
-    """normalize by the step path: the same call with a trace."""
-    return normalize(x, q, rules, order_backed=True, trace=[], **kwargs)
+def stepped(x, q, rules):
+    """x's normal form by the step path."""
+    return reference_normalize(x, q, rules, UNBOUNDED, [])
 
 
 @pytest.fixture(scope="module")
@@ -1144,16 +1267,20 @@ def circle_corpus_rules():
 
 
 class TestNormalForms:
-    """An order-backed normalization without budget or trace sums each
-    monomial's normal form, found once; it must give exactly the fixpoint
-    that the step path reaches."""
+    """A normalization sums each monomial's normal form, found once; it
+    must give exactly the fixpoint that the step path reaches, and a
+    budget that stops it must leave a reduct with that normal form."""
 
     def test_circle_powers(self, circle_corpus_rules):
         sig, rules = circle_corpus_rules
         q = BoolMat.ones(1, 1)
+        stops = 0
         for n in range(1, 17):
             x = parse_term(circle_word("y" * n), sig)
             assert normalize(x, q, rules, order_backed=True) == stepped(x, q, rules), n
+            stops += check_one_route(x, q, rules, (n // 2, UNBOUNDED), MODELS["circle"])
+        # y^n takes k(k+1)/2 first replacements, k = n/2: more than n/2 from n = 4
+        assert stops == 13
 
     @settings(max_examples=60)
     @given(
@@ -1173,6 +1300,7 @@ class TestNormalForms:
         for c, letters in summands:
             x += parse_term(circle_word(letters), sig).scale(c)
         assert normalize(x, q, rules, order_backed=True) == stepped(x, q, rules)
+        check_one_route(x, q, rules, (2,), MODELS["circle"])
 
     @settings(max_examples=60)
     @given(
@@ -1201,6 +1329,7 @@ class TestNormalForms:
         for c, letters in summands:
             x += parse_term(circle_word(letters), sig).scale(c)
         assert normalize(x, q, rules, order_backed=True) == stepped(x, q, rules)
+        check_one_route(x, q, rules, (2,))
 
     def test_right_combs(self, msig, assoc):
         for n in range(1, 13):
@@ -1208,18 +1337,14 @@ class TestNormalForms:
             q = BoolMat.ones(1, n + 1)
             nf = normalize(x, q, assoc, order_backed=True)
             assert nf == stepped(x, q, assoc) and nf.is_monomial(), n
+            # the comb of n products takes n - 1 first replacements
+            assert check_one_route(x, q, assoc, (n // 2, UNBOUNDED)) == (n > 2)
 
     @pytest.mark.parametrize("system", ["assoc", "circle"])
     def test_confluence_report_reducts(self, system):
         # every reduct of the ordered report, alone and summed, fresh and
         # through one memo shared as joinable shares it
-        sig = parse_signature((CORPUS / f"{system}.sig").read_text(encoding="utf-8"))
-        rules = parse_rules((CORPUS / f"{system}.rules").read_text(encoding="utf-8"), sig)
-        spec = parse_order(
-            (CORPUS / f"{system}.order").read_text(encoding="utf-8"),
-            sig,
-            lambda name: (CORPUS / name).read_text(encoding="utf-8"),
-        )
+        _, rules, spec = corpus_system(system)
         report = confluence_report(rules, spec)
         assert report.results
         for result in report.results:
@@ -1237,7 +1362,7 @@ class TestNormalForms:
         for system, rules, amb in corpus_ambiguities:
             q = amb.amb_type
             for x in (LinComb.monomial(amb.site), amb.reduct1, amb.reduct2, amb.reduct1 - amb.reduct2):
-                assert normalize(x, q, rules, order_backed=True) == stepped(x, q, rules, max_steps=100)
+                assert normalize(x, q, rules, order_backed=True) == stepped(x, q, rules)
             systems.add(system)
         assert systems == set(SYSTEMS)
 
@@ -1253,12 +1378,29 @@ class TestNormalForms:
             "rule a: x^a_b -> y^a_b + d^a_b\nrule b: y^a_b -> x^a_b\n",
             "rule a: x^a_b -> 2 x^a_b\n",
         )
-        for text in systems:
+        # with a budget each run stops where the recurrence is found, with
+        # the replacements taken and the reduct they leave, from x and from
+        # 3y - x; a monomial under way stops before its replacement is
+        # taken again
+        d = parse_term("d^a_b", sig)
+        budgeted = (
+            ((y, "aba"), (x.scale(2), "bab")),
+            ((x + d, "ab"), (x.scale(2) + d.scale(3), "bab")),
+            ((x.scale(4), "aa"), (y.scale(3) - x.scale(4), "aa")),
+        )
+        for text, stops in zip(systems, budgeted):
             rules = parse_rules(text, sig)
-            for start in (x, y.scale(3) - x):
+            for start, (partial, taken) in zip((x, y.scale(3) - x), stops):
                 with pytest.raises(ReductionCycleError) as info:
                     normalize(start, q, rules, order_backed=True)
                 assert info.value.monomial in (*x.terms, *y.terms)
+                trace = []
+                with pytest.raises(BudgetExceededError) as info:
+                    normalize(start, q, rules, max_steps=25, trace=trace)
+                assert info.value.partial == partial
+                assert info.value.steps == len(trace) == len(taken)
+                assert "".join(step.rule_id for step in trace) == taken
+                replacement_map(trace, rules)
 
     @pytest.fixture
     def work(self, monkeypatch):
@@ -1286,8 +1428,9 @@ class TestNormalForms:
         # ROADMAP item 18: y^n finds k(k+1)/2 first replacements,
         # k = n/2, each of two terms, and walks each term once (plus the
         # input's one); it applies no step.  The step path applies 2^k - 1
-        # steps (127 at n = 14, 16,383 at n = 28), so doubling n multiplies
-        # the work by about 4 rather than by 2^k
+        # steps (127 at n = 14, 16,383 at n = 28), each with a replacement
+        # of its own, so doubling n multiplies the walk's work by about 4
+        # rather than by 2^k
         sig, rules = circle_corpus_rules
         q = BoolMat.ones(1, 1)
         counts = {}
@@ -1301,7 +1444,7 @@ class TestNormalForms:
         }
         work.clear()
         stepped(parse_term(circle_word("y" * 14), sig), q, rules)
-        assert work == {"_replacement": 28, "_reduct": 127}
+        assert work == {"_replacement": 127, "_reduct": 127}
 
 
 # ---------------------------------------------------------------------------
@@ -1310,24 +1453,21 @@ class TestNormalForms:
 
 
 class TestTracedEntryPoint:
-    """The benchmark's tracer swaps every binding of ``reduce_once`` for a
-    wrapper and counts the calls that return a step as a job's steps, and
-    the redex searches inside them per step; so a budgeted normalization
-    has to reach the module-level function once per step and once to
-    stop.  An order-backed one applies no step: it reaches
-    ``monomial_normal_form``, the module-level name the tracer can wrap,
-    once per monomial of the input."""
+    """The benchmark's tracer swaps every binding of ``reduce_once`` and
+    ``normalize`` for a wrapper, and counts the calls of ``reduce_once``
+    that return a step as a job's steps.  A normalization, budgeted or
+    not, takes its first replacements in one walk and applies no step: it
+    reaches ``normalize`` once and ``reduce_once`` never, so the tracer
+    reads no steps from it."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         calls = []
-        for real in (rewrite.reduce_once, rewrite.monomial_normal_form):
+        for real in (rewrite.reduce_once, rewrite.normalize):
 
             def counting(*args, real=real, **kwargs):
-                result = real(*args, **kwargs)
-                stepped = real.__name__ == "reduce_once"
-                calls.append(result is not None if stepped else real.__name__)
-                return result
+                calls.append(real.__name__)
+                return real(*args, **kwargs)
 
             swap_everywhere(monkeypatch, real, counting)
         return calls
@@ -1340,9 +1480,12 @@ class TestTracedEntryPoint:
     def test_ordered_circle_power(self, calls, capsys):
         code, out = self.normalize_cli(capsys, f"--order={CORPUS}/circle.order")
         assert code == cli.OK and out.strip()
-        assert calls == ["monomial_normal_form"]
+        assert calls == ["normalize"]
 
     def test_budget_stop(self, calls, capsys):
+        # y^10 takes 15 first replacements
         code, out = self.normalize_cli(capsys, "--max-steps=7")
-        assert code == cli.NEGATIVE and out.startswith("budget exceeded")
-        assert calls == [True] * 8
+        assert code == cli.NEGATIVE and out.startswith("budget exceeded; partial: ")
+        assert calls == ["normalize"]
+        code, out = self.normalize_cli(capsys, "--max-steps=15")
+        assert code == cli.OK and calls == ["normalize"] * 2
