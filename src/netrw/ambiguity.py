@@ -332,34 +332,36 @@ def _decisive_sites(
     sides, each with the two embeddings and its terseness, in depth-first
     preorder of the gluings.
 
-    A directed cycle survives every refinement of a gluing: gluing more
-    nodes maps it onto a closed walk.  So a cyclic gluing and all that
-    refine it give no site.  Each gluing carries its reach sets, and
-    ``glued`` rejects a gluing at the union that closes a cycle, testing
-    a seed's first union before the state is copied.  No cyclic site is
-    assembled."""
+    The search walks a tree: a gluing reached by seed i tries only the
+    seeds after i, and keeps a child only if it glues no earlier seed
+    that the gluing leaves free.  So each gluing is generated once, by
+    the least seed it glues that its parent leaves free, and no set of
+    visited gluings is kept; the order is that of a search that tries
+    every seed and skips the gluings it has seen.
+
+    A cyclic gluing and all that refine it give no site (gluing more
+    nodes maps a cycle onto a closed walk); ``glued`` rejects one at the
+    union that closes its cycle, so no cyclic site is assembled."""
     tables = _PairTables(s1, s2)
     root = _Gluing.root(tables)
-    seen: set[tuple[int, ...]] = set()
-    stack = [root]
+    stack = [(root, 0)]  # a gluing and the index of the first seed it tries
     while stack:
-        state: _Gluing = stack.pop()
-        key = tuple(state.cls)
-        if key in seen:
-            continue
-        seen.add(key)
+        state, first = stack.pop()
         # the root glues nothing, so it is no site
         if state is not root and not tables.is_montage(state):
             yield tables.build_site(state)
         cls = state.cls
+        free = []  # the free seeds before seed i
         children = []
-        for a, b in tables.seeds:
-            # a seed already glued gives no child; testing it here saves
-            # the call
-            if cls[a] != cls[b]:
+        for i, (a, b) in enumerate(tables.seeds):
+            # a seed already glued gives no child
+            if cls[a] == cls[b]:
+                continue
+            if i >= first:
                 child = state.glued(tables, a, b)
-                if child is not None:
-                    children.append(child)
+                if child is not None and all(child.cls[x] != child.cls[y] for x, y in free):
+                    children.append((child, i + 1))
+            free.append((a, b))
         # popped in seed order: the first site to give a key supplies
         # its ambiguity, so the order is part of the result
         stack.extend(reversed(children))

@@ -356,16 +356,14 @@ def _summands(x: NetClass | LinComb) -> list[tuple[NetClass, Fraction]]:
 
 def lc_sym_join(a: NetClass | LinComb, r: int, q: int, b: NetClass | LinComb) -> LinComb:
     """Bilinear symmetric join; undefined when any monomial pair fails the
-    nilpotence condition."""
+    nilpotence condition, with ``sym_join``'s error, which names the ports
+    that close the cycle."""
     # checked once for the operands, so a zero combination is checked too
     _require_join_shape(a, r, q, b)
     terms: dict[NetClass, Fraction] = {}
     for s, cs in _summands(a):
         for t, ct in _summands(b):
-            try:
-                st = sym_join(s, r, q, t)
-            except JoinUndefinedError:
-                raise JoinUndefinedError("monomial pair fails the nilpotence condition") from None
+            st = sym_join(s, r, q, t)
             terms[st] = terms.get(st, 0) + cs * ct
     return LinComb(a.coarity - r + b.coarity - q, a.arity - q + b.arity - r, terms)
 

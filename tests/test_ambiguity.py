@@ -25,7 +25,7 @@ from netrw.cli import main
 from netrw.core import BoolMat, Symbol, parse_signature
 from netrw.freeprop import LinComb, annex, lc_annex
 from netrw.match import embeddings
-from netrw.network import InvalidNetworkError, Violation, _components, act, canonical_code
+from netrw.network import InvalidNetworkError, Violation, _components, _least_code, act, canonical_code
 from netrw.order import OrderError, OrderSpec, Stage, parse_order, rule_compatible
 from netrw.props import BAFF_NAT, parse_assignment
 from netrw.rewrite import all_single_steps, is_irreducible, joinable, make_rule, normalize
@@ -230,6 +230,35 @@ def class_graph(nx, tables, cls):
     return graph
 
 
+def visited_gluings(monkeypatch, s1, s2):
+    """The node tables of the rule pair and the gluings that
+    ``_decisive_sites`` visits, in visiting order, the root first: the
+    search tests every gluing it visits but the root for a montage."""
+    real_root, real_montage = ambiguity._Gluing.root, ambiguity._PairTables.is_montage
+    found = []
+
+    def recording_root(tables):
+        found.extend((tables, real_root(tables)))
+        return found[-1]
+
+    def recording_montage(self, g):
+        found.append(g)
+        return real_montage(self, g)
+
+    with monkeypatch.context() as m:
+        m.setattr(ambiguity._Gluing, "root", staticmethod(recording_root))
+        m.setattr(ambiguity._PairTables, "is_montage", recording_montage)
+        list(_decisive_sites(s1, s2))
+    return found[0], found[1:]
+
+
+def free_closures(tables, g):
+    """The closure of g and each seed that g leaves free, None where it
+    fails: every child a search that tries each seed at each gluing
+    would try."""
+    return [g.glued(tables, a, b) for a, b in tables.seeds if g.cls[a] != g.cls[b]]
+
+
 class TestDecisiveSites:
     def test_matches_unpruned_recursion(self, rng, hopf_sig):
         pairs = corpus_rule_pairs()
@@ -278,13 +307,16 @@ class TestDecisiveSites:
     def test_closure_work(self, monkeypatch):
         # a seed whose two classes cannot form one class, or whose gluing
         # closes a directed cycle outright, is dropped before the state is
-        # copied, and a closure stops at the union that closes a cycle:
-        # over the corpus pairs 838 gluings are copied and 722 closures
-        # succeed, the enumeration visits 631 gluings, roots included, and
-        # each of the 111 sites built is acyclic (without the cycle test:
-        # 1,986, 1,698, 1,112, and 481 of 592 sites cyclic).  Each union's
-        # tests run once, on the gluing it extends: 2,385 class tests and
-        # 3,763 cycle tests; glued never changes the gluing it is given
+        # copied, and a closure stops at the union that closes a cycle;
+        # a gluing tries only the seeds after the one that reached it:
+        # over the corpus pairs 581 gluings are copied and 544 closures
+        # succeed (838 and 722 when every gluing tried every seed), the
+        # enumeration visits 631 gluings, roots included, and each of the
+        # 111 sites built is acyclic (without the cycle test and trying
+        # every seed: 1,986, 1,698, 1,112, and 481 of 592 sites cyclic).
+        # Each union's tests run once, on the gluing it extends: 1,325
+        # class tests and 1,875 cycle tests (2,385 and 3,763 when every
+        # seed was tried); glued never changes the gluing it is given
         copies = children = built = cyclic = class_tests = cycle_tests = 0
         gluings = set()
         real_copy = ambiguity._Gluing.copy
@@ -333,48 +365,59 @@ class TestDecisiveSites:
         pairs = corpus_rule_pairs()
         for pair, (s1, s2) in enumerate(pairs):
             list(_decisive_sites(s1, s2))
-        assert (copies, children, len(gluings) + len(pairs)) == (838, 722, 631)
+        assert (copies, children, len(gluings) + len(pairs)) == (581, 544, 631)
         assert (built, cyclic) == (111, 0)
-        assert (class_tests, cycle_tests) == (2385, 3763)
+        assert (class_tests, cycle_tests) == (1325, 1875)
+
+    def test_each_gluing_visited_once(self, rng, hopf_sig, monkeypatch):
+        # the search walks a tree: each gluing is reached from its parent
+        # alone, by the least seed it glues that the parent leaves free,
+        # so no gluing is visited twice; over the corpus pairs it visits
+        # 631 gluings, roots included
+        pairs = oracle_pairs(rng, hopf_sig)
+        visits = []
+        for s1, s2 in pairs:
+            _, visited = visited_gluings(monkeypatch, s1, s2)
+            keys = [tuple(g.cls) for g in visited]
+            assert len(set(keys)) == len(keys)
+            visits.append(len(keys))
+        assert sum(visits[: len(corpus_rule_pairs())]) == 631
+        assert sum(visits) > 3000, sum(visits)
 
     def test_carried_reach_sets(self, rng, hopf_sig, monkeypatch):
-        # at every gluing a closure gives, the reach sets it carries are
-        # those that networkx and the from-scratch walk find on its class
-        # graph, which is acyclic
+        # at every gluing that a closure of a visited gluing and a free
+        # seed gives, the reach sets it carries are those that networkx and
+        # the from-scratch walk find on its class graph, which is acyclic
         nx = pytest.importorskip("networkx")
-        real_glued = ambiguity._Gluing.glued
         classes = 0
 
-        def checked_glued(self, tables, a, b):
-            nonlocal classes
-            g = real_glued(self, tables, a, b)
-            if g is None:
-                return None
-            graph = class_graph(nx, tables, g.cls)
-            assert nx.is_directed_acyclic_graph(graph)
-            ref_reach, ref_start = reference_reach(tables, g)
-            for c in set(g.cls):
-                reach = sum(1 << v for v in nx.descendants(graph, c) if v >= tables.n_edges)
-                if c < tables.n_edges:
-                    start = sum(1 << v for v in graph.predecessors(c))
-                else:
-                    start = 1 << c
-                assert g.reach[c] == reach == ref_reach[c]
-                assert g.start[c] == start == ref_start[c]
-                classes += 1
-            return g
-
-        monkeypatch.setattr(ambiguity._Gluing, "glued", checked_glued)
         for s1, s2 in oracle_pairs(rng, hopf_sig):
-            list(_decisive_sites(s1, s2))
+            tables, visited = visited_gluings(monkeypatch, s1, s2)
+            for state in visited:
+                for g in free_closures(tables, state):
+                    if g is None:
+                        continue
+                    graph = class_graph(nx, tables, g.cls)
+                    assert nx.is_directed_acyclic_graph(graph)
+                    ref_reach, ref_start = reference_reach(tables, g)
+                    for c in set(g.cls):
+                        reach = sum(1 << v for v in nx.descendants(graph, c) if v >= tables.n_edges)
+                        if c < tables.n_edges:
+                            start = sum(1 << v for v in graph.predecessors(c))
+                        else:
+                            start = 1 << c
+                        assert g.reach[c] == reach == ref_reach[c]
+                        assert g.start[c] == start == ref_start[c]
+                        classes += 1
         assert classes > 70000, classes
 
     def test_cycle_test_drops_only_cyclic_gluings(self, rng, hopf_sig, monkeypatch):
         # each union that the cycle test stops, before a seed's state is
-        # copied or inside a closure, is of two classes of an acyclic
-        # gluing whose class graph turns cyclic when they are glued; with
-        # the test switched off, the closure of that union gives a cyclic
-        # gluing or fails the class test
+        # copied or inside a closure of a visited gluing and a free seed,
+        # is of two classes of an acyclic gluing whose class graph turns
+        # cyclic when they are glued; with the test switched off, the
+        # closure of that union gives a cyclic gluing or fails the class
+        # test
         nx = pytest.importorskip("networkx")
         stops = []
         real_closes = ambiguity._Gluing.closes_cycle
@@ -387,11 +430,13 @@ class TestDecisiveSites:
 
         checks = []
         for s1, s2 in oracle_pairs(rng, hopf_sig):
+            tables, visited = visited_gluings(monkeypatch, s1, s2)
             stops.clear()
             with monkeypatch.context() as m:
                 m.setattr(ambiguity._Gluing, "closes_cycle", recording_closes)
-                list(_decisive_sites(s1, s2))
-            checks += [(ambiguity._PairTables(s1, s2), *stop) for stop in stops]
+                for state in visited:
+                    free_closures(tables, state)
+            checks += [(tables, *stop) for stop in stops]
         monkeypatch.setattr(ambiguity._Gluing, "closes_cycle", lambda self, x, y: False)
         closed = 0
         for tables, g, x, y in checks:
@@ -500,6 +545,25 @@ class TestKeys:
         site = parse_term("y^a_b y^c_d y^e_f y^g_h y^i_j", sig).monomials()[0]
         relabelings = _leg_relabelings(site.net)
         assert 1 <= len(relabelings) <= ambiguity._RELABELING_CAP < 120
+        assert len({ambiguity._code_under(site, *r) for r in relabelings}) == 1
+
+    def test_relabeling_cap_stops_tied_numberings(self, hopf_sig):
+        # seven copies of the crossing component D^{ab}_x D^{cd}_y m^p_{ad}
+        # m^q_{cb}, each with two tied roots: the 7! orders of the copies
+        # collapse to one, and of the 2^7 = 128 tied leg numberings the
+        # list stops at the cap of 64, every one giving the site one code
+        labels = iter("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789")
+        factors = []
+        for _ in range(7):
+            a, b, c, d, x, y, p, q = itertools.islice(labels, 8)
+            factors.append(f"D^{{{a}{b}}}_{x} D^{{{c}{d}}}_{y} m^{p}_{{{a}{d}}} m^{q}_{{{c}{b}}}")
+        site = parse_term(" ".join(factors), hopf_sig).monomials()[0]
+        comps, strays = _components(site.net)
+        ties = [len(_least_code(site.net, comp, legs=True)[1]) for comp in comps]
+        assert (ties, strays) == ([2] * 7, [])
+        relabelings = _leg_relabelings(site.net)
+        assert len(relabelings) == ambiguity._RELABELING_CAP == 64
+        assert len(set(relabelings)) == 64
         assert len({ambiguity._code_under(site, *r) for r in relabelings}) == 1
 
 

@@ -161,6 +161,14 @@ class TestSubcommands:
             capsys, "join", "--sig", sig, "--r", "1", "--q", "1", "[ab|1|ab]", "[xy|1|xy]"
         )
         assert code == 1
+        # an undefined join keeps sym_join's witness: the joined ports that
+        # close the cycle
+        join = ["join", "--sig", sig, "--r", "1", "--q", "1", "m^a_bc", "m^a_bc"]
+        witness = "symmetric join undefined: cycle through joined ports [1]"
+        code, out, _ = run(capsys, *join)
+        assert (code, out) == (1, f"undefined: {witness}\n")
+        code, out, _ = run(capsys, "--json", *join)
+        assert (code, json.loads(out)) == (1, {"defined": False, "witness": witness})
 
     def test_normalize_with_order(self, corpus, capsys):
         code, out, _ = run(

@@ -281,6 +281,38 @@ class TestBoolMat:
         assert bm_stack(*blocks) == a
 
 
+ZEROS = BoolMat.zeros
+# each library argument check that no other test reaches, with its message
+ARGUMENT_CHECKS = [
+    (lambda: Perm((1, 1)), "not a permutation of 1..2: (1, 1)"),
+    (lambda: BoolMat(-1, 0, ()), "negative matrix dimensions"),
+    (lambda: BoolMat(2, 2, (0,)), "row count does not match bits"),
+    (lambda: BoolMat(1, 2, (4,)), "bits outside matrix columns"),
+    (lambda: BoolMat.from_rows([[1, 0], [1]]), "ragged rows"),
+    (lambda: ZEROS(1, 2).add(ZEROS(2, 1)), "shape mismatch in boolean matrix addition"),
+    (lambda: ZEROS(1, 2).mul(ZEROS(1, 2)), "shape mismatch in boolean matrix product"),
+    (lambda: ZEROS(1, 2).leq(ZEROS(2, 1)), "shape mismatch in boolean matrix comparison"),
+    (lambda: ZEROS(1, 2).star(), "Kleene star of a non-square matrix"),
+    (lambda: ZEROS(1, 2).plus(), "Kleene plus of a non-square matrix"),
+    (lambda: ZEROS(1, 2).is_nilpotent(), "nilpotence of a non-square matrix"),
+    (
+        lambda: bm_stack(ZEROS(1, 1), ZEROS(2, 1), ZEROS(1, 1), ZEROS(1, 1)),
+        "row mismatch in block assembly",
+    ),
+    (
+        lambda: bm_stack(ZEROS(1, 1), ZEROS(1, 1), ZEROS(1, 2), ZEROS(1, 1)),
+        "column mismatch in block assembly",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, message", ARGUMENT_CHECKS, ids=[m for _, m in ARGUMENT_CHECKS])
+def test_argument_checks(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 class TestSignature:
     def test_parse(self):
         sig = parse_signature("# ops\ngen m 1 2\n\ngen eta 1 0\n")

@@ -346,6 +346,21 @@ class TestLinComb:
         assert lc_annex(k, combo) == LinComb.monomial(annex(k, m), Fraction(5, 2))
 
 
+    def test_shape_checks(self, sig2):
+        m, wire = generator(sig2["m"]), phi(same(1))
+        with pytest.raises(ShapeError) as exc:
+            LinComb(1, 2, {wire: 1})
+        assert str(exc.value) == "term shape differs from combination shape"
+        with pytest.raises(ShapeError) as exc:
+            LinComb.monomial(m) + LinComb.monomial(wire)
+        assert str(exc.value) == "shape mismatch in linear combination arithmetic"
+
+    def test_unknown_attribute(self, sig2):
+        # only a deferred field is computed on first read
+        with pytest.raises(AttributeError) as exc:
+            generator(sig2["m"]).nonexistent
+        assert str(exc.value) == "nonexistent"
+
 class TestAnnex:
     def test_annex_unit(self, rng, sig2):
         a = random_class(rng, list(sig2))

@@ -11,6 +11,7 @@ from netrw.network import (
     Edge,
     InvalidNetworkError,
     Network,
+    TargetError,
     Violation,
     _components,
     act,
@@ -239,6 +240,18 @@ class TestEvaluate:
             assert lo == hi
 
 
+    def test_assignment_checks(self):
+        # a symbol with no image, or an image of the wrong shape, is a
+        # TargetError that names the symbol
+        m = generator_network(Symbol("m", 1, 2))
+        with pytest.raises(TargetError) as exc:
+            evaluate(m, NAT_MATRIX, {})
+        assert str(exc.value) == "no assignment for symbol 'm'"
+        with pytest.raises(TargetError) as exc:
+            evaluate(m, NAT_MATRIX, {"m": Mat.from_rows([[1]])})
+        assert str(exc.value) == "assignment for 'm' has shape (1, 1), expected (1, 2)"
+
+
 class TestActions:
     def test_identity_action(self, rng, sig2):
         net = random_network(rng, list(sig2))
@@ -259,6 +272,15 @@ class TestActions:
             rhs = BoolMat.from_perm(sg).mul(transference(net)).mul(BoolMat.from_perm(tu))
             assert lhs == rhs
 
+
+    def test_size_checks(self):
+        m = generator_network(Symbol("m", 1, 2))
+        with pytest.raises(ValueError) as exc:
+            act(cross(1, 1), m)
+        assert str(exc.value) == "left action size mismatch"
+        with pytest.raises(ValueError) as exc:
+            act(None, m, same(1))
+        assert str(exc.value) == "right action size mismatch"
 
 class TestCutSplit:
     def test_trivial_cut(self, rng, sig2):

@@ -159,6 +159,15 @@ class TestMakeRule:
             make_rule("bad", two, two, "sharp")
 
 
+    def test_shape_checks(self, msig):
+        m = generator(msig["m"])
+        with pytest.raises(RuleError) as exc:
+            make_rule("r", m, phi(same(1)), "sharp")
+        assert str(exc.value) == "rule 'r': lhs and rhs shapes differ"
+        with pytest.raises(RuleError) as exc:
+            make_rule("r", m, m, BoolMat.ones(2, 2))
+        assert str(exc.value) == "rule 'r': type shape mismatch"
+
 class TestReduceOnce:
     def test_right_comb_to_left_comb(self, msig, assoc):
         m = generator(msig["m"])
@@ -196,6 +205,13 @@ class TestReduceOnce:
 
 
 class TestNormalize:
+    def test_needs_order_or_budget(self, circle):
+        # with neither, nothing bounds the walk
+        rules, y8, q = circle
+        with pytest.raises(ValueError) as exc:
+            normalize(y8, q, rules)
+        assert str(exc.value) == "normalize needs either order_backed or max_steps"
+
     def test_right_nested_depth_four(self, msig, assoc):
         # right comb on 4 leaves reaches the left comb; the step count is a
         # valid rotation distance in the Tamari lattice (between 2 and 3)
